@@ -19,6 +19,7 @@ import dataclasses
 import numpy as np
 
 from .config import EngineConfig
+from .devices.storage import saturate
 from .metrics import DeviceLedger, SimulationReport
 from .timeseries import TimeSeries
 
@@ -122,22 +123,10 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
         charged = 0.0
         discharged = 0.0
         for s, want in enumerate(b.tolist()):
-            if stb > 0.0 and e > lo:
-                drain = stb if e - lo > stb else e - lo
-                e -= drain
+            p, e = saturate(e, want, lo, hi, cap, ec, ed, stb, dth)
             if want >= 0.0:
-                p = want if want <= cap else cap
-                avail = (e - lo) * ed / dth
-                if p > avail:
-                    p = avail
-                e -= p * dth / ed
                 discharged += p
             else:
-                p = want if want >= -cap else -cap
-                room = (hi - e) / (ec * dth)
-                if p < -room:
-                    p = -room
-                e += (-p) * ec * dth
                 charged += -p
             if p != want:
                 saturations += 1

@@ -62,12 +62,10 @@ class MtipConfig:
     kappa: float = 5.0
     chi_th: float = 1.0
     eps_db: float = 2.0
-    phi_convention: str = "round_trip"
 
 
 @dataclass
 class BaselineConfig:
-    kind: str = "periodic_soc"       # periodic_soc | filter
     soc_period_h: float = 24.0
     filter_cutoffs: tuple[float, float] = (60.0, 900.0)
     trend_cutoff_s: float = 86400.0
@@ -211,8 +209,6 @@ def validate(config: EngineConfig) -> list[Finding]:
         err("l3_norm_power", "must be 2 or 3")
     if not 0.0 <= config.forecast_bias_decay < 1.0:
         err("forecast_bias_decay", "must lie in [0, 1)")
-    if config.mtip.phi_convention not in ("round_trip", "literal"):
-        err("mtip.phi_convention", f"unknown convention '{config.mtip.phi_convention}'")
     if config.mtip.eps_db < 0.0:
         err("mtip.eps_db", "deadband must be non-negative")
     elif config.l3_norm_power == 3 and config.controller == "periodic_soc":
@@ -226,14 +222,6 @@ def validate(config: EngineConfig) -> list[Finding]:
     if config.meoh_init_mwh < 0.0:
         err("meoh_init_mwh", "must be non-negative")
 
-    # Clock-ratio consistency: each layer's step must tile its parent's.
-    for path, child_s, parent_s in (
-        ("layers.L2", 900.0, 3600.0),
-        ("layers.L3", 60.0, 900.0),
-        ("vic.dt_s", config.vic.dt_s, 60.0),
-    ):
-        if parent_s % child_s != 0.0:
-            err(path, f"step {child_s}s does not tile the parent step {parent_s}s")
     if config.n2 * 0.25 < 1.0:
         warn("n2", "L2 horizon shorter than one L1 step")
     if config.n3 * 1.0 < 15.0:
@@ -252,8 +240,6 @@ def validate(config: EngineConfig) -> list[Finding]:
         TariffConfig(config.tariff.tou_schedule, config.tariff.capacity_rate)
     except ValueError as exc:
         err("tariff.tou_schedule", str(exc))
-    if config.baseline.kind not in ("periodic_soc", "filter"):
-        err("baseline.kind", f"unknown baseline '{config.baseline.kind}'")
     c0, c1 = config.baseline.filter_cutoffs
     if not c0 < c1:
         err("baseline.filter_cutoffs", "cutoffs must be strictly ordered")
@@ -304,37 +290,56 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+#: Config sections built from a nested JSON object, by field name.
+_NESTED = {
+    "scenario": ScenarioConfig, "awe": AweParams, "pemfc": PemfcParams,
+    "meoh": MeohParams, "turbine": TurbineParams,
+    "battery_deg": BatteryDegParams, "fess": FessParams,
+    "bess": StoreConfig, "caes": StoreConfig, "vic": VicParams,
+    "mtip": MtipConfig, "baseline": BaselineConfig, "tariff": TariffConfig,
+}
+
+
+def _unknown_keys(cls, data: dict, prefix: str = "") -> list[str]:
+    """Dotted paths of the keys in ``data`` that name no field of ``cls``."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    out = []
+    for key, val in data.items():
+        if key not in fields:
+            out.append(prefix + key)
+        elif key in _NESTED and isinstance(val, dict):
+            out += _unknown_keys(_NESTED[key], val, f"{prefix}{key}.")
+    return out
+
+
 def _build(cls, data: dict):
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name not in data:
             continue
         val = data[f.name]
-        ftype = f.type if isinstance(f.type, type) else None
-        nested = {
-            "scenario": ScenarioConfig, "awe": AweParams, "pemfc": PemfcParams,
-            "meoh": MeohParams, "turbine": TurbineParams,
-            "battery_deg": BatteryDegParams, "fess": FessParams,
-            "bess": StoreConfig, "caes": StoreConfig, "vic": VicParams,
-            "mtip": MtipConfig, "baseline": BaselineConfig,
-        }.get(f.name)
-        if nested is not None and isinstance(val, dict):
-            kwargs[f.name] = _build(nested, val)
-        elif f.name == "tariff" and isinstance(val, dict):
+        nested = _NESTED.get(f.name)
+        if f.name == "tariff" and isinstance(val, dict):
             sched = [((a, b), p) for (a, b), p in
                      ((tuple(rng), p) for rng, p in val["tou_schedule"])]
             kwargs[f.name] = TariffConfig(sched, val.get("capacity_rate", 10000.0))
+        elif nested is not None and isinstance(val, dict):
+            kwargs[f.name] = _build(nested, val)
         elif f.name in _TUPLE_FIELDS and isinstance(val, list):
             kwargs[f.name] = tuple(val)
         elif f.name == "forecast_accuracy" and isinstance(val, dict):
             kwargs[f.name] = dict(val)
         else:
             kwargs[f.name] = val
-        del ftype
     return cls(**kwargs)
 
 
 def from_dict(data: dict) -> EngineConfig:
+    """Build a configuration from its JSON form; a key that names no
+    configuration field is an error, reported with its dotted path."""
+    unknown = _unknown_keys(EngineConfig, data)
+    if unknown:
+        raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
     try:
         return _build(EngineConfig, data)
     except (TypeError, ValueError) as exc:

@@ -1,6 +1,6 @@
 """Physical and cost models for the five storage technologies."""
 
-from .storage import EssState, ess_step, step_energy
+from .storage import EssState, ess_step, saturate
 from .flywheel import FessParams, fess_virtual_inertia, fess_standby_loss, fess_lcoe
 from .battery import (
     BatteryDegParams,
@@ -30,7 +30,7 @@ from .methanol import MeohParams, meoh_conversion, TurbineParams, turbine_effici
 __all__ = [
     "EssState",
     "ess_step",
-    "step_energy",
+    "saturate",
     "FessParams",
     "fess_virtual_inertia",
     "fess_standby_loss",

@@ -4,8 +4,11 @@ Every technology in the portfolio (flywheel, battery, compressed air,
 hydrogen tank) advances through the same ledger rule: self-discharge on the
 stored energy, a standby drain while spinning, charge scaled by eta_c and
 discharge scaled by 1/eta_d. Charge and discharge are mutually exclusive
-within a step; an update that would leave the envelope is an error, never a
-silent clamp.
+within a step. :func:`ess_step` applies a move the MPC layers planned, so an
+update that would leave the envelope is an error, never a silent clamp.
+:func:`saturate` is the one clipping form of the rule, for the controllers
+that have no planner behind them (the flywheel loop and the filter
+baseline): it cuts a request down to the power cap and the envelope.
 """
 
 from __future__ import annotations
@@ -59,27 +62,41 @@ class EssState:
         return self.energy - self.envelope[0]
 
 
-def step_energy(
-    energy: float,
+def saturate(
+    e: float,
+    p: float,
     lo: float,
-    p_charge: float,
-    p_discharge: float,
-    dt_h: float,
+    hi: float,
+    cap: float,
     eta_c: float,
     eta_d: float,
-    self_discharge: float,
-    standby_loss: float,
-) -> float:
-    """Raw energy update shared by :func:`ess_step` and the engine hot loop.
+    standby_e: float,
+    dt_h: float,
+) -> tuple[float, float]:
+    """Clip a discharge-positive power request to what the store can deliver.
 
-    Standby loss only applies while the device is above its lower envelope
-    and can at most coast the energy down to that floor; it never drives a
-    violation on its own.
+    The standby drain (standby_e MWh, applied only above the lower envelope
+    lo and never below it) comes first, then the power cap, then the
+    envelope: a discharge may not draw the store below lo within the dt_h
+    step, a charge may not lift it above hi. Returns the realized power in
+    MW (discharge-positive) and the energy after the step in MWh.
+    Saturation is silent; callers compare the result with the request.
     """
-    e = energy * (1.0 - self_discharge)
-    if standby_loss > 0.0 and e > lo:
-        e -= min(standby_loss * dt_h, e - lo)
-    return e + p_charge * eta_c * dt_h - (p_discharge / eta_d) * dt_h
+    if standby_e > 0.0 and e > lo:
+        e -= standby_e if e - lo > standby_e else e - lo
+    if p >= 0.0:
+        avail = (e - lo) * eta_d / dt_h
+        if p > cap:
+            p = cap
+        if p > avail:
+            p = avail
+        return p, e - p * dt_h / eta_d
+    room = (hi - e) / (eta_c * dt_h)
+    if p < -cap:
+        p = -cap
+    if p < -room:
+        p = -room
+    return p, e + (-p) * eta_c * dt_h
 
 
 def ess_step(state: EssState, p_charge: float, p_discharge: float, dt_h: float) -> EssState:
@@ -113,10 +130,12 @@ def ess_step(state: EssState, p_charge: float, p_discharge: float, dt_h: float) 
             f"power {max(p_charge, p_discharge)} MW exceeds cap {state.power_cap} MW"
         )
     lo, hi = state.envelope
-    e_next = step_energy(
-        state.energy, lo, p_charge, p_discharge, dt_h,
-        state.eta_c, state.eta_d, state.self_discharge, state.standby_loss,
-    )
+    # Standby loss only applies above the lower envelope and can at most
+    # coast the energy down to it; it never drives a violation on its own.
+    e = state.energy * (1.0 - state.self_discharge)
+    if state.standby_loss > 0.0 and e > lo:
+        e -= min(state.standby_loss * dt_h, e - lo)
+    e_next = e + p_charge * state.eta_c * dt_h - (p_discharge / state.eta_d) * dt_h
     tol = _EDGE_TOL * max(1.0, abs(hi))
     if e_next < lo - tol or e_next > hi + tol:
         raise EnvelopeViolation(

@@ -1,15 +1,15 @@
 """Four-clock simulation loop: hourly hydrogen/methanol, quarter-hourly
 compressed air, minute-level battery, second-level flywheel.
 
-Each simulated second proceeds parent-first: on layer boundaries the child
-capability bands are computed from current device states (child-first:
-flywheel to battery layer, battery to compressed-air layer, compressed-air
-to hydrogen layer), then the due layers solve in order L1, L2, L3, and the
-flywheel closes every second. The flywheel's droop and inertia gains act on
-the equivalent frequency deviation of the *uncovered* imbalance — the
-static power-frequency characteristic is closed algebraically, which keeps
-the published gains stable instead of feed-forward amplifying second-scale
-noise.
+The loop takes one pass per minute. It first advances the stores whose
+layer step just ended, then, on layer boundaries, computes each child's
+capability band from the current device states (compressed air for the
+hydrogen layer, battery for the compressed-air layer, flywheel for the
+battery layer) and lets the due layers decide in order L1, L2, L3. L1 has
+its own block (frozen efficiencies, tank and methanol bounds, four
+actuators); L2 and L3 share one single-store routine. The flywheel then
+closes the minute's 60 one-second residual samples with the law of
+:func:`~hessmpc.vic.close_residual`.
 
 The proposed controller applies each layer's explicit step law
 (:func:`~hessmpc.mpc.explicit_step`), which needs only the step-0 forecast,
@@ -33,7 +33,7 @@ from .config import EngineConfig, validate
 from .devices import ess_step
 from .devices.battery import battery_damage, battery_soh, bess_cycle_cost
 from .devices.flywheel import fess_lcoe
-from .errors import AlignmentError, ConfigError, LedgerClosureError
+from .errors import ConfigError, LedgerClosureError
 from .metrics import (
     DeviceLedger, SimulationReport, economic_benefit,
     minute_fluctuation_reduction, round_trip_efficiency, rms_smoothing_rate,
@@ -42,16 +42,18 @@ from .metrics import (
 # receding_step is imported only so that benchmarks/tracer.py can wrap it by
 # its name in this module.
 from .mpc import (  # noqa: F401
-    L1State, LayerDecision, build_layer_problem, explicit_step,
+    L1State, LayerDecision, LayerSpec, build_layer_problem, explicit_step,
     first_step_caps, freeze_efficiencies, l1_bounds, l1_dynamics,
     receding_step, simple_bounds,
 )
 from .mtip import (
-    MicroContext, adaptive_bounds, flat_bounds, marginal_cost, physical_bounds,
+    MicroContext, MtipBounds, adaptive_bounds, flat_bounds, marginal_cost,
+    physical_bounds,
 )
 from .qp import dump_problem, solve_qp
 from .timeseries import TimeSeries, ingest_csv, write_csv
 from .scenario import make_forecast, realized_accuracy, synthesize
+from .vic import DT_H, close_residual
 
 
 @dataclasses.dataclass
@@ -101,14 +103,17 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
 #: Step-0 input floors of a single-store layer (charge, discharge).
 _NO_FLOOR = (0.0, 0.0)
 
+#: Step length in seconds of each MPC layer.
+_STEP_S = {"L1": 3600, "L2": 900, "L3": 60}
 
-def _clip_band_to_power(phy: tuple[float, float], cap: float) -> tuple[float, float]:
-    lo = max(phy[0], -cap)
-    hi = min(phy[1], cap)
-    if lo > hi:
-        mid = 0.5 * (lo + hi)
-        return mid, mid
-    return lo, hi
+#: Step length in seconds of each device's energy trace.
+_SOC_STEP_S = {"hydrogen": 3600, "methanol": 3600, "caes": 900, "bess": 60, "fess": 60}
+
+#: Device of each single-store layer.
+_STORE = {"L2": "caes", "L3": "bess"}
+
+#: Layer whose marginal cost blends each layer's band (L4 is the flywheel).
+_CHILD = {"L1": "L2", "L2": "L3", "L3": "L4"}
 
 
 class _LayerStats:
@@ -139,6 +144,40 @@ class _LayerStats:
         }
 
 
+@dataclasses.dataclass
+class _Layer:
+    """Run state of one MPC layer.
+
+    actual_mean holds the run's actuals averaged over each layer step, for
+    the forecast de-bias; bias_pow is None when de-biasing is off. k_end is
+    the periodic baseline's terminal step. output and band are the applied
+    output and the (lower, upper, gamma) band per layer step.
+    """
+
+    spec: LayerSpec
+    forecast: np.ndarray
+    actual_mean: np.ndarray
+    bias_pow: np.ndarray | None
+    k_end: int
+    output: np.ndarray
+    band: np.ndarray
+    stats: _LayerStats = dataclasses.field(default_factory=_LayerStats)
+    mu_hint: float | None = None
+    dumped: bool = False
+    cost: float = 0.0
+
+    def window(self, k: int, n: int, held) -> np.ndarray:
+        """n forecast steps from step k, less the held parent outputs, plus
+        the previous step's observed error decayed over the window."""
+        fc = self.forecast[k : k + n]
+        for y in held:
+            fc = fc - y
+        if self.bias_pow is not None and k > 0:
+            err = self.actual_mean[k - 1] - self.forecast[k - 1]
+            fc = fc + err * self.bias_pow[:n]
+        return fc
+
+
 def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationReport:
     """Run the configured controller over one scenario."""
     findings = validate(config)
@@ -152,36 +191,29 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
 
     if data is None:
         data = prepare_scenario(config)
-    specs = config.layer_specs()
-    spec1, spec2, spec3 = specs["L1"], specs["L2"], specs["L3"]
-    # Periodic baseline: the terminal equality binds at the end of the SOC
-    # period, clamped to each layer's horizon.
-    k_end = {
-        "L1": min(spec1.horizon, max(1, int(round(config.baseline.soc_period_h / spec1.dt_h)))),
-        "L2": min(spec2.horizon, max(1, int(round(config.baseline.soc_period_h / spec2.dt_h)))),
-        "L3": min(spec3.horizon, max(1, int(round(config.baseline.soc_period_h / spec3.dt_h)))),
-    }
-    mu_hints: dict[str, float | None] = {"L1": None, "L2": None, "L3": None}
-
     av = data.actuals.values
-    l1v = data.forecasts["L1"].values
-    l2v = data.forecasts["L2"].values
-    l3v = data.forecasts["L3"].values
     n_sec = data.run_seconds
     n_min = n_sec // 60
-    n_q = n_sec // 900
-    n_hr = n_sec // 3600
-
-    # Measurement feedback: each layer de-biases its forecast window by the
-    # previous step's observed error, decayed over the horizon.
+    specs = config.layer_specs()
     bias_decay = config.forecast_bias_decay
-    av_run = av[:n_sec]
-    av_min = av_run.reshape(n_min, 60).mean(axis=1)
-    av_q = av_run.reshape(n_q, 900).mean(axis=1)
-    av_h = av_run.reshape(n_hr, 3600).mean(axis=1)
-    bias_pow1 = bias_decay ** np.arange(1, spec1.horizon + 1)
-    bias_pow2 = bias_decay ** np.arange(1, spec2.horizon + 1)
-    bias_pow3 = bias_decay ** np.arange(1, spec3.horizon + 1)
+    lay = {}
+    for name, step_s in _STEP_S.items():
+        spec = specs[name]
+        n = n_sec // step_s
+        lay[name] = _Layer(
+            spec=spec,
+            forecast=data.forecasts[name].values,
+            actual_mean=av[:n_sec].reshape(n, step_s).mean(axis=1),
+            bias_pow=bias_decay ** np.arange(1, spec.horizon + 1)
+            if bias_decay > 0.0 else None,
+            # The periodic baseline's terminal equality binds at the end of
+            # the SOC period, clamped to the layer's horizon.
+            k_end=min(spec.horizon, max(1, int(round(config.baseline.soc_period_h / spec.dt_h)))),
+            output=np.zeros(n),
+            band=np.zeros((n, 3)),
+        )
+    l1, l2, l3 = lay["L1"], lay["L2"], lay["L3"]
+    spec1 = l1.spec
 
     # Device states.
     tank_env = (0.0, config.tank_cap_mwh)
@@ -189,123 +221,133 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         e_h=config.tank_init_frac * config.tank_cap_mwh,
         e_m=config.meoh_init_mwh,
     )
-    caes = config.caes.make_state()
-    bess = config.bess.make_state()
+    stores = {"caes": config.caes.make_state(), "bess": config.bess.make_state()}
     fess0 = config.fess_state()
-    e_h_init, e_m_init = l1_state.e_h, l1_state.e_m
-    caes_init, bess_init, fess_init = caes.energy, bess.energy, fess0.energy
+    e_fess = fess0.energy
+    e_init = {
+        "hydrogen": l1_state.e_h, "methanol": l1_state.e_m,
+        **{dev: st.energy for dev, st in stores.items()}, "fess": e_fess,
+    }
 
     # Marginal costs drive the band blending; the flywheel's uses its own
     # dispatch price with a unit cost weight.
-    lam1 = marginal_cost(spec1)
-    lam2 = marginal_cost(spec2)
-    lam3 = marginal_cost(spec3)
-    lam4 = config.c_l4
+    lam = {name: marginal_cost(lay[name].spec) for name in _STEP_S}
+    lam["L4"] = config.c_l4
     mtip_cfg = config.mtip
 
-    # Traces.
-    y1_tr = np.zeros(n_hr)
-    y2_tr = np.zeros(n_q)
-    y3_tr = np.zeros(n_min)
     inject_tr = np.zeros(n_sec)
     resid_tr = np.zeros(n_sec)
-    soc_h_tr = np.zeros(n_hr + 1); soc_h_tr[0] = l1_state.e_h
-    soc_m_tr = np.zeros(n_hr + 1); soc_m_tr[0] = l1_state.e_m
-    soc_caes_tr = np.zeros(n_q + 1); soc_caes_tr[0] = caes.energy
-    soc_bess_tr = np.zeros(n_min + 1); soc_bess_tr[0] = bess.energy
-    soc_fess_tr = np.zeros(n_min + 1); soc_fess_tr[0] = fess0.energy
-    # Band and blend-factor traces (lower, upper, gamma) per layer tick.
-    band_tr = {
-        "L1": np.zeros((n_hr, 3)),
-        "L2": np.zeros((n_q, 3)),
-        "L3": np.zeros((n_min, 3)),
-    }
-
-    ledgers = {
-        "hydrogen": DeviceLedger(initial_energy=l1_state.e_h),
-        "methanol": DeviceLedger(initial_energy=l1_state.e_m),
-        "caes": DeviceLedger(initial_energy=caes.energy, eta_c=caes.eta_c, eta_d=caes.eta_d),
-        "bess": DeviceLedger(initial_energy=bess.energy, eta_c=bess.eta_c, eta_d=bess.eta_d),
-        "fess": DeviceLedger(initial_energy=fess0.energy, eta_c=fess0.eta_c, eta_d=fess0.eta_d),
-    }
-    jcost = {"L1": 0.0, "L2": 0.0, "L3": 0.0, "L4": 0.0}
-    stats = {"L1": _LayerStats(), "L2": _LayerStats(), "L3": _LayerStats()}
+    soc_tr = {}
+    ledgers = {}
+    for dev, step_s in _SOC_STEP_S.items():
+        soc_tr[dev] = np.zeros(n_sec // step_s + 1)
+        soc_tr[dev][0] = e_init[dev]
+        ledgers[dev] = DeviceLedger(initial_energy=e_init[dev])
+    for dev, st in (*stores.items(), ("fess", fess0)):
+        ledgers[dev].eta_c, ledgers[dev].eta_d = st.eta_c, st.eta_d
     events = {
         "band_clamped": 0, "band_dropped": 0, "eff_clamped": 0,
         "forced_recharge": 0, "coupling_slack": 0, "simultaneous_netted": 0,
     }
 
-    # Flywheel loop constants.
     vic = config.vic
-    dt4 = vic.dt_s
-    dth4 = dt4 / 3600.0
-    k_pf = vic.k_pf
-    beta_cl = vic.k_p + vic.k_d / dt4
-    denom_cl = k_pf + beta_cl
-    kd_dt = vic.k_d / dt4
-    f_lo, f_hi = fess0.envelope
-    f_cap = fess0.power_cap
-    f_ec, f_ed = fess0.eta_c, fess0.eta_d
-    standby_e = fess0.standby_loss * dth4
-    e_fess = fess0.energy
     target_v = vic.target.values if vic.target is not None else None
-    p0_mw = vic.baseline_mw
+    # (charge, discharge) move of each single-store layer, applied to its
+    # store at the end of the layer step.
+    pending = {"L2": (0.0, 0.0), "L3": (0.0, 0.0)}
+
+    def blend_band(name, k, phy, cap) -> MtipBounds:
+        """Blend the child's physical band, clipped to its power cap, into
+        the band of layer ``name`` at step k, and trace it."""
+        lo = max(phy[0], -cap)
+        hi = min(phy[1], cap)
+        if lo > hi:
+            lo = hi = 0.5 * (lo + hi)
+        b = adaptive_bounds(
+            (lo, hi), lam[name], lam[_CHILD[name]],
+            mtip_cfg.kappa, mtip_cfg.chi_th, mtip_cfg.eps_db,
+        )
+        if b.clamped:
+            events["band_clamped"] += 1
+        lay[name].band[k] = (b.r_lower, b.r_upper, b.gamma)
+        return b
+
+    def store_layer(name, k, held, band) -> float:
+        """Decide step k of a single-store layer below the held parent
+        outputs: record the move for its store's next advance, book ledger,
+        cost and events, and return the layer's grid output."""
+        layer = lay[name]
+        spec = layer.spec
+        dev = _STORE[name]
+        state = stores[dev]
+        dump = config.debug_qp_dump and not layer.dumped
+        stacked = periodic or dump
+        fc = layer.window(k, spec.horizon if stacked else 1, held)
+        if stacked:
+            lo, hi = simple_bounds(spec, state)
+        if periodic:
+            a_row = _terminal_row(
+                np.array([state.eta_c, -1.0 / state.eta_d]) * spec.dt_h,
+                spec.horizon, layer.k_end,
+            )
+            dec = _solve_coupled(layer, fc, lo, hi, (a_row, e_init[dev] - state.energy), events)
+        else:
+            dec = _apply_law(layer, fc[0], _NO_FLOOR, first_step_caps(spec, state), band, events)
+        if dump:
+            _dump_first(config, spec, fc, lo, hi, band, name)
+            layer.dumped = True
+        move = (float(dec.u_applied[0]), float(dec.u_applied[1]))
+        pending[name] = move
+        layer.output[k] = dec.output
+        ledgers[dev].charged_mwh += move[0] * spec.dt_h
+        ledgers[dev].discharged_mwh += move[1] * spec.dt_h
+        layer.cost += spec.cost_weight * float(spec.cost_vec @ dec.u_applied) * spec.dt_h
+        if periodic and move[0] > 0.1 and fc[0] > 0.1:
+            events["forced_recharge"] += 1
+        return dec.output
 
     pending_l1: tuple[np.ndarray, object] | None = None
-    prev_l1_u: np.ndarray | None = None
-    prev_eff = None
-    pending_l2 = (0.0, 0.0)
-    pending_l3 = (0.0, 0.0)
-    y1 = y2 = y3 = 0.0
-    df_prev = 0.0
-    started = False
+    y1 = y2 = 0.0
+    df_prev = None
     eff = None
-    dumped = {"L1": False, "L2": False, "L3": False}
-
-    if not periodic and abs(1.0 / 60.0 / dth4 - 60.0) > 1e-9:
-        raise AlignmentError(
-            f"flywheel step {dt4} s does not give the 60 steps per minute "
-            "that the L3 band inverts"
-        )
 
     wall_start = time.perf_counter()
-    for m in range(n_min):
+    # One pass per minute, plus a last pass that only closes out the state
+    # advances of the final intervals.
+    for m in range(n_min + 1):
         t0 = m * 60
 
         # State advances for the intervals just completed.
         if m > 0:
-            bess = ess_step(bess, pending_l3[0], pending_l3[1], spec3.dt_h)
-            soc_bess_tr[m] = bess.energy
-            if t0 % 900 == 0:
-                caes = ess_step(caes, pending_l2[0], pending_l2[1], spec2.dt_h)
-                soc_caes_tr[t0 // 900] = caes.energy
+            for name in ("L3", "L2"):
+                step_s = _STEP_S[name]
+                if t0 % step_s == 0:
+                    dev = _STORE[name]
+                    stores[dev] = ess_step(stores[dev], *pending[name], lay[name].spec.dt_h)
+                    soc_tr[dev][t0 // step_s] = stores[dev].energy
             if t0 % 3600 == 0:
                 u_prev, eff_prev = pending_l1
                 l1_state = l1_dynamics(l1_state, u_prev, spec1.dt_h, eff_prev, tank_env)
-                hh = t0 // 3600
-                soc_h_tr[hh] = l1_state.e_h
-                soc_m_tr[hh] = l1_state.e_m
-        soc_fess_tr[m] = e_fess
+                soc_tr["hydrogen"][t0 // 3600] = l1_state.e_h
+                soc_tr["methanol"][t0 // 3600] = l1_state.e_m
+        soc_tr["fess"][m] = e_fess
+        if m == n_min:
+            break
 
         # Hourly layer.
         if t0 % 3600 == 0:
             h = t0 // 3600
             band1 = None
             if not periodic:
+                caes = stores["caes"]
                 ctx = MicroContext(
-                    TimeSeries(float(t0), 900.0, l2v[h * 4 : h * 4 + 4]),
-                    float(l1v[h]), caes, 0.25, 1.0,
+                    TimeSeries(float(t0), 900.0, l2.forecast[h * 4 : h * 4 + 4]),
+                    float(l1.forecast[h]), caes, 0.25, 1.0,
                 )
-                phy = _clip_band_to_power(physical_bounds(ctx), caes.power_cap)
-                band1 = adaptive_bounds(
-                    phy, lam1, lam2, mtip_cfg.kappa, mtip_cfg.chi_th, mtip_cfg.eps_db
-                )
-                if band1.clamped:
-                    events["band_clamped"] += 1
-                band_tr["L1"][h] = (band1.r_lower, band1.r_upper, band1.gamma)
+                band1 = blend_band("L1", h, physical_bounds(ctx), caes.power_cap)
             loads = None
-            if prev_l1_u is not None and prev_eff is not None:
-                usc = prev_l1_u
+            if pending_l1 is not None:
+                usc, prev_eff = pending_l1
                 loads = (
                     usc[0] / spec1.u_max[0] if usc[0] > 0.01 * spec1.u_max[0] else None,
                     usc[1] / spec1.u_max[1] if usc[1] > 0.01 * spec1.u_max[1] else None,
@@ -319,33 +361,30 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             if eff.clamped:
                 events["eff_clamped"] += 1
             conv_cap = config.meoh.rated_power / eff.eta_mc
-            dump = config.debug_qp_dump and not dumped["L1"]
+            dump = config.debug_qp_dump and not l1.dumped
             stacked = periodic or dump
-            err1 = av_h[h - 1] - l1v[h - 1] if bias_decay > 0.0 and h > 0 else None
-            fc1 = _window(l1v, h, spec1.horizon if stacked else 1, (), err1, bias_pow1)
+            fc1 = l1.window(h, spec1.horizon if stacked else 1, ())
             lo1, hi1 = l1_bounds(spec1, l1_state, eff, tank_env, fc1, conv_cap)
             if periodic:
                 a_row = _terminal_row(
                     np.array([eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0]) * spec1.dt_h,
-                    spec1.horizon, k_end["L1"],
+                    spec1.horizon, l1.k_end,
                 )
-                dec1 = _solve_coupled(spec1, fc1, lo1, hi1, (a_row, e_h_init - l1_state.e_h),
-                                      stats["L1"], events, mu_hints, "L1")
+                dec1 = _solve_coupled(l1, fc1, lo1, hi1, (a_row, e_init["hydrogen"] - l1_state.e_h), events)
             else:
-                dec1 = _apply_law(spec1, fc1[0], lo1[0], hi1[0], band1, stats["L1"], events)
+                dec1 = _apply_law(l1, fc1[0], lo1[0], hi1[0], band1, events)
             if dump:
                 _dump_first(config, spec1, fc1, lo1, hi1, band1, "L1")
-                dumped["L1"] = True
+                l1.dumped = True
             y1 = dec1.output
             u1 = dec1.u_applied
             pending_l1 = (u1, eff)
-            prev_l1_u, prev_eff = u1, eff
-            y1_tr[h] = y1
+            l1.output[h] = y1
             ledgers["hydrogen"].charged_mwh += u1[0] * spec1.dt_h
             ledgers["hydrogen"].discharged_mwh += u1[1] * spec1.dt_h
             ledgers["methanol"].discharged_mwh += u1[3] * spec1.dt_h
-            jcost["L1"] += spec1.cost_weight * float(spec1.cost_vec @ u1) * spec1.dt_h
-            if periodic and u1[0] > 0.1 and l1v[h] > 0.1:
+            l1.cost += spec1.cost_weight * float(spec1.cost_vec @ u1) * spec1.dt_h
+            if periodic and u1[0] > 0.1 and l1.forecast[h] > 0.1:
                 events["forced_recharge"] += 1
 
         # Quarter-hourly layer.
@@ -353,143 +392,40 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             k2 = t0 // 900
             band2 = None
             if not periodic:
+                bess = stores["bess"]
                 ctx = MicroContext(
-                    TimeSeries(float(t0), 60.0, l3v[k2 * 15 : k2 * 15 + 15]),
-                    float(l2v[k2]), bess, 1.0 / 60.0, 0.25,
+                    TimeSeries(float(t0), 60.0, l3.forecast[k2 * 15 : k2 * 15 + 15]),
+                    float(l2.forecast[k2]), bess, 1.0 / 60.0, 0.25,
                 )
-                phy = _clip_band_to_power(physical_bounds(ctx), bess.power_cap)
-                band2 = adaptive_bounds(
-                    phy, lam2, lam3, mtip_cfg.kappa, mtip_cfg.chi_th, mtip_cfg.eps_db
-                )
-                if band2.clamped:
-                    events["band_clamped"] += 1
-                band_tr["L2"][k2] = (band2.r_lower, band2.r_upper, band2.gamma)
-            dump = config.debug_qp_dump and not dumped["L2"]
-            stacked = periodic or dump
-            err2 = av_q[k2 - 1] - l2v[k2 - 1] if bias_decay > 0.0 and k2 > 0 else None
-            fc2 = _window(l2v, k2, spec2.horizon if stacked else 1, (y1,), err2, bias_pow2)
-            if stacked:
-                lo2, hi2 = simple_bounds(spec2, caes)
-            if periodic:
-                a_row = _terminal_row(
-                    np.array([caes.eta_c, -1.0 / caes.eta_d]) * spec2.dt_h,
-                    spec2.horizon, k_end["L2"],
-                )
-                dec2 = _solve_coupled(spec2, fc2, lo2, hi2, (a_row, caes_init - caes.energy),
-                                      stats["L2"], events, mu_hints, "L2")
-            else:
-                dec2 = _apply_law(spec2, fc2[0], _NO_FLOOR, first_step_caps(spec2, caes),
-                                  band2, stats["L2"], events)
-            if dump:
-                _dump_first(config, spec2, fc2, lo2, hi2, band2, "L2")
-                dumped["L2"] = True
-            y2 = dec2.output
-            pending_l2 = (float(dec2.u_applied[0]), float(dec2.u_applied[1]))
-            y2_tr[k2] = y2
-            ledgers["caes"].charged_mwh += pending_l2[0] * spec2.dt_h
-            ledgers["caes"].discharged_mwh += pending_l2[1] * spec2.dt_h
-            jcost["L2"] += spec2.cost_weight * float(spec2.cost_vec @ dec2.u_applied) * spec2.dt_h
-            if periodic and pending_l2[0] > 0.1 and fc2[0] > 0.1:
-                events["forced_recharge"] += 1
+                band2 = blend_band("L2", k2, physical_bounds(ctx), bess.power_cap)
+            y2 = store_layer("L2", k2, (y1,), band2)
 
-        # Minute layer.
+        # Minute layer. The flywheel's micro forecast holds the minute's
+        # forecast, so its fluctuation is zero and the band has the flat form.
         band3 = None
         if not periodic:
-            # The flywheel's micro forecast holds l3v[m] over the minute, so
-            # its fluctuation is zero and the band has the flat form.
-            phy = _clip_band_to_power(
-                flat_bounds(e_fess, (f_lo, f_hi), f_ec, f_ed, dth4, 60), f_cap
-            )
-            band3 = adaptive_bounds(
-                phy, lam3, lam4, mtip_cfg.kappa, mtip_cfg.chi_th, mtip_cfg.eps_db
-            )
-            if band3.clamped:
-                events["band_clamped"] += 1
-            band_tr["L3"][m] = (band3.r_lower, band3.r_upper, band3.gamma)
-        dump = config.debug_qp_dump and not dumped["L3"]
-        stacked = periodic or dump
-        err3 = av_min[m - 1] - l3v[m - 1] if bias_decay > 0.0 and m > 0 else None
-        fc3 = _window(l3v, m, spec3.horizon if stacked else 1, (y1, y2), err3, bias_pow3)
-        if stacked:
-            lo3, hi3 = simple_bounds(spec3, bess)
-        if periodic:
-            a_row = _terminal_row(
-                np.array([bess.eta_c, -1.0 / bess.eta_d]) * spec3.dt_h,
-                spec3.horizon, k_end["L3"],
-            )
-            dec3 = _solve_coupled(spec3, fc3, lo3, hi3, (a_row, bess_init - bess.energy),
-                                  stats["L3"], events, mu_hints, "L3")
-        else:
-            dec3 = _apply_law(spec3, fc3[0], _NO_FLOOR, first_step_caps(spec3, bess),
-                              band3, stats["L3"], events)
-        if dump:
-            _dump_first(config, spec3, fc3, lo3, hi3, band3, "L3")
-            dumped["L3"] = True
-        y3 = dec3.output
-        pending_l3 = (float(dec3.u_applied[0]), float(dec3.u_applied[1]))
-        y3_tr[m] = y3
-        ledgers["bess"].charged_mwh += pending_l3[0] * spec3.dt_h
-        ledgers["bess"].discharged_mwh += pending_l3[1] * spec3.dt_h
-        jcost["L3"] += spec3.cost_weight * float(spec3.cost_vec @ dec3.u_applied) * spec3.dt_h
-        if periodic and pending_l3[0] > 0.1 and fc3[0] > 0.1:
-            events["forced_recharge"] += 1
+            phy = flat_bounds(e_fess, fess0.envelope, fess0.eta_c, fess0.eta_d, DT_H, 60)
+            band3 = blend_band("L3", m, phy, fess0.power_cap)
+        y3 = store_layer("L3", m, (y1, y2), band3)
 
         # Second-scale flywheel closure.
-        y_held = y1 + y2 + y3
-        r_arr = av[t0 : t0 + 60] - y_held
+        r_arr = av[t0 : t0 + 60] - (y1 + y2 + y3)
         if target_v is not None:
             r_arr = r_arr - target_v[t0 : t0 + 60]
-        for s, r in enumerate(r_arr.tolist()):
-            if not started:
-                df_prev = r / (k_pf + vic.k_p)
-                started = True
-            p = (beta_cl * r - k_pf * kd_dt * df_prev) / denom_cl - p0_mw
-            e_idle = e_fess
-            if standby_e > 0.0 and e_idle > f_lo:
-                drain = standby_e if e_idle - f_lo > standby_e else e_idle - f_lo
-                e_idle -= drain
-            if p >= 0.0:
-                avail = (e_idle - f_lo) * f_ed / dth4
-                if p > f_cap:
-                    p = f_cap
-                if p > avail:
-                    p = avail
-                e_fess = e_idle - p * dth4 / f_ed
-            else:
-                room = (f_hi - e_idle) / (f_ec * dth4)
-                if p < -f_cap:
-                    p = -f_cap
-                if p < -room:
-                    p = -room
-                e_fess = e_idle + (-p) * f_ec * dth4
-            df_prev = (r - p) / k_pf
-            si = t0 + s
-            inject_tr[si] = p
-            resid_tr[si] = r - p
+        inject, e_fess, df_prev = close_residual(r_arr.tolist(), e_fess, df_prev, vic, fess0)
+        inject_tr[t0 : t0 + 60] = inject
+        resid_tr[t0 : t0 + 60] = r_arr - inject_tr[t0 : t0 + 60]
     wall = time.perf_counter() - wall_start
-
-    # Close out the final intervals.
-    bess = ess_step(bess, pending_l3[0], pending_l3[1], spec3.dt_h)
-    soc_bess_tr[n_min] = bess.energy
-    caes = ess_step(caes, pending_l2[0], pending_l2[1], spec2.dt_h)
-    soc_caes_tr[n_q] = caes.energy
-    u_prev, eff_prev = pending_l1
-    l1_state = l1_dynamics(l1_state, u_prev, spec1.dt_h, eff_prev, tank_env)
-    soc_h_tr[n_hr] = l1_state.e_h
-    soc_m_tr[n_hr] = l1_state.e_m
-    soc_fess_tr[n_min] = e_fess
 
     inj_pos = inject_tr[inject_tr > 0.0]
     inj_neg = inject_tr[inject_tr < 0.0]
-    ledgers["fess"].discharged_mwh = float(inj_pos.sum()) * dth4
-    ledgers["fess"].charged_mwh = float(-inj_neg.sum()) * dth4
-    jcost["L4"] = lam4 * float(np.abs(inject_tr).sum()) * dth4
+    ledgers["fess"].discharged_mwh = float(inj_pos.sum()) * DT_H
+    ledgers["fess"].charged_mwh = float(-inj_neg.sum()) * DT_H
+    jcost = {name: lay[name].cost for name in _STEP_S}
+    jcost["L4"] = lam["L4"] * float(np.abs(inject_tr).sum()) * DT_H
 
-    ledgers["hydrogen"].final_energy = l1_state.e_h
-    ledgers["methanol"].final_energy = l1_state.e_m
-    ledgers["caes"].final_energy = caes.energy
-    ledgers["bess"].final_energy = bess.energy
-    ledgers["fess"].final_energy = e_fess
+    for dev, arr in soc_tr.items():
+        ledgers[dev].final_energy = float(arr[-1])
     eff_final = eff if eff is not None else freeze_efficiencies(
         config.awe, config.pemfc, config.meoh, config.turbine
     )
@@ -499,51 +435,39 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     ledgers["methanol"].eta_d = eff_final.eta_md
 
     # Ledger closure: reconstruct the residual from the held traces.
-    recon = (
-        av[:n_sec]
-        - np.repeat(y1_tr, 3600)
-        - np.repeat(y2_tr, 900)
-        - np.repeat(y3_tr, 60)
-        - inject_tr
-    )
+    recon = av[:n_sec]
+    for name, step_s in _STEP_S.items():
+        recon = recon - np.repeat(lay[name].output, step_s)
+    recon = recon - inject_tr
     if target_v is not None:
         recon = recon - target_v[:n_sec]
     closure = float(np.abs(recon - resid_tr).max()) if n_sec else 0.0
     if closure > 1e-9:
         raise LedgerClosureError(f"residual ledger mismatch {closure} MW")
 
-    original = TimeSeries(0.0, 1.0, av[:n_sec].copy())
-    smoothed = TimeSeries(0.0, 1.0, resid_tr)
     report = SimulationReport(
         controller=config.controller,
         seed=config.scenario.seed,
-        original_netload=original,
-        smoothed_netload=smoothed,
+        original_netload=TimeSeries(0.0, 1.0, av[:n_sec].copy()),
+        smoothed_netload=TimeSeries(0.0, 1.0, resid_tr),
         layer_outputs={
-            "L1": TimeSeries(0.0, 3600.0, y1_tr),
-            "L2": TimeSeries(0.0, 900.0, y2_tr),
-            "L3": TimeSeries(0.0, 60.0, y3_tr),
+            **{name: TimeSeries(0.0, float(step_s), lay[name].output)
+               for name, step_s in _STEP_S.items()},
             "L4": TimeSeries(0.0, 1.0, inject_tr),
         },
-        soc_traces={
-            "hydrogen": TimeSeries(0.0, 3600.0, soc_h_tr),
-            "methanol": TimeSeries(0.0, 3600.0, soc_m_tr),
-            "caes": TimeSeries(0.0, 900.0, soc_caes_tr),
-            "bess": TimeSeries(0.0, 60.0, soc_bess_tr),
-            "fess": TimeSeries(0.0, 60.0, soc_fess_tr),
-        },
+        soc_traces={dev: TimeSeries(0.0, float(_SOC_STEP_S[dev]), arr)
+                    for dev, arr in soc_tr.items()},
         ledgers=ledgers,
-        dispatch_cost=dict(jcost),
-        solver_stats={k: v.as_dict() for k, v in stats.items()},
+        dispatch_cost=jcost,
+        solver_stats={name: lay[name].stats.as_dict() for name in _STEP_S},
         events=dict(events),
     )
     report.solver_stats["wall_seconds"] = {"total": wall}
     if not periodic:
-        dts = {"L1": 3600.0, "L2": 900.0, "L3": 60.0}
-        for layer, arr in band_tr.items():
-            for col, name in enumerate(("lower", "upper", "gamma")):
-                report.band_traces[f"{layer}_{name}"] = TimeSeries(
-                    0.0, dts[layer], arr[:, col]
+        for name, step_s in _STEP_S.items():
+            for col, part in enumerate(("lower", "upper", "gamma")):
+                report.band_traces[f"{name}_{part}"] = TimeSeries(
+                    0.0, float(step_s), lay[name].band[:, col]
                 )
     _finalize_metrics(report, config, data)
     return report
@@ -555,36 +479,26 @@ def _terminal_row(pattern: np.ndarray, horizon: int, k_end: int) -> np.ndarray:
     return row
 
 
-def _window(values, k, n, held, err, bias_pow) -> np.ndarray:
-    """n forecast steps from index k, less the held parent outputs, plus the
-    previous step's observed error decayed over the window (err None: no
-    de-bias)."""
-    fc = values[k : k + n]
-    for y in held:
-        fc = fc - y
-    if err is not None:
-        fc = fc + err * bias_pow[:n]
-    return fc
-
-
-def _apply_law(spec, r0, lo0, hi0, band, stats, events) -> LayerDecision:
+def _apply_law(layer: _Layer, r0, lo0, hi0, band, events) -> LayerDecision:
+    spec = layer.spec
     dec = explicit_step(spec, r0, lo0, hi0, band)
-    stats.absorb(dec, spec.horizon)
+    layer.stats.absorb(dec, spec.horizon)
     if dec.band_clamped:
         events["band_clamped"] += 1
     if dec.band_dropped:
         events["band_dropped"] += 1
-        stats.infeasible += 1
+        layer.stats.infeasible += 1
     return dec
 
 
-def _solve_coupled(spec, fc, lo, hi, coupling, stats, events, mu_hints, key) -> LayerDecision:
+def _solve_coupled(layer: _Layer, fc, lo, hi, coupling, events) -> LayerDecision:
+    spec = layer.spec
     problem = build_layer_problem(spec, fc, lo, hi, None)
     a_row, b_val = coupling
     problem.coupling.append((a_row, b_val, b_val))
-    problem.mu_hint = mu_hints.get(key)
+    problem.mu_hint = layer.mu_hint
     sol = solve_qp(problem)
-    mu_hints[key] = problem.mu_hint
+    layer.mu_hint = problem.mu_hint
     if sol.coupling_slack != 0.0:
         events["coupling_slack"] += 1
     u0 = sol.u_star[: spec.output_row.size].copy()
@@ -608,7 +522,7 @@ def _solve_coupled(spec, fc, lo, hi, coupling, stats, events, mu_hints, key) -> 
         predicted_residual=float(fc[0]) - float(spec.output_row @ u0),
         solution=sol,
     )
-    stats.absorb(dec, spec.horizon)
+    layer.stats.absorb(dec, spec.horizon)
     return dec
 
 

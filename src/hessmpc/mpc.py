@@ -278,14 +278,6 @@ def simple_bounds(spec: LayerSpec, state: EssState) -> tuple[np.ndarray, np.ndar
     return lo, hi
 
 
-def cascade_residual(parent_outputs, own_forecast: np.ndarray) -> np.ndarray:
-    """Child residual: own forecast minus the held parent outputs."""
-    fc = np.asarray(own_forecast, dtype=np.float64)
-    if fc.size == 0:
-        raise AlignmentError("forecast slice is empty")
-    return fc - float(np.sum(parent_outputs))
-
-
 def build_layer_problem(
     spec: LayerSpec,
     residual_forecast: np.ndarray,

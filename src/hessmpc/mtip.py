@@ -90,25 +90,16 @@ def fluctuation_potentials(
     eta_c: float,
     eta_d: float,
     dt_h: float,
-    convention: str = "round_trip",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative signed fluctuation energies (phi+, phi-) in MWh.
 
     The plus potential discounts charging-side fluctuation by the round-trip
     efficiency; the minus potential inflates discharging-side fluctuation by
-    it. ``convention="literal"`` replaces the round-trip product with
-    eta_d**2 on the plus side (kept for comparison; see config flag
-    ``mtip_phi_convention``).
+    it.
     """
     xi = np.asarray(xi, dtype=np.float64)
-    if convention == "round_trip":
-        down_scale = eta_c * eta_d
-    elif convention == "literal":
-        down_scale = eta_d * eta_d
-    else:
-        raise ValueError(f"unknown phi convention '{convention}'")
     rt = eta_c * eta_d
-    phi_plus = np.where(xi >= 0.0, xi, xi * down_scale)
+    phi_plus = np.where(xi >= 0.0, xi, xi * rt)
     phi_minus = np.where(xi >= 0.0, xi / rt, xi)
     return np.cumsum(phi_plus) * dt_h, np.cumsum(phi_minus) * dt_h
 
@@ -140,21 +131,14 @@ def _invert_prefix_flow(
     return float(bs[k - 1] + (target - gs[k - 1]) / slope)
 
 
-def physical_bounds(
-    ctx: MicroContext,
-    phi_plus: np.ndarray | None = None,
-    phi_minus: np.ndarray | None = None,
-) -> tuple[float, float]:
+def physical_bounds(ctx: MicroContext) -> tuple[float, float]:
     """Exact admissible baseline interval (r_lower_phy, r_upper_phy) in MW.
 
     A constant baseline r keeps the child inside its envelope iff every
     prefix of the corrected flow psi(r + xi) respects both envelope sides;
     each prefix condition inverts exactly because the flow is monotone
-    piecewise-linear in r. The closed-form potential estimate (phi arguments)
-    coincides with this inversion whenever r + xi does not change sign
-    within a prefix — the potentials are accepted for interface parity and
-    diagnostics but the returned bounds are always the exact inversion, which
-    is what the band oracle checks.
+    piecewise-linear in r. This exact inversion is what the band oracle
+    checks.
     """
     xi = micro_fluctuation(ctx)
     st = ctx.child_state
@@ -199,23 +183,19 @@ def psi_inverse(flow: float, eta_c: float, eta_d: float) -> float:
     return flow * eta_d if flow >= 0.0 else flow / eta_c
 
 
-def paper_form_bounds(
-    ctx: MicroContext, convention: str = "round_trip"
-) -> tuple[float, float]:
+def paper_form_bounds(ctx: MicroContext) -> tuple[float, float]:
     """Closed-form band estimate built from the fluctuation potentials.
 
     Exact whenever the corrected flow keeps one sign inside every prefix and
     conservative otherwise (never wider than the exact inversion on the
-    upper side, nor below it on the lower side for the round-trip
-    convention); exposed for comparison against :func:`physical_bounds`.
+    upper side, nor below it on the lower side); exposed for comparison
+    against :func:`physical_bounds`.
     """
     xi = micro_fluctuation(ctx)
     st = ctx.child_state
     dt = ctx.dt_child_h
     lo_env, hi_env = st.envelope
-    phi_plus, phi_minus = fluctuation_potentials(
-        xi, st.eta_c, st.eta_d, dt, convention
-    )
+    phi_plus, phi_minus = fluctuation_potentials(xi, st.eta_c, st.eta_d, dt)
     j = np.arange(1, xi.size + 1) * dt
     r_hi = float(np.min(((st.energy - lo_env) * st.eta_d - phi_plus) / j))
     r_lo = float(np.max(((st.energy - hi_env) / st.eta_c - phi_minus) / j))

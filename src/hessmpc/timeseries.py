@@ -48,22 +48,9 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.values.size * self.dt
-
     def energy_mwh(self) -> float:
         """Signed energy integral of the series in MWh."""
         return float(self.values.sum()) * self.dt / 3600.0
-
-    def slice(self, start_idx: int, n: int) -> np.ndarray:
-        """View of ``n`` samples starting at ``start_idx`` (no copy)."""
-        if start_idx < 0 or start_idx + n > self.values.size:
-            raise AlignmentError(
-                f"slice [{start_idx}, {start_idx + n}) outside series of "
-                f"length {self.values.size}"
-            )
-        return self.values[start_idx : start_idx + n]
 
 
 def resample(ts: TimeSeries, new_dt: float) -> TimeSeries:

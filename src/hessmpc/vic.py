@@ -1,99 +1,86 @@
 """Second-level flywheel control: droop plus virtual inertia on an
-equivalent frequency deviation.
+equivalent frequency deviation, closed algebraically.
 
-The residual left by the slower layers is mapped to an equivalent frequency
-deviation through the aggregate power-frequency coefficient, and the
-flywheel command applies a droop gain and a derivative (inertia) gain to
-that deviation. Commands are charge-positive: a positive residual (unserved
-load) yields a negative, discharge-direction command. Saturation against
-rated power and the energy envelope happens in :func:`apply_fess`, never by
-raising.
+The residual r left by the slower layers is what the flywheel's injection p
+does not cover; the remainder r - p maps to an equivalent frequency
+deviation df = (r - p) / k_pf through the aggregate power-frequency
+coefficient. The flywheel answers with droop on df and inertia on its
+one-second difference, p = k_p df + k_d (df - df_prev). Solving the two for
+p closes the static power-frequency characteristic algebraically, which
+keeps the published gains stable instead of feed-forward amplifying
+second-scale noise: a steady residual is shared k_p : k_pf between the
+flywheel and the grid (8:1 with the shipped gains).
+
+Powers are discharge-positive (grid injection): a positive residual
+(unserved load) discharges the flywheel. Each request saturates against
+rated power and the energy envelope through
+:func:`~hessmpc.devices.storage.saturate`, never by raising.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .devices.storage import EssState, ess_step
+from .devices.storage import EssState, saturate
 from .timeseries import TimeSeries
+
+#: The flywheel tick, one second, in hours.
+DT_H = 1.0 / 3600.0
 
 
 @dataclass
 class VicParams:
-    """Gains and timing of the flywheel layer.
+    """Gains of the flywheel layer, which ticks once per second.
 
     k_pf is the aggregate power-frequency coefficient (MW/Hz); k_p the droop
-    gain (MW/Hz); k_d the inertia gain (MW*s/Hz); dt_s the tick length.
-    baseline_mw is the exchange setpoint and target the acceptable
-    unbalanced-power trajectory (zero unless configured).
+    gain (MW/Hz); k_d the inertia gain (MW*s/Hz). baseline_mw is the
+    exchange setpoint and target the acceptable unbalanced-power trajectory
+    (zero unless configured).
     """
 
     k_pf: float = 15.0
     k_p: float = 120.0
     k_d: float = 25.0
-    dt_s: float = 1.0
     baseline_mw: float = 0.0
     target: TimeSeries | None = None
 
     def __post_init__(self):
         if self.k_pf <= 0.0 or self.k_p <= 0.0 or self.k_d <= 0.0:
             raise ValueError("all gains must be positive")
-        if self.dt_s <= 0.0:
-            raise ValueError("dt_s must be positive")
 
 
-def l4_residual(net_load_now: float, l1_out: float, l2_out: float,
-                l3_out: float, target: float = 0.0) -> float:
-    """Uncovered power after the three MPC layers, relative to the target."""
-    return net_load_now - l1_out - l2_out - l3_out - target
+def close_residual(
+    residual: list[float],
+    energy: float,
+    df_prev: float | None,
+    params: VicParams,
+    store: EssState,
+) -> tuple[list[float], float, float]:
+    """Run the flywheel law over one-second residual samples (MW).
 
-
-def equivalent_frequency_deviation(r: float, k_pf: float) -> float:
-    """Equivalent frequency deviation in Hz for a residual of r MW."""
-    if k_pf <= 0.0:
-        raise ValueError("k_pf must be positive")
-    return r / k_pf
-
-
-def vic_command(r_now: float, r_prev: float, params: VicParams) -> float:
-    """Flywheel power request in MW (charge-positive, before saturation).
-
-    Droop acts on the equivalent frequency deviation and the inertia term on
-    its discrete derivative; a positive residual therefore produces a
-    discharge-direction (negative) request for any positive gains.
+    energy is the flywheel energy (MWh) before the first sample and df_prev
+    the equivalent frequency deviation (Hz) after the previous sample; None
+    starts the law at the steady-state deviation r / (k_pf + k_p) of the
+    first sample. store supplies the envelope, power cap, efficiencies and
+    standby loss. Returns the realized injections (MW, discharge-positive),
+    the energy after the last sample and the deviation after it.
     """
-    df_now = r_now / params.k_pf
-    df_prev = r_prev / params.k_pf
-    return (
-        params.baseline_mw
-        - params.k_p * df_now
-        - params.k_d * (df_now - df_prev) / params.dt_s
-    )
-
-
-def apply_fess(command: float, state: EssState, dt_s: float) -> tuple[float, EssState]:
-    """Saturate a charge-positive command and advance the flywheel state.
-
-    The command is clipped to rated power and to the envelope-respecting
-    energy rate (including the standby drain), then applied through the
-    standard storage step. Returns the realized charge-positive power and the
-    new state; saturation is silent because this layer is the last line.
-    """
-    dt_h = dt_s / 3600.0
-    lo, hi = state.envelope
-    e_after_idle = state.energy
-    if state.standby_loss > 0.0 and e_after_idle > lo:
-        e_after_idle -= min(state.standby_loss * dt_h, e_after_idle - lo)
-    p = command
-    cap = state.power_cap
-    if p > 0.0:
-        room = max(0.0, hi - e_after_idle)
-        p = min(p, cap, room / (state.eta_c * dt_h))
-        actual = ess_step(state, p, 0.0, dt_h)
-        return p, actual
-    if p < 0.0:
-        avail = max(0.0, e_after_idle - lo)
-        p = max(p, -cap, -avail * state.eta_d / dt_h)
-        actual = ess_step(state, 0.0, -p, dt_h)
-        return p, actual
-    return 0.0, ess_step(state, 0.0, 0.0, dt_h)
+    k_pf = params.k_pf
+    beta = params.k_p + params.k_d
+    denom = k_pf + beta
+    kpf_kd = k_pf * params.k_d
+    p0 = params.baseline_mw
+    lo, hi = store.envelope
+    cap, eta_c, eta_d = store.power_cap, store.eta_c, store.eta_d
+    standby_e = store.standby_loss * DT_H
+    if df_prev is None:
+        df_prev = residual[0] / (k_pf + params.k_p)
+    out = []
+    for r in residual:
+        p, energy = saturate(
+            energy, (beta * r - kpf_kd * df_prev) / denom - p0,
+            lo, hi, cap, eta_c, eta_d, standby_e, DT_H,
+        )
+        df_prev = (r - p) / k_pf
+        out.append(p)
+    return out, energy, df_prev

@@ -89,6 +89,27 @@ def test_bad_json_raises_config_error(tmp_path):
         load_config(str(path2))
 
 
+def test_unknown_keys_named_by_path():
+    with pytest.raises(ConfigError) as info:
+        from_dict({"q_weigths": [0.3, 0.2, 0.1], "mtip": {"kapa": 3},
+                   "scenario": {"duration_dayz": 2}})
+    msg = str(info.value)
+    for path in ("q_weigths", "mtip.kapa", "scenario.duration_dayz"):
+        assert path in msg
+    # Knobs that no longer exist are unknown keys too.
+    with pytest.raises(ConfigError, match="vic.dt_s"):
+        from_dict({"vic": {"dt_s": 2.0}})
+
+
+def test_cli_validate_unknown_keys(tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"q_weigths": [0.3, 0.2, 0.1], "mtip": {"kapa": 3},
+                                "scenario": {"duration_dayz": 2}}))
+    rc = main(["validate", "--config", str(path)])
+    assert rc == 2
+    assert "mtip.kapa" in capsys.readouterr().err
+
+
 def test_from_dict_tuple_coercion():
     cfg = from_dict({"q_weights": [0.3, 0.2, 0.1]})
     assert cfg.q_weights == (0.3, 0.2, 0.1)
@@ -144,6 +165,7 @@ def test_cli_default_config(tmp_path):
     assert rc == 0
     cfg = load_config(str(path))
     assert validate(cfg) == []
+    assert to_dict(cfg) == to_dict(EngineConfig())
 
 
 def test_end_to_end_determinism(tmp_path):

@@ -7,7 +7,7 @@ from hessmpc.devices import (
 from hessmpc.errors import EnvelopeViolation, ExclusivityViolation
 from hessmpc.mpc import (
     FrozenEff, L1State, LayerSpec, b_matrix, build_layer_problem,
-    cascade_residual, conversion_relief_floors, explicit_step,
+    conversion_relief_floors, explicit_step,
     first_step_caps, freeze_efficiencies, l1_bounds, l1_dynamics,
     receding_step, simple_bounds,
 )
@@ -97,13 +97,6 @@ def test_freeze_idle_entries_fall_back():
     eff_none = freeze_efficiencies(AWE, FC, MEOH, TURB)
     eff_part = freeze_efficiencies(AWE, FC, MEOH, TURB, loads=(None, None, None, None))
     assert eff_part == eff_none
-
-
-def test_cascade_arithmetic():
-    fc = np.full(5, 100.0)
-    assert np.allclose(cascade_residual([0.0], fc), 100.0)
-    assert np.allclose(cascade_residual([80.0], fc), 20.0)
-    assert np.allclose(cascade_residual([60.0, 30.0], fc), 10.0)
 
 
 def test_simple_bounds_first_step_tightened():

@@ -68,14 +68,6 @@ def test_potentials_prefix_sums():
     assert np.allclose(pm1, pp1)
 
 
-def test_potentials_literal_convention():
-    pp, _ = fluctuation_potentials(np.array([-10.0]), 0.9, 0.8, 1.0,
-                                   convention="literal")
-    assert pp[0] == pytest.approx(-10.0 * 0.8 * 0.8)
-    with pytest.raises(ValueError):
-        fluctuation_potentials(np.zeros(1), 0.9, 0.9, 1.0, convention="bogus")
-
-
 def test_physical_bounds_zero_fluctuation():
     ctx = _ctx(np.zeros(4), energy=500.0, envelope=(0.0, 1000.0))
     lo, hi = physical_bounds(ctx)
