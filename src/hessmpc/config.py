@@ -211,7 +211,7 @@ def validate(config: EngineConfig) -> list[Finding]:
         err("forecast_bias_decay", "must lie in [0, 1)")
     if config.mtip.eps_db < 0.0:
         err("mtip.eps_db", "deadband must be non-negative")
-    elif config.l3_norm_power == 3 and config.controller == "periodic_soc":
+    if config.l3_norm_power == 3 and config.controller == "periodic_soc":
         err("l3_norm_power", "cubic penalty is not available with the periodic-SOC baseline")
     if config.controller not in ("proposed", "periodic_soc", "filter"):
         err("controller", f"unknown controller '{config.controller}'")
@@ -320,6 +320,11 @@ def _build(cls, data: dict):
         val = data[f.name]
         nested = _NESTED.get(f.name)
         if f.name == "tariff" and isinstance(val, dict):
+            if "tou_schedule" not in val:
+                raise ConfigError(
+                    "tariff.tou_schedule: missing; a tariff object must give its "
+                    "time-of-use schedule"
+                )
             sched = [((a, b), p) for (a, b), p in
                      ((tuple(rng), p) for rng, p in val["tou_schedule"])]
             kwargs[f.name] = TariffConfig(sched, val.get("capacity_rate", 10000.0))

@@ -69,8 +69,9 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
     """Generate (or ingest) actuals and derive the three layer forecasts.
 
     The actuals extend one full L1 horizon past the run end so every
-    receding solve sees a complete forecast window; a CSV shorter than that
-    is extended by holding its last value.
+    receding solve sees a complete forecast window. A CSV must cover the
+    run itself; only that forecast pad beyond the run end is held at the
+    CSV's last value.
     """
     run_seconds = int(round(config.scenario.duration_days * 86400.0))
     if run_seconds % 3600:
@@ -82,6 +83,11 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
         if raw.dt != 1.0:
             raise ConfigError("ingested actuals must be sampled at 1 s")
         vals = raw.values
+        if vals.size < run_seconds:
+            raise ConfigError(
+                f"csv_path: '{config.csv_path}' holds {vals.size} s of actuals, "
+                f"shorter than the {run_seconds} s run"
+            )
         if vals.size < total:
             vals = np.concatenate([vals, np.full(total - vals.size, vals[-1])])
         actuals = TimeSeries(raw.start_epoch, 1.0, vals[:total])

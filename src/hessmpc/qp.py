@@ -377,46 +377,43 @@ def _solve_steps(
         return _solve_charge_discharge(st, lo, hi, price)
     q = st.q
     pw = st.norm_power
+    rhat = st.rhat
 
     # Cost-minimal base configuration: saturate negatively priced inputs.
     base = np.where(price < 0.0, hi, lo)                   # (N, nu)
     y_base = base @ cy                                     # (N,)
 
-    # Moves away from base, each with a scalar price per unit |dy| and a
-    # per-step capacity in y units. Only zero-capacity moves can carry a
-    # negative rate (base is cost-minimal), so the piecewise cost is convex.
-    up: list[tuple[float, np.ndarray, int, float]] = []    # (rate, cap_y, var, du per dy)
-    dn: list[tuple[float, np.ndarray, int, float]] = []
-    for k in range(nu):
-        ck = cy[k]
+    # Moves away from base: raising (side 0) or lowering (side 1) one input,
+    # each with a scalar price per unit |dy|, a per-step capacity in y units
+    # and the input change per unit dy. Every input with a nonzero output
+    # coefficient gives one move that raises y and one that lowers it; each
+    # direction fills its moves cheapest first. Only zero-capacity moves can
+    # carry a negative rate (base is cost-minimal), so the piecewise cost is
+    # convex.
+    fill: tuple[list, list] = ([], [])                     # raise y, lower y
+    for k, (ck, pk) in enumerate(zip(cy.tolist(), price.tolist())):
         if ck == 0.0:
             continue
-        pk = price[k]
-        for u_dir, room in ((1.0, hi[:, k] - base[:, k]), (-1.0, base[:, k] - lo[:, k])):
-            dy_per_u = u_dir * ck
-            rate = u_dir * pk / abs(ck)
-            cap_y = room * abs(ck)
-            move = (rate, cap_y, k, u_dir / abs(ck))
-            if dy_per_u > 0.0:
-                up.append(move)
-            else:
-                dn.append(move)
-
-    def _ordered(moves):
-        moves = sorted(moves, key=lambda m: (m[0], m[2], m[3]))
-        if not moves:
-            return np.zeros((n, 0)), np.zeros(0), []
-        caps = np.stack([m[1] for m in moves], axis=1)     # (N, S)
-        rates = np.array([m[0] for m in moves])            # (S,)
-        who = [(m[2], m[3]) for m in moves]
-        return caps, rates, who
-
-    up_caps, up_rates, up_who = _ordered(up)
-    dn_caps, dn_rates, dn_who = _ordered(dn)
-    up_edges = np.cumsum(up_caps, axis=1)
-    dn_edges = np.cumsum(dn_caps, axis=1)
-    y_max = y_base + (up_edges[:, -1] if up_edges.size else 0.0)
-    y_min = y_base - (dn_edges[:, -1] if dn_edges.size else 0.0)
+        for side, u_dir in enumerate((1.0, -1.0)):
+            # (rate, input, du per dy, side, dy per du)
+            move = (u_dir * pk / abs(ck), k, u_dir / abs(ck), side, abs(ck))
+            fill[0 if u_dir * ck > 0.0 else 1].append(move)
+    # Cheapest first; ties by input, then by direction.
+    moves = [mv for way in fill for mv in sorted(way, key=lambda mv: mv[:3])]
+    m = len(fill[0])                                       # moves per direction
+    nm = 2 * m
+    rate, who, du, side, scale = zip(*moves) if moves else ((),) * 5
+    rates = np.array(rate).reshape(2, m)
+    rooms = np.empty((2, nu, n))                           # room to raise, to lower
+    np.subtract(hi.T, base.T, out=rooms[0])
+    np.subtract(base.T, lo.T, out=rooms[1])
+    caps = (rooms.reshape(2 * nu, n)[[sd * nu + k for sd, k in zip(side, who)]]
+            * np.array(scale)[:, None]).reshape(2, m, n)
+    edges = np.cumsum(caps, axis=1)                        # fill at each move's end
+    prev = np.zeros((2, m, n))                             # ... and at its start
+    prev[:, 1:] = edges[:, :-1]
+    y_max = y_base + (edges[0, -1] if m else 0.0)
+    y_min = y_base - (edges[1, -1] if m else 0.0)
 
     # Residual band maps to a window on y.
     y_lo = np.maximum(y_min, st.rhat - st.band_hi)
@@ -424,66 +421,63 @@ def _solve_steps(
     if np.any(y_lo > y_hi + 1e-9):
         return np.zeros((n, nu)), np.zeros(n), False
 
-    rhat = st.rhat
+    # Candidate outputs, one row each, in scan order: the clipped base, the
+    # stationary point of each raising then each lowering move's segment,
+    # and the two window edges. numpy's clip runs a separate kernel, with the
+    # opposite signed-zero tie rule, when both bounds are constant across
+    # the elements it clips. Every clip here has a bound that varies across
+    # them, as the one-row clips of a per-candidate scan have, so the zero
+    # signs of the results are the same.
+    cand = np.empty((nm + 3, n))
+    cand[0] = np.clip(y_base, y_lo, y_hi)
+    if pw == 2:
+        shift = rates / (2.0 * q)
+    else:
+        shift = np.array([np.sqrt(max(r, 0.0) / (3.0 * q)) for r in rate]).reshape(2, m)
+    target = np.empty((2, m, n))
+    np.subtract(rhat, shift[0][:, None], out=target[0])
+    np.add(rhat, shift[1][:, None], out=target[1])
+    seg = np.empty((2, 2, m, n))                           # (lower, upper) x side
+    np.add(y_base, prev[0], out=seg[0, 0])
+    np.add(y_base, edges[0], out=seg[1, 0])
+    np.subtract(y_base, edges[1], out=seg[0, 1])
+    np.subtract(y_base, prev[1], out=seg[1, 1])
+    window = np.empty((2, nm, n))
+    window[0] = y_lo
+    window[1] = y_hi
+    np.clip(np.clip(target, seg[0], seg[1]).reshape(nm, n), window[0], window[1],
+            out=cand[1 : nm + 1])
+    cand[-2] = y_lo
+    cand[-1] = y_hi
 
-    def _track(y):
-        d = rhat - y
-        return q * d * d if pw == 2 else q * np.abs(d) ** 3
-
-    def _shift(rate):
-        # Stationary offset of the tracking error for a cost slope `rate`.
-        if pw == 2:
-            return rate / (2.0 * q)
-        return np.sqrt(max(rate, 0.0) / (3.0 * q))
-
-    def _cost_at(y):
-        dev = y - y_base
-        c = np.zeros_like(y)
-        pos = np.maximum(dev, 0.0)
-        for sgi in range(up_edges.shape[1]):
-            c += np.clip(pos - (up_edges[:, sgi - 1] if sgi else 0.0), 0.0,
-                         up_caps[:, sgi]) * up_rates[sgi]
-        neg = np.maximum(-dev, 0.0)
-        for sgi in range(dn_edges.shape[1]):
-            c += np.clip(neg - (dn_edges[:, sgi - 1] if sgi else 0.0), 0.0,
-                         dn_caps[:, sgi]) * dn_rates[sgi]
-        return c
-
-    best_y = np.clip(y_base, y_lo, y_hi)
-    best_obj = _track(best_y) + _cost_at(best_y)
-
-    def _consider(cand):
-        nonlocal best_y, best_obj
-        obj = _track(cand) + _cost_at(cand)
-        better = obj < best_obj
-        best_y = np.where(better, cand, best_y)
-        best_obj = np.where(better, obj, best_obj)
-
-    for sgi in range(up_edges.shape[1]):
-        seg_lo = y_base + (up_edges[:, sgi - 1] if sgi else 0.0)
-        seg_hi = y_base + up_edges[:, sgi]
-        cand = np.clip(np.clip(rhat - _shift(up_rates[sgi]), seg_lo, seg_hi), y_lo, y_hi)
-        _consider(cand)
-    for sgi in range(dn_edges.shape[1]):
-        seg_hi = y_base - (dn_edges[:, sgi - 1] if sgi else 0.0)
-        seg_lo = y_base - dn_edges[:, sgi]
-        cand = np.clip(np.clip(rhat + _shift(dn_rates[sgi]), seg_lo, seg_hi), y_lo, y_hi)
-        _consider(cand)
-    _consider(np.where(np.isfinite(y_lo), y_lo, best_y))
-    _consider(np.where(np.isfinite(y_hi), y_hi, best_y))
+    # Objective of every candidate: tracking plus the fill-order cost, summed
+    # one move at a time from zero.
+    d = rhat - cand
+    obj = q * d * d if pw == 2 else q * np.abs(d) ** 3
+    dev = cand - y_base
+    beyond = np.empty((2, nm + 3, 1, n))                   # past base, up and down
+    np.maximum(dev, 0.0, out=beyond[0, :, 0])
+    np.maximum(-dev, 0.0, out=beyond[1, :, 0])
+    spent = np.clip(beyond - prev[:, None], 0.0, caps[:, None]) * rates[:, None, :, None]
+    fill_cost = np.zeros((nm + 3, n))
+    for j in range(nm):
+        fill_cost += spent[j // m, :, j % m]
+    obj += fill_cost
+    # The first minimum per step is the pick of a strict-< scan in row order,
+    # which never moves to a NaN objective and never leaves the first row's.
+    # A window edge that is not finite is no candidate.
+    obj[-2:][~np.isfinite(cand[-2:])] = np.inf
+    np.fmin(obj[1:], np.inf, out=obj[1:])
+    best_y = cand[obj.T.argmin(axis=1), np.arange(n)]
 
     # Decompose best_y back into inputs by walking the fill order.
     u = base.copy()
-    need_pos = np.maximum(best_y - y_base, 0.0)
-    for sgi, (k, du) in enumerate(up_who):
-        prev = up_edges[:, sgi - 1] if sgi else 0.0
-        amt = np.clip(need_pos - prev, 0.0, up_caps[:, sgi])
-        u[:, k] += amt * du
-    need_neg = np.maximum(y_base - best_y, 0.0)
-    for sgi, (k, du) in enumerate(dn_who):
-        prev = dn_edges[:, sgi - 1] if sgi else 0.0
-        amt = np.clip(need_neg - prev, 0.0, dn_caps[:, sgi])
-        u[:, k] += amt * du
+    need = np.empty((2, 1, n))
+    np.maximum(best_y - y_base, 0.0, out=need[0, 0])
+    np.maximum(y_base - best_y, 0.0, out=need[1, 0])
+    amt = (np.clip(need - prev, 0.0, caps) * np.array(du).reshape(2, m, 1)).reshape(nm, n)
+    for j, k in enumerate(who):
+        u[:, k] += amt[j]
     np.clip(u, lo, hi, out=u)
     return u, best_y, True
 

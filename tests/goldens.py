@@ -1,9 +1,11 @@
-"""Golden-file helpers: frozen device curves and an engine regression point.
+"""Golden-file helpers: frozen device curves, an engine regression point and
+the fill-order and coupled (terminal-row) solvers' outputs on seeded
+problems.
 
 Regenerate with ``python tests/goldens.py`` after an intentional model
 change; the test suite compares against the committed JSON bit-for-bit for
-the device curves and to tight relative tolerance for the engine
-regression.
+the device curves and the two solvers, and to tight relative tolerance
+for the engine regression.
 """
 
 import json
@@ -82,6 +84,163 @@ def compute_engine_regression() -> dict:
     }
 
 
+def coupled_cases():
+    """Seeded stacked layer problems with a terminal-energy row, built the
+    way the periodic-SOC baseline builds them.
+
+    Yields (name, problem). The cases cover L1 (four actuators, always the
+    general fill-order path), L2 and L3 with targets that push a trial
+    dual's price negative, targets beyond the box's reach (the slack
+    branch), warm-start hints and short horizons.
+    """
+    import numpy as np
+
+    from hessmpc import EngineConfig
+    from hessmpc.devices import EssState
+    from hessmpc.engine import _terminal_row
+    from hessmpc.mpc import (
+        L1State, build_layer_problem, freeze_efficiencies, l1_bounds,
+        simple_bounds,
+    )
+
+    config = EngineConfig()
+    for i in range(42):
+        rng = np.random.default_rng(1000 + i)
+        layer = ("L1", "L2", "L3")[i % 3]
+        short = i % 2 == 1
+        config.n1, config.n2, config.n3 = (24, 16, 12) if short else (240, 96, 60)
+        spec = config.layer_specs()[layer]
+        n = spec.horizon
+        k_end = int(rng.integers(1, n + 1)) if i % 4 == 3 else n
+        scale = float(rng.choice([5.0, 30.0, 90.0]))
+        fc = rng.normal(float(rng.normal(0.0, scale)), scale, n)
+        if layer == "L1":
+            eff = freeze_efficiencies(config.awe, config.pemfc, config.meoh, config.turbine)
+            cap = config.tank_cap_mwh
+            state = L1State(e_h=float(rng.uniform(0.02, 0.98)) * cap,
+                            e_m=float(rng.uniform(0.0, 50.0)))
+            conv_cap = config.meoh.rated_power / eff.eta_mc
+            lo, hi = l1_bounds(spec, state, eff, (0.0, cap), fc, conv_cap)
+            pattern = np.array([eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0])
+        else:
+            store = config.caes if layer == "L2" else config.bess
+            st = store.make_state()
+            e_lo, e_hi = st.envelope
+            st = EssState(energy=e_lo + float(rng.uniform(0.0, 1.0)) * (e_hi - e_lo),
+                          envelope=st.envelope, power_cap=st.power_cap,
+                          eta_c=st.eta_c, eta_d=st.eta_d)
+            lo, hi = simple_bounds(spec, st)
+            pattern = np.array([st.eta_c, -1.0 / st.eta_d])
+        a_row = _terminal_row(pattern * spec.dt_h, n, k_end)
+        a2 = a_row.reshape(n, -1)
+        h_max = float((np.where(a2 > 0, hi, lo) * a2).sum())
+        h_min = float((np.where(a2 > 0, lo, hi) * a2).sum())
+        kind = i % 7
+        if kind == 5:
+            b = h_max + float(rng.uniform(0.0, 0.2)) * (h_max - h_min)
+        elif kind == 6:
+            b = h_min - float(rng.uniform(0.0, 0.2)) * (h_max - h_min)
+        else:
+            # Near an edge of the reachable range the dual must grow large,
+            # which turns a price negative and leaves the two-input closed form.
+            frac = (0.5, 0.9, 0.98, 0.02, 0.1)[kind]
+            b = h_min + (frac + float(rng.uniform(-0.02, 0.02))) * (h_max - h_min)
+        p = build_layer_problem(spec, fc, lo, hi, None)
+        p.coupling.append((a_row, b, b))
+        if i % 5 == 4:
+            p.mu_hint = float(rng.normal(0.0, 2.0))
+        yield f"{i:02d}-{layer}-n{n}-k{k_end}", p
+
+
+def compute_coupled_solver() -> dict:
+    import hashlib
+
+    from hessmpc.qp import solve_qp
+
+    out = {}
+    for name, p in coupled_cases():
+        sol = solve_qp(p)
+        out[name] = {
+            "u_sha256": hashlib.sha256(sol.u_star.tobytes()).hexdigest(),
+            "iterations": sol.iterations,
+            "status": sol.status,
+            "coupling_slack": sol.coupling_slack,
+            "mu_hint": p.mu_hint,
+        }
+    return out
+
+
+def fill_order_cases():
+    """Seeded single problems for the fill-order solve (qp._solve_steps),
+    drawn to hit its tie rules: one-step and short horizons, forecasts with
+    exact and negative zeros, integer values that tie with the bounds, band
+    edges at zero, steps without room, zero and negative prices, and output rows with one, two
+    or three active inputs.
+
+    Yields (name, structure, lo, hi, extra_cost).
+    """
+    import numpy as np
+
+    from hessmpc.qp import StepStructure
+
+    rows = ([-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0, 0.0, 1.0], [0.5, -2.0, 1.0],
+            [1.0, 0.0], [-0.0, 1.0, -3.0])
+    for i in range(240):
+        rng = np.random.default_rng(5000 + i)
+        c_y = np.array(rows[i % len(rows)])
+        nu = c_y.size
+        n = int(rng.choice([1, 1, 1, 2, 3, 12]))
+        rhat = rng.normal(0.0, 30.0, n) * (rng.random(n) < 0.7)
+        rhat = np.where(rng.random(n) < 0.3, -0.0, np.round(rhat, int(rng.integers(0, 2))))
+        lo = np.round(rng.uniform(0.0, 5.0, (n, nu))) * (rng.random((n, nu)) < 0.3)
+        hi = lo + np.round(rng.uniform(0.0, 60.0, (n, nu))) * (rng.random((n, nu)) < 0.8)
+        price = rng.choice([-1.0, 1.0], nu) * rng.choice([0.0, 0.0875, 0.3, 1.0], nu)
+        band_lo = np.full(n, -np.inf)
+        band_hi = np.full(n, np.inf)
+        if i % 3 == 1:
+            band_lo[0] = -float(rng.choice([0.0, np.round(abs(rng.normal(0.0, 10.0)))]))
+            band_hi[0] = float(rng.choice([0.0, np.round(abs(rng.normal(0.0, 10.0)))]))
+        st = StepStructure(
+            c_y=c_y, q=float(rng.choice([0.1, 0.15, 0.27])), rhat=rhat,
+            cost=np.tile(price, (n, 1)), band_lo=band_lo, band_hi=band_hi,
+        )
+        extra = None
+        if i % 2:
+            extra = float(np.round(rng.normal(0.0, 3.0), 1)) * np.tile(
+                rng.choice([-1.2, -0.25, 0.2, 0.9], nu), (n, 1))
+        yield f"{i:03d}-nu{nu}-n{n}", st, lo, hi, extra
+    # One-step problems whose best candidate is +0.0 against a window edge
+    # of -0.0 (forecast -0.0, band edge 0.0): a clip kernel with the other
+    # tie rule returns the other zero.
+    ties = (
+        ([1.0, -1.0], 1.0, [3.0, 1.0], [3.0, 41.6], [0.3, 0.0], -6.90381514189185, None),
+        ([-1.0, 1.0, 0.0, 1.0], 0.1, [0.0] * 4, [49.0, 8.0, 51.0, 9.0],
+         [-0.0, -0.0, -0.0, 0.0], -1.7432085204538281,
+         [0.0, -0.16325186370483358, 0.0, 0.13060149096386686]),
+        ([-0.0, 1.0, -3.0], 0.15, [0.0] * 3, [5.1, 21.7, 51.5], [0.3, -0.0, -0.0],
+         -6.143749289014755, [-0.005893890262971486, -0.005893890262971486, 0.0]),
+    )
+    for j, (c_y, q, lo, hi, price, band_lo, extra) in enumerate(ties):
+        st = StepStructure(
+            c_y=np.array(c_y), q=q, rhat=np.array([-0.0]), cost=np.array([price]),
+            band_lo=np.array([band_lo]), band_hi=np.array([0.0]),
+        )
+        extra = None if extra is None else np.array([extra])
+        yield f"tie{j}-nu{len(c_y)}-n1", st, np.array([lo]), np.array([hi]), extra
+
+
+def compute_fill_order() -> dict:
+    import hashlib
+
+    from hessmpc.qp import _solve_steps
+
+    out = {}
+    for name, st, lo, hi, extra in fill_order_cases():
+        u, y, ok = _solve_steps(st, lo, hi, extra)
+        out[name] = [hashlib.sha256(u.tobytes() + y.tobytes()).hexdigest()[:32], ok]
+    return out
+
+
 def load(name: str) -> dict:
     with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -92,6 +251,8 @@ def regenerate() -> None:
     for name, data in (
         ("device_curves.json", compute_device_curves()),
         ("engine_regression.json", compute_engine_regression()),
+        ("coupled_solver.json", compute_coupled_solver()),
+        ("fill_order.json", compute_fill_order()),
     ):
         with open(os.path.join(GOLDEN_DIR, name), "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=1, sort_keys=True)

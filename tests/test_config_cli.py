@@ -199,3 +199,22 @@ def test_band_traces_written(tmp_path):
     for layer in ("L1", "L2", "L3"):
         for comp in ("lower", "upper", "gamma"):
             assert (out / f"band_{layer}_{comp}.csv").exists()
+
+
+def test_validate_reports_deadband_and_cubic_periodic_together():
+    cfg = EngineConfig()
+    cfg.mtip.eps_db = -1.0
+    cfg.l3_norm_power = 3
+    cfg.controller = "periodic_soc"
+    paths = {f.path for f in validate(cfg) if f.severity == "error"}
+    assert {"mtip.eps_db", "l3_norm_power"} <= paths
+
+
+def test_tariff_without_schedule_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="tariff.tou_schedule"):
+        from_dict({"tariff": {"capacity_rate": 5.0}})
+    path = tmp_path / "tariff.json"
+    path.write_text(json.dumps({"tariff": {"capacity_rate": 5.0}}))
+    rc = main(["validate", "--config", str(path)])
+    assert rc == 2
+    assert "tariff.tou_schedule" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 
+import json
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,21 @@ def test_csv_ingestion_path(tmp_path):
     rep = run(cfg)
     # The run consumes exactly the CSV actuals (padded beyond the run end).
     assert np.array_equal(rep.original_netload.values, vals)
+
+
+def test_csv_shorter_than_run_is_rejected(tmp_path):
+    from hessmpc.cli import main
+    from hessmpc.timeseries import TimeSeries, write_csv
+    path = tmp_path / "netload.csv"
+    write_csv(path, TimeSeries(0.0, 1.0, np.full(3600, 40.0)))
+    cfg = _config(days=2.0 / 24.0)
+    cfg.csv_path = str(path)
+    with pytest.raises(ConfigError, match=r"3600 s .* 7200 s run"):
+        prepare_scenario(cfg)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"csv_path": str(path)}))
+    assert main(["run", "--config", str(cfg_path), "--days", str(2.0 / 24.0),
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 def test_periodic_baseline_schema_and_events():
