@@ -27,6 +27,7 @@ from .devices import (
 from .errors import ConfigError
 from .metrics import TariffConfig
 from .mpc import LayerSpec
+from .mtip import marginal_cost
 from .scenario import ScenarioConfig
 from .vic import VicParams
 
@@ -215,6 +216,21 @@ def validate(config: EngineConfig) -> list[Finding]:
         err("l3_norm_power", "cubic penalty is not available with the periodic-SOC baseline")
     if config.controller not in ("proposed", "periodic_soc", "filter"):
         err("controller", f"unknown controller '{config.controller}'")
+    if config.controller == "proposed":
+        # The band blend divides by the marginal cost of each band child. A
+        # layer that cannot be built is reported by the checks above.
+        try:
+            specs = config.layer_specs()
+        except ValueError:
+            pass
+        else:
+            for i, child, prices in ((1, "L2", "c_l2"), (2, "L3", "c_l3")):
+                lam = marginal_cost(specs[child])
+                if lam <= 0.0:
+                    err(f"r_weights[{i}]" if config.r_weights[i] <= 0.0 else prices,
+                        f"marginal cost of band child {child} must be positive, got {lam}")
+        if config.c_l4 <= 0.0:
+            err("c_l4", f"marginal cost of band child L4 must be positive, got {config.c_l4}")
     if config.tank_cap_mwh <= 0.0:
         err("tank_cap_mwh", "must be positive")
     if not 0.0 <= config.tank_init_frac <= 1.0:

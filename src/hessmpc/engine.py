@@ -47,8 +47,7 @@ from .mpc import (  # noqa: F401
     receding_step, simple_bounds,
 )
 from .mtip import (
-    MicroContext, MtipBounds, adaptive_bounds, flat_bounds, marginal_cost,
-    physical_bounds,
+    MtipBounds, adaptive_bounds, flat_bounds, marginal_cost, physical_bounds,
 )
 from .qp import dump_problem, solve_qp
 from .timeseries import TimeSeries, ingest_csv, write_csv
@@ -118,7 +117,7 @@ _SOC_STEP_S = {"hydrogen": 3600, "methanol": 3600, "caes": 900, "bess": 60, "fes
 #: Device of each single-store layer.
 _STORE = {"L2": "caes", "L3": "bess"}
 
-#: Layer whose marginal cost blends each layer's band (L4 is the flywheel).
+#: Child layer of each layer, whose store and marginal cost set its band.
 _CHILD = {"L1": "L2", "L2": "L3", "L3": "L4"}
 
 
@@ -218,7 +217,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             output=np.zeros(n),
             band=np.zeros((n, 3)),
         )
-    l1, l2, l3 = lay["L1"], lay["L2"], lay["L3"]
+    l1 = lay["L1"]
     spec1 = l1.spec
 
     # Device states.
@@ -262,15 +261,30 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     # store at the end of the layer step.
     pending = {"L2": (0.0, 0.0), "L3": (0.0, 0.0)}
 
-    def blend_band(name, k, phy, cap) -> MtipBounds:
-        """Blend the child's physical band, clipped to its power cap, into
-        the band of layer ``name`` at step k, and trace it."""
+    def layer_band(name, k) -> MtipBounds | None:
+        """Band of layer ``name`` at step k: its child's physical band,
+        clipped to the child's power cap and blended by the cost sigmoid;
+        traced. None under the periodic baseline, which drops bands."""
+        if periodic:
+            return None
+        child = _CHILD[name]
+        if child == "L4":
+            # The flywheel's micro forecast holds the minute's forecast, so
+            # its fluctuation is zero and the band has the flat form.
+            phy = flat_bounds(e_fess, fess0.envelope, fess0.eta_c, fess0.eta_d, DT_H, 60)
+            cap = fess0.power_cap
+        else:
+            store = stores[_STORE[child]]
+            n = _STEP_S[name] // _STEP_S[child]
+            xi = lay[child].forecast[k * n : (k + 1) * n] - lay[name].forecast[k]
+            phy = physical_bounds(xi, store, lay[child].spec.dt_h)
+            cap = store.power_cap
         lo = max(phy[0], -cap)
         hi = min(phy[1], cap)
         if lo > hi:
             lo = hi = 0.5 * (lo + hi)
         b = adaptive_bounds(
-            (lo, hi), lam[name], lam[_CHILD[name]],
+            (lo, hi), lam[name], lam[child],
             mtip_cfg.kappa, mtip_cfg.chi_th, mtip_cfg.eps_db,
         )
         if b.clamped:
@@ -290,18 +304,14 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         stacked = periodic or dump
         fc = layer.window(k, spec.horizon if stacked else 1, held)
         if stacked:
-            lo, hi = simple_bounds(spec, state)
+            problem = build_layer_problem(spec, fc, *simple_bounds(spec, state), band)
         if periodic:
-            a_row = _terminal_row(
-                np.array([state.eta_c, -1.0 / state.eta_d]) * spec.dt_h,
-                spec.horizon, layer.k_end,
-            )
-            dec = _solve_coupled(layer, fc, lo, hi, (a_row, e_init[dev] - state.energy), events)
+            pattern = np.array([state.eta_c, -1.0 / state.eta_d])
+            dec = _solve_coupled(layer, problem, pattern, e_init[dev] - state.energy, events)
         else:
             dec = _apply_law(layer, fc[0], _NO_FLOOR, first_step_caps(spec, state), band, events)
         if dump:
-            _dump_first(config, spec, fc, lo, hi, band, name)
-            layer.dumped = True
+            _dump_first(config, layer, problem)
         move = (float(dec.u_applied[0]), float(dec.u_applied[1]))
         pending[name] = move
         layer.output[k] = dec.output
@@ -343,14 +353,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         # Hourly layer.
         if t0 % 3600 == 0:
             h = t0 // 3600
-            band1 = None
-            if not periodic:
-                caes = stores["caes"]
-                ctx = MicroContext(
-                    TimeSeries(float(t0), 900.0, l2.forecast[h * 4 : h * 4 + 4]),
-                    float(l1.forecast[h]), caes, 0.25, 1.0,
-                )
-                band1 = blend_band("L1", h, physical_bounds(ctx), caes.power_cap)
+            band1 = layer_band("L1", h)
             loads = None
             if pending_l1 is not None:
                 usc, prev_eff = pending_l1
@@ -371,17 +374,16 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             stacked = periodic or dump
             fc1 = l1.window(h, spec1.horizon if stacked else 1, ())
             lo1, hi1 = l1_bounds(spec1, l1_state, eff, tank_env, fc1, conv_cap)
+            if stacked:
+                problem = build_layer_problem(spec1, fc1, lo1, hi1, band1)
             if periodic:
-                a_row = _terminal_row(
-                    np.array([eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0]) * spec1.dt_h,
-                    spec1.horizon, l1.k_end,
-                )
-                dec1 = _solve_coupled(l1, fc1, lo1, hi1, (a_row, e_init["hydrogen"] - l1_state.e_h), events)
+                pattern = np.array([eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0])
+                target = e_init["hydrogen"] - l1_state.e_h
+                dec1 = _solve_coupled(l1, problem, pattern, target, events)
             else:
                 dec1 = _apply_law(l1, fc1[0], lo1[0], hi1[0], band1, events)
             if dump:
-                _dump_first(config, spec1, fc1, lo1, hi1, band1, "L1")
-                l1.dumped = True
+                _dump_first(config, l1, problem)
             y1 = dec1.output
             u1 = dec1.u_applied
             pending_l1 = (u1, eff)
@@ -396,23 +398,10 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         # Quarter-hourly layer.
         if t0 % 900 == 0:
             k2 = t0 // 900
-            band2 = None
-            if not periodic:
-                bess = stores["bess"]
-                ctx = MicroContext(
-                    TimeSeries(float(t0), 60.0, l3.forecast[k2 * 15 : k2 * 15 + 15]),
-                    float(l2.forecast[k2]), bess, 1.0 / 60.0, 0.25,
-                )
-                band2 = blend_band("L2", k2, physical_bounds(ctx), bess.power_cap)
-            y2 = store_layer("L2", k2, (y1,), band2)
+            y2 = store_layer("L2", k2, (y1,), layer_band("L2", k2))
 
-        # Minute layer. The flywheel's micro forecast holds the minute's
-        # forecast, so its fluctuation is zero and the band has the flat form.
-        band3 = None
-        if not periodic:
-            phy = flat_bounds(e_fess, fess0.envelope, fess0.eta_c, fess0.eta_d, DT_H, 60)
-            band3 = blend_band("L3", m, phy, fess0.power_cap)
-        y3 = store_layer("L3", m, (y1, y2), band3)
+        # Minute layer.
+        y3 = store_layer("L3", m, (y1, y2), layer_band("L3", m))
 
         # Second-scale flywheel closure.
         r_arr = av[t0 : t0 + 60] - (y1 + y2 + y3)
@@ -497,11 +486,14 @@ def _apply_law(layer: _Layer, r0, lo0, hi0, band, events) -> LayerDecision:
     return dec
 
 
-def _solve_coupled(layer: _Layer, fc, lo, hi, coupling, events) -> LayerDecision:
+def _solve_coupled(layer: _Layer, problem, pattern, target, events) -> LayerDecision:
+    """Solve the stacked layer problem under the terminal equality that
+    changes the store's energy by ``target`` MWh by step k_end (``pattern``
+    is the energy change per MWh of each input), and apply the first move.
+    The row is added to ``problem`` itself, so a dump shows it."""
     spec = layer.spec
-    problem = build_layer_problem(spec, fc, lo, hi, None)
-    a_row, b_val = coupling
-    problem.coupling.append((a_row, b_val, b_val))
+    a_row = _terminal_row(pattern * spec.dt_h, spec.horizon, layer.k_end)
+    problem.coupling.append((a_row, target, target))
     problem.mu_hint = layer.mu_hint
     sol = solve_qp(problem)
     layer.mu_hint = problem.mu_hint
@@ -525,19 +517,17 @@ def _solve_coupled(layer: _Layer, fc, lo, hi, coupling, events) -> LayerDecision
     dec = LayerDecision(
         u_applied=u0,
         output=float(spec.output_row @ u0),
-        predicted_residual=float(fc[0]) - float(spec.output_row @ u0),
+        predicted_residual=float(problem.structure.rhat[0]) - float(spec.output_row @ u0),
         solution=sol,
     )
     layer.stats.absorb(dec, spec.horizon)
     return dec
 
 
-def _dump_first(config, spec, fc, lo, hi, band, name):
+def _dump_first(config, layer: _Layer, problem):
     os.makedirs(config.out_dir, exist_ok=True)
-    dump_problem(
-        build_layer_problem(spec, fc, lo, hi, band),
-        os.path.join(config.out_dir, f"qp_{name}.txt"),
-    )
+    dump_problem(problem, os.path.join(config.out_dir, f"qp_{layer.spec.layer_id}.txt"))
+    layer.dumped = True
 
 
 def _finalize_metrics(report: SimulationReport, config: EngineConfig, data: ScenarioData):

@@ -348,8 +348,7 @@ def receding_step(
     """
 
     def solve(band_lo, band_hi):
-        b = MtipBounds(r_lower=band_lo, r_upper=band_hi, phy_lower=band_lo,
-                       phy_upper=band_hi, gamma=1.0)
+        b = MtipBounds(r_lower=band_lo, r_upper=band_hi, gamma=1.0)
         sol = solve_qp(build_layer_problem(spec, residual_forecast, lo, hi, b))
         return None if sol.status == INFEASIBLE else sol
 

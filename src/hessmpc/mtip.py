@@ -10,6 +10,11 @@ fluctuations can push an edge past the zero-fluctuation value, which is the
 virtual-capacity effect that lets a nearly full (or empty) child still accept
 throughput.
 
+The band functions take plain arrays: ``xi`` is the fluctuation of the
+child-granularity forecast across the parent step about the parent-step
+value (one entry per micro step), ``store`` the child's
+:class:`~hessmpc.devices.EssState` and ``dt_h`` its micro step in hours.
+
 The physical band is then blended with a minimal deadband through a sigmoid
 of the layer marginal-cost ratio, so a cheap child widens the band and an
 expensive child shrinks it.
@@ -22,74 +27,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devices.storage import EssState
-from .errors import AlignmentError
-from .timeseries import TimeSeries
 
 
 @dataclass
 class MtipBounds:
     """Residual band fed back to the parent layer, MW.
 
-    r_lower/r_upper are the final blended bounds; phy_lower/phy_upper the
-    raw physical band; gamma the blend factor; clamped marks a crossed band
-    collapsed to its midpoint.
+    r_lower/r_upper are the final blended bounds; gamma the blend factor;
+    clamped marks a crossed band collapsed to its midpoint.
     """
 
     r_lower: float
     r_upper: float
-    phy_lower: float
-    phy_upper: float
     gamma: float
     clamped: bool = False
 
 
-@dataclass
-class MicroContext:
-    """Child-side information for one parent step.
-
-    micro_forecast holds the child-granularity net-load forecast across the
-    parent step; parent_residual_forecast is the same signal at parent
-    granularity (one value). child_state is the child storage device;
-    dt_child_h its step in hours.
-    """
-
-    micro_forecast: TimeSeries
-    parent_residual_forecast: float
-    child_state: EssState
-    dt_child_h: float
-    parent_dt_h: float
-
-    def __post_init__(self):
-        n_expect = self.parent_dt_h / self.dt_child_h
-        n = int(round(n_expect))
-        if abs(n_expect - n) > 1e-9 or n != len(self.micro_forecast):
-            raise AlignmentError(
-                f"micro forecast length {len(self.micro_forecast)} does not "
-                f"cover parent step ({self.parent_dt_h} h at {self.dt_child_h} h)"
-            )
-
-
-def micro_fluctuation(ctx: MicroContext) -> np.ndarray:
-    """Intra-step fluctuation xi: micro forecast minus the parent-step value."""
-    return ctx.micro_forecast.values - ctx.parent_residual_forecast
-
-
-def psi(p: float, eta_c: float, eta_d: float) -> float:
-    """Internal energy flow for a grid-side power exchange ``p``.
+def psi(p, eta_c: float, eta_d: float):
+    """Internal energy flow for a grid-side power exchange ``p``, elementwise.
 
     Discharging (p >= 0) draws p/eta_d from the store; charging stores only
     p*eta_c of what the grid supplies.
     """
-    if not (0.0 < eta_c <= 1.0 and 0.0 < eta_d <= 1.0):
-        raise ValueError("efficiencies must lie in (0, 1]")
-    return p / eta_d if p >= 0.0 else p * eta_c
+    return np.where(p >= 0.0, p / eta_d, p * eta_c)
 
 
 def fluctuation_potentials(
-    xi: np.ndarray,
-    eta_c: float,
-    eta_d: float,
-    dt_h: float,
+    xi: np.ndarray, eta_c: float, eta_d: float, dt_h: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative signed fluctuation energies (phi+, phi-) in MWh.
 
@@ -97,7 +61,6 @@ def fluctuation_potentials(
     efficiency; the minus potential inflates discharging-side fluctuation by
     it.
     """
-    xi = np.asarray(xi, dtype=np.float64)
     rt = eta_c * eta_d
     phi_plus = np.where(xi >= 0.0, xi, xi * rt)
     phi_minus = np.where(xi >= 0.0, xi / rt, xi)
@@ -109,8 +72,7 @@ def _prefix_flow_knots(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints of r -> sum_m psi(r + xi_m), sorted, with the flow at each."""
     breaks = -xi_prefix
-    diffs = breaks[:, None] + xi_prefix[None, :]
-    flow_at = np.where(diffs >= 0.0, diffs / eta_d, diffs * eta_c).sum(axis=1)
+    flow_at = psi(breaks[:, None] + xi_prefix[None, :], eta_c, eta_d).sum(axis=1)
     order = np.argsort(breaks, kind="stable")
     return breaks[order], flow_at[order]
 
@@ -131,7 +93,7 @@ def _invert_prefix_flow(
     return float(bs[k - 1] + (target - gs[k - 1]) / slope)
 
 
-def physical_bounds(ctx: MicroContext) -> tuple[float, float]:
+def physical_bounds(xi: np.ndarray, store: EssState, dt_h: float) -> tuple[float, float]:
     """Exact admissible baseline interval (r_lower_phy, r_upper_phy) in MW.
 
     A constant baseline r keeps the child inside its envelope iff every
@@ -140,31 +102,23 @@ def physical_bounds(ctx: MicroContext) -> tuple[float, float]:
     piecewise-linear in r. This exact inversion is what the band oracle
     checks.
     """
-    xi = micro_fluctuation(ctx)
-    st = ctx.child_state
-    dt = ctx.dt_child_h
-    n = xi.size
+    eta_c, eta_d = store.eta_c, store.eta_d
     if not np.any(xi):
-        return flat_bounds(st.energy, st.envelope, st.eta_c, st.eta_d, dt, n)
-    lo_env, hi_env = st.envelope
-    k_floor = (st.energy - lo_env) / dt   # max total outflow, MW-steps
-    k_ceil = (st.energy - hi_env) / dt    # min total outflow (negative)
+        return flat_bounds(store.energy, store.envelope, eta_c, eta_d, dt_h, xi.size)
+    lo_env, hi_env = store.envelope
+    k_floor = (store.energy - lo_env) / dt_h   # max total outflow, MW-steps
+    k_ceil = (store.energy - hi_env) / dt_h    # min total outflow (negative)
     r_hi = np.inf
     r_lo = -np.inf
-    for jj in range(1, n + 1):
-        knots = _prefix_flow_knots(xi[:jj], st.eta_c, st.eta_d)
-        r_hi = min(r_hi, _invert_prefix_flow(knots, st.eta_c, st.eta_d, k_floor))
-        r_lo = max(r_lo, _invert_prefix_flow(knots, st.eta_c, st.eta_d, k_ceil))
+    for jj in range(1, xi.size + 1):
+        knots = _prefix_flow_knots(xi[:jj], eta_c, eta_d)
+        r_hi = min(r_hi, _invert_prefix_flow(knots, eta_c, eta_d, k_floor))
+        r_lo = max(r_lo, _invert_prefix_flow(knots, eta_c, eta_d, k_ceil))
     return float(r_lo), float(r_hi)
 
 
 def flat_bounds(
-    energy: float,
-    envelope: tuple[float, float],
-    eta_c: float,
-    eta_d: float,
-    dt_h: float,
-    n: int,
+    energy: float, envelope: tuple[float, float], eta_c: float, eta_d: float, dt_h: float, n: int
 ) -> tuple[float, float]:
     """:func:`physical_bounds` for a micro forecast without fluctuation.
 
@@ -183,7 +137,7 @@ def psi_inverse(flow: float, eta_c: float, eta_d: float) -> float:
     return flow * eta_d if flow >= 0.0 else flow / eta_c
 
 
-def paper_form_bounds(ctx: MicroContext) -> tuple[float, float]:
+def paper_form_bounds(xi: np.ndarray, store: EssState, dt_h: float) -> tuple[float, float]:
     """Closed-form band estimate built from the fluctuation potentials.
 
     Exact whenever the corrected flow keeps one sign inside every prefix and
@@ -191,14 +145,11 @@ def paper_form_bounds(ctx: MicroContext) -> tuple[float, float]:
     upper side, nor below it on the lower side); exposed for comparison
     against :func:`physical_bounds`.
     """
-    xi = micro_fluctuation(ctx)
-    st = ctx.child_state
-    dt = ctx.dt_child_h
-    lo_env, hi_env = st.envelope
-    phi_plus, phi_minus = fluctuation_potentials(xi, st.eta_c, st.eta_d, dt)
-    j = np.arange(1, xi.size + 1) * dt
-    r_hi = float(np.min(((st.energy - lo_env) * st.eta_d - phi_plus) / j))
-    r_lo = float(np.max(((st.energy - hi_env) / st.eta_c - phi_minus) / j))
+    lo_env, hi_env = store.envelope
+    phi_plus, phi_minus = fluctuation_potentials(xi, store.eta_c, store.eta_d, dt_h)
+    j = np.arange(1, xi.size + 1) * dt_h
+    r_hi = float(np.min(((store.energy - lo_env) * store.eta_d - phi_plus) / j))
+    r_lo = float(np.max(((store.energy - hi_env) / store.eta_c - phi_minus) / j))
     return r_lo, r_hi
 
 
@@ -239,27 +190,24 @@ def adaptive_bounds(
         mid = 0.5 * (r_lo + r_hi)
         r_lo = r_hi = mid
         clamped = True
-    return MtipBounds(
-        r_lower=float(r_lo), r_upper=float(r_hi),
-        phy_lower=float(phy_lo), phy_upper=float(phy_hi),
-        gamma=float(gamma), clamped=clamped,
-    )
+    return MtipBounds(float(r_lo), float(r_hi), float(gamma), clamped)
 
 
-def brute_force_band_oracle(ctx: MicroContext, r_candidate: float) -> bool:
+def brute_force_band_oracle(
+    xi: np.ndarray, store: EssState, dt_h: float, r_candidate: float
+) -> bool:
     """Simulate the child trajectory under a constant baseline; True if the
-    envelope holds at every micro step."""
-    xi = micro_fluctuation(ctx)
-    st = ctx.child_state
+    envelope holds at every micro step. Keeps its own flow expression, so it
+    stays independent of :func:`psi`."""
     flows = np.where(
         r_candidate + xi >= 0.0,
-        (r_candidate + xi) / st.eta_d,
-        (r_candidate + xi) * st.eta_c,
+        (r_candidate + xi) / store.eta_d,
+        (r_candidate + xi) * store.eta_c,
     )
-    traj = st.energy - np.cumsum(flows) * ctx.dt_child_h
-    lo, hi = st.envelope
+    traj = store.energy - np.cumsum(flows) * dt_h
+    lo, hi = store.envelope
     # Guard only against accumulated float rounding; anything larger is a
     # genuine violation (the bound inversion is checked against this oracle
     # at the 1e-6 MW level).
-    tol = 1e-12 * max(1.0, abs(hi), abs(lo), abs(st.energy))
+    tol = 1e-12 * max(1.0, abs(hi), abs(lo), abs(store.energy))
     return bool(np.all(traj >= lo - tol) and np.all(traj <= hi + tol))

@@ -421,14 +421,15 @@ def _solve_steps(
     if np.any(y_lo > y_hi + 1e-9):
         return np.zeros((n, nu)), np.zeros(n), False
 
-    # Candidate outputs, one row each, in scan order: the clipped base, the
-    # stationary point of each raising then each lowering move's segment,
-    # and the two window edges. numpy's clip runs a separate kernel, with the
-    # opposite signed-zero tie rule, when both bounds are constant across
-    # the elements it clips. Every clip here has a bound that varies across
-    # them, as the one-row clips of a per-candidate scan have, so the zero
-    # signs of the results are the same.
-    cand = np.empty((nm + 3, n))
+    # Candidate outputs, one row each, in scan order: the clipped base and
+    # the stationary point of each raising then each lowering move's
+    # segment, clipped to the window (an optimal window edge is the clipped
+    # point of the segment that holds it). numpy's clip runs a separate
+    # kernel, with the opposite signed-zero tie rule, when both bounds are
+    # constant across the elements it clips. Every clip here has a bound
+    # that varies across them, as the one-row clips of a per-candidate scan
+    # have, so the zero signs of the results are the same.
+    cand = np.empty((nm + 1, n))
     cand[0] = np.clip(y_base, y_lo, y_hi)
     if pw == 2:
         shift = rates / (2.0 * q)
@@ -446,27 +447,23 @@ def _solve_steps(
     window[0] = y_lo
     window[1] = y_hi
     np.clip(np.clip(target, seg[0], seg[1]).reshape(nm, n), window[0], window[1],
-            out=cand[1 : nm + 1])
-    cand[-2] = y_lo
-    cand[-1] = y_hi
+            out=cand[1:])
 
     # Objective of every candidate: tracking plus the fill-order cost, summed
     # one move at a time from zero.
     d = rhat - cand
     obj = q * d * d if pw == 2 else q * np.abs(d) ** 3
     dev = cand - y_base
-    beyond = np.empty((2, nm + 3, 1, n))                   # past base, up and down
+    beyond = np.empty((2, nm + 1, 1, n))                   # past base, up and down
     np.maximum(dev, 0.0, out=beyond[0, :, 0])
     np.maximum(-dev, 0.0, out=beyond[1, :, 0])
     spent = np.clip(beyond - prev[:, None], 0.0, caps[:, None]) * rates[:, None, :, None]
-    fill_cost = np.zeros((nm + 3, n))
+    fill_cost = np.zeros((nm + 1, n))
     for j in range(nm):
         fill_cost += spent[j // m, :, j % m]
     obj += fill_cost
     # The first minimum per step is the pick of a strict-< scan in row order,
     # which never moves to a NaN objective and never leaves the first row's.
-    # A window edge that is not finite is no candidate.
-    obj[-2:][~np.isfinite(cand[-2:])] = np.inf
     np.fmin(obj[1:], np.inf, out=obj[1:])
     best_y = cand[obj.T.argmin(axis=1), np.arange(n)]
 

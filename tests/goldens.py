@@ -1,11 +1,11 @@
-"""Golden-file helpers: frozen device curves, an engine regression point and
+"""Golden-file helpers: frozen device curves, an engine regression point,
 the fill-order and coupled (terminal-row) solvers' outputs on seeded
-problems.
+problems, and the sha256 of every report file on seeded runs.
 
 Regenerate with ``python tests/goldens.py`` after an intentional model
 change; the test suite compares against the committed JSON bit-for-bit for
-the device curves and the two solvers, and to tight relative tolerance
-for the engine regression.
+the device curves, the two solvers and the report files, and to tight
+relative tolerance for the engine regression.
 """
 
 import json
@@ -241,18 +241,74 @@ def compute_fill_order() -> dict:
     return out
 
 
+def report_cases(work_dir: str):
+    """Seeded runs whose report files are pinned byte for byte.
+
+    Yields (name, config, data): data is a prepared scenario shared by the
+    cases that run on the same scenario, or None. The CSV replay writes its
+    input trace into ``work_dir`` first.
+    """
+    from hessmpc import EngineConfig
+    from hessmpc.engine import prepare_scenario
+    from hessmpc.scenario import synthesize
+    from hessmpc.timeseries import write_csv
+
+    def config(days, seed, archetype, **kw):
+        cfg = EngineConfig(**kw)
+        cfg.scenario.duration_days = days
+        cfg.scenario.seed = seed
+        cfg.scenario.archetype = archetype
+        return cfg
+
+    day = prepare_scenario(config(1.0, 3, "balanced"))
+    yield "proposed-balanced-1d-s3", config(1.0, 3, "balanced"), day
+    yield "proposed-l3-cubic", config(1.0, 3, "balanced", l3_norm_power=3), day
+    yield "proposed-qp-dump", config(1.0, 3, "balanced", debug_qp_dump=True), day
+    quarter = prepare_scenario(config(0.25, 8, "oversupply"))
+    for controller in ("periodic_soc", "filter"):
+        yield (f"{controller}-oversupply-0.25d-s8",
+               config(0.25, 8, "oversupply", controller=controller), quarter)
+    csv_path = os.path.join(work_dir, "replay.csv")
+    write_csv(csv_path, synthesize(config(0.125, 5, "deficit").scenario))
+    yield "csv-replay-3h", config(0.125, 5, "deficit", csv_path=csv_path), None
+
+
+def compute_report_digests(work_dir: str) -> dict:
+    """sha256 of every file each report case leaves in its output
+    directory: the files ``write_report`` writes plus any QP dump."""
+    import hashlib
+
+    from hessmpc import run
+    from hessmpc.engine import write_report
+
+    out = {}
+    for name, cfg, data in report_cases(work_dir):
+        cfg.out_dir = os.path.join(work_dir, name)
+        write_report(run(cfg, data), cfg.out_dir)
+        out[name] = {}
+        for fname in sorted(os.listdir(cfg.out_dir)):
+            with open(os.path.join(cfg.out_dir, fname), "rb") as fh:
+                out[name][fname] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
 def load(name: str) -> dict:
     with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def regenerate() -> None:
+    import tempfile
+
     os.makedirs(GOLDEN_DIR, exist_ok=True)
+    with tempfile.TemporaryDirectory() as work_dir:
+        reports = compute_report_digests(work_dir)
     for name, data in (
         ("device_curves.json", compute_device_curves()),
         ("engine_regression.json", compute_engine_regression()),
         ("coupled_solver.json", compute_coupled_solver()),
         ("fill_order.json", compute_fill_order()),
+        ("report_digests.json", reports),
     ):
         with open(os.path.join(GOLDEN_DIR, name), "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=1, sort_keys=True)

@@ -19,10 +19,10 @@ from hessmpc.devices import (
 )
 from hessmpc.devices.battery import battery_damage
 from hessmpc.engine import prepare_scenario
-from hessmpc.mtip import MicroContext, brute_force_band_oracle, physical_bounds
 from hessmpc.qp import OPTIMAL, QpProblem, solve_qp
 from hessmpc.scenario import ARCHETYPES
 from hessmpc.timeseries import TimeSeries
+from test_mtip import oracle_gap
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -74,30 +74,10 @@ def test_criterion_1_mtip_oracle_equivalence():
             xi = np.zeros(j)
         st = EssState(energy=e0, envelope=(0.0, cap), power_cap=1e9,
                       eta_c=eta_c, eta_d=eta_d)
-        ctx = MicroContext(TimeSeries(0.0, dt * 3600.0, xi + 5.0), 5.0, st,
-                           dt, dt * j)
-        lo, hi = physical_bounds(ctx)
-        if lo > hi:
-            assert not brute_force_band_oracle(ctx, 0.5 * (lo + hi))
-            continue
-        checked += 1
-        span = max(abs(lo), abs(hi), 1.0)
-        a, b = 0.5 * (lo + hi), hi + 4 * span + 1
-        for _ in range(70):
-            mid = 0.5 * (a + b)
-            if brute_force_band_oracle(ctx, mid):
-                a = mid
-            else:
-                b = mid
-        worst = max(worst, abs(a - hi))
-        a, b = lo - 4 * span - 1, 0.5 * (lo + hi)
-        for _ in range(70):
-            mid = 0.5 * (a + b)
-            if brute_force_band_oracle(ctx, mid):
-                b = mid
-            else:
-                a = mid
-        worst = max(worst, abs(b - lo))
+        gap = oracle_gap(xi, st, dt)
+        if gap is not None:
+            checked += 1
+            worst = max(worst, gap)
     elapsed = time.perf_counter() - t0
     _report(
         "criterion 1 (MTIP oracle equivalence)",

@@ -218,3 +218,23 @@ def test_tariff_without_schedule_is_a_config_error(tmp_path, capsys):
     rc = main(["validate", "--config", str(path)])
     assert rc == 2
     assert "tariff.tou_schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, path", [
+    ({"r_weights": [1.0, 0.0, 1.0]}, "r_weights[1]"),
+    ({"r_weights": [1.0, 1.0, 0.0]}, "r_weights[2]"),
+    ({"c_l4": 0.0}, "c_l4"),
+])
+def test_zero_band_child_cost_is_a_config_error(tmp_path, capsys, override, path):
+    # The proposed controller's band blend divides by the marginal cost of
+    # each band child (L2, L3, L4); a zero one must stop before the run.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(override))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert f"error: {path}: marginal cost of band child" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--days", "0.041666666666666664",
+                 "--out", str(out)]) == 2
+    assert path in capsys.readouterr().err
+    # The baselines use no bands, so the same costs are valid for them.
+    assert main(["validate", "--config", str(cfg_path), "--controller", "filter"]) == 0

@@ -84,6 +84,18 @@ def test_engine_regression_golden(day_run):
         assert rep.soc_traces[key].values[-1] == pytest.approx(val, rel=1e-9), key
 
 
+def test_report_digests_match_golden(tmp_path):
+    # Every report file, byte for byte, on the pinned cases; a change that
+    # moves one on purpose regenerates the golden and names the file.
+    got = goldens.compute_report_digests(str(tmp_path))
+    gold = goldens.load("report_digests.json")
+    moved = sorted(f"{case}/{fname}"
+                   for case in gold.keys() | got.keys()
+                   for fname in gold.get(case, {}).keys() | got.get(case, {}).keys()
+                   if gold.get(case, {}).get(fname) != got.get(case, {}).get(fname))
+    assert moved == []
+
+
 def test_duration_must_be_whole_hours():
     cfg = _config(days=0.03)
     with pytest.raises(ConfigError):
@@ -176,6 +188,45 @@ def test_debug_qp_dump(tmp_path):
     run(cfg)
     for name in ("qp_L1.txt", "qp_L2.txt", "qp_L3.txt"):
         assert (tmp_path / name).exists()
+
+
+def _read_dump(path):
+    """Blocks of a QP dump file as arrays, by name."""
+    blocks = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("# "):
+                name, rows, cols = line[2:].split()
+                blocks[name] = np.zeros((int(rows), int(cols)))
+                i = 0
+            else:
+                blocks[name][i] = [float(v) for v in line.split()]
+                i += 1
+    return blocks
+
+
+def test_periodic_qp_dump_holds_the_terminal_row(tmp_path):
+    # The dump is the problem the periodic baseline solves: its only
+    # constraint row is the terminal equality, met at the run-start energy.
+    from hessmpc.engine import _terminal_row
+    from hessmpc.mpc import freeze_efficiencies
+
+    cfg = _config(days=1.0 / 24.0, controller="periodic_soc", debug_qp_dump=True,
+                  out_dir=str(tmp_path))
+    run(cfg)
+    eff = freeze_efficiencies(cfg.awe, cfg.pemfc, cfg.meoh, cfg.turbine)
+    patterns = {
+        "L1": [eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0],
+        "L2": [cfg.caes.eta_c, -1.0 / cfg.caes.eta_d],
+        "L3": [cfg.bess.eta_c, -1.0 / cfg.bess.eta_d],
+    }
+    for name, spec in cfg.layer_specs().items():
+        blocks = _read_dump(tmp_path / f"qp_{name}.txt")
+        k_end = min(spec.horizon, max(1, round(cfg.baseline.soc_period_h / spec.dt_h)))
+        row = _terminal_row(np.array(patterns[name]) * spec.dt_h, spec.horizon, k_end)
+        assert blocks["G"].shape == (1, row.size), name
+        assert np.array_equal(blocks["G"][0], row), name
+        assert blocks["ineq_lower"].tolist() == blocks["ineq_upper"].tolist() == [[0.0]]
 
 
 def test_eff_clamp_events_counted(day_run):

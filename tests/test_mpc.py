@@ -174,8 +174,7 @@ def test_band_constrains_first_step():
     hi = np.full((spec.horizon, 2), 100.0)
     dec_free = receding_step(spec, np.full(spec.horizon, 50.0), lo, hi)
     assert np.allclose(dec_free.u_applied, 0.0, atol=1e-9)
-    band = MtipBounds(r_lower=-5.0, r_upper=5.0, phy_lower=-50.0,
-                      phy_upper=50.0, gamma=0.9)
+    band = MtipBounds(r_lower=-5.0, r_upper=5.0, gamma=0.9)
     dec = receding_step(spec, np.full(spec.horizon, 50.0), lo, hi, band)
     assert dec.predicted_residual <= 5.0 + 1e-9
     assert dec.u_applied[1] >= 45.0 - 1e-9
@@ -188,8 +187,7 @@ def test_infeasible_band_ladder():
     spec = _spec_simple(q=1.0, cost=0.1)
     lo = np.zeros((spec.horizon, 2))
     hi = np.full((spec.horizon, 2), 10.0)   # can cover at most 10 MW
-    band = MtipBounds(r_lower=-5.0, r_upper=5.0, phy_lower=-5.0,
-                      phy_upper=5.0, gamma=1.0)
+    band = MtipBounds(r_lower=-5.0, r_upper=5.0, gamma=1.0)
     dec = receding_step(spec, np.full(spec.horizon, 100.0), lo, hi, band)
     # 100 MW residual with 10 MW capability cannot meet the band.
     assert dec.band_clamped and dec.band_dropped
@@ -201,8 +199,7 @@ def test_no_terminal_equality_rows_in_layer_problems():
     spec = _spec_simple()
     lo = np.zeros((spec.horizon, 2))
     hi = np.full((spec.horizon, 2), 100.0)
-    band = MtipBounds(r_lower=-3.0, r_upper=3.0, phy_lower=-30.0,
-                      phy_upper=30.0, gamma=0.5)
+    band = MtipBounds(r_lower=-3.0, r_upper=3.0, gamma=0.5)
     for b in (None, band):
         problem = build_layer_problem(spec, np.full(spec.horizon, 10.0), lo, hi, b)
         assert not problem.coupling
@@ -316,7 +313,7 @@ def _random_band(rng, kind, r0, y_lo, y_hi):
     else:
         # Asks for more output than the caps allow, even at its midpoint.
         lo, hi = r0 - y_hi - 10.0 - 2.0 * w, r0 - y_hi - 10.0
-    return MtipBounds(r_lower=lo, r_upper=hi, phy_lower=lo, phy_upper=hi, gamma=0.5)
+    return MtipBounds(r_lower=lo, r_upper=hi, gamma=0.5)
 
 
 def test_explicit_step_matches_stacked_receding_step():

@@ -1,43 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessmpc.devices import EssState
-from hessmpc.errors import AlignmentError
 from hessmpc.mtip import (
-    MicroContext, adaptive_bounds, brute_force_band_oracle,
-    fluctuation_potentials, marginal_cost, micro_fluctuation, physical_bounds,
-    psi,
+    adaptive_bounds, brute_force_band_oracle, fluctuation_potentials,
+    marginal_cost, physical_bounds, psi,
 )
-from hessmpc.timeseries import TimeSeries
 
 
-def _ctx(xi, parent=10.0, energy=500.0, envelope=(0.0, 1000.0),
-         eta_c=1.0, eta_d=1.0, dt_child_h=0.25):
-    xi = np.asarray(xi, dtype=np.float64)
-    st = EssState(energy=energy, envelope=envelope, power_cap=1e9,
-                  eta_c=eta_c, eta_d=eta_d)
-    micro = TimeSeries(0.0, dt_child_h * 3600.0, xi + parent)
-    return MicroContext(micro, parent, st, dt_child_h, dt_child_h * xi.size)
-
-
-def test_micro_fluctuation_examples():
-    ctx = _ctx(np.zeros(4), parent=50.0)
-    assert np.allclose(micro_fluctuation(ctx), 0.0)
-    ctx2 = _ctx(np.array([10.0, -10.0, 10.0, -10.0]), parent=50.0)
-    assert np.allclose(micro_fluctuation(ctx2), [10.0, -10.0, 10.0, -10.0])
-    assert micro_fluctuation(ctx2).mean() == pytest.approx(0.0)
-
-
-def test_micro_context_alignment():
-    st = EssState(energy=1.0, envelope=(0.0, 2.0), power_cap=10.0, eta_c=1.0, eta_d=1.0)
-    with pytest.raises(AlignmentError):
-        MicroContext(TimeSeries(0.0, 900.0, np.zeros(3)), 0.0, st, 0.25, 1.0)
+def _band(xi, energy=500.0, envelope=(0.0, 1000.0), eta_c=1.0, eta_d=1.0,
+          dt_child_h=0.25):
+    """(xi, child store, micro step) arguments of the band functions."""
+    store = EssState(energy=energy, envelope=envelope, power_cap=1e9,
+                     eta_c=eta_c, eta_d=eta_d)
+    return np.asarray(xi, dtype=np.float64), store, dt_child_h
 
 
 def test_psi_examples():
     assert psi(0.0, 0.9, 0.9) == 0.0
     assert psi(83.0, 0.9, 0.83) == pytest.approx(100.0)
     assert psi(-100.0, 0.83, 0.9) == pytest.approx(-83.0)
+    # Elementwise on arrays, with p = 0 on the discharge side.
+    assert psi(np.array([83.0, 0.0, -100.0]), 0.83, 0.83).tolist() == [
+        83.0 / 0.83, 0.0, -100.0 * 0.83]
 
 
 def test_psi_magnitude_properties():
@@ -69,8 +56,8 @@ def test_potentials_prefix_sums():
 
 
 def test_physical_bounds_zero_fluctuation():
-    ctx = _ctx(np.zeros(4), energy=500.0, envelope=(0.0, 1000.0))
-    lo, hi = physical_bounds(ctx)
+    args = _band(np.zeros(4), energy=500.0, envelope=(0.0, 1000.0))
+    lo, hi = physical_bounds(*args)
     assert hi == pytest.approx(500.0)
     assert lo == pytest.approx(-500.0)
 
@@ -78,20 +65,52 @@ def test_physical_bounds_zero_fluctuation():
 def test_virtual_capacity_at_floor():
     # Empty store with early surplus still admits a positive baseline.
     xi = np.array([-40.0, 10.0, 10.0, 10.0])
-    ctx = _ctx(xi, energy=0.0, envelope=(0.0, 1000.0), eta_c=0.9, eta_d=0.9)
-    _, hi = physical_bounds(ctx)
+    args = _band(xi, energy=0.0, envelope=(0.0, 1000.0), eta_c=0.9, eta_d=0.9)
+    _, hi = physical_bounds(*args)
     assert hi > 0.0
-    assert brute_force_band_oracle(ctx, hi - 1e-6)
-    assert not brute_force_band_oracle(ctx, hi + 1.0)
+    assert brute_force_band_oracle(*args, hi - 1e-6)
+    assert not brute_force_band_oracle(*args, hi + 1.0)
 
 
 def test_virtual_capacity_at_ceiling():
     xi = np.array([40.0, -10.0, -10.0, -10.0])
-    ctx = _ctx(xi, energy=1000.0, envelope=(0.0, 1000.0), eta_c=0.9, eta_d=0.9)
-    lo, _ = physical_bounds(ctx)
+    args = _band(xi, energy=1000.0, envelope=(0.0, 1000.0), eta_c=0.9, eta_d=0.9)
+    lo, _ = physical_bounds(*args)
     assert lo < 0.0
-    assert brute_force_band_oracle(ctx, lo + 1e-6)
-    assert not brute_force_band_oracle(ctx, lo - 1.0)
+    assert brute_force_band_oracle(*args, lo + 1e-6)
+    assert not brute_force_band_oracle(*args, lo - 1.0)
+
+
+def oracle_gap(xi, store, dt_h):
+    """Largest distance (MW) between the edges of ``physical_bounds`` and
+    the oracle's admissible set, found by 70-step bisection outward from
+    the band midpoint; None for a crossed band, whose midpoint the oracle
+    must refuse."""
+    lo, hi = physical_bounds(xi, store, dt_h)
+
+    def admissible(r):
+        return brute_force_band_oracle(xi, store, dt_h, r)
+
+    if lo > hi:
+        assert not admissible(0.5 * (lo + hi))
+        return None
+    span = max(abs(lo), abs(hi), 1.0)
+    a, b = 0.5 * (lo + hi), hi + 4 * span + 1
+    for _ in range(70):
+        m = 0.5 * (a + b)
+        if admissible(m):
+            a = m
+        else:
+            b = m
+    gap = abs(a - hi)
+    a, b = lo - 4 * span - 1, 0.5 * (lo + hi)
+    for _ in range(70):
+        m = 0.5 * (a + b)
+        if admissible(m):
+            b = m
+        else:
+            a = m
+    return max(gap, abs(b - lo))
 
 
 def test_bounds_match_oracle_bisection():
@@ -101,35 +120,63 @@ def test_bounds_match_oracle_bisection():
         j = int(rng.integers(2, 97))
         dt = float(rng.choice([1.0 / 3600.0, 1.0 / 60.0, 0.25]))
         cap = float(rng.uniform(1.0, 100.0))
-        ctx = _ctx(
+        gap = oracle_gap(*_band(
             rng.normal(0.0, rng.uniform(0.1, 30.0), j),
             energy=float(rng.uniform(0.0, cap)), envelope=(0.0, cap),
             eta_c=float(rng.uniform(0.5, 1.0)), eta_d=float(rng.uniform(0.5, 1.0)),
             dt_child_h=dt,
-        )
-        lo, hi = physical_bounds(ctx)
-        if lo > hi:
-            mid = 0.5 * (lo + hi)
-            assert not brute_force_band_oracle(ctx, mid)
-            continue
-        span = max(abs(lo), abs(hi), 1.0)
-        a, b = 0.5 * (lo + hi), hi + 4 * span + 1
-        for _ in range(70):
-            m = 0.5 * (a + b)
-            if brute_force_band_oracle(ctx, m):
-                a = m
-            else:
-                b = m
-        worst = max(worst, abs(a - hi))
-        a, b = lo - 4 * span - 1, 0.5 * (lo + hi)
-        for _ in range(70):
-            m = 0.5 * (a + b)
-            if brute_force_band_oracle(ctx, m):
-                b = m
-            else:
-                a = m
-        worst = max(worst, abs(b - lo))
+        ))
+        worst = max(worst, gap or 0.0)
     assert worst < 1e-6
+
+
+@st.composite
+def _band_cases(draw):
+    """Child states with the energy at the floor, at the ceiling or inside
+    the envelope; fluctuations that are all zero or drawn (narrow envelopes
+    under large swings give crossed bands)."""
+    n = draw(st.integers(1, 24))
+    e_lo = draw(st.floats(0.0, 50.0))
+    width = draw(st.one_of(st.sampled_from([1e-3, 0.05]), st.floats(0.5, 100.0)))
+    e_hi = e_lo + width
+    energy = draw(st.one_of(st.sampled_from([e_lo, e_hi]), st.floats(e_lo, e_hi)))
+    scale = draw(st.floats(0.1, 30.0))
+    xi = draw(st.one_of(
+        st.just([0.0] * n),
+        st.lists(st.floats(-scale, scale), min_size=n, max_size=n),
+    ))
+    return _band(
+        xi, energy=energy, envelope=(e_lo, e_hi),
+        eta_c=draw(st.floats(0.5, 1.0)), eta_d=draw(st.floats(0.5, 1.0)),
+        dt_child_h=draw(st.sampled_from([1.0 / 3600.0, 1.0 / 60.0, 0.25])),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_band_cases())
+def test_physical_bounds_match_oracle_property(args):
+    gap = oracle_gap(*args)
+    assert gap is None or gap < 1e-6
+
+
+def test_property_cases_reach_edges_and_crossed_bands():
+    # The strategy above must draw each case the property is about.
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_band_cases())
+    def record(args):
+        xi, store, dt_h = args
+        lo, hi = physical_bounds(xi, store, dt_h)
+        seen.add("crossed" if lo > hi else "banded")
+        seen.add("zero" if not xi.any() else "fluctuating")
+        if store.energy == store.envelope[0]:
+            seen.add("floor")
+        if store.energy == store.envelope[1]:
+            seen.add("ceiling")
+
+    record()
+    assert seen == {"crossed", "banded", "zero", "fluctuating", "floor", "ceiling"}
 
 
 def test_marginal_cost_aggregation():
@@ -189,8 +236,8 @@ def test_crossed_band_clamps_to_midpoint():
 
 
 def test_oracle_trivial_cases():
-    ctx = _ctx(np.zeros(4), energy=500.0)
-    assert brute_force_band_oracle(ctx, 0.0)
+    args = _band(np.zeros(4), energy=500.0)
+    assert brute_force_band_oracle(*args, 0.0)
 
 
 def test_paper_form_bounds_conservative():
@@ -199,18 +246,18 @@ def test_paper_form_bounds_conservative():
     rng = np.random.default_rng(55)
     for _ in range(200):
         j = int(rng.integers(2, 40))
-        ctx = _ctx(
+        args = _band(
             rng.normal(0.0, rng.uniform(0.1, 20.0), j),
             energy=float(rng.uniform(10.0, 90.0)), envelope=(0.0, 100.0),
             eta_c=float(rng.uniform(0.6, 1.0)), eta_d=float(rng.uniform(0.6, 1.0)),
             dt_child_h=1.0 / 60.0,
         )
-        lo_exact, hi_exact = physical_bounds(ctx)
-        lo_paper, hi_paper = paper_form_bounds(ctx)
+        lo_exact, hi_exact = physical_bounds(*args)
+        lo_paper, hi_paper = paper_form_bounds(*args)
         # The potential-based closed form never claims more capability than
         # the exact inversion on the discharge side.
         assert hi_paper <= hi_exact + 1e-9
     # And it coincides exactly when the fluctuation vanishes.
-    ctx0 = _ctx(np.zeros(6), energy=40.0, envelope=(0.0, 100.0),
+    args0 = _band(np.zeros(6), energy=40.0, envelope=(0.0, 100.0),
                 eta_c=0.85, eta_d=0.8, dt_child_h=0.25)
-    assert paper_form_bounds(ctx0) == pytest.approx(physical_bounds(ctx0))
+    assert paper_form_bounds(*args0) == pytest.approx(physical_bounds(*args0))
