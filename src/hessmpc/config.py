@@ -206,6 +206,9 @@ def validate(config: EngineConfig) -> list[Finding]:
     for i, r in enumerate(config.r_weights):
         if r < 0.0:
             err(f"r_weights[{i}]", "cost weights must be non-negative")
+    for key in ("n1", "n2", "n3"):
+        if getattr(config, key) < 1:
+            err(key, "horizon must hold at least one step")
     if config.l3_norm_power not in (2, 3):
         err("l3_norm_power", "must be 2 or 3")
     if not 0.0 <= config.forecast_bias_decay < 1.0:
@@ -238,9 +241,9 @@ def validate(config: EngineConfig) -> list[Finding]:
     if config.meoh_init_mwh < 0.0:
         err("meoh_init_mwh", "must be non-negative")
 
-    if config.n2 * 0.25 < 1.0:
+    if 1 <= config.n2 and config.n2 * 0.25 < 1.0:
         warn("n2", "L2 horizon shorter than one L1 step")
-    if config.n3 * 1.0 < 15.0:
+    if 1 <= config.n3 and config.n3 * 1.0 < 15.0:
         warn("n3", "L3 horizon shorter than one L2 step")
 
     for layer, acc in config.scenario.forecast_accuracy.items():

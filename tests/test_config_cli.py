@@ -37,6 +37,18 @@ def test_short_horizon_warning():
     assert any(f.severity == "warning" and f.path == "n3" for f in findings)
 
 
+@pytest.mark.parametrize("key", ["n1", "n2", "n3"])
+def test_horizon_below_one_step_is_a_config_error(tmp_path, capsys, key):
+    # A zero horizon used to pass validate with a warning and then crash
+    # run while building the layer (exit 1).
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: 0, "scenario": {"duration_days": 0.125}}))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert f"error: {key}: horizon must hold at least one step" in capsys.readouterr().out
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key}: horizon must hold at least one step" in capsys.readouterr().err
+
+
 def test_cubic_norm_flag():
     cfg = EngineConfig()
     cfg.l3_norm_power = 3

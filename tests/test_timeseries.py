@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessmpc.errors import AlignmentError, GapError, ParseError
 from hessmpc.timeseries import TimeSeries, ingest_csv, resample, write_csv
@@ -49,6 +51,65 @@ def test_csv_round_trip(tmp_path):
     assert back.dt == 1.0
     assert back.start_epoch == 100.0
     assert np.array_equal(back.values, ts.values)
+
+
+def _write_csv_per_row(path, ts):
+    """The writer's reference: one formatted line per sample."""
+    epochs = ts.start_epoch + ts.dt * np.arange(ts.values.size)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("epoch_s,power_mw\n")
+        for e, v in zip(epochs.tolist(), ts.values.tolist()):
+            fh.write(f"{e:.0f},{v!r}\n")
+
+
+_starts = st.one_of(
+    st.integers(-10**12, 10**12).map(float),
+    st.just(-0.0),
+    st.integers(-10**9, 10**9).map(lambda k: k + 0.5),
+    st.integers(2**53 - 600, 2**70).map(float),
+    st.integers(-2**70, -2**53).map(float),
+    st.floats(-1e18, 1e18),
+)
+_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -1e-310, 1e-5, -1e-5, 1e16, -1e16]),
+    st.floats(1e-6, 1e-4) | st.floats(-1e-4, -1e-6),
+    st.floats(1e15, 1e17) | st.floats(-1e17, -1e15),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    start=_starts,
+    dt=st.sampled_from([1.0, 0.5, 60.0, 3600.0]),
+    values=st.one_of(st.just([]), st.lists(_values, min_size=1, max_size=1),
+                     st.lists(_values, max_size=500)),
+)
+def test_write_csv_matches_per_row_writer(tmp_path_factory, start, dt, values):
+    ts = TimeSeries(start, dt, np.array(values, dtype=np.float64))
+    out = tmp_path_factory.mktemp("csv")
+    write_csv(out / "bulk.csv", ts)
+    _write_csv_per_row(out / "rows.csv", ts)
+    assert (out / "bulk.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+    if not values:
+        with pytest.raises(ParseError):
+            ingest_csv(out / "bulk.csv")
+        return
+    epochs = start + dt * np.arange(len(values))
+    exact = float(start).is_integer() and dt >= 1.0 and np.all(np.abs(epochs) < 2.0**53)
+    try:
+        back = ingest_csv(out / "bulk.csv")
+    except GapError:
+        # Rounding to whole seconds makes the written step uneven for
+        # fractional epochs and for epochs past 2**53.
+        assert not exact
+    else:
+        assert back.values.tobytes() == ts.values.tobytes()
+        if exact:
+            assert back.start_epoch == start
+            assert back.dt == (dt if len(values) > 1 else 1.0)
 
 
 def test_csv_gap_detected(tmp_path):
