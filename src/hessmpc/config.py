@@ -241,9 +241,9 @@ def validate(config: EngineConfig) -> list[Finding]:
     if config.meoh_init_mwh < 0.0:
         err("meoh_init_mwh", "must be non-negative")
 
-    if 1 <= config.n2 and config.n2 * 0.25 < 1.0:
+    if config.n2 * 0.25 < 1.0:
         warn("n2", "L2 horizon shorter than one L1 step")
-    if 1 <= config.n3 and config.n3 * 1.0 < 15.0:
+    if config.n3 * 1.0 < 15.0:
         warn("n3", "L3 horizon shorter than one L2 step")
 
     for layer, acc in config.scenario.forecast_accuracy.items():

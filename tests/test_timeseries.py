@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hessmpc import timeseries
 from hessmpc.errors import AlignmentError, GapError, ParseError
 from hessmpc.timeseries import TimeSeries, ingest_csv, resample, write_csv
 
@@ -85,11 +88,14 @@ _values = st.one_of(
     dt=st.sampled_from([1.0, 0.5, 60.0, 3600.0]),
     values=st.one_of(st.just([]), st.lists(_values, min_size=1, max_size=1),
                      st.lists(_values, max_size=500)),
+    block_rows=st.sampled_from([1, 7, 64, timeseries.CSV_BLOCK_ROWS]),
 )
-def test_write_csv_matches_per_row_writer(tmp_path_factory, start, dt, values):
+def test_write_csv_matches_per_row_writer(tmp_path_factory, start, dt, values, block_rows):
     ts = TimeSeries(start, dt, np.array(values, dtype=np.float64))
     out = tmp_path_factory.mktemp("csv")
-    write_csv(out / "bulk.csv", ts)
+    # Small blocks split the rows over several writes.
+    with mock.patch.object(timeseries, "CSV_BLOCK_ROWS", block_rows):
+        write_csv(out / "bulk.csv", ts)
     _write_csv_per_row(out / "rows.csv", ts)
     assert (out / "bulk.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
