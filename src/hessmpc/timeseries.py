@@ -153,9 +153,9 @@ def write_csv(path, ts: TimeSeries) -> None:
             e = epochs[lo : lo + CSV_BLOCK_ROWS]
             cells = ["\n"] * (4 * e.size)
             # For an integral float below 2**53, str(int(e)) equals
-            # f"{e:.0f}" and writes a report 15% faster. The one exception,
-            # -0.0 ("0" against "-0"), cannot occur: with dt > 0,
-            # start + dt * k rounds an exact zero to +0.0.
+            # f"{e:.0f}" and is cheaper to build (ROADMAP item 4 has the
+            # timing). The one exception, -0.0 ("0" against "-0"), cannot
+            # occur: with dt > 0, start + dt * k rounds an exact zero to +0.0.
             if np.all(np.abs(e) < 2.0**53) and np.array_equal(e, np.trunc(e)):
                 cells[0::4] = map(str, e.astype(np.int64).tolist())
             else:
