@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
@@ -674,6 +673,10 @@ def _constraint_rows(p: QpProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_active_set(p: QpProblem, tol: float, max_iter: int) -> QpSolution:
+    # Imported here: the dense path is the test oracle, and no controller's
+    # run reaches it, so a run never pays for loading scipy.linalg.
+    from scipy.linalg import cho_factor, cho_solve
+
     h = p.hessian.copy()
     n = p.n
     regularized = False

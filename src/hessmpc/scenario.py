@@ -15,11 +15,10 @@ matches the requested accuracy exactly on the generated series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import ndtr
 
 from .timeseries import TimeSeries, resample
 
@@ -61,7 +60,129 @@ class ScenarioConfig:
 
 def _ar1(rng: np.random.Generator, n: int, phi: float, sigma: float = 1.0) -> np.ndarray:
     white = rng.standard_normal(n) * sigma * np.sqrt(1.0 - phi * phi)
-    return lfilter([1.0], [1.0, -phi], white)
+    return _recurrence(white, phi)
+
+
+def _recurrence(x: np.ndarray, phi: float) -> np.ndarray:
+    """``y[k] = x[k] + phi * y[k-1]`` from ``y[-1] = 0``, bit for bit as the
+    sequential float loop (and as ``scipy.signal.lfilter([1], [1, -phi], x)``
+    for ``0 <= phi < 1``; with a negative ``phi``, lfilter's signed zeros can
+    differ on ``-0.0`` inputs).
+
+    The series is cut into about ``isqrt(n)`` chunks, zero-padded at the end
+    and transposed, so that one step of every chunk is one contiguous row:
+    all chunks advance in lockstep with separate IEEE multiply and add (no
+    fused multiply-add). Each chunk starts from its predecessor's end value
+    of the previous pass, and passes repeat until every start equals that
+    end bit for bit. By induction from chunk 0, which starts from the true
+    zero, every chunk has then run from its true start, so the result is the
+    sequential recurrence. The worst case takes one pass per chunk; with
+    ``phi < 1`` a start error decays as ``phi**chunk_len``, and a series of a
+    million samples converges in two.
+    """
+    n = x.size
+    if n == 0:
+        return np.zeros(0)
+    length = -(-n // math.isqrt(n))
+    full, rest = divmod(n, length)
+    # Row k holds step k of every chunk; the last chunk is zero-padded.
+    xt = np.zeros((length, full + (rest > 0)))
+    xt.T[:full] = x[: full * length].reshape(full, length)
+    if rest:
+        xt[:rest, full] = x[full * length :]
+    yt = np.empty_like(xt)
+    tmp = np.empty(xt.shape[1])
+    starts = np.zeros(xt.shape[1])
+    while True:
+        s = starts
+        for x_row, y_row in zip(xt, yt):
+            np.multiply(s, phi, out=tmp)
+            s = np.add(x_row, tmp, out=y_row)
+        if s[:-1].tobytes() == starts[1:].tobytes():
+            return yt.T.reshape(-1)[:n]
+        starts = np.concatenate(([0.0], s[:-1]))
+
+
+# Normal CDF by the cephes ndtr/erf/erfc algorithm (Stephen L. Moshier,
+# Cephes Math Library), in the form scipy.special.ndtr evaluates it, so that
+# each value matches scipy's to the bit. Scalar Python floats and math.exp
+# keep libm's exp; numpy's SIMD exp may round differently.
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule; a leading coefficient of 1.0 makes it cephes' p1evl
+    (``1.0 * x`` is exact)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    if x < 0.0:
+        return -_erf(-x)
+    if x > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(a: float) -> float:
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z >= -_MAXLOG:
+        z = math.exp(z)
+        if x < 8.0:
+            y = (z * _polevl(x, _ERFC_P)) / _polevl(x, _ERFC_Q)
+        else:
+            y = (z * _polevl(x, _ERFC_R)) / _polevl(x, _ERFC_S)
+        if a < 0.0:
+            y = 2.0 - y
+        if y != 0.0:
+            return y
+    return 2.0 if a < 0.0 else 0.0
+
+
+def ndtr(a: float) -> float:
+    """Standard normal CDF of one float, bit for bit as scipy.special.ndtr."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0.0 else y
 
 
 def _interp_to_seconds(coarse: np.ndarray, step_s: float, n_seconds: int) -> np.ndarray:
@@ -73,7 +194,7 @@ def _interp_to_seconds(coarse: np.ndarray, step_s: float, n_seconds: int) -> np.
 def _wind_power(rng: np.random.Generator, n_seconds: int, capacity: float) -> np.ndarray:
     n_hours = n_seconds // 3600 + 2
     z = _ar1(rng, n_hours, phi=0.92)
-    quantile = ndtr(z)
+    quantile = np.array([ndtr(v) for v in z.tolist()])
     # Weibull speeds (shape 2, scale 8.5 m/s), persistent through the AR chain.
     speeds = 8.5 * np.sqrt(-np.log(np.clip(1.0 - quantile, 1e-12, 1.0)))
     v = _interp_to_seconds(speeds, 3600.0, n_seconds)
@@ -86,10 +207,10 @@ def _wind_power(rng: np.random.Generator, n_seconds: int, capacity: float) -> np
 
 
 def _pv_power(rng: np.random.Generator, n_seconds: int, capacity: float) -> np.ndarray:
-    t = np.arange(n_seconds, dtype=np.float64)
-    day_frac = (t % 86400.0) / 86400.0
+    # The envelope repeats daily: t % 86400 is exact, so one day tiles it.
+    day_frac = np.arange(min(n_seconds, 86400), dtype=np.float64) / 86400.0
     daylight = np.clip(np.sin(np.pi * (day_frac - 0.25) / 0.5), 0.0, None)
-    clear_sky = daylight**1.3
+    clear_sky = np.tile(daylight**1.3, -(-n_seconds // 86400))[:n_seconds]
     n_coarse = n_seconds // 600 + 2
     cloud = _ar1(rng, n_coarse, phi=0.97)
     transmission = 0.25 + 0.75 / (1.0 + np.exp(-1.2 * cloud - 0.8))
@@ -99,14 +220,17 @@ def _pv_power(rng: np.random.Generator, n_seconds: int, capacity: float) -> np.n
 
 
 def _load_power(rng: np.random.Generator, n_seconds: int, peak: float) -> np.ndarray:
-    t = np.arange(n_seconds, dtype=np.float64)
+    # Shift and weekday factors are constant within each hour, so they are
+    # evaluated hourly and held; the product keeps its left-to-right order.
+    t = np.arange(-(-n_seconds // 3600), dtype=np.float64) * 3600.0
     hour = (t % 86400.0) / 3600.0
     day = np.floor(t / 86400.0)
     shift = np.where(hour < 6.0, 0.72, np.where(hour < 14.0, 1.0, np.where(hour < 22.0, 0.9, 0.72)))
     weekly = np.where((day % 7) >= 5, 0.85, 1.0)
+    hourly = np.repeat(peak * 0.9 * shift * weekly, 3600)[:n_seconds]
     slow = 1.0 + 0.05 * _interp_to_seconds(_ar1(rng, n_seconds // 3600 + 2, 0.9), 3600.0, n_seconds)
     fast = 1.0 + 0.01 * _ar1(rng, n_seconds, phi=0.8)
-    return peak * 0.9 * shift * weekly * slow * fast
+    return hourly * slow * fast
 
 
 def synthesize(config: ScenarioConfig) -> TimeSeries:

@@ -9,6 +9,7 @@ energy integral is preserved exactly up to float rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +28,9 @@ class TimeSeries:
     Parameters
     ----------
     start_epoch : float
-        Epoch of the first sample, seconds.
+        Epoch of the first sample, seconds; finite.
     dt : float
-        Sample step in seconds, > 0.
+        Sample step in seconds, finite and > 0.
     values : ndarray
         Power samples in MW; stored as a contiguous float64 array.
     """
@@ -40,6 +41,10 @@ class TimeSeries:
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if not (math.isfinite(self.start_epoch) and math.isfinite(self.dt)):
+            raise ValueError(
+                f"start_epoch and dt must be finite, got {self.start_epoch}, {self.dt}"
+            )
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.values.ndim != 1:
@@ -98,7 +103,8 @@ def ingest_csv(path) -> TimeSeries:
     The contract is strict: UTF-8, LF endings, the exact header, uniform dt
     inferred from the first two rows, strictly monotone timestamps. A step
     mismatch raises :class:`GapError` with the offending timestamp; malformed
-    rows raise :class:`ParseError` with the line number.
+    rows, including a ``nan`` or ``inf`` field, raise :class:`ParseError`
+    with the line number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline().rstrip("\n")
@@ -114,10 +120,13 @@ def ingest_csv(path) -> TimeSeries:
             if len(parts) != 2:
                 raise ParseError(f"expected 2 fields, got {len(parts)}", line=lineno)
             try:
-                epochs.append(float(parts[0]))
-                powers.append(float(parts[1]))
+                epoch, power = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
+            if not (math.isfinite(epoch) and math.isfinite(power)):
+                raise ParseError(f"non-finite field in '{line}'", line=lineno)
+            epochs.append(epoch)
+            powers.append(power)
 
     if not epochs:
         raise ParseError("file contains a header but no samples", line=1)
@@ -125,9 +134,11 @@ def ingest_csv(path) -> TimeSeries:
         return TimeSeries(epochs[0], 1.0, np.array(powers))
 
     ep = np.asarray(epochs)
-    dt = ep[1] - ep[0]
+    dt = epochs[1] - epochs[0]
     if dt <= 0:
         raise GapError("timestamps not strictly increasing", epoch_s=ep[1])
+    if not math.isfinite(dt):
+        raise GapError("step between the first two timestamps overflows", epoch_s=ep[1])
     steps = np.diff(ep)
     bad = np.nonzero(np.abs(steps - dt) > 1e-6 * max(dt, 1.0))[0]
     if bad.size:
@@ -135,7 +146,7 @@ def ingest_csv(path) -> TimeSeries:
             f"step {steps[bad[0]]:g}s differs from inferred dt {dt:g}s",
             epoch_s=ep[bad[0] + 1],
         )
-    return TimeSeries(ep[0], float(dt), np.array(powers))
+    return TimeSeries(ep[0], dt, np.array(powers))
 
 
 def write_csv(path, ts: TimeSeries) -> None:

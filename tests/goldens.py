@@ -1,10 +1,12 @@
 """Golden-file helpers: frozen device curves, an engine regression point,
 the fill-order and coupled (terminal-row) solvers' outputs on seeded
-problems, and the sha256 of every report file on seeded runs.
+problems, the sha256 of seeded scenarios and their forecasts, and the
+sha256 of every report file on seeded runs.
 
 Regenerate with ``python tests/goldens.py`` after an intentional model
 change; the test suite compares against the committed JSON bit-for-bit for
-the device curves, the two solvers and the report files, and to tight
+the device curves, the two solvers, the scenarios and the report files,
+and to tight
 relative tolerance for the engine regression.
 """
 
@@ -241,6 +243,47 @@ def compute_fill_order() -> dict:
     return out
 
 
+#: Forecast step in seconds and accuracy per layer of the scenario golden.
+SCENARIO_FORECASTS = {"L1": (3600.0, 0.9), "L2": (900.0, 0.85), "L3": (60.0, 0.95)}
+
+
+def scenario_cases():
+    """Seeded scenario configs whose actuals and forecasts are pinned byte
+    for byte: every archetype, two seeds, and durations that are not whole
+    days or hours (0.3 d), one day, and a day and a half past it.
+
+    Yields (name, ScenarioConfig).
+    """
+    from hessmpc.scenario import ARCHETYPES, ScenarioConfig
+
+    for archetype in ARCHETYPES:
+        for seed in (1, 104729):
+            for days in (0.3, 1.0, 2.5):
+                yield (f"{archetype}-s{seed}-{days}d",
+                       ScenarioConfig(seed=seed, duration_days=days, archetype=archetype))
+
+
+def compute_scenario_digests() -> dict:
+    """sha256 of ``synthesize(...).values`` per case, and of each layer's
+    ``make_forecast`` values on the actuals cut to whole forecast steps."""
+    import hashlib
+
+    from hessmpc.scenario import make_forecast, synthesize
+    from hessmpc.timeseries import TimeSeries
+
+    out = {}
+    for name, cfg in scenario_cases():
+        actuals = synthesize(cfg)
+        entry = {"actuals": hashlib.sha256(actuals.values.tobytes()).hexdigest()}
+        for i, (layer, (step, acc)) in enumerate(SCENARIO_FORECASTS.items()):
+            n = len(actuals) - len(actuals) % int(step)
+            cut = TimeSeries(actuals.start_epoch, actuals.dt, actuals.values[:n])
+            fc = make_forecast(cut, step, acc, cfg.seed * 1000 + i + 1)
+            entry[layer] = hashlib.sha256(fc.values.tobytes()).hexdigest()
+        out[name] = entry
+    return out
+
+
 def report_cases(work_dir: str):
     """Seeded runs whose report files are pinned byte for byte.
 
@@ -308,6 +351,7 @@ def regenerate() -> None:
         ("engine_regression.json", compute_engine_regression()),
         ("coupled_solver.json", compute_coupled_solver()),
         ("fill_order.json", compute_fill_order()),
+        ("scenario_digests.json", compute_scenario_digests()),
         ("report_digests.json", reports),
     ):
         with open(os.path.join(GOLDEN_DIR, name), "w", encoding="utf-8") as fh:

@@ -115,6 +115,19 @@ def test_csv_ingestion_path(tmp_path):
     assert np.array_equal(rep.original_netload.values, vals)
 
 
+@pytest.mark.parametrize("rows", ["nan,1.0\nnan,2.0\n", "0,1.0\n1,nan\n"])
+def test_csv_with_nonfinite_field_exits_3(tmp_path, capsys, rows):
+    # A runtime abort naming the line, like a malformed row, not a traceback.
+    from hessmpc.cli import main
+    path = tmp_path / "netload.csv"
+    path.write_text("epoch_s,power_mw\n" + rows)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"csv_path": str(path)}))
+    assert main(["run", "--config", str(cfg_path), "--days", str(1.0 / 24.0),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "line " in capsys.readouterr().err
+
+
 def test_csv_shorter_than_run_is_rejected(tmp_path):
     from hessmpc.cli import main
     from hessmpc.timeseries import TimeSeries, write_csv

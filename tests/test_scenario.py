@@ -1,8 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
+from scipy.special import ndtr as scipy_ndtr
 
+import goldens
 from hessmpc.scenario import (
-    ARCHETYPES, ScenarioConfig, make_forecast, realized_accuracy, synthesize,
+    ARCHETYPES, ScenarioConfig, _recurrence, make_forecast, ndtr,
+    realized_accuracy, synthesize,
 )
 from hessmpc.timeseries import resample
 
@@ -101,3 +109,69 @@ def test_invalid_accuracy_rejected():
         ScenarioConfig(forecast_accuracy={"L1": 1.2})
     with pytest.raises(ValueError):
         ScenarioConfig(archetype="bogus")
+
+
+def test_scenario_digests_match_golden():
+    # Actuals and forecasts of every archetype, bit for bit; the golden was
+    # recorded while the synthesizer still ran scipy's lfilter and ndtr.
+    got = goldens.compute_scenario_digests()
+    gold = goldens.load("scenario_digests.json")
+    assert {k: v for k, v in got.items() if gold.get(k) != v} == {}
+    assert got.keys() == gold.keys()
+
+
+#: Zero and the AR(1) coefficients the synthesizer and the forecasts use.
+_PHIS = (0.0, 0.7, 0.8, 0.9, 0.92, 0.97)
+_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+             1e300, -1e300, 1.7e300)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.one_of(st.sampled_from([0, 1, 2, 3]),
+                st.integers(1, 70).flatmap(lambda k: st.sampled_from([k * k - 1, k * k, k * k + 1]))),
+    phi=st.one_of(st.sampled_from(_PHIS), st.floats(0.0, 1.0, exclude_max=True)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e300, 1e-300, 1e-310, 1e-320]),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    specials=st.lists(st.tuples(st.integers(0, 5000), st.sampled_from(_SPECIALS)), max_size=12),
+)
+def test_recurrence_matches_lfilter(n, phi, seed, scale, zero_share, specials):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * scale
+    # Runs of signed zeros take the recurrence through its zero cases.
+    zeros = rng.random(n) < zero_share
+    x[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    for i, v in specials:
+        if i < n:
+            x[i] = v
+    want = lfilter([1.0], [1.0, -phi], x)
+    got = _recurrence(x, phi)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+
+
+def _edges():
+    """ndtr's branch edges: |a| = 1 (ndtr), sqrt(2) (erf/erfc), 8*sqrt(2)
+    (erfc's two fits) and the underflow to subnormals and to zero past
+    |a| = 37.5, with a few neighbours on each side."""
+    out = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    for edge in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.5,
+                 math.sqrt(2.0 * 7.09782712893383996843e2)):
+        v = edge
+        for _ in range(4):
+            v = math.nextafter(v, 0.0)
+        for _ in range(9):
+            out += [v, -v]
+            v = math.nextafter(v, math.inf)
+    return np.array(out + list(np.linspace(-39.0, -36.0, 3001)))
+
+
+def test_ndtr_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(20240611)
+    a = np.concatenate([_edges(), rng.standard_normal(50_000) * 2.0,
+                        rng.uniform(-40.0, 40.0, 50_000)])
+    got = np.array([ndtr(v) for v in a.tolist()])
+    want = scipy_ndtr(a)
+    bad = np.nonzero(got.view(np.int64) != want.view(np.int64))[0]
+    assert a[bad[:5]].tolist() == []

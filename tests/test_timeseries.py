@@ -151,3 +151,32 @@ def test_csv_bad_row_reports_line(tmp_path):
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         TimeSeries(0.0, 1.0, np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("start, dt", [
+    (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (0.0, np.nan), (0.0, np.inf),
+])
+def test_nonfinite_start_or_step_rejected(start, dt):
+    with pytest.raises(ValueError, match="finite"):
+        TimeSeries(start, dt, np.ones(3))
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("nan,1.0\nnan,2.0\nnan,3.0\n", 2),
+    ("0,1.0\ninf,2.0\n", 3),
+    ("0,1.0\n1,nan\n", 3),
+    ("0,-inf\n", 2),
+])
+def test_csv_nonfinite_field_reports_line(tmp_path, rows, line):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("epoch_s,power_mw\n" + rows)
+    with pytest.raises(ParseError) as exc:
+        ingest_csv(path)
+    assert exc.value.line == line
+
+
+def test_csv_step_overflow_is_a_gap(tmp_path):
+    path = tmp_path / "overflow.csv"
+    path.write_text("epoch_s,power_mw\n-1e308,1.0\n1e308,2.0\n")
+    with pytest.raises(GapError, match="overflows"):
+        ingest_csv(path)

@@ -1,7 +1,28 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "benchmarks" / "tracer.py"
+
+# Imports the CLI and the engine, then prepares, runs and writes a 1-hour
+# report for each controller; prints every scipy module loaded on the way.
+_NO_SCIPY_SCRIPT = """
+import dataclasses, os, sys, tempfile
+import hessmpc, hessmpc.cli, hessmpc.engine
+from hessmpc.config import EngineConfig
+from hessmpc.engine import prepare_scenario, run, write_report
+cfg = EngineConfig()
+cfg.scenario.duration_days = 1.0 / 24.0
+data = prepare_scenario(cfg)
+with tempfile.TemporaryDirectory() as out:
+    for controller in ("proposed", "periodic_soc", "filter"):
+        report = run(dataclasses.replace(cfg, controller=controller), data)
+        write_report(report, os.path.join(out, controller))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
 
 
 def test_tracer_wraps_existing_names():
@@ -37,3 +58,14 @@ def test_write_report_calls_engine_write_csv_per_file(tmp_path, monkeypatch):
     csv_files = sorted(p.name for p in tmp_path.glob("*.csv"))
     assert len(csv_files) == 20
     assert sorted(written) == csv_files
+
+
+def test_runs_load_no_scipy():
+    # scipy.signal alone takes about a second to import; a run needs none of
+    # scipy (the dense QP oracle imports scipy.linalg when it is called).
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.strip() == "[]"
