@@ -6,8 +6,7 @@ sha256 of every report file on seeded runs.
 Regenerate with ``python tests/goldens.py`` after an intentional model
 change; the test suite compares against the committed JSON bit-for-bit for
 the device curves, the two solvers, the scenarios and the report files,
-and to tight
-relative tolerance for the engine regression.
+and to tight relative tolerance for the engine regression.
 """
 
 import json
@@ -249,8 +248,8 @@ SCENARIO_FORECASTS = {"L1": (3600.0, 0.9), "L2": (900.0, 0.85), "L3": (60.0, 0.9
 
 def scenario_cases():
     """Seeded scenario configs whose actuals and forecasts are pinned byte
-    for byte: every archetype, two seeds, and durations that are not whole
-    days or hours (0.3 d), one day, and a day and a half past it.
+    for byte: every archetype, two seeds, and 0.3, 1 and 2.5 days, so that
+    runs end inside an hour (0.3 d) and inside a day (0.3 d, 2.5 d).
 
     Yields (name, ScenarioConfig).
     """

@@ -61,8 +61,8 @@ def test_write_report_calls_engine_write_csv_per_file(tmp_path, monkeypatch):
 
 
 def test_runs_load_no_scipy():
-    # scipy.signal alone takes about a second to import; a run needs none of
-    # scipy (the dense QP oracle imports scipy.linalg when it is called).
+    # Importing scipy.signal was most of the CLI's start-up; a run needs none
+    # of scipy (the dense QP oracle imports scipy.linalg when it is called).
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
