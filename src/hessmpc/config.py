@@ -294,9 +294,7 @@ def _undataclass(obj):
 
 
 def to_dict(config: EngineConfig) -> dict:
-    d = _undataclass(config)
-    d["vic"].pop("target", None)
-    return d
+    return _undataclass(config)
 
 
 def _merge(base: dict, override: dict) -> dict:

@@ -11,13 +11,17 @@ actuators); L2 and L3 share one single-store routine. The flywheel then
 closes the minute's 60 one-second residual samples with the law of
 :func:`~hessmpc.vic.close_residual`.
 
-The proposed controller applies each layer's explicit step law
+Each controller has one step law, picked before the loop, and each layer
+decision is one call of it: forecast window, then bounds, then the law. The
+proposed controller's law is the explicit step
 (:func:`~hessmpc.mpc.explicit_step`), which needs only the step-0 forecast,
-bounds and band, so its horizons only size the forecast pad. The same loop
-also runs the periodic-SOC baseline: bands are dropped and every layer
-solves its stacked QP with a terminal equality returning its store to the
-run-start energy by the end of its period (the plan horizon), with
-infeasibility relaxed to minimal slack and reported.
+bounds and band, so its layers plan one step and their horizons only size
+the forecast pad. The periodic-SOC baseline drops the bands, and its law
+solves each layer's stacked QP over the full horizon with a terminal
+equality returning the store to its run-start energy by the end of its
+period, with infeasibility relaxed to minimal slack and reported. Under
+``debug_qp_dump`` each layer's first call of the law also writes the
+problem that law solves.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .mtip import (
 )
 from .qp import dump_problem, solve_qp
 from .timeseries import TimeSeries, ingest_csv, write_csv
-from .scenario import make_forecast, realized_accuracy, synthesize
+from .scenario import calm_window, make_forecast, realized_accuracy, synthesize
 from .vic import DT_H, close_residual
 
 
@@ -70,7 +74,9 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
     The actuals extend one full L1 horizon past the run end so every
     receding solve sees a complete forecast window. A CSV must cover the
     run itself; only that forecast pad beyond the run end is held at the
-    CSV's last value.
+    CSV's last value. A synthesized extreme calm without a configured window
+    falls at the fractions of the run, not of the padded series, that a
+    scenario of the run's own length would use.
     """
     run_seconds = int(round(config.scenario.duration_days * 86400.0))
     if run_seconds % 3600:
@@ -92,7 +98,9 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
         actuals = TimeSeries(raw.start_epoch, 1.0, vals[:total])
     else:
         ext = dataclasses.replace(
-            config.scenario, duration_days=total / 86400.0
+            config.scenario, duration_days=total / 86400.0,
+            calm_window_days=config.scenario.calm_window_days
+            or calm_window(config.scenario.duration_days),
         )
         actuals = synthesize(ext)
     acc = config.scenario.forecast_accuracy
@@ -104,9 +112,6 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
     }
     return ScenarioData(actuals=actuals, run_seconds=run_seconds, forecasts=forecasts)
 
-
-#: Step-0 input floors of a single-store layer (charge, discharge).
-_NO_FLOOR = (0.0, 0.0)
 
 #: Step length in seconds of each MPC layer.
 _STEP_S = {"L1": 3600, "L2": 900, "L3": 60}
@@ -121,32 +126,14 @@ _STORE = {"L2": "caes", "L3": "bess"}
 _CHILD = {"L1": "L2", "L2": "L3", "L3": "L4"}
 
 
+@dataclasses.dataclass
 class _LayerStats:
-    __slots__ = ("solves", "iterations", "max_kkt", "infeasible")
+    """Solver statistics of one layer; each step law books its own."""
 
-    def __init__(self):
-        self.solves = 0
-        self.iterations = 0
-        self.max_kkt = 0.0
-        self.infeasible = 0
-
-    def absorb(self, dec: LayerDecision, horizon: int):
-        self.solves += 1
-        if dec.solution is None:
-            # The explicit step law counts as the stacked closed form always
-            # reported itself: one iteration per horizon step, no residual.
-            self.iterations += horizon
-            return
-        self.iterations += dec.solution.iterations
-        self.max_kkt = max(self.max_kkt, dec.solution.kkt_residual)
-
-    def as_dict(self):
-        return {
-            "solves": self.solves,
-            "iterations": self.iterations,
-            "max_kkt": self.max_kkt,
-            "infeasible": self.infeasible,
-        }
+    solves: int = 0
+    iterations: int = 0
+    max_kkt: float = 0.0
+    infeasible: int = 0
 
 
 @dataclasses.dataclass
@@ -154,21 +141,24 @@ class _Layer:
     """Run state of one MPC layer.
 
     actual_mean holds the run's actuals averaged over each layer step, for
-    the forecast de-bias; bias_pow is None when de-biasing is off. k_end is
-    the periodic baseline's terminal step. output and band are the applied
-    output and the (lower, upper, gamma) band per layer step.
+    the forecast de-bias; bias_pow is None when de-biasing is off. plan is
+    the number of forecast steps the law reads per decision. k_end is the
+    periodic baseline's terminal step and mu_hint its warm-start dual.
+    output and band are the applied output and the (lower, upper, gamma)
+    band per layer step. dump_path is the QP dump still to write, if any.
     """
 
     spec: LayerSpec
     forecast: np.ndarray
     actual_mean: np.ndarray
     bias_pow: np.ndarray | None
+    plan: int
     k_end: int
     output: np.ndarray
     band: np.ndarray
+    dump_path: str | None
     stats: _LayerStats = dataclasses.field(default_factory=_LayerStats)
     mu_hint: float | None = None
-    dumped: bool = False
     cost: float = 0.0
 
     def window(self, k: int, n: int, held) -> np.ndarray:
@@ -193,6 +183,11 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         from .baselines import run_filter_decomposition
         return run_filter_decomposition(config, data)
     periodic = config.controller == "periodic_soc"
+    # The step law, and the single-store bounds it reads, of the controller.
+    law, store_bounds = (_coupled_law, simple_bounds) if periodic else \
+        (_explicit_law, _first_step_rows)
+    if config.debug_qp_dump:
+        os.makedirs(config.out_dir, exist_ok=True)
 
     if data is None:
         data = prepare_scenario(config)
@@ -211,11 +206,14 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             actual_mean=av[:n_sec].reshape(n, step_s).mean(axis=1),
             bias_pow=bias_decay ** np.arange(1, spec.horizon + 1)
             if bias_decay > 0.0 else None,
+            plan=spec.horizon if periodic else 1,
             # The periodic baseline's terminal equality binds at the end of
             # the SOC period, clamped to the layer's horizon.
             k_end=min(spec.horizon, max(1, int(round(config.baseline.soc_period_h / spec.dt_h)))),
             output=np.zeros(n),
             band=np.zeros((n, 3)),
+            dump_path=os.path.join(config.out_dir, f"qp_{name}.txt")
+            if config.debug_qp_dump else None,
         )
     l1 = lay["L1"]
     spec1 = l1.spec
@@ -256,7 +254,6 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     }
 
     vic = config.vic
-    target_v = vic.target.values if vic.target is not None else None
     # (charge, discharge) move of each single-store layer, applied to its
     # store at the end of the layer step.
     pending = {"L2": (0.0, 0.0), "L3": (0.0, 0.0)}
@@ -300,26 +297,16 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         spec = layer.spec
         dev = _STORE[name]
         state = stores[dev]
-        dump = config.debug_qp_dump and not layer.dumped
-        stacked = periodic or dump
-        fc = layer.window(k, spec.horizon if stacked else 1, held)
-        if stacked:
-            problem = build_layer_problem(spec, fc, *simple_bounds(spec, state), band)
-        if periodic:
-            pattern = np.array([state.eta_c, -1.0 / state.eta_d])
-            dec = _solve_coupled(layer, problem, pattern, e_init[dev] - state.energy, events)
-        else:
-            dec = _apply_law(layer, fc[0], _NO_FLOOR, first_step_caps(spec, state), band, events)
-        if dump:
-            _dump_first(config, layer, problem)
+        fc = layer.window(k, layer.plan, held)
+        lo, hi = store_bounds(spec, state)
+        terminal = ((state.eta_c, -1.0 / state.eta_d), e_init[dev] - state.energy, fc[0])
+        dec = law(layer, fc, lo, hi, band, terminal, events)
         move = (float(dec.u_applied[0]), float(dec.u_applied[1]))
         pending[name] = move
         layer.output[k] = dec.output
         ledgers[dev].charged_mwh += move[0] * spec.dt_h
         ledgers[dev].discharged_mwh += move[1] * spec.dt_h
-        layer.cost += spec.cost_weight * float(spec.cost_vec @ dec.u_applied) * spec.dt_h
-        if periodic and move[0] > 0.1 and fc[0] > 0.1:
-            events["forced_recharge"] += 1
+        layer.cost += float(spec.cost_vec @ dec.u_applied) * spec.dt_h
         return dec.output
 
     pending_l1: tuple[np.ndarray, object] | None = None
@@ -370,20 +357,12 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             if eff.clamped:
                 events["eff_clamped"] += 1
             conv_cap = config.meoh.rated_power / eff.eta_mc
-            dump = config.debug_qp_dump and not l1.dumped
-            stacked = periodic or dump
-            fc1 = l1.window(h, spec1.horizon if stacked else 1, ())
+            fc1 = l1.window(h, l1.plan, ())
             lo1, hi1 = l1_bounds(spec1, l1_state, eff, tank_env, fc1, conv_cap)
-            if stacked:
-                problem = build_layer_problem(spec1, fc1, lo1, hi1, band1)
-            if periodic:
-                pattern = np.array([eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0])
-                target = e_init["hydrogen"] - l1_state.e_h
-                dec1 = _solve_coupled(l1, problem, pattern, target, events)
-            else:
-                dec1 = _apply_law(l1, fc1[0], lo1[0], hi1[0], band1, events)
-            if dump:
-                _dump_first(config, l1, problem)
+            # Forced recharges are judged on the raw forecast here.
+            terminal = ((eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0),
+                        e_init["hydrogen"] - l1_state.e_h, l1.forecast[h])
+            dec1 = law(l1, fc1, lo1, hi1, band1, terminal, events)
             y1 = dec1.output
             u1 = dec1.u_applied
             pending_l1 = (u1, eff)
@@ -391,9 +370,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             ledgers["hydrogen"].charged_mwh += u1[0] * spec1.dt_h
             ledgers["hydrogen"].discharged_mwh += u1[1] * spec1.dt_h
             ledgers["methanol"].discharged_mwh += u1[3] * spec1.dt_h
-            l1.cost += spec1.cost_weight * float(spec1.cost_vec @ u1) * spec1.dt_h
-            if periodic and u1[0] > 0.1 and l1.forecast[h] > 0.1:
-                events["forced_recharge"] += 1
+            l1.cost += float(spec1.cost_vec @ u1) * spec1.dt_h
 
         # Quarter-hourly layer.
         if t0 % 900 == 0:
@@ -405,8 +382,6 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
 
         # Second-scale flywheel closure.
         r_arr = av[t0 : t0 + 60] - (y1 + y2 + y3)
-        if target_v is not None:
-            r_arr = r_arr - target_v[t0 : t0 + 60]
         inject, e_fess, df_prev = close_residual(r_arr.tolist(), e_fess, df_prev, vic, fess0)
         inject_tr[t0 : t0 + 60] = inject
         resid_tr[t0 : t0 + 60] = r_arr - inject_tr[t0 : t0 + 60]
@@ -434,8 +409,6 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     for name, step_s in _STEP_S.items():
         recon = recon - np.repeat(lay[name].output, step_s)
     recon = recon - inject_tr
-    if target_v is not None:
-        recon = recon - target_v[:n_sec]
     closure = float(np.abs(recon - resid_tr).max()) if n_sec else 0.0
     if closure > 1e-9:
         raise LedgerClosureError(f"residual ledger mismatch {closure} MW")
@@ -454,7 +427,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
                     for dev, arr in soc_tr.items()},
         ledgers=ledgers,
         dispatch_cost=jcost,
-        solver_stats={name: lay[name].stats.as_dict() for name in _STEP_S},
+        solver_stats={name: dataclasses.asdict(lay[name].stats) for name in _STEP_S},
         events=dict(events),
     )
     report.solver_stats["wall_seconds"] = {"total": wall}
@@ -474,10 +447,22 @@ def _terminal_row(pattern: np.ndarray, horizon: int, k_end: int) -> np.ndarray:
     return row
 
 
-def _apply_law(layer: _Layer, r0, lo0, hi0, band, events) -> LayerDecision:
+def _first_step_rows(spec: LayerSpec, state) -> tuple[tuple, tuple]:
+    """Step-0 (charge, discharge) floor and cap rows of a single-store layer."""
+    return ((0.0, 0.0),), (first_step_caps(spec, state),)
+
+
+def _explicit_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDecision:
+    """The proposed controller's law: the explicit step on the step-0
+    forecast, bounds and band (``terminal`` is the periodic law's)."""
     spec = layer.spec
-    dec = explicit_step(spec, r0, lo0, hi0, band)
-    layer.stats.absorb(dec, spec.horizon)
+    if layer.dump_path is not None:
+        _dump(layer, build_layer_problem(spec, fc, lo, hi, band))
+    dec = explicit_step(spec, fc[0], lo[0], hi[0], band)
+    # Booked as the stacked closed form reported itself: one iteration per
+    # horizon step, no residual.
+    layer.stats.solves += 1
+    layer.stats.iterations += spec.horizon
     if dec.band_clamped:
         events["band_clamped"] += 1
     if dec.band_dropped:
@@ -486,17 +471,24 @@ def _apply_law(layer: _Layer, r0, lo0, hi0, band, events) -> LayerDecision:
     return dec
 
 
-def _solve_coupled(layer: _Layer, problem, pattern, target, events) -> LayerDecision:
-    """Solve the stacked layer problem under the terminal equality that
-    changes the store's energy by ``target`` MWh by step k_end (``pattern``
-    is the energy change per MWh of each input), and apply the first move.
-    The row is added to ``problem`` itself, so a dump shows it."""
+def _coupled_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDecision:
+    """The periodic-SOC law: solve the stacked layer problem under a
+    terminal equality and apply the first move.
+
+    terminal is (pattern, target, demand): the equality changes the store's
+    energy by ``target`` MWh by step k_end, ``pattern`` being the change per
+    MWh of each input; a charging move while the forecast residual
+    ``demand`` asks for discharge is a forced recharge.
+    """
     spec = layer.spec
-    a_row = _terminal_row(pattern * spec.dt_h, spec.horizon, layer.k_end)
+    pattern, target, demand = terminal
+    problem = build_layer_problem(spec, fc, lo, hi, band)
+    a_row = _terminal_row(np.array(pattern) * spec.dt_h, fc.size, layer.k_end)
     problem.coupling.append((a_row, target, target))
-    problem.mu_hint = layer.mu_hint
-    sol = solve_qp(problem)
-    layer.mu_hint = problem.mu_hint
+    if layer.dump_path is not None:
+        _dump(layer, problem)
+    sol = solve_qp(problem, mu_hint=layer.mu_hint)
+    layer.mu_hint = sol.mu_hint
     if sol.coupling_slack != 0.0:
         events["coupling_slack"] += 1
     u0 = sol.u_star[: spec.output_row.size].copy()
@@ -514,20 +506,19 @@ def _solve_coupled(layer: _Layer, problem, pattern, target, events) -> LayerDeci
         events["simultaneous_netted"] += 1
         u0[chg] *= (c_tot - delta) / c_tot
         u0[dis] *= (d_tot - delta) / d_tot
-    dec = LayerDecision(
-        u_applied=u0,
-        output=float(spec.output_row @ u0),
-        predicted_residual=float(problem.structure.rhat[0]) - float(spec.output_row @ u0),
-        solution=sol,
-    )
-    layer.stats.absorb(dec, spec.horizon)
-    return dec
+    if u0[0] > 0.1 and demand > 0.1:
+        events["forced_recharge"] += 1
+    layer.stats.solves += 1
+    layer.stats.iterations += sol.iterations
+    layer.stats.max_kkt = max(layer.stats.max_kkt, sol.kkt_residual)
+    y = float(spec.output_row @ u0)
+    return LayerDecision(u_applied=u0, output=y, predicted_residual=float(fc[0]) - y,
+                         solution=sol)
 
 
-def _dump_first(config, layer: _Layer, problem):
-    os.makedirs(config.out_dir, exist_ok=True)
-    dump_problem(problem, os.path.join(config.out_dir, f"qp_{layer.spec.layer_id}.txt"))
-    layer.dumped = True
+def _dump(layer: _Layer, problem):
+    dump_problem(problem, layer.dump_path)
+    layer.dump_path = None
 
 
 def _finalize_metrics(report: SimulationReport, config: EngineConfig, data: ScenarioData):

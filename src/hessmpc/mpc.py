@@ -6,10 +6,11 @@ child steps) with the same stacked tracking QP over its own horizon and
 applies only the first move. That QP has no energy-dynamics rows, its bounds
 are per step and the band binds step 0 only, so it separates by step and its
 first move is a closed-form function of the step-0 data: the explicit law of
-:func:`explicit_step`, which the proposed controller applies. The stacked
-form (:func:`build_layer_problem`, :func:`receding_step`) remains for the
-periodic-SOC baseline, whose terminal row couples the steps, and for the QP
-dump. The hydrogen/methanol layer linearizes the
+:func:`explicit_step`, which the proposed controller applies. The periodic-SOC
+baseline, whose terminal row couples the steps, solves the stacked problem of
+:func:`build_layer_problem` over the full horizon; :func:`receding_step` is
+the stacked reference the explicit law is tested against. The
+hydrogen/methanol layer linearizes the
 load-dependent device efficiencies by freezing them at the previous applied
 operating point for the whole horizon, and maps its tank envelope into
 per-step input bounds: exact headroom caps on the first (applied) move plus
@@ -285,12 +286,14 @@ def build_layer_problem(
     hi: np.ndarray,
     band: MtipBounds | None = None,
 ) -> QpProblem:
-    """Assemble the layer QP; the band (when given) binds the first step."""
-    n = spec.horizon
+    """Assemble the layer QP over the forecast's steps (one up to the
+    horizon, one row of lo/hi each); the band (when given) binds the first
+    step."""
     rhat = np.asarray(residual_forecast, dtype=np.float64)
-    if rhat.size != n:
+    n = rhat.size
+    if not 1 <= n <= spec.horizon:
         raise AlignmentError(
-            f"forecast length {rhat.size} does not match horizon {n}"
+            f"forecast length {n} outside the horizon of 1 to {spec.horizon} steps"
         )
     band_lo = np.full(n, -np.inf)
     band_hi = np.full(n, np.inf)

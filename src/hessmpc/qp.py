@@ -9,7 +9,8 @@ form (``H = 2 C' (I x Q) C``), and the solver dispatches on it:
 * separable problems (block-diagonal Hessian, bands confined to single
   steps) are solved step-by-step in closed form, fully vectorized;
 * problems with exactly one cross-step equality row (the periodic-SOC
-  baseline) are solved by bisection on the scalar dual of that row;
+  baseline) are solved by bisection on the scalar dual of that row, warm
+  started from the dual the previous solve hands on;
 * everything else goes through a dual active-set method on the dense form.
 
 All paths are deterministic: identical problems yield bit-identical
@@ -66,8 +67,7 @@ class QpProblem:
     ``var_lower``/``var_upper`` bound the stacked input U; ``coupling``
     holds cross-step rows as ``(a, lo, hi)`` triples. The dense Hessian and
     inequality blocks are materialized lazily from the structure when
-    present. ``mu_hint`` warm-starts the coupling-row dual between
-    consecutive receding solves and never changes the solution.
+    present.
     """
 
     f: np.ndarray
@@ -76,7 +76,6 @@ class QpProblem:
     structure: StepStructure | None = None
     coupling: list[tuple[np.ndarray, float, float]] = field(default_factory=list)
     objective_const: float = 0.0
-    mu_hint: float | None = None
     _hessian: np.ndarray | None = None
 
     def __post_init__(self):
@@ -150,6 +149,9 @@ class QpProblem:
 
 @dataclass
 class QpSolution:
+    """mu_hint is the coupling-row dual to warm start the next solve from:
+    the refined bracket's midpoint, else the hint this solve was given."""
+
     u_star: np.ndarray
     objective: float
     status: str
@@ -157,6 +159,7 @@ class QpSolution:
     iterations: int
     regularized: bool = False
     coupling_slack: float = 0.0
+    mu_hint: float | None = None
 
 
 def assemble_tracking_qp(
@@ -507,7 +510,7 @@ def _solve_separable(p: QpProblem) -> QpSolution:
 # Single coupling row: scalar dual bisection
 # ----------------------------------------------------------------------
 
-def _solve_with_coupling(p: QpProblem, tol: float, max_iter: int) -> QpSolution:
+def _solve_with_coupling(p: QpProblem, tol: float, max_iter: int, mu_hint) -> QpSolution:
     st = p.structure
     a, b_lo, b_hi = p.coupling[0]
     if b_lo != b_hi:
@@ -563,7 +566,7 @@ def _solve_with_coupling(p: QpProblem, tol: float, max_iter: int) -> QpSolution:
         h = h_min
     else:
         slack = 0.0
-        start = p.mu_hint if p.mu_hint is not None and np.isfinite(p.mu_hint) else 0.0
+        start = mu_hint if mu_hint is not None and np.isfinite(mu_hint) else 0.0
         u_t, h = inner(start)
         it = 1
         # The dual only needs to be resolved until the terminal-energy
@@ -634,7 +637,7 @@ def _solve_with_coupling(p: QpProblem, tol: float, max_iter: int) -> QpSolution:
                     h = theta * h_lo2 + (1.0 - theta) * h_hi2
                 else:
                     u_t, h = u_hi_sol, h_hi2
-            p.mu_hint = 0.5 * (mu_lo + mu_hi)
+            mu_hint = 0.5 * (mu_lo + mu_hi)
 
     u_full[touched] = u_t
     obj = _objective_from_structure(st, u_full)
@@ -642,7 +645,7 @@ def _solve_with_coupling(p: QpProblem, tol: float, max_iter: int) -> QpSolution:
         u_star=u_full.ravel(), objective=obj,
         status=OPTIMAL if it < max_iter else MAX_ITER,
         kkt_residual=abs(h - (b - slack)), iterations=it,
-        coupling_slack=slack,
+        coupling_slack=slack, mu_hint=mu_hint,
     )
 
 
@@ -803,13 +806,15 @@ def _solve_active_set(p: QpProblem, tol: float, max_iter: int) -> QpSolution:
     )
 
 
-def solve_qp(p: QpProblem, tol: float = 1e-8, max_iter: int | None = None) -> QpSolution:
+def solve_qp(p: QpProblem, tol: float = 1e-8, max_iter: int | None = None,
+             mu_hint: float | None = None) -> QpSolution:
     """Solve a QpProblem, dispatching on its structure.
 
     Structured problems without coupling rows take the closed-form separable
     path; a single equality coupling row (without band rows) takes the
-    scalar-dual path; dense problems and everything else use the dual
-    active-set method.
+    scalar-dual path, warm started from ``mu_hint``, which never changes the
+    solution; dense problems and everything else use the dual active-set
+    method.
     """
     if max_iter is None:
         max_iter = 50 * (p.n + 10) + 200
@@ -822,7 +827,7 @@ def solve_qp(p: QpProblem, tol: float = 1e-8, max_iter: int | None = None) -> Qp
             and not np.any(np.isfinite(p.structure.band_lo))
             and not np.any(np.isfinite(p.structure.band_hi))
         ):
-            return _solve_with_coupling(p, tol, max_iter)
+            return _solve_with_coupling(p, tol, max_iter, mu_hint)
         if p.structure.norm_power != 2:
             raise ValueError("cubic penalty requires the separable path")
     return _solve_active_set(p, tol, max_iter)

@@ -233,6 +233,11 @@ def _load_power(rng: np.random.Generator, n_seconds: int, peak: float) -> np.nda
     return hourly * slow * fast
 
 
+def calm_window(duration_days: float) -> tuple[float, float]:
+    """Default extreme-calm window, days: 0.25 to 0.65 of the duration."""
+    return duration_days * 0.25, duration_days * 0.65
+
+
 def synthesize(config: ScenarioConfig) -> TimeSeries:
     """Generate the 1-second net-load actuals for a scenario."""
     n_seconds = int(round(config.duration_days * 86400.0))
@@ -242,10 +247,7 @@ def synthesize(config: ScenarioConfig) -> TimeSeries:
     pv = _pv_power(rng, n_seconds, config.pv_capacity * pv_scale)
     load = _load_power(rng, n_seconds, config.load_peak * load_scale)
     if config.archetype == "extreme_calm":
-        window = config.calm_window_days or (
-            config.duration_days * 0.25,
-            config.duration_days * 0.65,
-        )
+        window = config.calm_window_days or calm_window(config.duration_days)
         start = int(round(window[0] * 86400.0))
         stop = int(round(window[1] * 86400.0))
         wind[start:stop] = 0.0

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .devices.storage import EssState, saturate
-from .timeseries import TimeSeries
 
 #: The flywheel tick, one second, in hours.
 DT_H = 1.0 / 3600.0
@@ -34,15 +33,13 @@ class VicParams:
 
     k_pf is the aggregate power-frequency coefficient (MW/Hz); k_p the droop
     gain (MW/Hz); k_d the inertia gain (MW*s/Hz). baseline_mw is the
-    exchange setpoint and target the acceptable unbalanced-power trajectory
-    (zero unless configured).
+    exchange setpoint.
     """
 
     k_pf: float = 15.0
     k_p: float = 120.0
     k_d: float = 25.0
     baseline_mw: float = 0.0
-    target: TimeSeries | None = None
 
     def __post_init__(self):
         if self.k_pf <= 0.0 or self.k_p <= 0.0 or self.k_d <= 0.0:

@@ -3,10 +3,11 @@ the fill-order and coupled (terminal-row) solvers' outputs on seeded
 problems, the sha256 of seeded scenarios and their forecasts, and the
 sha256 of every report file on seeded runs.
 
-Regenerate with ``python tests/goldens.py`` after an intentional model
-change; the test suite compares against the committed JSON bit-for-bit for
-the device curves, the two solvers, the scenarios and the report files,
-and to tight relative tolerance for the engine regression.
+After an intentional model change, regenerate the goldens it moves, and
+only those, with ``python tests/goldens.py NAME.json ...``; the test suite
+compares against the committed JSON bit-for-bit for the device curves, the
+two solvers, the scenarios and the report files, and to tight relative
+tolerance for the engine regression.
 """
 
 import json
@@ -89,7 +90,7 @@ def coupled_cases():
     """Seeded stacked layer problems with a terminal-energy row, built the
     way the periodic-SOC baseline builds them.
 
-    Yields (name, problem). The cases cover L1 (four actuators, always the
+    Yields (name, problem, mu_hint). The cases cover L1 (four actuators, always the
     general fill-order path), L2 and L3 with targets that push a trial
     dual's price negative, targets beyond the box's reach (the slack
     branch), warm-start hints and short horizons.
@@ -148,9 +149,8 @@ def coupled_cases():
             b = h_min + (frac + float(rng.uniform(-0.02, 0.02))) * (h_max - h_min)
         p = build_layer_problem(spec, fc, lo, hi, None)
         p.coupling.append((a_row, b, b))
-        if i % 5 == 4:
-            p.mu_hint = float(rng.normal(0.0, 2.0))
-        yield f"{i:02d}-{layer}-n{n}-k{k_end}", p
+        hint = float(rng.normal(0.0, 2.0)) if i % 5 == 4 else None
+        yield f"{i:02d}-{layer}-n{n}-k{k_end}", p, hint
 
 
 def compute_coupled_solver() -> dict:
@@ -159,14 +159,14 @@ def compute_coupled_solver() -> dict:
     from hessmpc.qp import solve_qp
 
     out = {}
-    for name, p in coupled_cases():
-        sol = solve_qp(p)
+    for name, p, hint in coupled_cases():
+        sol = solve_qp(p, mu_hint=hint)
         out[name] = {
             "u_sha256": hashlib.sha256(sol.u_star.tobytes()).hexdigest(),
             "iterations": sol.iterations,
             "status": sol.status,
             "coupling_slack": sol.coupling_slack,
-            "mu_hint": p.mu_hint,
+            "mu_hint": sol.mu_hint,
         }
     return out
 
@@ -339,25 +339,42 @@ def load(name: str) -> dict:
         return json.load(fh)
 
 
-def regenerate() -> None:
+def _compute_reports() -> dict:
     import tempfile
 
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
     with tempfile.TemporaryDirectory() as work_dir:
-        reports = compute_report_digests(work_dir)
-    for name, data in (
-        ("device_curves.json", compute_device_curves()),
-        ("engine_regression.json", compute_engine_regression()),
-        ("coupled_solver.json", compute_coupled_solver()),
-        ("fill_order.json", compute_fill_order()),
-        ("scenario_digests.json", compute_scenario_digests()),
-        ("report_digests.json", reports),
-    ):
-        with open(os.path.join(GOLDEN_DIR, name), "w", encoding="utf-8") as fh:
+        return compute_report_digests(work_dir)
+
+
+#: How each golden file is computed, by file name.
+GOLDENS = {
+    "device_curves.json": compute_device_curves,
+    "engine_regression.json": compute_engine_regression,
+    "coupled_solver.json": compute_coupled_solver,
+    "fill_order.json": compute_fill_order,
+    "scenario_digests.json": compute_scenario_digests,
+    "report_digests.json": _compute_reports,
+}
+
+
+def regenerate(names, golden_dir: str = GOLDEN_DIR) -> None:
+    """Recompute and rewrite the named golden files, and only those."""
+    unknown = sorted(set(names) - GOLDENS.keys())
+    if unknown:
+        raise ValueError(f"unknown golden: {', '.join(unknown)}")
+    os.makedirs(golden_dir, exist_ok=True)
+    for name in names:
+        data = GOLDENS[name]()
+        with open(os.path.join(golden_dir, name), "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=1, sort_keys=True)
             fh.write("\n")
         print(f"wrote {name}")
 
 
 if __name__ == "__main__":
-    regenerate()
+    import sys
+
+    if len(sys.argv) < 2:
+        sys.exit("usage: python tests/goldens.py NAME.json ...\n"
+                 "name the goldens an intended change moves: " + ", ".join(GOLDENS))
+    regenerate(sys.argv[1:])

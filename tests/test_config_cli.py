@@ -250,3 +250,15 @@ def test_zero_band_child_cost_is_a_config_error(tmp_path, capsys, override, path
     assert path in capsys.readouterr().err
     # The baselines use no bands, so the same costs are valid for them.
     assert main(["validate", "--config", str(cfg_path), "--controller", "filter"]) == 0
+
+
+def test_vic_target_is_an_unknown_key(tmp_path, capsys):
+    # The flywheel layer has no target-trajectory knob; naming one stops the
+    # run as a config error before anything is simulated.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"vic": {"target": [0, 1]}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--days", "0.041666666666666664",
+                 "--out", str(out)]) == 2
+    assert "unknown configuration keys: vic.target" in capsys.readouterr().err
+    assert not out.exists()

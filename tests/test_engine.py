@@ -1,4 +1,5 @@
 
+import dataclasses
 import json
 
 import numpy as np
@@ -218,6 +219,35 @@ def _read_dump(path):
     return blocks
 
 
+def test_proposed_qp_dump_is_the_one_step_problem(tmp_path):
+    # The explicit law solves one step: the step-0 forecast below the held
+    # parent outputs, the step-0 caps and the band row it was offered.
+    from hessmpc.mpc import first_step_caps
+
+    cfg = _config(days=1.0 / 24.0, debug_qp_dump=True, out_dir=str(tmp_path))
+    data = prepare_scenario(cfg)
+    rep = run(cfg, data)
+    spec = cfg.layer_specs()["L3"]
+    blocks = _read_dump(tmp_path / "qp_L3.txt")
+    r0 = (data.forecasts["L3"].values[0] - rep.layer_outputs["L1"].values[0]
+          - rep.layer_outputs["L2"].values[0])
+    c_y = spec.output_row
+    assert np.array_equal(blocks["H"], 2.0 * spec.tracking_weight * np.outer(c_y, c_y))
+    assert np.array_equal(blocks["f"][0],
+                          -2.0 * spec.tracking_weight * r0 * c_y + spec.cost_vec * spec.dt_h)
+    assert blocks["var_lower"].tolist() == [[0.0, 0.0]]
+    assert blocks["var_upper"].tolist() == [list(first_step_caps(spec, cfg.bess.make_state()))]
+    assert blocks["G"].tolist() == [c_y.tolist()]
+    lower = rep.band_traces["L3_lower"].values[0]
+    upper = rep.band_traces["L3_upper"].values[0]
+    assert blocks["ineq_lower"].tolist() == [[r0 - upper]]
+    assert blocks["ineq_upper"].tolist() == [[r0 - lower]]
+    for name, nu in (("L1", 4), ("L2", 2)):
+        one_step = _read_dump(tmp_path / f"qp_{name}.txt")
+        assert one_step["H"].shape == (nu, nu), name
+        assert one_step["G"].shape == (1, nu), name
+
+
 def test_periodic_qp_dump_holds_the_terminal_row(tmp_path):
     # The dump is the problem the periodic baseline solves: its only
     # constraint row is the terminal equality, met at the run-start energy.
@@ -245,3 +275,43 @@ def test_periodic_qp_dump_holds_the_terminal_row(tmp_path):
 def test_eff_clamp_events_counted(day_run):
     _, _, rep = day_run
     assert rep.events["eff_clamped"] >= 0
+
+
+def test_dispatch_cost_prices_ledger_throughput():
+    # Every controller books c . u . dt: with cost weights R = 2 the booked
+    # cost is still the ledger throughput priced by c, as the filter books it.
+    cfg = _config(days=0.25, seed=8, archetype="oversupply", r_weights=(2.0, 2.0, 2.0))
+    data = prepare_scenario(cfg)
+    for controller in ("proposed", "periodic_soc", "filter"):
+        rep = run(dataclasses.replace(cfg, controller=controller), data)
+        led = rep.ledgers
+        priced = {
+            "L1": led["hydrogen"].charged_mwh * cfg.c_l1[0]
+            + led["hydrogen"].discharged_mwh * cfg.c_l1[1],
+            "L2": led["caes"].charged_mwh * cfg.c_l2[0]
+            + led["caes"].discharged_mwh * cfg.c_l2[1],
+            "L3": led["bess"].charged_mwh * cfg.c_l3[0]
+            + led["bess"].discharged_mwh * cfg.c_l3[1],
+            "L4": cfg.c_l4 * (led["fess"].charged_mwh + led["fess"].discharged_mwh),
+        }
+        # The L1 actuators include conversion, which no ledger books.
+        layers = ("L1", "L2", "L3", "L4") if controller == "filter" else ("L2", "L3", "L4")
+        for name in layers:
+            assert priced[name] > 0.0, (controller, name)
+            assert rep.dispatch_cost[name] == pytest.approx(priced[name], rel=1e-9), \
+                (controller, name)
+
+
+def test_default_calm_window_lies_in_the_run():
+    # Without a configured window the calm covers 0.25-0.65 of the run, not
+    # of the run plus its forecast pad, which a 3-day run never reaches.
+    from hessmpc.scenario import synthesize
+
+    cfg = _config(days=3.0, seed=21, archetype="extreme_calm")
+    data = prepare_scenario(cfg)
+    uncalm = dataclasses.replace(cfg.scenario, duration_days=len(data.actuals) / 86400.0,
+                                 calm_window_days=(0.0, 0.0))
+    calm = np.flatnonzero(data.actuals.values != synthesize(uncalm).values)
+    assert calm.size > 0.5 * 1.2 * 86400
+    assert calm.min() >= 0.75 * 86400
+    assert calm.max() < 1.95 * 86400

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "benchmarks" / "tracer.py"
 
@@ -69,3 +71,15 @@ def test_runs_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=300, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_regenerate_writes_only_the_named_goldens(tmp_path):
+    import goldens
+
+    goldens.regenerate(["device_curves.json"], str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["device_curves.json"]
+    written = (tmp_path / "device_curves.json").read_text(encoding="utf-8")
+    committed = Path(goldens.GOLDEN_DIR, "device_curves.json").read_text(encoding="utf-8")
+    assert written == committed
+    with pytest.raises(ValueError, match="unknown golden"):
+        goldens.regenerate(["device_curve.json"], str(tmp_path))
