@@ -90,9 +90,9 @@ def coupled_cases():
     """Seeded stacked layer problems with a terminal-energy row, built the
     way the periodic-SOC baseline builds them.
 
-    Yields (name, problem, mu_hint). The cases cover L1 (four actuators, always the
-    general fill-order path), L2 and L3 with targets that push a trial
-    dual's price negative, targets beyond the box's reach (the slack
+    Yields (name, problem, mu_hint). The cases cover L1 (four actuators,
+    always the general fill-order path), L2 and L3 with targets that push a
+    trial dual's price negative, targets beyond the box's reach (the slack
     branch), warm-start hints and short horizons.
     """
     import numpy as np
