@@ -156,25 +156,24 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
                              + ledgers["fess"].discharged_mwh),
     }
 
-    original = TimeSeries(0.0, 1.0, x.copy())
-    smoothed = TimeSeries(0.0, 1.0, resid)
+    t0 = data.actuals.start_epoch
     report = SimulationReport(
         controller="filter",
         seed=config.scenario.seed,
-        original_netload=original,
-        smoothed_netload=smoothed,
+        original_netload=TimeSeries(t0, 1.0, x.copy()),
+        smoothed_netload=TimeSeries(t0, 1.0, resid),
         layer_outputs={
-            "L1": TimeSeries(0.0, 1.0, realized["hmes"]),
-            "L2": TimeSeries(0.0, 1.0, realized["caes"]),
-            "L3": TimeSeries(0.0, 1.0, realized["bess"]),
-            "L4": TimeSeries(0.0, 1.0, realized["fess"]),
+            "L1": TimeSeries(t0, 1.0, realized["hmes"]),
+            "L2": TimeSeries(t0, 1.0, realized["caes"]),
+            "L3": TimeSeries(t0, 1.0, realized["bess"]),
+            "L4": TimeSeries(t0, 1.0, realized["fess"]),
         },
         soc_traces={
-            "hydrogen": TimeSeries(0.0, 3600.0, soc["hydrogen"]),
-            "methanol": TimeSeries(0.0, 3600.0, soc["methanol"]),
-            "caes": TimeSeries(0.0, 900.0, soc["caes"]),
-            "bess": TimeSeries(0.0, 60.0, soc["bess"]),
-            "fess": TimeSeries(0.0, 60.0, soc["fess"]),
+            "hydrogen": TimeSeries(t0, 3600.0, soc["hydrogen"]),
+            "methanol": TimeSeries(t0, 3600.0, soc["methanol"]),
+            "caes": TimeSeries(t0, 900.0, soc["caes"]),
+            "bess": TimeSeries(t0, 60.0, soc["bess"]),
+            "fess": TimeSeries(t0, 60.0, soc["fess"]),
         },
         ledgers=ledgers,
         dispatch_cost=cost,

@@ -279,13 +279,13 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         lo = max(phy[0], -cap)
         hi = min(phy[1], cap)
         if lo > hi:
+            # A band the cap clip leaves crossed (it lies wholly beyond
+            # the cap) collapses to its midpoint.
             lo = hi = 0.5 * (lo + hi)
         b = adaptive_bounds(
             (lo, hi), lam[name], lam[child],
             mtip_cfg.kappa, mtip_cfg.chi_th, mtip_cfg.eps_db,
         )
-        if b.clamped:
-            events["band_clamped"] += 1
         lay[name].band[k] = (b.r_lower, b.r_upper, b.gamma)
         return b
 
@@ -413,17 +413,18 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     if closure > 1e-9:
         raise LedgerClosureError(f"residual ledger mismatch {closure} MW")
 
+    t_start = data.actuals.start_epoch
     report = SimulationReport(
         controller=config.controller,
         seed=config.scenario.seed,
-        original_netload=TimeSeries(0.0, 1.0, av[:n_sec].copy()),
-        smoothed_netload=TimeSeries(0.0, 1.0, resid_tr),
+        original_netload=TimeSeries(t_start, 1.0, av[:n_sec].copy()),
+        smoothed_netload=TimeSeries(t_start, 1.0, resid_tr),
         layer_outputs={
-            **{name: TimeSeries(0.0, float(step_s), lay[name].output)
+            **{name: TimeSeries(t_start, float(step_s), lay[name].output)
                for name, step_s in _STEP_S.items()},
-            "L4": TimeSeries(0.0, 1.0, inject_tr),
+            "L4": TimeSeries(t_start, 1.0, inject_tr),
         },
-        soc_traces={dev: TimeSeries(0.0, float(_SOC_STEP_S[dev]), arr)
+        soc_traces={dev: TimeSeries(t_start, float(_SOC_STEP_S[dev]), arr)
                     for dev, arr in soc_tr.items()},
         ledgers=ledgers,
         dispatch_cost=jcost,
@@ -435,7 +436,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         for name, step_s in _STEP_S.items():
             for col, part in enumerate(("lower", "upper", "gamma")):
                 report.band_traces[f"{name}_{part}"] = TimeSeries(
-                    0.0, float(step_s), lay[name].band[:, col]
+                    t_start, float(step_s), lay[name].band[:, col]
                 )
     _finalize_metrics(report, config, data)
     return report
@@ -454,7 +455,10 @@ def _first_step_rows(spec: LayerSpec, state) -> tuple[tuple, tuple]:
 
 def _explicit_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDecision:
     """The proposed controller's law: the explicit step on the step-0
-    forecast, bounds and band (``terminal`` is the periodic law's)."""
+    forecast, bounds and band (``terminal`` is the periodic law's). A
+    dropped band counts once in each of ``band_clamped`` (a band the layer
+    could not apply as offered), ``band_dropped`` and the layer's
+    infeasible solves."""
     spec = layer.spec
     if layer.dump_path is not None:
         _dump(layer, build_layer_problem(spec, fc, lo, hi, band))
@@ -463,9 +467,8 @@ def _explicit_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDec
     # horizon step, no residual.
     layer.stats.solves += 1
     layer.stats.iterations += spec.horizon
-    if dec.band_clamped:
-        events["band_clamped"] += 1
     if dec.band_dropped:
+        events["band_clamped"] += 1
         events["band_dropped"] += 1
         layer.stats.infeasible += 1
     return dec
@@ -511,9 +514,7 @@ def _coupled_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDeci
     layer.stats.solves += 1
     layer.stats.iterations += sol.iterations
     layer.stats.max_kkt = max(layer.stats.max_kkt, sol.kkt_residual)
-    y = float(spec.output_row @ u0)
-    return LayerDecision(u_applied=u0, output=y, predicted_residual=float(fc[0]) - y,
-                         solution=sol)
+    return LayerDecision(u_applied=u0, output=float(spec.output_row @ u0), solution=sol)
 
 
 def _dump(layer: _Layer, problem):

@@ -18,8 +18,9 @@ conversion floors scheduled wherever the projected tank trajectory would hit
 its cap — that floor is what routes surplus hydrogen into methanol, since
 conversion never helps the tracking objective directly.
 
-On an infeasible band the solver is retried once with the band collapsed to
-its midpoint, then with the band dropped entirely (diagnosed, counted).
+A band that cannot be met is dropped: the step is solved again without it,
+and the decision says so. No narrower band can succeed where the offered one
+failed, since its output window lies inside the offered one's.
 """
 
 from __future__ import annotations
@@ -96,13 +97,12 @@ class FrozenEff:
 @dataclass
 class LayerDecision:
     """First applied move of one layer solve; solution is the stacked QP's
-    (None for the explicit step law)."""
+    (None for the explicit step law), band_dropped marks a band that could
+    not be met."""
 
     u_applied: np.ndarray
     output: float
-    predicted_residual: float
     solution: QpSolution | None
-    band_clamped: bool = False
     band_dropped: bool = False
 
 
@@ -307,24 +307,19 @@ def build_layer_problem(
 
 
 def _band_ladder(solve, band: MtipBounds | None):
-    """Try the band, then the band collapsed to its midpoint, then no band.
+    """Try the band, else no band; returns (result, dropped).
 
-    solve(band_lo, band_hi) returns None when infeasible. Returns the first
-    feasible result with the (band_clamped, band_dropped) flags.
+    solve(band_lo, band_hi) returns None when infeasible. Both kernels
+    refuse a band only when its output window misses the achievable outputs
+    by more than 1e-9, and any narrower band's window lies inside this one's
+    (its midpoint's too), so nothing between the band and no band can
+    succeed. At most two solves.
     """
-    clamped = dropped = False
-    if band is None:
-        out = solve(-np.inf, np.inf)
-    else:
+    if band is not None:
         out = solve(band.r_lower, band.r_upper)
-        if out is None:
-            mid = 0.5 * (band.r_lower + band.r_upper)
-            out = solve(mid, mid)
-            clamped = True
-    if out is None:
-        out = solve(-np.inf, np.inf)
-        dropped = True
-    return out, clamped, dropped
+        if out is not None:
+            return out, False
+    return solve(-np.inf, np.inf), band is not None
 
 
 def _check_exclusive(spec: LayerSpec, u0: np.ndarray) -> None:
@@ -346,8 +341,8 @@ def receding_step(
 ) -> LayerDecision:
     """Solve the stacked layer QP and return only the first move.
 
-    Infeasible bands fall back to the midpoint-collapsed band, then to a
-    band-free solve; both fallbacks are flagged on the decision.
+    An infeasible band falls back to a band-free solve, flagged on the
+    decision.
     """
 
     def solve(band_lo, band_hi):
@@ -355,18 +350,11 @@ def receding_step(
         sol = solve_qp(build_layer_problem(spec, residual_forecast, lo, hi, b))
         return None if sol.status == INFEASIBLE else sol
 
-    sol, band_clamped, band_dropped = _band_ladder(solve, band)
+    sol, band_dropped = _band_ladder(solve, band)
     u0 = sol.u_star[: spec.output_row.size].copy()
     _check_exclusive(spec, u0)
-    y = float(spec.output_row @ u0)
-    return LayerDecision(
-        u_applied=u0,
-        output=y,
-        predicted_residual=float(residual_forecast[0]) - y,
-        solution=sol,
-        band_clamped=band_clamped,
-        band_dropped=band_dropped,
-    )
+    return LayerDecision(u_applied=u0, output=float(spec.output_row @ u0),
+                         solution=sol, band_dropped=band_dropped)
 
 
 def explicit_step(
@@ -381,7 +369,7 @@ def explicit_step(
     r0 is the step-0 residual forecast, lo0/hi0 the step-0 input bounds (one
     entry per actuator). Single-store layers take the scalar charge/discharge
     closed form, other layers the fill-order solve on one step; both are the
-    stacked solver's own per-step rules, and the band ladder and its flags
+    stacked solver's own per-step rules, and the band fallback and its flag
     are those of :func:`receding_step`, so the applied move is bit-identical
     (Bemporad, Morari, Dua & Pistikopoulos, Automatica 38, 2002). The
     horizon does not enter.
@@ -415,14 +403,7 @@ def explicit_step(
             u, _, feasible = _solve_steps(st, lo_row, hi_row)
             return u[0] if feasible else None
 
-    u0, band_clamped, band_dropped = _band_ladder(solve, band)
+    u0, band_dropped = _band_ladder(solve, band)
     _check_exclusive(spec, u0)
-    y = float(c_y @ u0)
-    return LayerDecision(
-        u_applied=u0,
-        output=y,
-        predicted_residual=r0 - y,
-        solution=None,
-        band_clamped=band_clamped,
-        band_dropped=band_dropped,
-    )
+    return LayerDecision(u_applied=u0, output=float(c_y @ u0), solution=None,
+                         band_dropped=band_dropped)

@@ -33,14 +33,19 @@ from .devices.storage import EssState
 class MtipBounds:
     """Residual band fed back to the parent layer, MW.
 
-    r_lower/r_upper are the final blended bounds; gamma the blend factor;
-    clamped marks a crossed band collapsed to its midpoint.
+    r_lower/r_upper are the final blended bounds, in order (a crossed or NaN
+    band is a ValueError); gamma is the blend factor.
     """
 
     r_lower: float
     r_upper: float
     gamma: float
-    clamped: bool = False
+
+    def __post_init__(self):
+        if not self.r_lower <= self.r_upper:
+            raise ValueError(
+                f"band [{self.r_lower}, {self.r_upper}] is crossed or not a number"
+            )
 
 
 def psi(p, eta_c: float, eta_d: float):
@@ -176,21 +181,20 @@ def adaptive_bounds(
 
     gamma -> 1 when the upper layer is much more expensive than the child
     (band opens to the physical one); gamma -> 0 collapses the band toward
-    +-eps_db. A crossed band is collapsed to its midpoint and flagged.
+    +-eps_db. For an ordered physical band and eps_db >= 0 the blend stays
+    ordered, since every rounding step is monotone; a crossed physical band
+    is a ValueError.
     """
     if lambda_lower <= 0.0:
         raise ValueError("lambda_lower must be positive")
     phy_lo, phy_hi = phy
+    if not phy_lo <= phy_hi:
+        raise ValueError(f"physical band [{phy_lo}, {phy_hi}] is crossed or not a number")
     ratio = lambda_upper / lambda_lower
     gamma = 1.0 / (1.0 + np.exp(min(-kappa * (ratio - chi_th), 700.0)))
     r_hi = gamma * phy_hi + (1.0 - gamma) * eps_db
     r_lo = gamma * phy_lo - (1.0 - gamma) * eps_db
-    clamped = False
-    if r_lo > r_hi:
-        mid = 0.5 * (r_lo + r_hi)
-        r_lo = r_hi = mid
-        clamped = True
-    return MtipBounds(float(r_lo), float(r_hi), float(gamma), clamped)
+    return MtipBounds(float(r_lo), float(r_hi), float(gamma))
 
 
 def brute_force_band_oracle(

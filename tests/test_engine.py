@@ -116,6 +116,43 @@ def test_csv_ingestion_path(tmp_path):
     assert np.array_equal(rep.original_netload.values, vals)
 
 
+@pytest.mark.parametrize("controller", ["proposed", "filter"])
+def test_csv_start_epoch_carries_into_report_and_tariff(tmp_path, controller):
+    # A trace that starts at noon: every report series starts there too, and
+    # the TOU hours follow it rather than midnight.
+    from hessmpc.engine import write_report
+    from hessmpc.metrics import economic_benefit
+    from hessmpc.timeseries import TimeSeries, write_csv
+    rng = np.random.default_rng(4)
+    path = tmp_path / "netload.csv"
+    write_csv(path, TimeSeries(43200.0, 1.0, rng.normal(40.0, 15.0, 3 * 3600)))
+    cfg = _config(days=3.0 / 24.0, controller=controller)
+    cfg.csv_path = str(path)
+    rep = run(cfg)
+    write_report(rep, str(tmp_path / "out"))
+    for csv in sorted((tmp_path / "out").glob("*.csv")):
+        first = csv.read_text(encoding="utf-8").splitlines()[1]
+        assert first.split(",")[0] == "43200", csv.name
+    original, smoothed = rep.original_netload, rep.smoothed_netload
+    cost = sum(rep.dispatch_cost.values())
+    tou = economic_benefit(original, smoothed, cost, cfg.tariff)["tou"]
+    assert rep.economics["tou"] == tou
+    at_midnight = economic_benefit(
+        TimeSeries(0.0, 1.0, original.values), TimeSeries(0.0, 1.0, smoothed.values),
+        cost, cfg.tariff)["tou"]
+    assert tou != at_midnight
+
+
+def test_dropped_bands_counted_once_per_decision():
+    # An oversupply run offers bands its children cannot meet; each is
+    # dropped once, and counts once as clamped, dropped and infeasible.
+    rep = run(_config(days=0.25, seed=12, archetype="oversupply"))
+    infeasible = {name: rep.solver_stats[name]["infeasible"] for name in ("L1", "L2", "L3")}
+    assert infeasible == {"L1": 2, "L2": 7, "L3": 82}
+    assert rep.events["band_clamped"] == rep.events["band_dropped"] \
+        == sum(infeasible.values()) == 91
+
+
 @pytest.mark.parametrize("rows", ["nan,1.0\nnan,2.0\n", "0,1.0\n1,nan\n"])
 def test_csv_with_nonfinite_field_exits_3(tmp_path, capsys, rows):
     # A runtime abort naming the line, like a malformed row, not a traceback.

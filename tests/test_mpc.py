@@ -128,7 +128,7 @@ def test_constant_forecast_tracked():
     lo, hi = simple_bounds(spec, st)
     dec = receding_step(spec, np.full(spec.horizon, 50.0), lo, hi)
     assert dec.u_applied[1] == pytest.approx(50.0, abs=1e-3)
-    assert dec.predicted_residual == pytest.approx(0.0, abs=1e-3)
+    assert 50.0 - dec.output == pytest.approx(0.0, abs=1e-3)
 
 
 def test_one_step_closed_form_cost_shift():
@@ -176,7 +176,7 @@ def test_band_constrains_first_step():
     assert np.allclose(dec_free.u_applied, 0.0, atol=1e-9)
     band = MtipBounds(r_lower=-5.0, r_upper=5.0, gamma=0.9)
     dec = receding_step(spec, np.full(spec.horizon, 50.0), lo, hi, band)
-    assert dec.predicted_residual <= 5.0 + 1e-9
+    assert 50.0 - dec.output <= 5.0 + 1e-9
     assert dec.u_applied[1] >= 45.0 - 1e-9
     # Later steps are unconstrained and idle under the strong cost.
     u_all = dec.solution.u_star.reshape(spec.horizon, 2)
@@ -189,9 +189,30 @@ def test_infeasible_band_ladder():
     hi = np.full((spec.horizon, 2), 10.0)   # can cover at most 10 MW
     band = MtipBounds(r_lower=-5.0, r_upper=5.0, gamma=1.0)
     dec = receding_step(spec, np.full(spec.horizon, 100.0), lo, hi, band)
-    # 100 MW residual with 10 MW capability cannot meet the band.
-    assert dec.band_clamped and dec.band_dropped
+    # 100 MW residual with 10 MW capability cannot meet the band, so the
+    # band is dropped and the layer covers what it can.
+    assert dec.band_dropped
     assert dec.u_applied[1] == pytest.approx(10.0)
+    law = explicit_step(spec, 100.0, lo[0], hi[0], band)
+    assert law.band_dropped and _same_move(law, dec)
+    met = receding_step(spec, np.full(spec.horizon, 12.0), lo, hi, band)
+    assert not met.band_dropped
+
+
+def test_band_fallback_solves_at_most_twice():
+    # The offered band, then no band: nothing narrower is tried in between.
+    from hessmpc.mpc import _band_ladder
+    calls = []
+
+    def solve(band_lo, band_hi):
+        calls.append((band_lo, band_hi))
+        return None if np.isfinite(band_lo) else "free"
+
+    assert _band_ladder(solve, MtipBounds(-5.0, 5.0, 1.0)) == ("free", True)
+    assert calls == [(-5.0, 5.0), (-np.inf, np.inf)]
+    calls.clear()
+    assert _band_ladder(solve, None) == ("free", False)
+    assert calls == [(-np.inf, np.inf)]
 
 
 def test_no_terminal_equality_rows_in_layer_problems():
@@ -292,8 +313,6 @@ def _same_move(law, stacked):
     return (
         _bits(law.u_applied) == _bits(stacked.u_applied)
         and _bits(law.output) == _bits(stacked.output)
-        and _bits(law.predicted_residual) == _bits(stacked.predicted_residual)
-        and law.band_clamped == stacked.band_clamped
         and law.band_dropped == stacked.band_dropped
     )
 
@@ -306,21 +325,16 @@ def _random_band(rng, kind, r0, y_lo, y_hi):
     w = rng.uniform(0.0, 5.0)
     if kind == "feasible":
         lo, hi = r0 - y_t - w, r0 - y_t + w
-    elif kind == "collapse":
-        # A crossed band: empty as given, feasible at its midpoint.
-        w += 0.5
-        lo, hi = r0 - y_t + w, r0 - y_t - w
     else:
-        # Asks for more output than the caps allow, even at its midpoint.
+        # Asks for more output than the caps allow.
         lo, hi = r0 - y_hi - 10.0 - 2.0 * w, r0 - y_hi - 10.0
     return MtipBounds(r_lower=lo, r_upper=hi, gamma=0.5)
 
 
 def test_explicit_step_matches_stacked_receding_step():
     rng = np.random.default_rng(20021)
-    seen = {"feasible": 0, "collapse": 0, "drop": 0, "zero_headroom": 0,
-            "cubic": 0, "l1_floor": 0}
-    kinds = ("none", "feasible", "collapse", "drop")
+    seen = {"feasible": 0, "drop": 0, "zero_headroom": 0, "cubic": 0, "l1_floor": 0}
+    kinds = ("none", "feasible", "drop")
     for i in range(400):
         horizon = int(rng.integers(1, 13))
         norm_power = 3 if i % 4 == 3 else 2
@@ -340,16 +354,14 @@ def test_explicit_step_matches_stacked_receding_step():
         lo, hi = simple_bounds(spec, st)
         caps = first_step_caps(spec, st)
         assert _bits(caps) == _bits(hi[0])
-        kind = kinds[i % 4]
+        kind = kinds[i % 3]
         band = _random_band(rng, kind, fc[0], -caps[0], caps[1])
         stacked = receding_step(spec, fc, lo, hi, band)
         law = explicit_step(spec, fc[0], (0.0, 0.0), caps, band)
         assert law.solution is None
         assert _same_move(law, stacked), (i, kind, law, stacked)
         if kind == "feasible":
-            seen["feasible"] += not law.band_clamped
-        elif kind == "collapse":
-            seen["collapse"] += law.band_clamped and not law.band_dropped
+            seen["feasible"] += not law.band_dropped
         elif kind == "drop":
             seen["drop"] += law.band_dropped
         seen["zero_headroom"] += min(caps) == 0.0
@@ -369,7 +381,7 @@ def test_explicit_step_matches_stacked_receding_step():
         lo0, hi0 = l1_bounds(spec, state, EFF, TANK, fc[:1], conv_cap=267.0)
         assert _bits(lo0) == _bits(lo[:1]) and _bits(hi0) == _bits(hi[:1])
         y_lo, y_hi = -hi[0, 0], hi[0, 1] + hi[0, 3]
-        band = _random_band(rng, kinds[i % 4], fc[0], y_lo, y_hi)
+        band = _random_band(rng, kinds[i % 3], fc[0], y_lo, y_hi)
         stacked = receding_step(spec, fc, lo, hi, band)
         law = explicit_step(spec, fc[0], lo0[0], hi0[0], band)
         assert _same_move(law, stacked), (i, law, stacked)

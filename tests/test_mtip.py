@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hessmpc.devices import EssState
 from hessmpc.mtip import (
-    adaptive_bounds, brute_force_band_oracle, fluctuation_potentials,
+    MtipBounds, adaptive_bounds, brute_force_band_oracle, fluctuation_potentials,
     marginal_cost, physical_bounds, psi,
 )
 
@@ -227,12 +227,38 @@ def test_band_nesting_limits():
     assert tight.r_upper == 2.0
 
 
-def test_crossed_band_clamps_to_midpoint():
-    b = adaptive_bounds((50.0, -50.0), 1e6, 1.0, 5.0, 1.0, 2.0)
-    assert b.clamped
-    assert b.r_lower == b.r_upper
+def test_crossed_physical_band_raises():
+    # Even a blend that would come out ordered (gamma 0.5, eps_db 2) refuses
+    # a crossed physical band; the engine collapses those before blending.
+    for ratio in (1e6, 1.0):
+        with pytest.raises(ValueError, match="crossed"):
+            adaptive_bounds((1.0, 0.5), ratio, 1.0, 5.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match="crossed"):
+        adaptive_bounds((0.0, np.nan), 1.0, 1.0, 5.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         adaptive_bounds((0.0, 1.0), 1.0, 0.0, 5.0, 1.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(-1e4, 1e4), st.floats(0.0, 1e4), st.floats(-1e3, 1e3),
+    st.floats(1e-6, 1e3), st.floats(0.0, 100.0), st.floats(0.0, 50.0),
+)
+def test_blend_of_ordered_band_stays_ordered(lo, width, lam_up, lam_lo, kappa, eps_db):
+    # Every rounding step of the blend is monotone, so an ordered physical
+    # band and a non-negative deadband never give a crossed band.
+    hi = lo + width
+    b = adaptive_bounds((lo, hi), lam_up, lam_lo, kappa, 1.0, eps_db)
+    assert b.r_lower <= b.r_upper
+    assert 0.0 <= b.gamma <= 1.0
+
+
+def test_mtip_bounds_must_be_ordered():
+    assert MtipBounds(-1.0, -1.0, 0.5).r_lower == -1.0
+    assert MtipBounds(-np.inf, np.inf, 1.0).r_upper == np.inf
+    for lo, hi in ((1.0, 0.0), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="crossed or not a number"):
+            MtipBounds(lo, hi, 0.5)
 
 
 def test_oracle_trivial_cases():

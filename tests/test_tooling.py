@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import subprocess
@@ -83,3 +84,14 @@ def test_regenerate_writes_only_the_named_goldens(tmp_path):
     assert written == committed
     with pytest.raises(ValueError, match="unknown golden"):
         goldens.regenerate(["device_curve.json"], str(tmp_path))
+
+
+def test_program_has_no_assert_statement():
+    # python -O strips assert statements; every check in the program must
+    # raise explicitly so it holds under -O too.
+    found = []
+    for path in sorted((ROOT / "src" / "hessmpc").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(ROOT)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
