@@ -37,7 +37,7 @@ from .config import EngineConfig, validate
 from .devices import ess_step
 from .devices.battery import battery_damage, battery_soh, bess_cycle_cost
 from .devices.flywheel import fess_lcoe
-from .errors import ConfigError, LedgerClosureError
+from .errors import ConfigError, LedgerClosureError, QpInfeasible
 from .metrics import (
     DeviceLedger, SimulationReport, economic_benefit,
     minute_fluctuation_reduction, round_trip_efficiency, rms_smoothing_rate,
@@ -53,7 +53,7 @@ from .mpc import (  # noqa: F401
 from .mtip import (
     MtipBounds, adaptive_bounds, flat_bounds, marginal_cost, physical_bounds,
 )
-from .qp import dump_problem, solve_qp
+from .qp import OPTIMAL, dump_problem, solve_qp
 from .timeseries import TimeSeries, ingest_csv, write_csv
 from .scenario import calm_window, make_forecast, realized_accuracy, synthesize
 from .vic import DT_H, close_residual
@@ -143,7 +143,9 @@ class _Layer:
     actual_mean holds the run's actuals averaged over each layer step, for
     the forecast de-bias; bias_pow is None when de-biasing is off. plan is
     the number of forecast steps the law reads per decision. k_end is the
-    periodic baseline's terminal step and mu_hint its warm-start dual.
+    periodic baseline's terminal step and mu_hint its warm-start dual;
+    terminal_row is a store layer's terminal row under that baseline, fixed
+    for the run.
     output and band are the applied output and the (lower, upper, gamma)
     band per layer step. dump_path is the QP dump still to write, if any.
     """
@@ -159,6 +161,7 @@ class _Layer:
     dump_path: str | None
     stats: _LayerStats = dataclasses.field(default_factory=_LayerStats)
     mu_hint: float | None = None
+    terminal_row: np.ndarray | None = None
     cost: float = 0.0
 
     def window(self, k: int, n: int, held) -> np.ndarray:
@@ -226,6 +229,15 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     )
     stores = {"caes": config.caes.make_state(), "bess": config.bess.make_state()}
     fess0 = config.fess_state()
+    if periodic:
+        # A store's efficiencies, and so its layer's terminal row, hold for
+        # the run; L1's row follows the hourly efficiencies.
+        for name in ("L2", "L3"):
+            layer, state = lay[name], stores[_STORE[name]]
+            layer.terminal_row = _terminal_row(
+                np.array((state.eta_c, -1.0 / state.eta_d)) * layer.spec.dt_h,
+                layer.plan, layer.k_end,
+            )
     e_fess = fess0.energy
     e_init = {
         "hydrogen": l1_state.e_h, "methanol": l1_state.e_m,
@@ -299,7 +311,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         state = stores[dev]
         fc = layer.window(k, layer.plan, held)
         lo, hi = store_bounds(spec, state)
-        terminal = ((state.eta_c, -1.0 / state.eta_d), e_init[dev] - state.energy, fc[0])
+        terminal = (layer.terminal_row, e_init[dev] - state.energy, fc[0])
         dec = law(layer, fc, lo, hi, band, terminal, events)
         move = (float(dec.u_applied[0]), float(dec.u_applied[1]))
         pending[name] = move
@@ -360,8 +372,11 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             fc1 = l1.window(h, l1.plan, ())
             lo1, hi1 = l1_bounds(spec1, l1_state, eff, tank_env, fc1, conv_cap)
             # Forced recharges are judged on the raw forecast here.
-            terminal = ((eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0),
-                        e_init["hydrogen"] - l1_state.e_h, l1.forecast[h])
+            row1 = _terminal_row(
+                np.array((eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0)) * spec1.dt_h,
+                l1.plan, l1.k_end,
+            ) if periodic else None
+            terminal = (row1, e_init["hydrogen"] - l1_state.e_h, l1.forecast[h])
             dec1 = law(l1, fc1, lo1, hi1, band1, terminal, events)
             y1 = dec1.output
             u1 = dec1.u_applied
@@ -443,6 +458,8 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
 
 
 def _terminal_row(pattern: np.ndarray, horizon: int, k_end: int) -> np.ndarray:
+    """``pattern`` (the energy change per MW of each input over one step)
+    on each of the first k_end steps of a horizon, zero after."""
     row = np.zeros(horizon * pattern.size)
     row[: k_end * pattern.size] = np.tile(pattern, k_end)
     return row
@@ -478,19 +495,24 @@ def _coupled_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDeci
     """The periodic-SOC law: solve the stacked layer problem under a
     terminal equality and apply the first move.
 
-    terminal is (pattern, target, demand): the equality changes the store's
-    energy by ``target`` MWh by step k_end, ``pattern`` being the change per
-    MWh of each input; a charging move while the forecast residual
-    ``demand`` asks for discharge is a forced recharge.
+    terminal is (row, target, demand): the equality ``row . U = target``
+    changes the store's energy by ``target`` MWh by step k_end (see
+    :func:`_terminal_row`); a charging move while the forecast residual
+    ``demand`` asks for discharge is a forced recharge. A solve that stops
+    short of optimal raises QpInfeasible.
     """
     spec = layer.spec
-    pattern, target, demand = terminal
+    a_row, target, demand = terminal
     problem = build_layer_problem(spec, fc, lo, hi, band)
-    a_row = _terminal_row(np.array(pattern) * spec.dt_h, fc.size, layer.k_end)
     problem.coupling.append((a_row, target, target))
     if layer.dump_path is not None:
         _dump(layer, problem)
     sol = solve_qp(problem, mu_hint=layer.mu_hint)
+    if sol.status != OPTIMAL:
+        raise QpInfeasible(
+            f"{spec.layer_id} terminal-row solve ended {sol.status} "
+            f"after {sol.iterations} iterations"
+        )
     layer.mu_hint = sol.mu_hint
     if sol.coupling_slack != 0.0:
         events["coupling_slack"] += 1

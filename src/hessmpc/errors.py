@@ -46,7 +46,8 @@ class ConfigError(HessError):
 
 
 class QpInfeasible(HessError):
-    """Raised only where infeasibility cannot be handled in-band."""
+    """A solve the run cannot absorb in-band, such as a terminal-row solve
+    that ran out of iterations; the CLI exits with code 4."""
 
 
 class LedgerClosureError(HessError):

@@ -10,8 +10,12 @@ form (``H = 2 C' (I x Q) C``), and the solver dispatches on it:
   steps) are solved step-by-step in closed form, fully vectorized;
 * problems with exactly one cross-step equality row (the periodic-SOC
   baseline) are solved by bisection on the scalar dual of that row, warm
-  started from the dual the previous solve hands on;
-* everything else goes through a dual active-set method on the dense form.
+  started from the dual the previous solve hands on. Each trial dual is a
+  closed-form step solve at shifted prices; the part of that solve which
+  depends on the prices only through their signs and the order of the fill
+  moves (the fill plan) is built once per solve and shared by its trials;
+* everything else goes through a dual active-set method on the dense form,
+  with fixed inputs substituted out first.
 
 All paths are deterministic: identical problems yield bit-identical
 solutions.
@@ -310,18 +314,27 @@ def charge_discharge_step(
     return _np_max(y, 0.0), _np_max(-y, 0.0)
 
 
-def _solve_charge_discharge(
-    st: StepStructure, lo: np.ndarray, hi: np.ndarray, price: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Specialized path for one charge / one discharge input with zero
-    floors and non-negative prices (every L2/L3 solve)."""
-    cy = st.c_y
-    i_d = 0 if cy[0] > 0 else 1
+def _cd_plan(st: StepStructure, hi: np.ndarray) -> tuple | None:
+    """Price-free part of :func:`_solve_charge_discharge`: the discharge
+    and charge columns, their caps and the band window on y; None when the
+    window misses the achievable output range."""
+    i_d = 0 if st.c_y[0] > 0 else 1
     i_c = 1 - i_d
-    q = st.q
-    rhat = st.rhat
     cap_d = hi[:, i_d]
     cap_c = hi[:, i_c]
+    y_lo = np.maximum(-cap_c, st.rhat - st.band_hi)
+    y_hi = np.minimum(cap_d, st.rhat - st.band_lo)
+    if np.any(y_lo > y_hi + 1e-9):
+        return None
+    return i_d, i_c, cap_d, cap_c, y_lo, y_hi
+
+
+def _solve_charge_discharge(st: StepStructure, plan: tuple, price: np.ndarray):
+    """Specialized path for one charge / one discharge input with zero
+    floors and non-negative prices (every L2/L3 solve)."""
+    i_d, i_c, cap_d, cap_c, y_lo, y_hi = plan
+    q = st.q
+    rhat = st.rhat
     g_d, g_c = price[i_d], price[i_c]
     if st.norm_power == 2:
         shift_d = g_d / (2.0 * q)
@@ -341,11 +354,6 @@ def _solve_charge_discharge(
         f_up = q * np.abs(d_up) ** 3 + g_d * y_up
         f_dn = q * np.abs(d_dn) ** 3 - g_c * y_dn
     y_star = np.where(f_up <= f_dn, y_up, y_dn)
-
-    y_lo = np.maximum(-cap_c, rhat - st.band_hi)
-    y_hi = np.minimum(cap_d, rhat - st.band_lo)
-    if np.any(y_lo > y_hi + 1e-9):
-        return np.zeros((st.n_steps, 2)), np.zeros(st.n_steps), False
     # Objective is convex in y, so clipping the global argmin into the
     # band window yields the constrained argmin.
     y_star = np.minimum(np.maximum(y_star, y_lo), y_hi)
@@ -355,57 +363,64 @@ def _solve_charge_discharge(
     return u, y_star, True
 
 
-def _solve_steps(
-    st: StepStructure,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    extra_cost: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Closed-form per-step minimization, vectorized across steps.
-
-    lo/hi are (N, nu). extra_cost shifts the linear cost (used by the
-    coupling-row dual); linear prices must be shared by all steps so one
-    fill order covers the whole horizon. Returns (U as (N, nu), y per step,
-    feasible flag); infeasible means a banded step's output window misses
-    the achievable output range.
-    """
-    n, nu = st.n_steps, st.nu
-    cy = st.c_y
-    cost = st.cost if extra_cost is None else st.cost + extra_cost
+def _shared_price(cost: np.ndarray) -> np.ndarray:
+    """Row 0 of a per-step price array, whose rows must agree so that one
+    fill order covers the whole horizon."""
     if np.abs(cost - cost[0]).max() > 1e-12 * max(1.0, np.abs(cost).max()):
         raise ValueError("per-step prices must not vary across the horizon")
-    price = cost[0]
-    if charge_discharge_form(cy, price, lo.any()):
-        return _solve_charge_discharge(st, lo, hi, price)
-    q = st.q
-    pw = st.norm_power
-    rhat = st.rhat
+    return cost[0]
 
-    # Cost-minimal base configuration: saturate negatively priced inputs.
-    base = np.where(price < 0.0, hi, lo)                   # (N, nu)
-    y_base = base @ cy                                     # (N,)
 
-    # Moves away from base: raising (side 0) or lowering (side 1) one input,
-    # each with a scalar price per unit |dy|, a per-step capacity in y units
-    # and the input change per unit dy. Every input with a nonzero output
-    # coefficient gives one move that raises y and one that lowers it; each
-    # direction fills its moves cheapest first. Only zero-capacity moves can
-    # carry a negative rate (base is cost-minimal), so the piecewise cost is
-    # convex.
+def _fill_order(c_y: np.ndarray, price: np.ndarray) -> list[tuple]:
+    """Moves away from the cost-minimal base, raising moves first, each
+    direction cheapest first.
+
+    A move raises (side 0) or lowers (side 1) one input, with a scalar
+    price per unit |dy|, a per-step capacity in y units and the input
+    change per unit dy. Every input with a nonzero output coefficient gives
+    one move that raises y and one that lowers it. Only zero-capacity moves
+    can carry a negative rate (base is cost-minimal), so the piecewise cost
+    is convex. Each move is (rate, input, du per dy, side, dy per du).
+    """
     fill: tuple[list, list] = ([], [])                     # raise y, lower y
-    for k, (ck, pk) in enumerate(zip(cy.tolist(), price.tolist())):
+    for k, (ck, pk) in enumerate(zip(c_y.tolist(), price.tolist())):
         if ck == 0.0:
             continue
         for side, u_dir in enumerate((1.0, -1.0)):
-            # (rate, input, du per dy, side, dy per du)
             move = (u_dir * pk / abs(ck), k, u_dir / abs(ck), side, abs(ck))
             fill[0 if u_dir * ck > 0.0 else 1].append(move)
-    # Cheapest first; ties by input, then by direction.
-    moves = [mv for way in fill for mv in sorted(way, key=lambda mv: mv[:3])]
-    m = len(fill[0])                                       # moves per direction
+    # Ties by input, then by direction.
+    return [mv for way in fill for mv in sorted(way, key=lambda mv: mv[:3])]
+
+
+@dataclass
+class _FillPlan:
+    """The price-free part of a fill-order solve. It depends on the price
+    only through the set of negatively priced inputs (the base) and the
+    order of the fill moves, so every price with the same two shares it."""
+
+    base: np.ndarray      # (N, nu) cost-minimal configuration
+    y_base: np.ndarray    # (N,)
+    who: tuple            # input of each move, in fill order
+    du: np.ndarray        # (2, m, 1) input change per unit dy
+    caps: np.ndarray      # (2, m, N) move capacity in y units
+    prev: np.ndarray      # (2, m, N) fill at each move's start
+    seg: np.ndarray       # (2, 2, m, N) (lower, upper) x side
+    window: np.ndarray    # (2, 2m, N) band window on y
+    cand0: np.ndarray     # (N,) clipped base
+
+
+def _fill_plan(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
+               negative: np.ndarray, moves: list[tuple]) -> _FillPlan | None:
+    """The fill plan of base ``negative`` and fill order ``moves``; None
+    when the band window misses the achievable output range."""
+    n, nu = st.n_steps, st.nu
+    # Cost-minimal base configuration: saturate negatively priced inputs.
+    base = np.where(negative, hi, lo)                      # (N, nu)
+    y_base = base @ st.c_y                                 # (N,)
+    m = len(moves) // 2                                    # moves per direction
     nm = 2 * m
-    rate, who, du, side, scale = zip(*moves) if moves else ((),) * 5
-    rates = np.array(rate).reshape(2, m)
+    _, who, du, side, scale = zip(*moves) if moves else ((),) * 5
     rooms = np.empty((2, nu, n))                           # room to raise, to lower
     np.subtract(hi.T, base.T, out=rooms[0])
     np.subtract(base.T, lo.T, out=rooms[1])
@@ -421,7 +436,61 @@ def _solve_steps(
     y_lo = np.maximum(y_min, st.rhat - st.band_hi)
     y_hi = np.minimum(y_max, st.rhat - st.band_lo)
     if np.any(y_lo > y_hi + 1e-9):
-        return np.zeros((n, nu)), np.zeros(n), False
+        return None
+    seg = np.empty((2, 2, m, n))
+    np.add(y_base, prev[0], out=seg[0, 0])
+    np.add(y_base, edges[0], out=seg[1, 0])
+    np.subtract(y_base, edges[1], out=seg[0, 1])
+    np.subtract(y_base, prev[1], out=seg[1, 1])
+    window = np.empty((2, nm, n))
+    window[0] = y_lo
+    window[1] = y_hi
+    return _FillPlan(
+        base, y_base, who, np.array(du).reshape(2, m, 1), caps, prev, seg, window,
+        np.clip(y_base, y_lo, y_hi),
+    )
+
+
+def _solve_priced(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
+                  price: np.ndarray, has_floor: bool,
+                  plans: dict) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Closed-form per-step minimization at one price vector shared by all
+    steps, vectorized across steps.
+
+    has_floor is ``lo.any()``. plans caches the price-free part of the
+    solve for (st, lo, hi): a caller that solves the same steps at many
+    prices passes one dict to every call, so each plan is built once.
+    """
+    if charge_discharge_form(st.c_y, price, has_floor):
+        key = "charge_discharge"
+        if key not in plans:
+            plans[key] = _cd_plan(st, hi)
+    else:
+        moves = _fill_order(st.c_y, price)
+        negative = price < 0.0
+        key = (negative.tobytes(), tuple(2 * k + side for _, k, _, side, _ in moves))
+        if key not in plans:
+            plans[key] = _fill_plan(st, lo, hi, negative, moves)
+    plan = plans[key]
+    if plan is None:
+        return np.zeros((st.n_steps, st.nu)), np.zeros(st.n_steps), False
+    if key == "charge_discharge":
+        return _solve_charge_discharge(st, plan, price)
+    return _fill_solve(st, lo, hi, plan, moves)
+
+
+def _fill_solve(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
+                plan: _FillPlan, moves: list[tuple]) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The fill-order solve at the prices whose moves are ``moves``."""
+    n = st.n_steps
+    q = st.q
+    pw = st.norm_power
+    rhat = st.rhat
+    y_base, caps, prev = plan.y_base, plan.caps, plan.prev
+    nm = len(moves)
+    m = nm // 2
+    rate = [mv[0] for mv in moves]
+    rates = np.array(rate).reshape(2, m)
 
     # Candidate outputs, one row each, in scan order: the clipped base and
     # the stationary point of each raising then each lowering move's
@@ -432,7 +501,7 @@ def _solve_steps(
     # that varies across them, as the one-row clips of a per-candidate scan
     # have, so the zero signs of the results are the same.
     cand = np.empty((nm + 1, n))
-    cand[0] = np.clip(y_base, y_lo, y_hi)
+    cand[0] = plan.cand0
     if pw == 2:
         shift = rates / (2.0 * q)
     else:
@@ -440,14 +509,7 @@ def _solve_steps(
     target = np.empty((2, m, n))
     np.subtract(rhat, shift[0][:, None], out=target[0])
     np.add(rhat, shift[1][:, None], out=target[1])
-    seg = np.empty((2, 2, m, n))                           # (lower, upper) x side
-    np.add(y_base, prev[0], out=seg[0, 0])
-    np.add(y_base, edges[0], out=seg[1, 0])
-    np.subtract(y_base, edges[1], out=seg[0, 1])
-    np.subtract(y_base, prev[1], out=seg[1, 1])
-    window = np.empty((2, nm, n))
-    window[0] = y_lo
-    window[1] = y_hi
+    seg, window = plan.seg, plan.window
     np.clip(np.clip(target, seg[0], seg[1]).reshape(nm, n), window[0], window[1],
             out=cand[1:])
 
@@ -470,15 +532,32 @@ def _solve_steps(
     best_y = cand[obj.T.argmin(axis=1), np.arange(n)]
 
     # Decompose best_y back into inputs by walking the fill order.
-    u = base.copy()
+    u = plan.base.copy()
     need = np.empty((2, 1, n))
     np.maximum(best_y - y_base, 0.0, out=need[0, 0])
     np.maximum(y_base - best_y, 0.0, out=need[1, 0])
-    amt = (np.clip(need - prev, 0.0, caps) * np.array(du).reshape(2, m, 1)).reshape(nm, n)
-    for j, k in enumerate(who):
+    amt = (np.clip(need - prev, 0.0, caps) * plan.du).reshape(nm, n)
+    for j, k in enumerate(plan.who):
         u[:, k] += amt[j]
     np.clip(u, lo, hi, out=u)
     return u, best_y, True
+
+
+def _solve_steps(
+    st: StepStructure,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    extra_cost: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Closed-form per-step minimization of one problem.
+
+    lo/hi are (N, nu). extra_cost shifts the linear cost; linear prices must
+    be shared by all steps so one fill order covers the whole horizon.
+    Returns (U as (N, nu), y per step, feasible flag); infeasible means a
+    banded step's output window misses the achievable output range.
+    """
+    cost = st.cost if extra_cost is None else st.cost + extra_cost
+    return _solve_priced(st, lo, hi, _shared_price(cost), lo.any(), {})
 
 
 def _objective_from_structure(st: StepStructure, u: np.ndarray) -> float:
@@ -541,12 +620,6 @@ def _solve_with_coupling(p: QpProblem, tol: float, max_iter: int, mu_hint) -> Qp
     )
     lo_t, hi_t, a_t = lo[touched], hi[touched], a2[touched]
 
-    def inner(mu: float) -> tuple[np.ndarray, float]:
-        u, _, ok = _solve_steps(st_t, lo_t, hi_t, extra_cost=mu * a_t)
-        if not ok:
-            raise ValueError("coupling path does not support band rows")
-        return u, float((a_t * u).sum())
-
     # Achievable range of a.U under the box alone; a target outside it is
     # met at the nearest boundary with the gap reported as slack.
     hi_cfg = np.where(a_t > 0, hi_t, lo_t)
@@ -566,6 +639,23 @@ def _solve_with_coupling(p: QpProblem, tol: float, max_iter: int, mu_hint) -> Qp
         h = h_min
     else:
         slack = 0.0
+        # Every trial solves the touched steps at the shared price
+        # cost[0] + mu * a[0]. A fill plan depends on that price only
+        # through its signs and its move order, so the trials of this solve
+        # share one plan store and build each plan once.
+        price0 = _shared_price(st_t.cost)
+        a0 = a_t[0]
+        if np.any(a_t != a0):
+            raise ValueError("the coupling row must weigh every touched step alike")
+        has_floor = lo_t.any()
+        plans: dict = {}
+
+        def inner(mu: float) -> tuple[np.ndarray, float]:
+            u, _, ok = _solve_priced(st_t, lo_t, hi_t, price0 + mu * a0, has_floor, plans)
+            if not ok:
+                raise ValueError("coupling path does not support band rows")
+            return u, float((a_t * u).sum())
+
         start = mu_hint if mu_hint is not None and np.isfinite(mu_hint) else 0.0
         u_t, h = inner(start)
         it = 1
@@ -675,11 +765,54 @@ def _constraint_rows(p: QpProblem) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(rows), np.array(rhs)
 
 
+def _solve_without_fixed(p: QpProblem, fixed: np.ndarray, tol: float,
+                         max_iter: int) -> QpSolution:
+    """Solve p with its fixed inputs (lo == hi) substituted out, then put
+    them back. The regularization of a singular Hessian otherwise acts on
+    inputs that cannot move, and can stop the dual method short of, or
+    outside, a box of zero width."""
+    free = ~fixed
+    x = p.var_lower.copy()
+    xf = x[fixed]
+    h = p.hessian
+    g, glo, ghi = p.ineq_rows()
+    shift = g[:, fixed] @ xf
+    g_free = g[:, free]
+    live = np.abs(g_free).sum(axis=1) > 0.0
+    # Rows without a free input hold or fail on the fixed inputs alone.
+    feas_tol = max(tol, 1e-10)
+    s, d_lo, d_hi = shift[~live], glo[~live], ghi[~live]
+    if np.any(s - d_lo < -feas_tol * (1.0 + np.abs(d_lo))) or \
+            np.any(d_hi - s < -feas_tol * (1.0 + np.abs(d_hi))):
+        return QpSolution(u_star=x, objective=np.inf, status=INFEASIBLE,
+                          kkt_residual=np.inf, iterations=0)
+    status, kkt, iters, regularized = OPTIMAL, 0.0, 0, False
+    if free.any():
+        reduced = QpProblem(
+            f=p.f[free] + h[np.ix_(free, fixed)] @ xf,
+            var_lower=p.var_lower[free], var_upper=p.var_upper[free],
+            coupling=[(g_free[i], glo[i] - shift[i], ghi[i] - shift[i])
+                      for i in np.flatnonzero(live)],
+            _hessian=h[np.ix_(free, free)],
+        )
+        sol = _solve_active_set(reduced, tol, max_iter)
+        x[free] = sol.u_star
+        status, kkt, iters, regularized = (
+            sol.status, sol.kkt_residual, sol.iterations, sol.regularized)
+    obj = np.inf if status == INFEASIBLE else \
+        0.5 * float(x @ h @ x) + float(p.f @ x) + p.objective_const
+    return QpSolution(u_star=x, objective=obj, status=status, kkt_residual=kkt,
+                      iterations=iters, regularized=regularized)
+
+
 def _solve_active_set(p: QpProblem, tol: float, max_iter: int) -> QpSolution:
     # Imported here: the dense path is the test oracle, and no controller's
     # run reaches it, so a run never pays for loading scipy.linalg.
     from scipy.linalg import cho_factor, cho_solve
 
+    fixed = (p.var_lower == p.var_upper) & np.isfinite(p.var_lower)
+    if fixed.any():
+        return _solve_without_fixed(p, fixed, tol, max_iter)
     h = p.hessian.copy()
     n = p.n
     regularized = False

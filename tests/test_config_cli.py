@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -262,3 +263,20 @@ def test_vic_target_is_an_unknown_key(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "unknown configuration keys: vic.target" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_max_iter_coupled_solve_exits_with_solver_code(tmp_path, capsys, monkeypatch):
+    # A terminal-row solve that runs out of iterations is not applied: the
+    # run stops with exit code 4 and writes no report.
+    from hessmpc import engine, qp
+
+    def capped(problem, mu_hint=None):
+        return dataclasses.replace(qp.solve_qp(problem, mu_hint=mu_hint), status=qp.MAX_ITER)
+
+    monkeypatch.setattr(engine, "solve_qp", capped)
+    out = tmp_path / "out"
+    rc = main(["run", "--days", "0.041666666666666664", "--seed", "1",
+               "--controller", "periodic_soc", "--out", str(out)])
+    assert rc == 4
+    assert "terminal-row solve ended max_iter" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()

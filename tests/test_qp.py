@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import goldens
 from hessmpc.qp import (
     INFEASIBLE, OPTIMAL, QpProblem, _objective_from_structure, _solve_active_set,
-    _solve_steps, assemble_tracking_qp, dump_problem, solve_qp,
+    _solve_priced, _solve_steps, assemble_tracking_qp, dump_problem, solve_qp,
 )
 
 
@@ -50,6 +50,39 @@ def test_degenerate_box():
     s = solve_qp(p)
     assert s.status == OPTIMAL
     assert np.allclose(s.u_star, 0.0)
+
+
+@pytest.mark.parametrize("band, status", [
+    (None, OPTIMAL), ((-10.0, 50.0), OPTIMAL), ((50.0, 60.0), INFEASIBLE),
+])
+def test_dense_oracle_eliminates_fixed_inputs(band, status):
+    # Every input of the four-input row boxed to [0, 0]: u = 0 is the only
+    # point, feasible unless the band excludes the forecast. Regularizing
+    # the rank-one Hessian over the fixed inputs made the dense method call
+    # the unbanded problem infeasible.
+    kw = {} if band is None else {"band_lo": np.array([band[0]]),
+                                  "band_hi": np.array([band[1]])}
+    p = assemble_tracking_qp(0.09, np.array([-1.0, 1.0, 0.0, 1.0]),
+                             np.array([0.89, -0.7, 0.11, 0.37]), 1.0, np.array([46.0]),
+                             1.0, np.zeros(4), np.zeros(4), **kw)
+    s = _solve_active_set(p, 1e-8, 50 * (p.n + 10) + 200)
+    assert s.status == status
+    if status == OPTIMAL:
+        assert s.u_star.tobytes() == np.zeros(4).tobytes()
+        assert s.objective == pytest.approx(0.09 * 46.0 ** 2)
+
+
+def test_dense_oracle_keeps_free_inputs_beside_fixed_ones():
+    # One input pinned at 2, the other free: the free one alone tracks.
+    p = QpProblem(f=np.array([-2.0, -6.0]), var_lower=np.array([2.0, -10.0]),
+                  var_upper=np.array([2.0, 10.0]),
+                  _hessian=np.array([[2.0, 1.0], [1.0, 2.0]]))
+    s = _solve_active_set(p, 1e-8, 500)
+    assert s.status == OPTIMAL
+    assert s.u_star[0] == 2.0
+    # 2 u1 + 1 * 2 - 6 = 0
+    assert s.u_star[1] == pytest.approx(2.0)
+    assert s.objective == pytest.approx(0.5 * (8.0 + 8.0 + 8.0) - 4.0 - 12.0)
 
 
 def test_solver_matches_projected_gradient_oracle():
@@ -346,3 +379,54 @@ def test_fill_order_solve_matches_active_set_oracle(p):
     # tolerance.
     if ref.status == OPTIMAL:
         assert _objective_from_structure(st_, u) <= ref.objective + max(1e-6, 1e-6 * abs(ref.objective))
+
+
+#: Terminal-row coefficients (eta_c and -1/eta_d over a step, and their
+#: like) and inert zeros.
+_ROW_COEFFS = (0.0, 0.2125, -0.2941176470588235, 0.9, -1.1111111111111112, -1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=_step_problems(), data=st.data())
+def test_shared_plan_store_matches_fresh_solves(p, data):
+    # The coupled solve prices every trial at cost[0] + mu * a[0] and keeps
+    # one plan store for all of them. Duals near each zero crossing of a
+    # shifted price flip the base and reorder the fill moves; a shared store
+    # must still give the bytes of a fresh solve per dual.
+    st_ = p.structure
+    n, nu = st_.n_steps, st_.nu
+    lo = p.var_lower.reshape(n, nu)
+    hi = p.var_upper.reshape(n, nu)
+    a0 = np.array(data.draw(st.lists(st.sampled_from(_ROW_COEFFS), min_size=nu, max_size=nu)))
+    price0 = st_.cost[0]
+    crossings = [-price0[k] / a0[k] for k in range(nu) if a0[k] != 0.0]
+    near = st.tuples(st.sampled_from(crossings or [0.0]),
+                     st.sampled_from([0.0, -1e-9, 1e-9, -0.05, 0.05]))
+    mus = data.draw(st.lists(st.one_of(near.map(sum), st.floats(-5.0, 5.0)),
+                             min_size=1, max_size=12))
+    plans: dict = {}
+    for mu in mus:
+        got = _solve_priced(st_, lo, hi, price0 + mu * a0, lo.any(), plans)
+        want = _solve_steps(st_, lo, hi, extra_cost=mu * np.tile(a0, (n, 1)))
+        assert got[0].tobytes() == want[0].tobytes(), mu
+        assert got[1].tobytes() == want[1].tobytes(), mu
+        assert got[2] == want[2]
+    assert len(plans) <= len(mus)
+
+
+@pytest.mark.parametrize("vary", ["price", "row"])
+def test_coupling_rejects_prices_that_vary_across_steps(vary):
+    # One fill order covers the horizon only if every touched step has the
+    # same prices, so a varying price row or coupling row is refused.
+    c_y = np.array([-1.0, 1.0])
+    p = assemble_tracking_qp(0.5, c_y, np.array([0.1, 0.2]), 1.0,
+                             np.array([10.0, -5.0, 3.0]), 0.25, np.zeros(2),
+                             np.full(2, 20.0))
+    a_row = np.tile(np.array([0.9, -1.0 / 0.9]) * 0.25, 3)
+    if vary == "price":
+        p.structure.cost[1] += 0.05
+    else:
+        a_row[2:4] *= 1.5
+    p.coupling.append((a_row, 1.0, 1.0))
+    with pytest.raises(ValueError, match="vary|alike"):
+        solve_qp(p)
