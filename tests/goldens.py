@@ -310,6 +310,8 @@ def report_cases(work_dir: str):
     for controller in ("periodic_soc", "filter"):
         yield (f"{controller}-oversupply-0.25d-s8",
                config(0.25, 8, "oversupply", controller=controller), quarter)
+    yield "periodic-qp-dump", config(0.25, 8, "oversupply", controller="periodic_soc",
+                                     debug_qp_dump=True), quarter
     csv_path = os.path.join(work_dir, "replay.csv")
     write_csv(csv_path, synthesize(config(0.125, 5, "deficit").scenario))
     yield "csv-replay-3h", config(0.125, 5, "deficit", csv_path=csv_path), None
