@@ -1,20 +1,20 @@
-"""Reference controllers: periodic-SOC MPC and frequency-band filtering.
+"""Reference controller: frequency-band filtering.
 
-The periodic-SOC variant reuses the full layer stack but drops the adaptive
-bands and adds, to every layer solve, a terminal equality returning the
-store to its run-start energy by the end of the plan; infeasible terminals
-relax to minimal slack (reported). The filter baseline splits the net load
-with cascaded trailing moving averages — fastest band to the flywheel, then
-battery, then compressed air, with the daily trend routed to the hydrogen
-chain — and applies plain device saturation with no optimization.
+The filter baseline splits the net load with cascaded trailing moving
+averages — fastest band to the flywheel, then battery, then compressed air,
+with the daily trend routed to the hydrogen chain — and applies plain device
+saturation with no optimization. It consumes the identical scenario object
+and emits the same report schema as the main engine, so metrics compare
+one-for-one.
 
-Both controllers consume the identical scenario object and emit the same
-report schema as the main engine, so metrics compare one-for-one.
+The other reference, the periodic-SOC MPC, is ``engine.run`` with
+``controller="periodic_soc"``: the full layer stack without the adaptive
+bands, each layer solve under a terminal equality returning the store to its
+run-start energy by the end of the SOC period; infeasible terminals relax to
+minimal slack (reported).
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -22,13 +22,6 @@ from .config import EngineConfig
 from .devices.storage import saturate
 from .metrics import DeviceLedger, SimulationReport
 from .timeseries import TimeSeries
-
-
-def run_periodic_soc_mpc(config: EngineConfig, data=None) -> SimulationReport:
-    """Layer stack with terminal-SOC equalities instead of adaptive bands."""
-    from .engine import run
-    cfg = dataclasses.replace(config, controller="periodic_soc")
-    return run(cfg, data)
 
 
 def _trailing_mean(x: np.ndarray, window: int) -> np.ndarray:

@@ -215,8 +215,17 @@ def validate(config: EngineConfig) -> list[Finding]:
         err("forecast_bias_decay", "must lie in [0, 1)")
     if config.mtip.eps_db < 0.0:
         err("mtip.eps_db", "deadband must be non-negative")
-    if config.l3_norm_power == 3 and config.controller == "periodic_soc":
-        err("l3_norm_power", "cubic penalty is not available with the periodic-SOC baseline")
+    if config.controller == "periodic_soc":
+        if config.l3_norm_power == 3:
+            err("l3_norm_power", "cubic penalty is not available with the periodic-SOC baseline")
+        # The periodic law plans each layer's full horizon, and the forecast
+        # runs n1 hours past the run end: the last decision's window holds
+        # its own step and at most the pad's steps after it.
+        for key, per_hour in (("n2", 4), ("n3", 60)):
+            most = per_hour * config.n1 + 1
+            if getattr(config, key) > most:
+                err(key, f"periodic-SOC horizon outruns the forecast, which ends "
+                         f"n1 = {config.n1} h after the run: at most {most} steps")
     if config.controller not in ("proposed", "periodic_soc", "filter"):
         err("controller", f"unknown controller '{config.controller}'")
     if config.controller == "proposed":

@@ -53,7 +53,7 @@ from .mpc import (  # noqa: F401
 from .mtip import (
     MtipBounds, adaptive_bounds, flat_bounds, marginal_cost, physical_bounds,
 )
-from .qp import OPTIMAL, dump_problem, solve_qp
+from .qp import OPTIMAL, dense_problem, dump_problem, solve_qp
 from .timeseries import TimeSeries, ingest_csv, write_csv
 from .scenario import calm_window, make_forecast, realized_accuracy, synthesize
 from .vic import DT_H, close_residual
@@ -143,9 +143,7 @@ class _Layer:
     actual_mean holds the run's actuals averaged over each layer step, for
     the forecast de-bias; bias_pow is None when de-biasing is off. plan is
     the number of forecast steps the law reads per decision. k_end is the
-    periodic baseline's terminal step and mu_hint its warm-start dual;
-    terminal_row is a store layer's terminal row under that baseline, fixed
-    for the run.
+    periodic baseline's terminal step and mu_hint its warm-start dual.
     output and band are the applied output and the (lower, upper, gamma)
     band per layer step. dump_path is the QP dump still to write, if any.
     """
@@ -161,7 +159,6 @@ class _Layer:
     dump_path: str | None
     stats: _LayerStats = dataclasses.field(default_factory=_LayerStats)
     mu_hint: float | None = None
-    terminal_row: np.ndarray | None = None
     cost: float = 0.0
 
     def window(self, k: int, n: int, held) -> np.ndarray:
@@ -229,15 +226,6 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     )
     stores = {"caes": config.caes.make_state(), "bess": config.bess.make_state()}
     fess0 = config.fess_state()
-    if periodic:
-        # A store's efficiencies, and so its layer's terminal row, hold for
-        # the run; L1's row follows the hourly efficiencies.
-        for name in ("L2", "L3"):
-            layer, state = lay[name], stores[_STORE[name]]
-            layer.terminal_row = _terminal_row(
-                np.array((state.eta_c, -1.0 / state.eta_d)) * layer.spec.dt_h,
-                layer.plan, layer.k_end,
-            )
     e_fess = fess0.energy
     e_init = {
         "hydrogen": l1_state.e_h, "methanol": l1_state.e_m,
@@ -311,7 +299,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         state = stores[dev]
         fc = layer.window(k, layer.plan, held)
         lo, hi = store_bounds(spec, state)
-        terminal = (layer.terminal_row, e_init[dev] - state.energy, fc[0])
+        terminal = ((state.eta_c, -1.0 / state.eta_d), e_init[dev] - state.energy, fc[0])
         dec = law(layer, fc, lo, hi, band, terminal, events)
         move = (float(dec.u_applied[0]), float(dec.u_applied[1]))
         pending[name] = move
@@ -372,11 +360,8 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             fc1 = l1.window(h, l1.plan, ())
             lo1, hi1 = l1_bounds(spec1, l1_state, eff, tank_env, fc1, conv_cap)
             # Forced recharges are judged on the raw forecast here.
-            row1 = _terminal_row(
-                np.array((eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0)) * spec1.dt_h,
-                l1.plan, l1.k_end,
-            ) if periodic else None
-            terminal = (row1, e_init["hydrogen"] - l1_state.e_h, l1.forecast[h])
+            terminal = ((eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0),
+                        e_init["hydrogen"] - l1_state.e_h, l1.forecast[h])
             dec1 = law(l1, fc1, lo1, hi1, band1, terminal, events)
             y1 = dec1.output
             u1 = dec1.u_applied
@@ -457,14 +442,6 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     return report
 
 
-def _terminal_row(pattern: np.ndarray, horizon: int, k_end: int) -> np.ndarray:
-    """``pattern`` (the energy change per MW of each input over one step)
-    on each of the first k_end steps of a horizon, zero after."""
-    row = np.zeros(horizon * pattern.size)
-    row[: k_end * pattern.size] = np.tile(pattern, k_end)
-    return row
-
-
 def _first_step_rows(spec: LayerSpec, state) -> tuple[tuple, tuple]:
     """Step-0 (charge, discharge) floor and cap rows of a single-store layer."""
     return ((0.0, 0.0),), (first_step_caps(spec, state),)
@@ -478,7 +455,7 @@ def _explicit_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDec
     infeasible solves."""
     spec = layer.spec
     if layer.dump_path is not None:
-        _dump(layer, build_layer_problem(spec, fc, lo, hi, band))
+        _dump(layer, dense_problem(build_layer_problem(spec, fc, band), lo, hi))
     dec = explicit_step(spec, fc[0], lo[0], hi[0], band)
     # Booked as the stacked closed form reported itself: one iteration per
     # horizon step, no residual.
@@ -495,19 +472,20 @@ def _coupled_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDeci
     """The periodic-SOC law: solve the stacked layer problem under a
     terminal equality and apply the first move.
 
-    terminal is (row, target, demand): the equality ``row . U = target``
-    changes the store's energy by ``target`` MWh by step k_end (see
-    :func:`_terminal_row`); a charging move while the forecast residual
-    ``demand`` asks for discharge is a forced recharge. A solve that stops
-    short of optimal raises QpInfeasible.
+    terminal is (pattern, target, demand). pattern is the store's energy
+    change per MWh moved through each input; the terminal row asks the
+    steps before k_end to change the store's energy by ``target`` MWh. A
+    charging move while the forecast residual ``demand`` asks for discharge
+    is a forced recharge. A solve that stops short of optimal raises
+    QpInfeasible.
     """
     spec = layer.spec
-    a_row, target, demand = terminal
-    problem = build_layer_problem(spec, fc, lo, hi, band)
-    problem.coupling.append((a_row, target, target))
+    pattern, target, demand = terminal
+    st = build_layer_problem(spec, fc, band)
+    row = (np.array(pattern) * spec.dt_h, layer.k_end, target)
     if layer.dump_path is not None:
-        _dump(layer, problem)
-    sol = solve_qp(problem, mu_hint=layer.mu_hint)
+        _dump(layer, dense_problem(st, lo, hi, row))
+    sol = solve_qp(st, lo, hi, terminal=row, mu_hint=layer.mu_hint)
     if sol.status != OPTIMAL:
         raise QpInfeasible(
             f"{spec.layer_id} terminal-row solve ended {sol.status} "

@@ -35,8 +35,8 @@ from .devices.storage import EssState
 from .errors import AlignmentError, EnvelopeViolation, ExclusivityViolation
 from .mtip import MtipBounds
 from .qp import (
-    INFEASIBLE, QpProblem, QpSolution, StepStructure, _solve_steps,
-    assemble_tracking_qp, charge_discharge_form, charge_discharge_step, solve_qp,
+    INFEASIBLE, QpSolution, StepStructure, _solve_steps, charge_discharge_form,
+    charge_discharge_step, solve_qp,
 )
 
 #: Lowest relative load at which the turbine efficiency curve is trusted.
@@ -282,13 +282,11 @@ def simple_bounds(spec: LayerSpec, state: EssState) -> tuple[np.ndarray, np.ndar
 def build_layer_problem(
     spec: LayerSpec,
     residual_forecast: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
     band: MtipBounds | None = None,
-) -> QpProblem:
-    """Assemble the layer QP over the forecast's steps (one up to the
-    horizon, one row of lo/hi each); the band (when given) binds the first
-    step."""
+) -> StepStructure:
+    """The layer problem over the forecast's steps (one up to the horizon);
+    the band (when given) binds the first step. The input bounds are the
+    solver's own argument."""
     rhat = np.asarray(residual_forecast, dtype=np.float64)
     n = rhat.size
     if not 1 <= n <= spec.horizon:
@@ -300,9 +298,10 @@ def build_layer_problem(
     if band is not None:
         band_lo[0] = band.r_lower
         band_hi[0] = band.r_upper
-    return assemble_tracking_qp(
-        spec.tracking_weight, spec.output_row, spec.cost_vec, spec.cost_weight,
-        rhat, spec.dt_h, lo, hi, band_lo, band_hi, norm_power=spec.norm_power,
+    return StepStructure(
+        c_y=spec.output_row, q=spec.tracking_weight, rhat=rhat,
+        price=spec.cost_weight * spec.cost_vec * spec.dt_h,
+        band_lo=band_lo, band_hi=band_hi, norm_power=spec.norm_power,
     )
 
 
@@ -347,7 +346,7 @@ def receding_step(
 
     def solve(band_lo, band_hi):
         b = MtipBounds(r_lower=band_lo, r_upper=band_hi, gamma=1.0)
-        sol = solve_qp(build_layer_problem(spec, residual_forecast, lo, hi, b))
+        sol = solve_qp(build_layer_problem(spec, residual_forecast, b), lo, hi)
         return None if sol.status == INFEASIBLE else sol
 
     sol, band_dropped = _band_ladder(solve, band)
@@ -397,7 +396,7 @@ def explicit_step(
         def solve(band_lo, band_hi):
             st = StepStructure(
                 c_y=c_y, q=spec.tracking_weight, rhat=np.array([r0]),
-                cost=np.array([price]), band_lo=np.array([band_lo]),
+                price=np.array(price), band_lo=np.array([band_lo]),
                 band_hi=np.array([band_hi]), norm_power=spec.norm_power,
             )
             u, _, feasible = _solve_steps(st, lo_row, hi_row)

@@ -1,21 +1,28 @@
-"""Dense convex QP assembly and solving for the stacked tracking problems.
+"""The layer problems and their solvers.
 
-Every control layer produces the same shape of problem: a per-step tracking
-penalty ``q * (rhat_i - c_y . u_i)^2``, a linear dispatch cost, box bounds on
-the stacked input vector and optional two-sided residual-band rows. The
-assembled problem carries that step structure alongside the dense standard
-form (``H = 2 C' (I x Q) C``), and the solver dispatches on it:
+Every control layer solves the same shape of problem over its horizon
+(:class:`StepStructure`): a per-step tracking penalty
+``q * (rhat_i - c_y . u_i)^2``, one linear price row shared by every step,
+per-step input boxes and optional residual-band rows. :func:`solve_qp`
+solves it on that step structure, with no dense form:
 
-* separable problems (block-diagonal Hessian, bands confined to single
-  steps) are solved step-by-step in closed form, fully vectorized;
-* problems with exactly one cross-step equality row (the periodic-SOC
-  baseline) are solved by bisection on the scalar dual of that row, warm
-  started from the dual the previous solve hands on. Each trial dual is a
-  closed-form step solve at shifted prices; the part of that solve which
-  depends on the prices only through their signs and the order of the fill
-  moves (the fill plan) is built once per solve and shared by its trials;
-* everything else goes through a dual active-set method on the dense form,
-  with fixed inputs substituted out first.
+* without a terminal row the steps separate, and each is solved in closed
+  form, vectorized across steps;
+* the periodic-SOC baseline adds one terminal equality, given as
+  ``(pattern, k_end, target)``: ``pattern . u_i`` summed over the steps
+  before k_end equals target. The steps from k_end on solve once on their
+  own; the others are met through bisection on the scalar dual of that row,
+  warm started from the dual the previous solve hands on. Each trial dual
+  is a closed-form step solve at the price row shifted by the dual times
+  the pattern; the part of that solve which depends on the prices only
+  through their signs and the order of the fill moves (the fill plan) is
+  built once per solve and shared by its trials.
+
+:func:`dense_problem` writes the same problem in dense standard form
+(``H = 2 C' (I x Q) C``, a linear term, boxes and constraint rows). Only
+``debug_qp_dump`` and the tests use it; :func:`solve_dense`, a dual
+active-set method on that form with fixed inputs substituted out first, is
+the tests' oracle.
 
 All paths are deterministic: identical problems yield bit-identical
 solutions.
@@ -37,20 +44,20 @@ _DROP_TOL = 1e-12
 
 @dataclass
 class StepStructure:
-    """Per-step separable layout of a stacked tracking QP.
+    """One layer problem, separable by step.
 
     c_y maps one step's inputs to its grid output; rhat is the residual
-    forecast per step; cost the linear price per input and step (already
-    scaled by the cost weight and the step length); band_lo/band_hi bound
-    the post-dispatch residual per step (+-inf where absent). norm_power
-    selects the tracking penalty exponent (2, or 3 for the flagged
-    literal-cubic variant, which only the separable path supports).
+    forecast per step; price the linear price per input, shared by every
+    step (already scaled by the cost weight and the step length);
+    band_lo/band_hi bound the post-dispatch residual per step (+-inf where
+    absent). norm_power selects the tracking penalty exponent (2, or 3 for
+    the flagged literal-cubic variant, which has no dense form).
     """
 
     c_y: np.ndarray
     q: float
     rhat: np.ndarray
-    cost: np.ndarray          # (N, nu)
+    price: np.ndarray         # (nu,)
     band_lo: np.ndarray       # (N,)
     band_hi: np.ndarray       # (N,)
     norm_power: int = 2
@@ -63,26 +70,27 @@ class StepStructure:
     def nu(self) -> int:
         return self.c_y.size
 
+    def take(self, steps: slice) -> StepStructure:
+        """The same problem on a slice of its steps."""
+        return StepStructure(self.c_y, self.q, self.rhat[steps], self.price,
+                             self.band_lo[steps], self.band_hi[steps], self.norm_power)
+
 
 @dataclass
 class QpProblem:
-    """Stacked QP in standard form, optionally carrying its step structure.
+    """A QP in dense standard form: minimize ``0.5 x'Hx + f.x +
+    objective_const`` over ``var_lower <= x <= var_upper`` and
+    ``lo <= g.x <= hi`` for each ``(g, lo, hi)`` of ``rows``."""
 
-    ``var_lower``/``var_upper`` bound the stacked input U; ``coupling``
-    holds cross-step rows as ``(a, lo, hi)`` triples. The dense Hessian and
-    inequality blocks are materialized lazily from the structure when
-    present.
-    """
-
+    hessian: np.ndarray
     f: np.ndarray
     var_lower: np.ndarray
     var_upper: np.ndarray
-    structure: StepStructure | None = None
-    coupling: list[tuple[np.ndarray, float, float]] = field(default_factory=list)
+    rows: list[tuple[np.ndarray, float, float]] = field(default_factory=list)
     objective_const: float = 0.0
-    _hessian: np.ndarray | None = None
 
     def __post_init__(self):
+        self.hessian = np.asarray(self.hessian, dtype=np.float64)
         self.f = np.asarray(self.f, dtype=np.float64)
         self.var_lower = np.asarray(self.var_lower, dtype=np.float64)
         self.var_upper = np.asarray(self.var_upper, dtype=np.float64)
@@ -96,47 +104,12 @@ class QpProblem:
     def n(self) -> int:
         return self.f.size
 
-    @property
-    def hessian(self) -> np.ndarray:
-        if self._hessian is None:
-            st = self.structure
-            if st is None:
-                raise ValueError("no Hessian given and no structure to build it from")
-            if st.norm_power != 2:
-                raise ValueError("dense form only exists for the quadratic penalty")
-            block = 2.0 * st.q * np.outer(st.c_y, st.c_y)
-            n = st.n_steps * st.nu
-            h = np.zeros((n, n))
-            for i in range(st.n_steps):
-                h[i * st.nu : (i + 1) * st.nu, i * st.nu : (i + 1) * st.nu] = block
-            self._hessian = h
-        return self._hessian
-
     def ineq_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (G, lower, upper) with band rows first, coupling rows after."""
-        rows: list[np.ndarray] = []
-        lo: list[float] = []
-        hi: list[float] = []
-        st = self.structure
-        if st is not None:
-            for i in range(st.n_steps):
-                blo, bhi = st.band_lo[i], st.band_hi[i]
-                if np.isinf(blo) and np.isinf(bhi):
-                    continue
-                g = np.zeros(self.n)
-                g[i * st.nu : (i + 1) * st.nu] = st.c_y
-                # residual band: rhat - c_y.u in [blo, bhi] maps to
-                # c_y.u in [rhat - bhi, rhat - blo]
-                rows.append(g)
-                lo.append(st.rhat[i] - bhi)
-                hi.append(st.rhat[i] - blo)
-        for a, alo, ahi in self.coupling:
-            rows.append(np.asarray(a, dtype=np.float64))
-            lo.append(alo)
-            hi.append(ahi)
-        if not rows:
+        """Dense (G, lower, upper) of the constraint rows."""
+        if not self.rows:
             return np.zeros((0, self.n)), np.zeros(0), np.zeros(0)
-        return np.vstack(rows), np.array(lo), np.array(hi)
+        g, lo, hi = zip(*self.rows)
+        return np.vstack(g), np.array(lo), np.array(hi)
 
     def validate(self, tol_sym: float = 1e-10, tol_psd: float = 1e-8) -> None:
         """Assert symmetry and positive semidefiniteness of the Hessian."""
@@ -153,7 +126,7 @@ class QpProblem:
 
 @dataclass
 class QpSolution:
-    """mu_hint is the coupling-row dual to warm start the next solve from:
+    """mu_hint is the terminal-row dual to warm start the next solve from:
     the refined bracket's midpoint, else the hint this solve was given."""
 
     u_star: np.ndarray
@@ -166,77 +139,36 @@ class QpSolution:
     mu_hint: float | None = None
 
 
-def assemble_tracking_qp(
-    weight_q: float,
-    output_row: np.ndarray,
-    cost_vec: np.ndarray,
-    cost_weight: float,
-    forecast: np.ndarray,
-    dt_h: float,
-    u_lower: np.ndarray,
-    u_upper: np.ndarray,
-    band_lo: np.ndarray | None = None,
-    band_hi: np.ndarray | None = None,
-    norm_power: int = 2,
-) -> QpProblem:
-    """Build the stacked tracking QP for one receding-horizon solve.
-
-    Parameters
-    ----------
-    weight_q : float
-        Tracking weight, > 0.
-    output_row : array (nu,)
-        Maps one step's inputs to grid output.
-    cost_vec : array (nu,)
-        Dispatch cost per input, currency/MWh.
-    cost_weight : float
-        Scalar weight on the cost term, >= 0.
-    forecast : array (N,)
-        Residual net-load forecast over the horizon, MW.
-    dt_h : float
-        Step length in hours.
-    u_lower, u_upper : array (N, nu) or (nu,)
-        Per-step input bounds, broadcast across steps if one-dimensional.
-    band_lo, band_hi : array (N,), optional
-        Residual band per step; +-inf (the default) disables a side.
-    """
-    if weight_q <= 0.0:
-        raise ValueError("tracking weight must be positive")
-    if cost_weight < 0.0:
-        raise ValueError("cost weight must be non-negative")
-    c_y = np.asarray(output_row, dtype=np.float64)
-    rhat = np.asarray(forecast, dtype=np.float64)
-    n_steps = rhat.size
-    if n_steps < 1:
-        raise ValueError("horizon must contain at least one step")
-    nu = c_y.size
-    cvec = np.asarray(cost_vec, dtype=np.float64)
-    if cvec.size != nu:
-        raise ValueError(f"cost vector length {cvec.size} != output row length {nu}")
-    lo = np.broadcast_to(np.asarray(u_lower, dtype=np.float64), (n_steps, nu)).copy()
-    hi = np.broadcast_to(np.asarray(u_upper, dtype=np.float64), (n_steps, nu)).copy()
-    cost = np.broadcast_to(cost_weight * cvec * dt_h, (n_steps, nu)).copy()
-    if band_lo is None:
-        band_lo = np.full(n_steps, -np.inf)
-    if band_hi is None:
-        band_hi = np.full(n_steps, np.inf)
-    band_lo = np.asarray(band_lo, dtype=np.float64)
-    band_hi = np.asarray(band_hi, dtype=np.float64)
-    if band_lo.size != n_steps or band_hi.size != n_steps:
-        raise ValueError("band arrays must have one entry per step")
-
-    st = StepStructure(
-        c_y=c_y, q=weight_q, rhat=rhat, cost=cost,
-        band_lo=band_lo, band_hi=band_hi, norm_power=norm_power,
-    )
-    f = (-2.0 * weight_q * rhat[:, None] * c_y[None, :] + cost).ravel()
-    const = weight_q * float(rhat @ rhat) if norm_power == 2 else 0.0
+def dense_problem(st: StepStructure, lo, hi, terminal=None) -> QpProblem:
+    """``st`` within the per-step boxes lo/hi (one row per step) in dense
+    standard form: band rows first, then the row of ``terminal`` (see
+    :func:`solve_qp`), if given, as an equality."""
+    if st.norm_power != 2:
+        raise ValueError("dense form only exists for the quadratic penalty")
+    n, nu = st.n_steps, st.nu
+    h = np.zeros((n * nu, n * nu))
+    block = 2.0 * st.q * np.outer(st.c_y, st.c_y)
+    for i in range(n):
+        h[i * nu : (i + 1) * nu, i * nu : (i + 1) * nu] = block
+    rows = []
+    for i in np.flatnonzero(np.isfinite(st.band_lo) | np.isfinite(st.band_hi)):
+        g = np.zeros(n * nu)
+        g[i * nu : (i + 1) * nu] = st.c_y
+        # residual band: rhat - c_y.u in [blo, bhi] maps to
+        # c_y.u in [rhat - bhi, rhat - blo]
+        rows.append((g, st.rhat[i] - st.band_hi[i], st.rhat[i] - st.band_lo[i]))
+    if terminal is not None:
+        pattern, k_end, target = terminal
+        a = np.zeros(n * nu)
+        a[: k_end * nu] = np.tile(pattern, k_end)
+        rows.append((a, target, target))
     return QpProblem(
-        f=f,
-        var_lower=lo.ravel(),
-        var_upper=hi.ravel(),
-        structure=st,
-        objective_const=const,
+        hessian=h,
+        f=(-2.0 * st.q * st.rhat[:, None] * st.c_y[None, :] + st.price).ravel(),
+        var_lower=np.asarray(lo, dtype=np.float64).ravel(),
+        var_upper=np.asarray(hi, dtype=np.float64).ravel(),
+        rows=rows,
+        objective_const=st.q * float(st.rhat @ st.rhat),
     )
 
 
@@ -361,14 +293,6 @@ def _solve_charge_discharge(st: StepStructure, plan: tuple, price: np.ndarray):
     u[:, i_d] = np.maximum(y_star, 0.0)
     u[:, i_c] = np.maximum(-y_star, 0.0)
     return u, y_star, True
-
-
-def _shared_price(cost: np.ndarray) -> np.ndarray:
-    """Row 0 of a per-step price array, whose rows must agree so that one
-    fill order covers the whole horizon."""
-    if np.abs(cost - cost[0]).max() > 1e-12 * max(1.0, np.abs(cost).max()):
-        raise ValueError("per-step prices must not vary across the horizon")
-    return cost[0]
 
 
 def _fill_order(c_y: np.ndarray, price: np.ndarray) -> list[tuple]:
@@ -551,13 +475,12 @@ def _solve_steps(
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Closed-form per-step minimization of one problem.
 
-    lo/hi are (N, nu). extra_cost shifts the linear cost; linear prices must
-    be shared by all steps so one fill order covers the whole horizon.
-    Returns (U as (N, nu), y per step, feasible flag); infeasible means a
-    banded step's output window misses the achievable output range.
+    lo/hi are (N, nu). extra_cost, (nu,), shifts the price row. Returns
+    (U as (N, nu), y per step, feasible flag); infeasible means a banded
+    step's output window misses the achievable output range.
     """
-    cost = st.cost if extra_cost is None else st.cost + extra_cost
-    return _solve_priced(st, lo, hi, _shared_price(cost), lo.any(), {})
+    price = st.price if extra_cost is None else st.price + extra_cost
+    return _solve_priced(st, lo, hi, price, lo.any(), {})
 
 
 def _objective_from_structure(st: StepStructure, u: np.ndarray) -> float:
@@ -565,63 +488,29 @@ def _objective_from_structure(st: StepStructure, u: np.ndarray) -> float:
     d = st.rhat - y
     track = st.q * float((d * d).sum()) if st.norm_power == 2 else \
         st.q * float((np.abs(d) ** 3).sum())
-    return track + float((st.cost * u).sum())
-
-
-def _solve_separable(p: QpProblem) -> QpSolution:
-    st = p.structure
-    lo = p.var_lower.reshape(st.n_steps, st.nu)
-    hi = p.var_upper.reshape(st.n_steps, st.nu)
-    u, _, feasible = _solve_steps(st, lo, hi)
-    if not feasible:
-        return QpSolution(
-            u_star=np.zeros(p.n), objective=np.inf, status=INFEASIBLE,
-            kkt_residual=np.inf, iterations=0,
-        )
-    obj = _objective_from_structure(st, u)
-    return QpSolution(
-        u_star=u.ravel(), objective=obj, status=OPTIMAL,
-        kkt_residual=0.0, iterations=st.n_steps,
-    )
+    return track + float((st.price * u).sum())
 
 
 # ----------------------------------------------------------------------
-# Single coupling row: scalar dual bisection
+# Terminal row: scalar dual bisection
 # ----------------------------------------------------------------------
 
-def _solve_with_coupling(p: QpProblem, tol: float, max_iter: int, mu_hint) -> QpSolution:
-    st = p.structure
-    a, b_lo, b_hi = p.coupling[0]
-    if b_lo != b_hi:
-        raise ValueError("coupling path requires an equality row")
-    b = b_lo
-    lo = p.var_lower.reshape(st.n_steps, st.nu)
-    hi = p.var_upper.reshape(st.n_steps, st.nu)
-    a2 = np.asarray(a, dtype=np.float64).reshape(st.n_steps, st.nu)
+def _solve_with_terminal(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
+                         pattern: np.ndarray, k_end: int, b: float, tol: float,
+                         max_iter: int, mu_hint) -> QpSolution:
+    if np.isfinite(st.band_lo).any() or np.isfinite(st.band_hi).any():
+        raise ValueError("the terminal row does not combine with band rows")
+    # Without band rows every step is feasible. The steps from k_end on do
+    # not enter the row, so they decouple from the dual and solve once.
+    u_full = np.empty((st.n_steps, st.nu))
+    if k_end < st.n_steps:
+        u_full[k_end:] = _solve_steps(st.take(slice(k_end, None)), lo[k_end:], hi[k_end:])[0]
+    st_t = st.take(slice(k_end))
+    lo_t, hi_t = lo[:k_end], hi[:k_end]
+    a_t = np.tile(pattern, (k_end, 1))
 
-    # Steps the row does not touch decouple from the dual and solve once.
-    touched = np.abs(a2).sum(axis=1) > 0.0
-    free = ~touched
-    u_full = np.zeros((st.n_steps, st.nu))
-    if free.any():
-        st_free = StepStructure(
-            c_y=st.c_y, q=st.q, rhat=st.rhat[free], cost=st.cost[free],
-            band_lo=st.band_lo[free], band_hi=st.band_hi[free],
-            norm_power=st.norm_power,
-        )
-        u_free, _, ok = _solve_steps(st_free, lo[free], hi[free])
-        if not ok:
-            raise ValueError("coupling path does not support band rows")
-        u_full[free] = u_free
-    st_t = StepStructure(
-        c_y=st.c_y, q=st.q, rhat=st.rhat[touched], cost=st.cost[touched],
-        band_lo=st.band_lo[touched], band_hi=st.band_hi[touched],
-        norm_power=st.norm_power,
-    )
-    lo_t, hi_t, a_t = lo[touched], hi[touched], a2[touched]
-
-    # Achievable range of a.U under the box alone; a target outside it is
-    # met at the nearest boundary with the gap reported as slack.
+    # Achievable range of the row under the box alone; a target outside it
+    # is met at the nearest boundary with the gap reported as slack.
     hi_cfg = np.where(a_t > 0, hi_t, lo_t)
     lo_cfg = np.where(a_t > 0, lo_t, hi_t)
     h_max = float((hi_cfg * a_t).sum())
@@ -639,21 +528,15 @@ def _solve_with_coupling(p: QpProblem, tol: float, max_iter: int, mu_hint) -> Qp
         h = h_min
     else:
         slack = 0.0
-        # Every trial solves the touched steps at the shared price
-        # cost[0] + mu * a[0]. A fill plan depends on that price only
+        # Every trial solves the steps before k_end at the price row
+        # price + mu * pattern. A fill plan depends on that price only
         # through its signs and its move order, so the trials of this solve
         # share one plan store and build each plan once.
-        price0 = _shared_price(st_t.cost)
-        a0 = a_t[0]
-        if np.any(a_t != a0):
-            raise ValueError("the coupling row must weigh every touched step alike")
         has_floor = lo_t.any()
         plans: dict = {}
 
         def inner(mu: float) -> tuple[np.ndarray, float]:
-            u, _, ok = _solve_priced(st_t, lo_t, hi_t, price0 + mu * a0, has_floor, plans)
-            if not ok:
-                raise ValueError("coupling path does not support band rows")
+            u = _solve_priced(st_t, lo_t, hi_t, st.price + mu * pattern, has_floor, plans)[0]
             return u, float((a_t * u).sum())
 
         start = mu_hint if mu_hint is not None and np.isfinite(mu_hint) else 0.0
@@ -729,7 +612,7 @@ def _solve_with_coupling(p: QpProblem, tol: float, max_iter: int, mu_hint) -> Qp
                     u_t, h = u_hi_sol, h_hi2
             mu_hint = 0.5 * (mu_lo + mu_hi)
 
-    u_full[touched] = u_t
+    u_full[:k_end] = u_t
     obj = _objective_from_structure(st, u_full)
     return QpSolution(
         u_star=u_full.ravel(), objective=obj,
@@ -789,13 +672,13 @@ def _solve_without_fixed(p: QpProblem, fixed: np.ndarray, tol: float,
     status, kkt, iters, regularized = OPTIMAL, 0.0, 0, False
     if free.any():
         reduced = QpProblem(
+            hessian=h[np.ix_(free, free)],
             f=p.f[free] + h[np.ix_(free, fixed)] @ xf,
             var_lower=p.var_lower[free], var_upper=p.var_upper[free],
-            coupling=[(g_free[i], glo[i] - shift[i], ghi[i] - shift[i])
-                      for i in np.flatnonzero(live)],
-            _hessian=h[np.ix_(free, free)],
+            rows=[(g_free[i], glo[i] - shift[i], ghi[i] - shift[i])
+                  for i in np.flatnonzero(live)],
         )
-        sol = _solve_active_set(reduced, tol, max_iter)
+        sol = solve_dense(reduced, tol, max_iter)
         x[free] = sol.u_star
         status, kkt, iters, regularized = (
             sol.status, sol.kkt_residual, sol.iterations, sol.regularized)
@@ -805,11 +688,16 @@ def _solve_without_fixed(p: QpProblem, fixed: np.ndarray, tol: float,
                       iterations=iters, regularized=regularized)
 
 
-def _solve_active_set(p: QpProblem, tol: float, max_iter: int) -> QpSolution:
-    # Imported here: the dense path is the test oracle, and no controller's
-    # run reaches it, so a run never pays for loading scipy.linalg.
+def solve_dense(p: QpProblem, tol: float = 1e-8, max_iter: int | None = None) -> QpSolution:
+    """Dual active-set method on the dense form, with fixed inputs (lower
+    == upper) substituted out first: the tests' oracle for the step solves.
+    A singular Hessian is regularized, and the solution says so."""
+    # Imported here: no controller's run reaches the dense method, so a run
+    # never pays for loading scipy.linalg.
     from scipy.linalg import cho_factor, cho_solve
 
+    if max_iter is None:
+        max_iter = 50 * (p.n + 10) + 200
     fixed = (p.var_lower == p.var_upper) & np.isfinite(p.var_lower)
     if fixed.any():
         return _solve_without_fixed(p, fixed, tol, max_iter)
@@ -939,31 +827,35 @@ def _solve_active_set(p: QpProblem, tol: float, max_iter: int) -> QpSolution:
     )
 
 
-def solve_qp(p: QpProblem, tol: float = 1e-8, max_iter: int | None = None,
-             mu_hint: float | None = None) -> QpSolution:
-    """Solve a QpProblem, dispatching on its structure.
+def solve_qp(st: StepStructure, lo: np.ndarray, hi: np.ndarray, terminal=None,
+             mu_hint: float | None = None, tol: float = 1e-8,
+             max_iter: int | None = None) -> QpSolution:
+    """Solve the layer problem ``st`` within the per-step boxes lo/hi, each
+    (N, nu); ``u_star`` is the stacked input vector.
 
-    Structured problems without coupling rows take the closed-form separable
-    path; a single equality coupling row (without band rows) takes the
-    scalar-dual path, warm started from ``mu_hint``, which never changes the
-    solution; dense problems and everything else use the dual active-set
-    method.
+    Without ``terminal`` the steps separate and each is solved in closed
+    form. terminal = (pattern, k_end, target) adds the equality
+    ``sum(pattern . u_i for i < k_end) == target`` (no band rows allowed),
+    met through its scalar dual warm started from ``mu_hint``, which never
+    changes the solution; a target beyond the box's reach is met at the
+    nearest boundary and the gap reported as ``coupling_slack``.
     """
+    if terminal is None:
+        u, _, feasible = _solve_steps(st, lo, hi)
+        if not feasible:
+            return QpSolution(
+                u_star=np.zeros(u.size), objective=np.inf, status=INFEASIBLE,
+                kkt_residual=np.inf, iterations=0,
+            )
+        return QpSolution(
+            u_star=u.ravel(), objective=_objective_from_structure(st, u),
+            status=OPTIMAL, kkt_residual=0.0, iterations=st.n_steps,
+        )
     if max_iter is None:
-        max_iter = 50 * (p.n + 10) + 200
-    if p.structure is not None:
-        if not p.coupling:
-            return _solve_separable(p)
-        if (
-            len(p.coupling) == 1
-            and p.coupling[0][1] == p.coupling[0][2]
-            and not np.any(np.isfinite(p.structure.band_lo))
-            and not np.any(np.isfinite(p.structure.band_hi))
-        ):
-            return _solve_with_coupling(p, tol, max_iter, mu_hint)
-        if p.structure.norm_power != 2:
-            raise ValueError("cubic penalty requires the separable path")
-    return _solve_active_set(p, tol, max_iter)
+        max_iter = 50 * (st.n_steps * st.nu + 10) + 200
+    pattern, k_end, target = terminal
+    return _solve_with_terminal(st, lo, hi, np.asarray(pattern, dtype=np.float64),
+                                k_end, target, tol, max_iter, mu_hint)
 
 
 def dump_problem(p: QpProblem, path) -> None:

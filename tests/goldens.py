@@ -90,7 +90,7 @@ def coupled_cases():
     """Seeded stacked layer problems with a terminal-energy row, built the
     way the periodic-SOC baseline builds them.
 
-    Yields (name, problem, mu_hint). The cases cover L1 (four actuators,
+    Yields (name, structure, lo, hi, terminal, mu_hint). The cases cover L1 (four actuators,
     always the general fill-order path), L2 and L3 with targets that push a
     trial dual's price negative, targets beyond the box's reach (the slack
     branch), warm-start hints and short horizons.
@@ -99,7 +99,6 @@ def coupled_cases():
 
     from hessmpc import EngineConfig
     from hessmpc.devices import EssState
-    from hessmpc.engine import _terminal_row
     from hessmpc.mpc import (
         L1State, build_layer_problem, freeze_efficiencies, l1_bounds,
         simple_bounds,
@@ -133,8 +132,10 @@ def coupled_cases():
                           eta_c=st.eta_c, eta_d=st.eta_d)
             lo, hi = simple_bounds(spec, st)
             pattern = np.array([st.eta_c, -1.0 / st.eta_d])
-        a_row = _terminal_row(pattern * spec.dt_h, n, k_end)
-        a2 = a_row.reshape(n, -1)
+        # The reach of the row is summed over the whole horizon, zero rows
+        # after k_end included, as the targets were first drawn.
+        a2 = np.zeros((n, pattern.size))
+        a2[:k_end] = pattern * spec.dt_h
         h_max = float((np.where(a2 > 0, hi, lo) * a2).sum())
         h_min = float((np.where(a2 > 0, lo, hi) * a2).sum())
         kind = i % 7
@@ -147,10 +148,9 @@ def coupled_cases():
             # which turns a price negative and leaves the two-input closed form.
             frac = (0.5, 0.9, 0.98, 0.02, 0.1)[kind]
             b = h_min + (frac + float(rng.uniform(-0.02, 0.02))) * (h_max - h_min)
-        p = build_layer_problem(spec, fc, lo, hi, None)
-        p.coupling.append((a_row, b, b))
         hint = float(rng.normal(0.0, 2.0)) if i % 5 == 4 else None
-        yield f"{i:02d}-{layer}-n{n}-k{k_end}", p, hint
+        yield (f"{i:02d}-{layer}-n{n}-k{k_end}", build_layer_problem(spec, fc), lo, hi,
+               (pattern * spec.dt_h, k_end, b), hint)
 
 
 def compute_coupled_solver() -> dict:
@@ -159,8 +159,8 @@ def compute_coupled_solver() -> dict:
     from hessmpc.qp import solve_qp
 
     out = {}
-    for name, p, hint in coupled_cases():
-        sol = solve_qp(p, mu_hint=hint)
+    for name, st, lo, hi, terminal, hint in coupled_cases():
+        sol = solve_qp(st, lo, hi, terminal, mu_hint=hint)
         out[name] = {
             "u_sha256": hashlib.sha256(sol.u_star.tobytes()).hexdigest(),
             "iterations": sol.iterations,
@@ -203,12 +203,12 @@ def fill_order_cases():
             band_hi[0] = float(rng.choice([0.0, np.round(abs(rng.normal(0.0, 10.0)))]))
         st = StepStructure(
             c_y=c_y, q=float(rng.choice([0.1, 0.15, 0.27])), rhat=rhat,
-            cost=np.tile(price, (n, 1)), band_lo=band_lo, band_hi=band_hi,
+            price=price, band_lo=band_lo, band_hi=band_hi,
         )
         extra = None
         if i % 2:
-            extra = float(np.round(rng.normal(0.0, 3.0), 1)) * np.tile(
-                rng.choice([-1.2, -0.25, 0.2, 0.9], nu), (n, 1))
+            extra = float(np.round(rng.normal(0.0, 3.0), 1)) * rng.choice(
+                [-1.2, -0.25, 0.2, 0.9], nu)
         yield f"{i:03d}-nu{nu}-n{n}", st, lo, hi, extra
     # One-step problems whose best candidate is +0.0 against a window edge
     # of -0.0 (forecast -0.0, band edge 0.0): a clip kernel with the other
@@ -223,10 +223,10 @@ def fill_order_cases():
     )
     for j, (c_y, q, lo, hi, price, band_lo, extra) in enumerate(ties):
         st = StepStructure(
-            c_y=np.array(c_y), q=q, rhat=np.array([-0.0]), cost=np.array([price]),
+            c_y=np.array(c_y), q=q, rhat=np.array([-0.0]), price=np.array(price),
             band_lo=np.array([band_lo]), band_hi=np.array([0.0]),
         )
-        extra = None if extra is None else np.array([extra])
+        extra = None if extra is None else np.array(extra)
         yield f"tie{j}-nu{len(c_y)}-n1", st, np.array([lo]), np.array([hi]), extra
 
 

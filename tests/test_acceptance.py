@@ -5,6 +5,7 @@ Each test prints one ``criterion N: PASS`` line on success (visible with
 heavy multi-day simulations run here and nowhere else.
 """
 
+import dataclasses
 import json
 import time
 
@@ -12,14 +13,13 @@ import numpy as np
 
 import goldens
 from hessmpc import EngineConfig, run
-from hessmpc.baselines import run_periodic_soc_mpc
 from hessmpc.devices import (
     BatteryDegParams, EssState, battery_soh, stress_factors,
     HHV_VOLTAGE, LHV_VOLTAGE,
 )
 from hessmpc.devices.battery import battery_damage
 from hessmpc.engine import prepare_scenario
-from hessmpc.qp import OPTIMAL, QpProblem, solve_qp
+from hessmpc.qp import OPTIMAL, QpProblem, solve_dense
 from hessmpc.scenario import ARCHETYPES
 from hessmpc.timeseries import TimeSeries
 from test_mtip import oracle_gap
@@ -104,7 +104,7 @@ def test_criterion_2_qp_matches_projected_gradient():
         if not converged:
             continue
         total += 1
-        s = solve_qp(QpProblem(f=f, var_lower=lo, var_upper=hi, _hessian=h))
+        s = solve_dense(QpProblem(hessian=h, f=f, var_lower=lo, var_upper=hi))
         if s.status == OPTIMAL:
             optimal += 1
         worst = max(worst, float(np.abs(s.u_star - ref).max()))
@@ -174,7 +174,7 @@ def test_criterion_6_baseline_ordering():
         cfg = _config(2.0, 13, archetype)
         data = prepare_scenario(cfg)
         rep_p = run(cfg, data)
-        rep_b = run_periodic_soc_mpc(cfg, data)
+        rep_b = run(dataclasses.replace(cfg, controller="periodic_soc"), data)
         sp = rep_p.metrics["smoothing_rate"]
         sb = rep_b.metrics["smoothing_rate"]
         detail.append(f"{archetype}: proposed {sp:.4f} vs periodic {sb:.4f}")

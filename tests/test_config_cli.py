@@ -270,8 +270,9 @@ def test_max_iter_coupled_solve_exits_with_solver_code(tmp_path, capsys, monkeyp
     # run stops with exit code 4 and writes no report.
     from hessmpc import engine, qp
 
-    def capped(problem, mu_hint=None):
-        return dataclasses.replace(qp.solve_qp(problem, mu_hint=mu_hint), status=qp.MAX_ITER)
+    def capped(st, lo, hi, terminal=None, mu_hint=None):
+        sol = qp.solve_qp(st, lo, hi, terminal=terminal, mu_hint=mu_hint)
+        return dataclasses.replace(sol, status=qp.MAX_ITER)
 
     monkeypatch.setattr(engine, "solve_qp", capped)
     out = tmp_path / "out"
@@ -280,3 +281,27 @@ def test_max_iter_coupled_solve_exits_with_solver_code(tmp_path, capsys, monkeyp
     assert rc == 4
     assert "terminal-row solve ended max_iter" in capsys.readouterr().err
     assert not (out / "metrics.json").exists()
+
+
+def test_periodic_horizon_past_the_forecast_pad_is_a_config_error(tmp_path, capsys):
+    # The periodic law plans the full L2 and L3 horizons, and the forecast
+    # reaches n1 hours past the run end. With n1 = 2 the 96-step L2 horizon
+    # (24 h) outruns it, so the run stops before anything is simulated.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n1": 2}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--days", "0.125",
+                 "--controller", "periodic_soc", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "n2: periodic-SOC horizon outruns the forecast" in err
+    assert "at most 9 steps" in err
+    assert "n3:" not in err
+    assert not out.exists()
+    # The last decision's window holds its own step and the pad's: a
+    # horizon of that length runs, one step more does not.
+    cfg = EngineConfig(controller="periodic_soc", n1=2, n2=9, n3=121)
+    assert not [f for f in validate(cfg) if f.severity == "error"]
+    cfg.n3 = 122
+    assert [f.path for f in validate(cfg) if f.severity == "error"] == ["n3"]
+    # The proposed controller plans one step, so the same horizons run.
+    assert main(["validate", "--config", str(cfg_path)]) == 0

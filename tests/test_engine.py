@@ -7,7 +7,7 @@ import pytest
 
 import goldens
 from hessmpc import EngineConfig, run
-from hessmpc.baselines import run_filter_decomposition, run_periodic_soc_mpc
+from hessmpc.baselines import run_filter_decomposition
 from hessmpc.engine import prepare_scenario
 from hessmpc.errors import ConfigError
 
@@ -185,7 +185,7 @@ def test_periodic_baseline_schema_and_events():
     cfg = _config(days=1.0, seed=5, archetype="deficit")
     data = prepare_scenario(cfg)
     rep_p = run(cfg, data)
-    rep_b = run_periodic_soc_mpc(cfg, data)
+    rep_b = run(dataclasses.replace(cfg, controller="periodic_soc"), data)
     assert set(rep_b.metrics) == set(rep_p.metrics)
     assert set(rep_b.layer_outputs) == set(rep_p.layer_outputs)
     assert rep_b.controller == "periodic_soc"
@@ -288,7 +288,6 @@ def test_proposed_qp_dump_is_the_one_step_problem(tmp_path):
 def test_periodic_qp_dump_holds_the_terminal_row(tmp_path):
     # The dump is the problem the periodic baseline solves: its only
     # constraint row is the terminal equality, met at the run-start energy.
-    from hessmpc.engine import _terminal_row
     from hessmpc.mpc import freeze_efficiencies
 
     cfg = _config(days=1.0 / 24.0, controller="periodic_soc", debug_qp_dump=True,
@@ -303,7 +302,9 @@ def test_periodic_qp_dump_holds_the_terminal_row(tmp_path):
     for name, spec in cfg.layer_specs().items():
         blocks = _read_dump(tmp_path / f"qp_{name}.txt")
         k_end = min(spec.horizon, max(1, round(cfg.baseline.soc_period_h / spec.dt_h)))
-        row = _terminal_row(np.array(patterns[name]) * spec.dt_h, spec.horizon, k_end)
+        row = np.zeros((spec.horizon, len(patterns[name])))
+        row[:k_end] = np.array(patterns[name]) * spec.dt_h
+        row = row.ravel()
         assert blocks["G"].shape == (1, row.size), name
         assert np.array_equal(blocks["G"][0], row), name
         assert blocks["ineq_lower"].tolist() == blocks["ineq_upper"].tolist() == [[0.0]]

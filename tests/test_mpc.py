@@ -12,7 +12,7 @@ from hessmpc.mpc import (
     receding_step, simple_bounds,
 )
 from hessmpc.mtip import MtipBounds
-from hessmpc.qp import OPTIMAL, solve_qp
+from hessmpc.qp import OPTIMAL, dense_problem, solve_qp
 
 AWE = AweParams()
 FC = PemfcParams()
@@ -222,8 +222,8 @@ def test_no_terminal_equality_rows_in_layer_problems():
     hi = np.full((spec.horizon, 2), 100.0)
     band = MtipBounds(r_lower=-3.0, r_upper=3.0, gamma=0.5)
     for b in (None, band):
-        problem = build_layer_problem(spec, np.full(spec.horizon, 10.0), lo, hi, b)
-        assert not problem.coupling
+        problem = dense_problem(build_layer_problem(spec, np.full(spec.horizon, 10.0), b),
+                                lo, hi)
         _, glo, ghi = problem.ineq_rows()
         assert np.all(glo < ghi)
 
@@ -237,16 +237,16 @@ def test_horizon_prefix_consistency():
     rng = np.random.default_rng(4)
     fc8 = rng.normal(0.0, 30.0, 8)
     lo8 = np.zeros((8, 2)); hi8 = np.full((8, 2), 100.0)
-    sol8 = solve_qp(build_layer_problem(spec8, fc8, lo8, hi8, None))
-    sol4 = solve_qp(build_layer_problem(spec4, fc8[:4], lo8[:4], hi8[:4], None))
+    sol8 = solve_qp(build_layer_problem(spec8, fc8), lo8, hi8)
+    sol4 = solve_qp(build_layer_problem(spec4, fc8[:4]), lo8[:4], hi8[:4])
     u8 = sol8.u_star.reshape(8, 2)
     u4 = sol4.u_star.reshape(4, 2)
     assert np.allclose(u8[:4], u4, atol=1e-10)
 
     # Brute-force oracle on one step: dense scan of the scalar output.
     fc1 = fc8[:1]
-    sol1 = solve_qp(build_layer_problem(_spec_simple(horizon=1, q=0.4, cost=0.6),
-                                        fc1, lo8[:1], hi8[:1], None))
+    sol1 = solve_qp(build_layer_problem(_spec_simple(horizon=1, q=0.4, cost=0.6), fc1),
+                    lo8[:1], hi8[:1])
     ys = np.linspace(-100.0, 100.0, 400001)
     cost_curve = 0.4 * (fc1[0] - ys) ** 2 + 0.6 / 60.0 * np.abs(ys)
     best = ys[int(np.argmin(cost_curve))]

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldens
+from hessmpc.mpc import LayerSpec, build_layer_problem
 from hessmpc.qp import (
-    INFEASIBLE, OPTIMAL, QpProblem, _objective_from_structure, _solve_active_set,
-    _solve_priced, _solve_steps, assemble_tracking_qp, dump_problem, solve_qp,
+    INFEASIBLE, OPTIMAL, QpProblem, StepStructure, _objective_from_structure,
+    _solve_priced, _solve_steps, dense_problem, dump_problem, solve_dense, solve_qp,
 )
 
 
@@ -30,24 +31,37 @@ def _random_psd_problem(rng, n):
     f = rng.normal(scale=5.0, size=n)
     lo = rng.uniform(-3.0, 0.0, n)
     hi = lo + rng.uniform(0.5, 4.0, n)
-    return QpProblem(f=f, var_lower=lo, var_upper=hi, _hessian=h)
+    return QpProblem(hessian=h, f=f, var_lower=lo, var_upper=hi)
+
+
+def _layer(q, c_y, price, rhat, lo, hi, band_lo=None, band_hi=None):
+    """A layer problem and its (N, nu) boxes; bounds given per input are
+    held across the steps, and absent bands are +-inf."""
+    rhat = np.asarray(rhat, dtype=np.float64)
+    c_y = np.asarray(c_y, dtype=np.float64)
+    n, nu = rhat.size, c_y.size
+    problem = StepStructure(
+        c_y=c_y, q=q, rhat=rhat, price=np.asarray(price, dtype=np.float64),
+        band_lo=np.full(n, -np.inf) if band_lo is None else np.asarray(band_lo, dtype=np.float64),
+        band_hi=np.full(n, np.inf) if band_hi is None else np.asarray(band_hi, dtype=np.float64),
+    )
+    box = [np.broadcast_to(np.asarray(b, dtype=np.float64), (n, nu)).copy() for b in (lo, hi)]
+    return problem, *box
 
 
 def test_unconstrained_closed_form():
-    p = QpProblem(f=np.array([-2.0, -2.0]),
-                  var_lower=np.full(2, -np.inf), var_upper=np.full(2, np.inf),
-                  _hessian=2.0 * np.eye(2))
-    s = solve_qp(p)
+    p = QpProblem(hessian=2.0 * np.eye(2), f=np.array([-2.0, -2.0]),
+                  var_lower=np.full(2, -np.inf), var_upper=np.full(2, np.inf))
+    s = solve_dense(p)
     assert s.status == OPTIMAL
     assert np.allclose(s.u_star, [1.0, 1.0])
     assert s.objective == pytest.approx(-2.0)
 
 
 def test_degenerate_box():
-    p = QpProblem(f=np.array([-2.0, -2.0]),
-                  var_lower=np.zeros(2), var_upper=np.zeros(2),
-                  _hessian=2.0 * np.eye(2))
-    s = solve_qp(p)
+    p = QpProblem(hessian=2.0 * np.eye(2), f=np.array([-2.0, -2.0]),
+                  var_lower=np.zeros(2), var_upper=np.zeros(2))
+    s = solve_dense(p)
     assert s.status == OPTIMAL
     assert np.allclose(s.u_star, 0.0)
 
@@ -60,12 +74,10 @@ def test_dense_oracle_eliminates_fixed_inputs(band, status):
     # point, feasible unless the band excludes the forecast. Regularizing
     # the rank-one Hessian over the fixed inputs made the dense method call
     # the unbanded problem infeasible.
-    kw = {} if band is None else {"band_lo": np.array([band[0]]),
-                                  "band_hi": np.array([band[1]])}
-    p = assemble_tracking_qp(0.09, np.array([-1.0, 1.0, 0.0, 1.0]),
-                             np.array([0.89, -0.7, 0.11, 0.37]), 1.0, np.array([46.0]),
-                             1.0, np.zeros(4), np.zeros(4), **kw)
-    s = _solve_active_set(p, 1e-8, 50 * (p.n + 10) + 200)
+    kw = {} if band is None else {"band_lo": [band[0]], "band_hi": [band[1]]}
+    layer = _layer(0.09, [-1.0, 1.0, 0.0, 1.0], [0.89, -0.7, 0.11, 0.37], [46.0],
+                   0.0, 0.0, **kw)
+    s = solve_dense(dense_problem(*layer))
     assert s.status == status
     if status == OPTIMAL:
         assert s.u_star.tobytes() == np.zeros(4).tobytes()
@@ -74,10 +86,9 @@ def test_dense_oracle_eliminates_fixed_inputs(band, status):
 
 def test_dense_oracle_keeps_free_inputs_beside_fixed_ones():
     # One input pinned at 2, the other free: the free one alone tracks.
-    p = QpProblem(f=np.array([-2.0, -6.0]), var_lower=np.array([2.0, -10.0]),
-                  var_upper=np.array([2.0, 10.0]),
-                  _hessian=np.array([[2.0, 1.0], [1.0, 2.0]]))
-    s = _solve_active_set(p, 1e-8, 500)
+    p = QpProblem(hessian=np.array([[2.0, 1.0], [1.0, 2.0]]), f=np.array([-2.0, -6.0]),
+                  var_lower=np.array([2.0, -10.0]), var_upper=np.array([2.0, 10.0]))
+    s = solve_dense(p, 1e-8, 500)
     assert s.status == OPTIMAL
     assert s.u_star[0] == 2.0
     # 2 u1 + 1 * 2 - 6 = 0
@@ -93,7 +104,7 @@ def test_solver_matches_projected_gradient_oracle():
         ref, converged = projected_gradient_box(
             p.hessian, p.f, p.var_lower, p.var_upper)
         assert converged
-        s = solve_qp(p)
+        s = solve_dense(p)
         assert s.status == OPTIMAL, trial
         assert np.abs(s.u_star - ref).max() < 1e-5, trial
 
@@ -101,7 +112,7 @@ def test_solver_matches_projected_gradient_oracle():
 def test_optimum_beats_random_feasible_points():
     rng = np.random.default_rng(5)
     p = _random_psd_problem(rng, 5)
-    s = solve_qp(p)
+    s = solve_dense(p)
     h, f = p.hessian, p.f
     for _ in range(1000):
         x = rng.uniform(p.var_lower, p.var_upper)
@@ -112,28 +123,27 @@ def test_optimum_beats_random_feasible_points():
 def test_scaling_invariance():
     rng = np.random.default_rng(11)
     p = _random_psd_problem(rng, 4)
-    s1 = solve_qp(p)
-    p2 = QpProblem(f=7.0 * p.f, var_lower=p.var_lower, var_upper=p.var_upper,
-                   _hessian=7.0 * p.hessian)
-    s2 = solve_qp(p2)
+    s1 = solve_dense(p)
+    p2 = QpProblem(hessian=7.0 * p.hessian, f=7.0 * p.f, var_lower=p.var_lower,
+                   var_upper=p.var_upper)
+    s2 = solve_dense(p2)
     assert np.abs(s1.u_star - s2.u_star).max() < 1e-6
 
 
 def test_determinism_bitwise():
     rng = np.random.default_rng(3)
     p = _random_psd_problem(rng, 6)
-    s1 = solve_qp(p)
-    p_again = QpProblem(f=p.f.copy(), var_lower=p.var_lower.copy(),
-                        var_upper=p.var_upper.copy(), _hessian=p.hessian.copy())
-    s2 = solve_qp(p_again)
+    s1 = solve_dense(p)
+    p_again = QpProblem(hessian=p.hessian.copy(), f=p.f.copy(),
+                        var_lower=p.var_lower.copy(), var_upper=p.var_upper.copy())
+    s2 = solve_dense(p_again)
     assert np.array_equal(s1.u_star, s2.u_star)
     assert s1.objective == s2.objective
 
 
 def test_tracking_assembly_rank_one_block():
     c_y = np.array([-1.0, 1.0, 0.0, 1.0])
-    p = assemble_tracking_qp(1.0, c_y, np.zeros(4), 0.0, np.array([10.0]),
-                             1.0, np.zeros(4), np.full(4, 100.0))
+    p = dense_problem(*_layer(1.0, c_y, np.zeros(4), [10.0], 0.0, 100.0))
     h = p.hessian
     assert np.allclose(h, 2.0 * np.outer(c_y, c_y))
     assert np.linalg.matrix_rank(h) == 1
@@ -144,9 +154,7 @@ def test_tracking_assembly_rank_one_block():
 def test_tracking_assembly_kronecker_blocks():
     c_y = np.array([-1.0, 1.0])
     q = 0.27
-    p = assemble_tracking_qp(q, c_y, np.zeros(2), 0.0, np.array([10.0, -4.0]),
-                             1.0, np.zeros(2), np.full(2, 50.0))
-    h = p.hessian
+    h = dense_problem(*_layer(q, c_y, np.zeros(2), [10.0, -4.0], 0.0, 50.0)).hessian
     block = 2.0 * q * np.outer(c_y, c_y)
     assert np.allclose(h[:2, :2], block)
     assert np.allclose(h[2:, 2:], block)
@@ -154,32 +162,28 @@ def test_tracking_assembly_kronecker_blocks():
 
 
 def test_pure_tracking_linear_term():
-    c_y = np.array([1.0])
     q = 2.0
     rv = np.array([3.0, -1.0])
-    p = assemble_tracking_qp(q, c_y, np.zeros(1), 0.0, rv, 1.0,
-                             np.zeros(1), np.full(1, 10.0))
+    p = dense_problem(*_layer(q, [1.0], [0.0], rv, 0.0, 10.0))
     assert np.allclose(p.f, -2.0 * q * rv)
 
 
 def test_cost_term_added_to_linear():
-    c_y = np.array([1.0])
-    p = assemble_tracking_qp(1.0, c_y, np.array([4.0]), 0.5, np.array([3.0]),
-                             0.25, np.zeros(1), np.full(1, 10.0))
+    # The price row is the cost vector scaled by the cost weight and the step
+    # length, and it adds to the tracking term of the linear part.
+    spec = LayerSpec(layer_id="L", dt_h=0.25, horizon=1, tracking_weight=1.0,
+                     cost_weight=0.5, cost_vec=[4.0], output_row=[1.0], u_max=[10.0])
+    problem = build_layer_problem(spec, [3.0])
+    assert problem.price.tolist() == [0.5 * 4.0 * 0.25]
+    p = dense_problem(problem, [[0.0]], [[10.0]])
     assert np.allclose(p.f, -2.0 * 3.0 + 0.5 * 4.0 * 0.25)
 
 
 def test_band_infeasibility_detected():
-    p = assemble_tracking_qp(1.0, np.array([1.0]), np.zeros(1), 0.0,
-                             np.array([50.0]), 1.0, np.zeros(1),
-                             np.array([10.0]),
-                             band_lo=np.array([-1.0]), band_hi=np.array([1.0]))
-    assert solve_qp(p).status == INFEASIBLE
-    # Same problem through the dense path.
-    g, glo, ghi = p.ineq_rows()
-    dense = QpProblem(f=p.f, var_lower=p.var_lower, var_upper=p.var_upper,
-                      _hessian=p.hessian, coupling=[(g[0], glo[0], ghi[0])])
-    assert solve_qp(dense).status == INFEASIBLE
+    layer = _layer(1.0, [1.0], [0.0], [50.0], 0.0, 10.0, band_lo=[-1.0], band_hi=[1.0])
+    assert solve_qp(*layer).status == INFEASIBLE
+    # Same problem through the dense oracle.
+    assert solve_dense(dense_problem(*layer)).status == INFEASIBLE
 
 
 def test_separable_matches_active_set_on_layer_problems():
@@ -196,16 +200,9 @@ def test_separable_matches_active_set_on_layer_problems():
         if trial % 3 == 0:
             band_lo[0] = -abs(rng.normal(0, 10))
             band_hi[0] = abs(rng.normal(0, 10))
-        p = assemble_tracking_qp(q, c_y, cost, 1.0, rv, 0.5,
-                                 np.zeros(2), caps, band_lo, band_hi)
-        s_fast = solve_qp(p)
-        g, glo, ghi = p.ineq_rows()
-        dense = QpProblem(
-            f=p.f, var_lower=p.var_lower, var_upper=p.var_upper,
-            _hessian=p.hessian, objective_const=p.objective_const,
-            coupling=[(g[i], glo[i], ghi[i]) for i in range(g.shape[0])],
-        )
-        s_ref = solve_qp(dense)
+        layer = _layer(q, c_y, cost * 0.5, rv, 0.0, caps, band_lo, band_hi)
+        s_fast = solve_qp(*layer)
+        s_ref = solve_dense(dense_problem(*layer))
         if s_fast.status == INFEASIBLE:
             assert s_ref.status == INFEASIBLE, trial
             continue
@@ -225,62 +222,68 @@ def test_four_actuator_separable_matches_active_set():
         caps = rng.uniform(10.0, 120.0, (n, 4))
         lo = np.zeros((n, 4))
         lo[:, 2] = rng.uniform(0.0, 5.0, n)   # conversion floors
-        p = assemble_tracking_qp(q, c_y, cost, 1.0, rv, 1.0, lo, caps)
-        s_fast = solve_qp(p)
-        dense = QpProblem(f=p.f, var_lower=p.var_lower, var_upper=p.var_upper,
-                          _hessian=p.hessian, objective_const=p.objective_const)
-        s_ref = solve_qp(dense)
+        layer = _layer(q, c_y, cost, rv, lo, caps)
+        s_fast = solve_qp(*layer)
+        s_ref = solve_dense(dense_problem(*layer))
         assert s_ref.status == OPTIMAL
         assert np.abs(s_fast.u_star - s_ref.u_star).max() < 2e-5, trial
 
 
 def test_coupling_row_matches_active_set():
+    # The terminal row binds the steps before k_end; the steps from k_end on
+    # solve apart from the dual. The objective of each block must match the
+    # dense oracle's, which solves the whole problem at once.
     rng = np.random.default_rng(9)
     c_y = np.array([-1.0, 1.0])
-    for trial in range(20):
+    pattern = np.array([0.9, -1.0 / 0.9]) * 0.25
+    free_blocks = 0
+    for trial in range(30):
         n = int(rng.integers(2, 7))
+        k_end = int(rng.integers(1, n + 1))
         q = float(rng.uniform(0.1, 1.0))
         cost = rng.uniform(0.05, 0.8, 2)
         rv = rng.normal(0.0, 30.0, n)
         caps = rng.uniform(10.0, 60.0, (n, 2))
-        eta_c, eta_d = 0.9, 0.9
-        a_row = np.tile(np.array([eta_c, -1.0 / eta_d]) * 0.25, n)
-        hi_cfg = np.where(a_row.reshape(n, 2) > 0, caps, 0.0)
-        b_max = float((hi_cfg * a_row.reshape(n, 2)).sum())
+        b_max = float((np.where(pattern > 0, caps[:k_end], 0.0) * pattern).sum())
         b = float(rng.uniform(-0.2, 0.4)) * b_max
-        p = assemble_tracking_qp(q, c_y, cost, 1.0, rv, 0.25, np.zeros(2), caps)
-        p.coupling.append((a_row, b, b))
-        s_fast = solve_qp(p)
-        dense = QpProblem(f=p.f, var_lower=p.var_lower, var_upper=p.var_upper,
-                          _hessian=p.hessian, objective_const=p.objective_const,
-                          coupling=[(a_row, b, b)])
-        s_ref = solve_qp(dense)
+        layer = _layer(q, c_y, cost * 0.25, rv, 0.0, caps)
+        s_fast = solve_qp(*layer, terminal=(pattern, k_end, b))
+        s_ref = solve_dense(dense_problem(*layer, terminal=(pattern, k_end, b)))
         assert s_ref.status == OPTIMAL
         assert s_fast.objective == pytest.approx(s_ref.objective, rel=1e-6, abs=1e-6), trial
-        assert abs(float(a_row @ s_fast.u_star) - b) < 1e-5
+        u = s_fast.u_star.reshape(n, 2)
+        assert abs(float((u[:k_end] @ pattern).sum()) - b) < 1e-5
+        for steps in (slice(k_end), slice(k_end, None)):
+            part = layer[0].take(steps)
+            got = _objective_from_structure(part, u[steps])
+            want = _objective_from_structure(part, s_ref.u_star.reshape(n, 2)[steps])
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-6), (trial, steps)
+        free_blocks += k_end < n
+    assert free_blocks >= 15
 
 
 def test_coupling_row_slack_reported():
-    c_y = np.array([-1.0, 1.0])
-    p = assemble_tracking_qp(1.0, c_y, np.full(2, 0.1), 1.0,
-                             np.zeros(3), 1.0, np.zeros(2), np.full(2, 10.0))
-    a_row = np.tile(np.array([0.9, -1.0 / 0.9]), 3)
+    layer = _layer(1.0, [-1.0, 1.0], [0.1, 0.1], np.zeros(3), 0.0, 10.0)
     # Target beyond what the box can ever store.
-    p.coupling.append((a_row, 100.0, 100.0))
-    s = solve_qp(p)
+    s = solve_qp(*layer, terminal=(np.array([0.9, -1.0 / 0.9]), 3, 100.0))
     assert s.coupling_slack > 0.0
+
+
+def test_terminal_row_refuses_band_rows():
+    # The dual's reach and slack are computed on the box alone, so a banded
+    # problem cannot take the terminal-row path.
+    layer = _layer(1.0, [-1.0, 1.0], [0.1, 0.1], np.zeros(3), 0.0, 10.0,
+                   band_lo=[-1.0, -np.inf, -np.inf], band_hi=[1.0, np.inf, np.inf])
+    with pytest.raises(ValueError, match="band rows"):
+        solve_qp(*layer, terminal=(np.array([0.9, -1.0 / 0.9]), 3, 1.0))
 
 
 def test_min_norm_tiebreak_on_singular_hessian():
     # Zero cost, rank-1 tracking: any (u_c, u_d) with u_d - u_c = y is
     # optimal; both paths must return the no-simultaneous-dispatch point.
-    c_y = np.array([-1.0, 1.0])
-    p = assemble_tracking_qp(1.0, c_y, np.zeros(2), 0.0, np.array([5.0]),
-                             1.0, np.zeros(2), np.full(2, 50.0))
-    s_fast = solve_qp(p)
-    dense = QpProblem(f=p.f, var_lower=p.var_lower, var_upper=p.var_upper,
-                      _hessian=p.hessian)
-    s_ref = solve_qp(dense)
+    layer = _layer(1.0, [-1.0, 1.0], np.zeros(2), [5.0], 0.0, 50.0)
+    s_fast = solve_qp(*layer)
+    s_ref = solve_dense(dense_problem(*layer))
     assert np.allclose(s_fast.u_star, [0.0, 5.0], atol=1e-9)
     assert np.allclose(s_ref.u_star, [0.0, 5.0], atol=1e-5)
     assert s_ref.regularized
@@ -288,20 +291,16 @@ def test_min_norm_tiebreak_on_singular_hessian():
 
 def test_validate_rejects_asymmetric():
     h = np.array([[1.0, 0.2], [0.0, 1.0]])
-    p = QpProblem(f=np.zeros(2), var_lower=np.zeros(2), var_upper=np.ones(2),
-                  _hessian=h)
+    p = QpProblem(hessian=h, f=np.zeros(2), var_lower=np.zeros(2), var_upper=np.ones(2))
     with pytest.raises(ValueError):
         p.validate()
 
 
 def test_dump_problem_writes_blocks(tmp_path):
-    p = assemble_tracking_qp(1.0, np.array([1.0]), np.zeros(1), 0.0,
-                             np.array([1.0, 2.0]), 1.0, np.zeros(1),
-                             np.full(1, 5.0),
-                             band_lo=np.array([-1.0, -np.inf]),
-                             band_hi=np.array([1.0, np.inf]))
+    layer = _layer(1.0, [1.0], [0.0], [1.0, 2.0], 0.0, 5.0,
+                   band_lo=[-1.0, -np.inf], band_hi=[1.0, np.inf])
     path = tmp_path / "dump.txt"
-    dump_problem(p, path)
+    dump_problem(dense_problem(*layer), path)
     text = path.read_text()
     for name in ("# H", "# f", "# var_lower", "# var_upper", "# G",
                  "# ineq_lower", "# ineq_upper"):
@@ -354,18 +353,15 @@ def _step_problems(draw):
     if draw(st.booleans()):
         band_lo[0] = draw(st.floats(-40.0, 0.0))
         band_hi[0] = band_lo[0] + draw(st.floats(0.0, 40.0))
-    return assemble_tracking_qp(q, c_y, np.array(price), 1.0, np.array(rhat), 1.0,
-                                lo, hi, band_lo, band_hi)
+    return _layer(q, c_y, price, rhat, lo, hi, band_lo, band_hi)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_step_problems())
-def test_fill_order_solve_matches_active_set_oracle(p):
-    st_ = p.structure
-    lo = p.var_lower.reshape(st_.n_steps, st_.nu)
-    hi = p.var_upper.reshape(st_.n_steps, st_.nu)
+def test_fill_order_solve_matches_active_set_oracle(layer):
+    st_, lo, hi = layer
     u, _, feasible = _solve_steps(st_, lo, hi)
-    ref = _solve_active_set(p, 1e-8, 50 * (p.n + 10) + 200)
+    ref = solve_dense(dense_problem(st_, lo, hi))
     if not feasible:
         assert ref.status != OPTIMAL
         return
@@ -387,18 +383,16 @@ _ROW_COEFFS = (0.0, 0.2125, -0.2941176470588235, 0.9, -1.1111111111111112, -1.0,
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(p=_step_problems(), data=st.data())
-def test_shared_plan_store_matches_fresh_solves(p, data):
-    # The coupled solve prices every trial at cost[0] + mu * a[0] and keeps
+@given(layer=_step_problems(), data=st.data())
+def test_shared_plan_store_matches_fresh_solves(layer, data):
+    # The coupled solve prices every trial at price + mu * pattern and keeps
     # one plan store for all of them. Duals near each zero crossing of a
     # shifted price flip the base and reorder the fill moves; a shared store
     # must still give the bytes of a fresh solve per dual.
-    st_ = p.structure
-    n, nu = st_.n_steps, st_.nu
-    lo = p.var_lower.reshape(n, nu)
-    hi = p.var_upper.reshape(n, nu)
+    st_, lo, hi = layer
+    nu = st_.nu
     a0 = np.array(data.draw(st.lists(st.sampled_from(_ROW_COEFFS), min_size=nu, max_size=nu)))
-    price0 = st_.cost[0]
+    price0 = st_.price
     crossings = [-price0[k] / a0[k] for k in range(nu) if a0[k] != 0.0]
     near = st.tuples(st.sampled_from(crossings or [0.0]),
                      st.sampled_from([0.0, -1e-9, 1e-9, -0.05, 0.05]))
@@ -407,26 +401,8 @@ def test_shared_plan_store_matches_fresh_solves(p, data):
     plans: dict = {}
     for mu in mus:
         got = _solve_priced(st_, lo, hi, price0 + mu * a0, lo.any(), plans)
-        want = _solve_steps(st_, lo, hi, extra_cost=mu * np.tile(a0, (n, 1)))
+        want = _solve_steps(st_, lo, hi, extra_cost=mu * a0)
         assert got[0].tobytes() == want[0].tobytes(), mu
         assert got[1].tobytes() == want[1].tobytes(), mu
         assert got[2] == want[2]
     assert len(plans) <= len(mus)
-
-
-@pytest.mark.parametrize("vary", ["price", "row"])
-def test_coupling_rejects_prices_that_vary_across_steps(vary):
-    # One fill order covers the horizon only if every touched step has the
-    # same prices, so a varying price row or coupling row is refused.
-    c_y = np.array([-1.0, 1.0])
-    p = assemble_tracking_qp(0.5, c_y, np.array([0.1, 0.2]), 1.0,
-                             np.array([10.0, -5.0, 3.0]), 0.25, np.zeros(2),
-                             np.full(2, 20.0))
-    a_row = np.tile(np.array([0.9, -1.0 / 0.9]) * 0.25, 3)
-    if vary == "price":
-        p.structure.cost[1] += 0.05
-    else:
-        a_row[2:4] *= 1.5
-    p.coupling.append((a_row, 1.0, 1.0))
-    with pytest.raises(ValueError, match="vary|alike"):
-        solve_qp(p)

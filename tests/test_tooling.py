@@ -63,6 +63,28 @@ def test_write_report_calls_engine_write_csv_per_file(tmp_path, monkeypatch):
     assert sorted(written) == csv_files
 
 
+def test_periodic_run_calls_engine_solve_qp_per_coupled_solve(monkeypatch):
+    # The tracer's qp.coupling span counts calls of the name engine.solve_qp;
+    # a coupled solve reached any other way would read 0 there.
+    from hessmpc import engine
+    from hessmpc.config import EngineConfig
+
+    cfg = EngineConfig(controller="periodic_soc")
+    cfg.scenario.duration_days = 1.0 / 24.0
+    calls = []
+    solve_qp = engine.solve_qp
+
+    def counting_solve_qp(*args, **kwargs):
+        calls.append(args[0].n_steps)
+        return solve_qp(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_qp", counting_solve_qp)
+    report = engine.run(cfg)
+    solves = [report.solver_stats[name]["solves"] for name in ("L1", "L2", "L3")]
+    assert solves == [1, 4, 60]
+    assert len(calls) == sum(solves) == 65
+
+
 def test_runs_load_no_scipy():
     # Importing scipy.signal was most of the CLI's start-up; a run needs none
     # of scipy (the dense QP oracle imports scipy.linalg when it is called).
