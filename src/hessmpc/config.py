@@ -211,6 +211,10 @@ def validate(config: EngineConfig) -> list[Finding]:
             err(key, "horizon must hold at least one step")
     if config.l3_norm_power not in (2, 3):
         err("l3_norm_power", "must be 2 or 3")
+    if config.debug_qp_dump and config.l3_norm_power == 3 and config.controller != "filter":
+        # The dump writes the dense quadratic form, which the cubic penalty
+        # does not have; the filter controller writes no dump.
+        err("debug_qp_dump", "the QP dump needs the quadratic penalty, but l3_norm_power is 3")
     if not 0.0 <= config.forecast_bias_decay < 1.0:
         err("forecast_bias_decay", "must lie in [0, 1)")
     if config.mtip.eps_db < 0.0:

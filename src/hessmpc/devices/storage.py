@@ -13,7 +13,7 @@ baseline): it cuts a request down to the power cap and the envelope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import EnvelopeViolation, ExclusivityViolation
 
@@ -141,4 +141,10 @@ def ess_step(state: EssState, p_charge: float, p_discharge: float, dt_h: float) 
         raise EnvelopeViolation(
             f"energy {e_next:.9f} MWh outside envelope [{lo}, {hi}]"
         )
-    return replace(state, energy=min(max(e_next, lo), hi))
+    # Built field by field (dataclasses.replace costs twice as much per
+    # call); __post_init__ still checks the new state.
+    return EssState(
+        energy=min(max(e_next, lo), hi), envelope=state.envelope,
+        power_cap=state.power_cap, eta_c=state.eta_c, eta_d=state.eta_d,
+        self_discharge=state.self_discharge, standby_loss=state.standby_loss,
+    )

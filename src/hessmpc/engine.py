@@ -306,7 +306,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         layer.output[k] = dec.output
         ledgers[dev].charged_mwh += move[0] * spec.dt_h
         ledgers[dev].discharged_mwh += move[1] * spec.dt_h
-        layer.cost += float(spec.cost_vec @ dec.u_applied) * spec.dt_h
+        layer.cost += dec.cost * spec.dt_h
         return dec.output
 
     pending_l1: tuple[np.ndarray, object] | None = None
@@ -370,7 +370,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             ledgers["hydrogen"].charged_mwh += u1[0] * spec1.dt_h
             ledgers["hydrogen"].discharged_mwh += u1[1] * spec1.dt_h
             ledgers["methanol"].discharged_mwh += u1[3] * spec1.dt_h
-            l1.cost += float(spec1.cost_vec @ u1) * spec1.dt_h
+            l1.cost += dec1.cost * spec1.dt_h
 
         # Quarter-hourly layer.
         if t0 % 900 == 0:
@@ -514,7 +514,8 @@ def _coupled_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDeci
     layer.stats.solves += 1
     layer.stats.iterations += sol.iterations
     layer.stats.max_kkt = max(layer.stats.max_kkt, sol.kkt_residual)
-    return LayerDecision(u_applied=u0, output=float(spec.output_row @ u0), solution=sol)
+    return LayerDecision(u_applied=u0, output=float(spec.output_row @ u0),
+                         cost=float(spec.cost_vec @ u0), solution=sol)
 
 
 def _dump(layer: _Layer, problem):

@@ -98,10 +98,12 @@ class FrozenEff:
 class LayerDecision:
     """First applied move of one layer solve; solution is the stacked QP's
     (None for the explicit step law), band_dropped marks a band that could
-    not be met."""
+    not be met. output and cost are the move's grid output and cost rate
+    (output_row and cost_vec dotted with u_applied)."""
 
-    u_applied: np.ndarray
+    u_applied: np.ndarray | tuple[float, ...]
     output: float
+    cost: float
     solution: QpSolution | None
     band_dropped: bool = False
 
@@ -263,9 +265,10 @@ def first_step_caps(spec: LayerSpec, state: EssState) -> tuple[float, float]:
     """(charge, discharge) caps of a single-store layer's applied first step:
     the rated powers, tightened so one step cannot leave the envelope."""
     dt = spec.dt_h
+    u_max = spec.u_max.tolist()
     return (
-        min(spec.u_max[0], max(0.0, state.headroom_charge) / (state.eta_c * dt)),
-        min(spec.u_max[1], max(0.0, state.headroom_discharge) * state.eta_d / dt),
+        min(u_max[0], max(0.0, state.headroom_charge) / (state.eta_c * dt)),
+        min(u_max[1], max(0.0, state.headroom_discharge) * state.eta_d / dt),
     )
 
 
@@ -321,13 +324,18 @@ def _band_ladder(solve, band: MtipBounds | None):
     return solve(-np.inf, np.inf), band is not None
 
 
-def _check_exclusive(spec: LayerSpec, u0: np.ndarray) -> None:
-    pairs = list(zip(spec.output_row.tolist(), u0.tolist()))
-    charge = [u for c, u in pairs if c < 0.0]
-    discharge = [u for c, u in pairs if c > 0.0]
-    if charge and discharge and max(charge) * max(discharge) > 1e-6:
+def _check_exclusive(layer_id: str, c_y: list, u0) -> None:
+    """Refuse an applied move that charges and discharges at once; c_y is
+    the output row and u0 the move, both sequences of Python floats."""
+    charge = discharge = None   # the largest charging and discharging input
+    for c, u in zip(c_y, u0):
+        if c < 0.0 and (charge is None or u > charge):
+            charge = u
+        elif c > 0.0 and (discharge is None or u > discharge):
+            discharge = u
+    if charge is not None and discharge is not None and charge * discharge > 1e-6:
         raise ExclusivityViolation(
-            f"simultaneous charge and discharge in an applied {spec.layer_id} move"
+            f"simultaneous charge and discharge in an applied {layer_id} move"
         )
 
 
@@ -351,9 +359,10 @@ def receding_step(
 
     sol, band_dropped = _band_ladder(solve, band)
     u0 = sol.u_star[: spec.output_row.size].copy()
-    _check_exclusive(spec, u0)
+    _check_exclusive(spec.layer_id, spec.output_row.tolist(), u0.tolist())
     return LayerDecision(u_applied=u0, output=float(spec.output_row @ u0),
-                         solution=sol, band_dropped=band_dropped)
+                         cost=float(spec.cost_vec @ u0), solution=sol,
+                         band_dropped=band_dropped)
 
 
 def explicit_step(
@@ -374,35 +383,43 @@ def explicit_step(
     horizon does not enter.
     """
     r0 = float(r0)
-    c_y = spec.output_row
-    price = [spec.cost_weight * c * spec.dt_h for c in spec.cost_vec.tolist()]
+    c_y = spec.output_row.tolist()
+    cost = spec.cost_vec.tolist()
+    price = [spec.cost_weight * c * spec.dt_h for c in cost]
     if charge_discharge_form(c_y, price, any(lo0)):
         i_d = 0 if c_y[0] > 0 else 1
+        args = (spec.tracking_weight, spec.norm_power, price[i_d], price[1 - i_d],
+                r0, float(hi0[i_d]), float(hi0[1 - i_d]))
 
         def solve(band_lo, band_hi):
-            move = charge_discharge_step(
-                spec.tracking_weight, spec.norm_power, price[i_d], price[1 - i_d],
-                r0, hi0[i_d], hi0[1 - i_d], band_lo, band_hi,
-            )
-            if move is None:
-                return None
-            u = np.empty(2)
-            u[i_d], u[1 - i_d] = move
-            return u
-    else:
-        lo_row = np.asarray(lo0, dtype=np.float64)[None, :]
-        hi_row = np.asarray(hi0, dtype=np.float64)[None, :]
+            return charge_discharge_step(*args, band_lo, band_hi)
 
-        def solve(band_lo, band_hi):
-            st = StepStructure(
-                c_y=c_y, q=spec.tracking_weight, rhat=np.array([r0]),
-                price=np.array(price), band_lo=np.array([band_lo]),
-                band_hi=np.array([band_hi]), norm_power=spec.norm_power,
-            )
-            u, _, feasible = _solve_steps(st, lo_row, hi_row)
-            return u[0] if feasible else None
+        move, band_dropped = _band_ladder(solve, band)
+        u0 = move if i_d == 0 else move[::-1]
+        _check_exclusive(spec.layer_id, c_y, u0)
+        # One of the two moves is +0.0, so each two-term sum is exact and
+        # has the bits of numpy's dot product (whose kernel fuses
+        # multiply-adds); a zero cost can differ in its sign only, which
+        # adding it to a running total erases.
+        return LayerDecision(
+            u_applied=u0, output=c_y[0] * u0[0] + c_y[1] * u0[1],
+            cost=cost[0] * u0[0] + cost[1] * u0[1], solution=None,
+            band_dropped=band_dropped,
+        )
+    lo_row = np.asarray(lo0, dtype=np.float64)[None, :]
+    hi_row = np.asarray(hi0, dtype=np.float64)[None, :]
+
+    def solve(band_lo, band_hi):
+        st = StepStructure(
+            c_y=spec.output_row, q=spec.tracking_weight, rhat=np.array([r0]),
+            price=np.array(price), band_lo=np.array([band_lo]),
+            band_hi=np.array([band_hi]), norm_power=spec.norm_power,
+        )
+        u, _, feasible = _solve_steps(st, lo_row, hi_row)
+        return u[0] if feasible else None
 
     u0, band_dropped = _band_ladder(solve, band)
-    _check_exclusive(spec, u0)
-    return LayerDecision(u_applied=u0, output=float(c_y @ u0), solution=None,
+    _check_exclusive(spec.layer_id, c_y, u0.tolist())
+    return LayerDecision(u_applied=u0, output=float(spec.output_row @ u0),
+                         cost=float(spec.cost_vec @ u0), solution=None,
                          band_dropped=band_dropped)

@@ -5,10 +5,11 @@ band of admissible constant residual baselines. A baseline r is admissible
 iff the child's energy trajectory, integrating the efficiency-corrected flow
 of r plus the known intra-step fluctuation profile, stays inside its safety
 envelope at every micro step. The admissible set is an interval whose edges
-are found by exact inversion of the piecewise-linear prefix flows; zero-mean
-fluctuations can push an edge past the zero-fluctuation value, which is the
-virtual-capacity effect that lets a nearly full (or empty) child still accept
-throughput.
+are found by exact inversion of the piecewise-linear prefix flows, all read
+from one flow matrix per band (each prefix's flows are numpy's row sums of
+its leading block, which fixes their rounding); zero-mean fluctuations can
+push an edge past the zero-fluctuation value, which is the virtual-capacity
+effect that lets a nearly full (or empty) child still accept throughput.
 
 The band functions take plain arrays: ``xi`` is the fluctuation of the
 child-granularity forecast across the parent step about the parent-step
@@ -22,6 +23,7 @@ expensive child shrinks it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,30 +74,17 @@ def fluctuation_potentials(
     return np.cumsum(phi_plus) * dt_h, np.cumsum(phi_minus) * dt_h
 
 
-def _prefix_flow_knots(
-    xi_prefix: np.ndarray, eta_c: float, eta_d: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints of r -> sum_m psi(r + xi_m), sorted, with the flow at each."""
-    breaks = -xi_prefix
-    flow_at = psi(breaks[:, None] + xi_prefix[None, :], eta_c, eta_d).sum(axis=1)
-    order = np.argsort(breaks, kind="stable")
-    return breaks[order], flow_at[order]
-
-
-def _invert_prefix_flow(
-    knots: tuple[np.ndarray, np.ndarray], eta_c: float, eta_d: float, target: float
-) -> float:
+def _invert_prefix_flow(bs: list, gs: list, eta_c: float, eta_d: float, target: float) -> float:
     """Solve sum_m psi(r + xi_m) = target for r (piecewise-linear, exact),
-    given the prefix's :func:`_prefix_flow_knots`."""
-    bs, gs = knots
-    j = bs.size
+    given the prefix's sorted breakpoints ``bs`` and the flow ``gs`` at each."""
+    j = len(bs)
     if target >= gs[-1]:
-        return float(bs[-1] + (target - gs[-1]) * eta_d / j)
+        return bs[-1] + (target - gs[-1]) * eta_d / j
     if target <= gs[0]:
-        return float(bs[0] - (gs[0] - target) / (j * eta_c))
-    k = int(np.searchsorted(gs, target, side="right"))
+        return bs[0] - (gs[0] - target) / (j * eta_c)
+    k = bisect_right(gs, target)
     slope = k / eta_d + (j - k) * eta_c
-    return float(bs[k - 1] + (target - gs[k - 1]) / slope)
+    return bs[k - 1] + (target - gs[k - 1]) / slope
 
 
 def physical_bounds(xi: np.ndarray, store: EssState, dt_h: float) -> tuple[float, float]:
@@ -106,6 +95,13 @@ def physical_bounds(xi: np.ndarray, store: EssState, dt_h: float) -> tuple[float
     each prefix condition inverts exactly because the flow is monotone
     piecewise-linear in r. This exact inversion is what the band oracle
     checks.
+
+    The breakpoints of prefix j are -xi[:j]. One flow matrix
+    ``flow[i, m] = psi(-xi[i] + xi[m])`` and one stable argsort of the
+    breakpoints serve every prefix: prefix j's knots are the entries below j
+    of that order, which is a stable sort of the prefix, and its flows are
+    numpy's row sums of the leading j x j block. Running or segmented sums
+    round in another order, so they would move the band's bits.
     """
     eta_c, eta_d = store.eta_c, store.eta_d
     if not np.any(xi):
@@ -113,12 +109,19 @@ def physical_bounds(xi: np.ndarray, store: EssState, dt_h: float) -> tuple[float
     lo_env, hi_env = store.envelope
     k_floor = (store.energy - lo_env) / dt_h   # max total outflow, MW-steps
     k_ceil = (store.energy - hi_env) / dt_h    # min total outflow (negative)
+    breaks = -xi
+    flow = psi(breaks[:, None] + xi[None, :], eta_c, eta_d)
+    order = np.argsort(breaks, kind="stable").tolist()
+    breaks = breaks.tolist()
     r_hi = np.inf
     r_lo = -np.inf
     for jj in range(1, xi.size + 1):
-        knots = _prefix_flow_knots(xi[:jj], eta_c, eta_d)
-        r_hi = min(r_hi, _invert_prefix_flow(knots, eta_c, eta_d, k_floor))
-        r_lo = max(r_lo, _invert_prefix_flow(knots, eta_c, eta_d, k_ceil))
+        flow_at = flow[:jj, :jj].sum(axis=1).tolist()
+        knots = [i for i in order if i < jj]
+        bs = [breaks[i] for i in knots]
+        gs = [flow_at[i] for i in knots]
+        r_hi = min(r_hi, _invert_prefix_flow(bs, gs, eta_c, eta_d, k_floor))
+        r_lo = max(r_lo, _invert_prefix_flow(bs, gs, eta_c, eta_d, k_ceil))
     return float(r_lo), float(r_hi)
 
 

@@ -176,12 +176,12 @@ def dense_problem(st: StepStructure, lo, hi, terminal=None) -> QpProblem:
 # Separable closed-form path
 # ----------------------------------------------------------------------
 
-def charge_discharge_form(c_y: np.ndarray, price, has_floor: bool) -> bool:
+def charge_discharge_form(c_y, price, has_floor: bool) -> bool:
     """True when the charge/discharge closed form applies: one charge and
     one discharge input (output row +-1), no input floor, non-negative
-    prices."""
+    prices. c_y and price are arrays or lists."""
     return bool(
-        c_y.size == 2
+        len(c_y) == 2
         and c_y[0] * c_y[1] == -1.0
         and abs(c_y[0]) == 1.0
         and price[0] >= 0.0

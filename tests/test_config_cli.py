@@ -61,6 +61,20 @@ def test_cubic_norm_flag():
     assert any(f.path == "l3_norm_power" for f in validate(cfg))
 
 
+def test_cubic_penalty_qp_dump_is_a_config_error(tmp_path, capsys):
+    # The pair used to pass validate and then stop run with a traceback
+    # (exit 1) when the first L3 dump asked for a dense cubic problem.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "l3_norm_power": 3, "debug_qp_dump": True,
+        "scenario": {"duration_days": 1.0 / 24.0},
+    }))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert "error: debug_qp_dump:" in capsys.readouterr().out
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "debug_qp_dump:" in capsys.readouterr().err
+
+
 def test_config_round_trip(tmp_path):
     cfg = EngineConfig()
     cfg.scenario.seed = 17

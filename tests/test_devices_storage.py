@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,24 @@ def test_self_discharge_applied():
     st = _state(self_discharge=0.01)
     out = ess_step(st, 0.0, 0.0, 1.0)
     assert out.energy == pytest.approx(99.0)
+
+
+def test_step_keeps_every_static_field():
+    # ess_step builds the new state field by field; every field but the
+    # energy must come through, also after a chain of steps.
+    st = _state(energy=120.0, envelope=(10.0, 190.0), power_cap=40.0,
+                eta_c=0.9, eta_d=0.8, self_discharge=0.001, standby_loss=0.5)
+    out = st
+    for p_c, p_d in ((10.0, 0.0), (0.0, 30.0), (0.0, 0.0)):
+        out = ess_step(out, p_c, p_d, 0.5)
+        assert out == dataclasses.replace(st, energy=out.energy)
+    for name in ("envelope", "power_cap", "eta_c", "eta_d", "self_discharge",
+                 "standby_loss"):
+        assert getattr(out, name) == getattr(st, name), name
+    assert out.energy != st.energy
+    with pytest.raises(ExclusivityViolation):
+        ess_step(out, 1.0, 1.0, 0.5)
+    with pytest.raises(EnvelopeViolation):
+        ess_step(out, 0.0, 40.0, 10.0)
+    with pytest.raises(EnvelopeViolation):
+        ess_step(out, 41.0, 0.0, 0.01)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from hessmpc.devices import EssState
 from hessmpc.mtip import (
-    MtipBounds, adaptive_bounds, brute_force_band_oracle, fluctuation_potentials,
-    marginal_cost, physical_bounds, psi,
+    MtipBounds, adaptive_bounds, brute_force_band_oracle, flat_bounds,
+    fluctuation_potentials, marginal_cost, physical_bounds, psi,
 )
 
 
@@ -177,6 +177,68 @@ def test_property_cases_reach_edges_and_crossed_bands():
 
     record()
     assert seen == {"crossed", "banded", "zero", "fluctuating", "floor", "ceiling"}
+
+
+def _reference_invert(bs, gs, eta_c, eta_d, target):
+    j = bs.size
+    if target >= gs[-1]:
+        return float(bs[-1] + (target - gs[-1]) * eta_d / j)
+    if target <= gs[0]:
+        return float(bs[0] - (gs[0] - target) / (j * eta_c))
+    k = int(np.searchsorted(gs, target, side="right"))
+    slope = k / eta_d + (j - k) * eta_c
+    return float(bs[k - 1] + (target - gs[k - 1]) / slope)
+
+
+def _reference_physical_bounds(xi, store, dt_h):
+    """physical_bounds with its own j x j flow matrix and stable argsort for
+    every prefix j: the per-prefix form the shared flow matrix must match
+    bit for bit."""
+    eta_c, eta_d = store.eta_c, store.eta_d
+    if not np.any(xi):
+        return flat_bounds(store.energy, store.envelope, eta_c, eta_d, dt_h, xi.size)
+    lo_env, hi_env = store.envelope
+    k_floor = (store.energy - lo_env) / dt_h
+    k_ceil = (store.energy - hi_env) / dt_h
+    r_hi = np.inf
+    r_lo = -np.inf
+    for jj in range(1, xi.size + 1):
+        breaks = -xi[:jj]
+        flow_at = psi(breaks[:, None] + xi[None, :jj], eta_c, eta_d).sum(axis=1)
+        order = np.argsort(breaks, kind="stable")
+        bs, gs = breaks[order], flow_at[order]
+        r_hi = min(r_hi, _reference_invert(bs, gs, eta_c, eta_d, k_floor))
+        r_lo = max(r_lo, _reference_invert(bs, gs, eta_c, eta_d, k_ceil))
+    return float(r_lo), float(r_hi)
+
+
+@st.composite
+def _bit_cases(draw):
+    """Band arguments with repeated and signed-zero fluctuation entries,
+    the energy at either envelope edge or inside, and any efficiencies in
+    (0, 1]; n covers the L1 (4) and L2 (15) band lengths."""
+    n = draw(st.one_of(st.sampled_from([4, 15]), st.integers(1, 20)))
+    pool = draw(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=3))
+    entry = st.one_of(st.sampled_from(pool + [0.0, -0.0]), st.floats(-30.0, 30.0))
+    xi = draw(st.lists(entry, min_size=n, max_size=n))
+    e_lo = draw(st.floats(0.0, 50.0))
+    e_hi = e_lo + draw(st.one_of(st.sampled_from([1e-3, 0.05]), st.floats(0.5, 100.0)))
+    eff = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+    return _band(
+        xi, energy=draw(st.one_of(st.sampled_from([e_lo, e_hi]), st.floats(e_lo, e_hi))),
+        envelope=(e_lo, e_hi), eta_c=draw(eff), eta_d=draw(eff),
+        dt_child_h=draw(st.sampled_from([1.0 / 3600.0, 1.0 / 60.0, 0.25])),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_bit_cases())
+def test_physical_bounds_match_per_prefix_reference_bit_for_bit(args):
+    # Efficiencies near zero overflow the flows to inf on both sides alike.
+    got = np.array(physical_bounds(*args))
+    want = np.array(_reference_physical_bounds(*args))
+    assert got.tobytes() == want.tobytes(), (got, want)
 
 
 def test_marginal_cost_aggregation():

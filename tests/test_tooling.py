@@ -85,6 +85,30 @@ def test_periodic_run_calls_engine_solve_qp_per_coupled_solve(monkeypatch):
     assert len(calls) == sum(solves) == 65
 
 
+def test_proposed_run_calls_engine_band_and_store_step_by_name(monkeypatch):
+    # The tracer's mtip.physical_bounds and devices.ess_step spans count
+    # calls of these names in the engine: one per L1 or L2 band (its child
+    # fluctuates; the flywheel's flat band takes another path) and one per
+    # store advance.
+    from hessmpc import engine
+    from hessmpc.config import EngineConfig
+
+    cfg = EngineConfig()
+    cfg.scenario.duration_days = 1.0 / 24.0
+    calls = {"physical_bounds": [], "ess_step": []}
+    for name, seen in calls.items():
+        fn = getattr(engine, name)
+
+        def counting(*args, _fn=fn, _seen=seen):
+            _seen.append(args[0])
+            return _fn(*args)
+
+        monkeypatch.setattr(engine, name, counting)
+    engine.run(cfg)
+    assert [xi.size for xi in calls["physical_bounds"]] == [4, 15, 15, 15, 15]
+    assert len(calls["ess_step"]) == 64
+
+
 def test_runs_load_no_scipy():
     # Importing scipy.signal was most of the CLI's start-up; a run needs none
     # of scipy (the dense QP oracle imports scipy.linalg when it is called).
