@@ -259,6 +259,13 @@ def validate(config: EngineConfig) -> list[Finding]:
     if config.n3 * 1.0 < 15.0:
         warn("n3", "L3 horizon shorter than one L2 step")
 
+    days = config.scenario.duration_days
+    span_s = days * 86400.0
+    # round() refuses NaN and infinity; they count as no run at all.
+    run_s = round(span_s) if 0.0 < span_s < np.inf else 0
+    if run_s < 3600 or run_s % 3600:
+        err("scenario.duration_days",
+            f"run length must be a positive whole number of hours, got {days} days")
     for layer, acc in config.scenario.forecast_accuracy.items():
         if not 0.0 < acc <= 1.0:
             err(f"scenario.forecast_accuracy.{layer}", f"must lie in (0, 1], got {acc}")
@@ -280,6 +287,13 @@ def validate(config: EngineConfig) -> list[Finding]:
     if config.baseline.soc_period_h <= 0.0:
         err("baseline.soc_period_h", "must be positive")
     return out
+
+
+def require_valid(config: EngineConfig) -> None:
+    """Raise ConfigError naming every error :func:`validate` finds."""
+    errors = [f for f in validate(config) if f.severity == "error"]
+    if errors:
+        raise ConfigError("; ".join(f"{f.path}: {f.message}" for f in errors))
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from .config import EngineConfig, validate
+from .config import EngineConfig, require_valid
 from .devices import ess_step
 from .devices.battery import battery_damage, battery_soh, bess_cycle_cost
 from .devices.flywheel import fess_lcoe
@@ -76,11 +76,11 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
     run itself; only that forecast pad beyond the run end is held at the
     CSV's last value. A synthesized extreme calm without a configured window
     falls at the fractions of the run, not of the padded series, that a
-    scenario of the run's own length would use.
+    scenario of the run's own length would use. A config that
+    :func:`~hessmpc.config.validate` finds in error raises ConfigError.
     """
+    require_valid(config)
     run_seconds = int(round(config.scenario.duration_days * 86400.0))
-    if run_seconds % 3600:
-        raise ConfigError("run duration must be a whole number of hours")
     pad_seconds = config.n1 * 3600
     total = run_seconds + pad_seconds
     if config.csv_path is not None:
@@ -175,10 +175,7 @@ class _Layer:
 
 def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationReport:
     """Run the configured controller over one scenario."""
-    findings = validate(config)
-    errors = [f for f in findings if f.severity == "error"]
-    if errors:
-        raise ConfigError("; ".join(f"{f.path}: {f.message}" for f in errors))
+    require_valid(config)
     if config.controller == "filter":
         from .baselines import run_filter_decomposition
         return run_filter_decomposition(config, data)
@@ -299,7 +296,8 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         state = stores[dev]
         fc = layer.window(k, layer.plan, held)
         lo, hi = store_bounds(spec, state)
-        terminal = ((state.eta_c, -1.0 / state.eta_d), e_init[dev] - state.energy, fc[0])
+        terminal = ((state.eta_c, -1.0 / state.eta_d), e_init[dev] - state.energy, fc[0]) \
+            if periodic else None
         dec = law(layer, fc, lo, hi, band, terminal, events)
         move = (float(dec.u_applied[0]), float(dec.u_applied[1]))
         pending[name] = move
@@ -361,7 +359,8 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             lo1, hi1 = l1_bounds(spec1, l1_state, eff, tank_env, fc1, conv_cap)
             # Forced recharges are judged on the raw forecast here.
             terminal = ((eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0),
-                        e_init["hydrogen"] - l1_state.e_h, l1.forecast[h])
+                        e_init["hydrogen"] - l1_state.e_h, l1.forecast[h]) \
+                if periodic else None
             dec1 = law(l1, fc1, lo1, hi1, band1, terminal, events)
             y1 = dec1.output
             u1 = dec1.u_applied
@@ -449,7 +448,7 @@ def _first_step_rows(spec: LayerSpec, state) -> tuple[tuple, tuple]:
 
 def _explicit_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDecision:
     """The proposed controller's law: the explicit step on the step-0
-    forecast, bounds and band (``terminal`` is the periodic law's). A
+    forecast, bounds and band (``terminal``, the periodic law's, is None). A
     dropped band counts once in each of ``band_clamped`` (a band the layer
     could not apply as offered), ``band_dropped`` and the layer's
     infeasible solves."""

@@ -394,8 +394,8 @@ def explicit_step(
         def solve(band_lo, band_hi):
             return charge_discharge_step(*args, band_lo, band_hi)
 
-        move, band_dropped = _band_ladder(solve, band)
-        u0 = move if i_d == 0 else move[::-1]
+        (discharge, charge, _), band_dropped = _band_ladder(solve, band)
+        u0 = (discharge, charge) if i_d == 0 else (charge, discharge)
         _check_exclusive(spec.layer_id, c_y, u0)
         # One of the two moves is +0.0, so each two-term sum is exact and
         # has the bits of numpy's dot product (whose kernel fuses

@@ -59,21 +59,6 @@ def psi(p, eta_c: float, eta_d: float):
     return np.where(p >= 0.0, p / eta_d, p * eta_c)
 
 
-def fluctuation_potentials(
-    xi: np.ndarray, eta_c: float, eta_d: float, dt_h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative signed fluctuation energies (phi+, phi-) in MWh.
-
-    The plus potential discounts charging-side fluctuation by the round-trip
-    efficiency; the minus potential inflates discharging-side fluctuation by
-    it.
-    """
-    rt = eta_c * eta_d
-    phi_plus = np.where(xi >= 0.0, xi, xi * rt)
-    phi_minus = np.where(xi >= 0.0, xi / rt, xi)
-    return np.cumsum(phi_plus) * dt_h, np.cumsum(phi_minus) * dt_h
-
-
 def _invert_prefix_flow(bs: list, gs: list, eta_c: float, eta_d: float, target: float) -> float:
     """Solve sum_m psi(r + xi_m) = target for r (piecewise-linear, exact),
     given the prefix's sorted breakpoints ``bs`` and the flow ``gs`` at each."""
@@ -145,22 +130,6 @@ def psi_inverse(flow: float, eta_c: float, eta_d: float) -> float:
     return flow * eta_d if flow >= 0.0 else flow / eta_c
 
 
-def paper_form_bounds(xi: np.ndarray, store: EssState, dt_h: float) -> tuple[float, float]:
-    """Closed-form band estimate built from the fluctuation potentials.
-
-    Exact whenever the corrected flow keeps one sign inside every prefix and
-    conservative otherwise (never wider than the exact inversion on the
-    upper side, nor below it on the lower side); exposed for comparison
-    against :func:`physical_bounds`.
-    """
-    lo_env, hi_env = store.envelope
-    phi_plus, phi_minus = fluctuation_potentials(xi, store.eta_c, store.eta_d, dt_h)
-    j = np.arange(1, xi.size + 1) * dt_h
-    r_hi = float(np.min(((store.energy - lo_env) * store.eta_d - phi_plus) / j))
-    r_lo = float(np.max(((store.energy - hi_env) / store.eta_c - phi_minus) / j))
-    return r_lo, r_hi
-
-
 def marginal_cost(spec) -> float:
     """Marginal dispatch cost of a layer: cost weight times the mean price
     of its grid-coupled actuators."""
@@ -198,23 +167,3 @@ def adaptive_bounds(
     r_hi = gamma * phy_hi + (1.0 - gamma) * eps_db
     r_lo = gamma * phy_lo - (1.0 - gamma) * eps_db
     return MtipBounds(float(r_lo), float(r_hi), float(gamma))
-
-
-def brute_force_band_oracle(
-    xi: np.ndarray, store: EssState, dt_h: float, r_candidate: float
-) -> bool:
-    """Simulate the child trajectory under a constant baseline; True if the
-    envelope holds at every micro step. Keeps its own flow expression, so it
-    stays independent of :func:`psi`."""
-    flows = np.where(
-        r_candidate + xi >= 0.0,
-        (r_candidate + xi) / store.eta_d,
-        (r_candidate + xi) * store.eta_c,
-    )
-    traj = store.energy - np.cumsum(flows) * dt_h
-    lo, hi = store.envelope
-    # Guard only against accumulated float rounding; anything larger is a
-    # genuine violation (the bound inversion is checked against this oracle
-    # at the 1e-6 MW level).
-    tol = 1e-12 * max(1.0, abs(hi), abs(lo), abs(store.energy))
-    return bool(np.all(traj >= lo - tol) and np.all(traj <= hi + tol))

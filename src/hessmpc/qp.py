@@ -7,22 +7,23 @@ per-step input boxes and optional residual-band rows. :func:`solve_qp`
 solves it on that step structure, with no dense form:
 
 * without a terminal row the steps separate, and each is solved in closed
-  form, vectorized across steps;
+  form: a single store (one charge and one discharge input) runs the scalar
+  step rule :func:`charge_discharge_step` of the explicit law on each step,
+  other rows the fill-order solve, vectorized across steps;
 * the periodic-SOC baseline adds one terminal equality, given as
   ``(pattern, k_end, target)``: ``pattern . u_i`` summed over the steps
   before k_end equals target. The steps from k_end on solve once on their
   own; the others are met through bisection on the scalar dual of that row,
   warm started from the dual the previous solve hands on. Each trial dual
   is a closed-form step solve at the price row shifted by the dual times
-  the pattern; the part of that solve which depends on the prices only
-  through their signs and the order of the fill moves (the fill plan) is
-  built once per solve and shared by its trials.
+  the pattern; the part of a fill-order solve which depends on the prices
+  only through their signs and the order of the fill moves (the fill plan)
+  is built once per solve and shared by its trials.
 
 :func:`dense_problem` writes the same problem in dense standard form
-(``H = 2 C' (I x Q) C``, a linear term, boxes and constraint rows). Only
-``debug_qp_dump`` and the tests use it; :func:`solve_dense`, a dual
-active-set method on that form with fixed inputs substituted out first, is
-the tests' oracle.
+(``H = 2 C' (I x Q) C``, a linear term, boxes and constraint rows) for
+``debug_qp_dump``; the tests' dense oracle for it lives in
+``tests/oracles.py``.
 
 All paths are deterministic: identical problems yield bit-identical
 solutions.
@@ -38,8 +39,6 @@ import numpy as np
 OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
 INFEASIBLE = "infeasible"
-
-_DROP_TOL = 1e-12
 
 
 @dataclass
@@ -110,18 +109,6 @@ class QpProblem:
             return np.zeros((0, self.n)), np.zeros(0), np.zeros(0)
         g, lo, hi = zip(*self.rows)
         return np.vstack(g), np.array(lo), np.array(hi)
-
-    def validate(self, tol_sym: float = 1e-10, tol_psd: float = 1e-8) -> None:
-        """Assert symmetry and positive semidefiniteness of the Hessian."""
-        h = self.hessian
-        asym = np.abs(h - h.T).max() if h.size else 0.0
-        if asym > tol_sym:
-            raise ValueError(f"Hessian asymmetry {asym} exceeds {tol_sym}")
-        if h.size:
-            w = np.linalg.eigvalsh(h)
-            scale = max(np.abs(w).max(), 1.0)
-            if w.min() < -tol_psd * scale:
-                raise ValueError(f"Hessian indefinite: min eigenvalue {w.min()}")
 
 
 @dataclass
@@ -208,16 +195,17 @@ def charge_discharge_step(
     rhat: float,
     cap_d: float,
     cap_c: float,
-    band_lo: float = -np.inf,
-    band_hi: float = np.inf,
-) -> tuple[float, float] | None:
-    """One step of :func:`_solve_charge_discharge` in scalar form.
+    band_lo: float,
+    band_hi: float,
+) -> tuple[float, float, float] | None:
+    """One step of a single store: one discharge and one charge input
+    (output row +-1), no input floor, non-negative prices.
 
     g_d/g_c are the step prices of the discharge and charge inputs, cap_d/
     cap_c their caps and band_lo/band_hi the residual band. Returns the
-    (discharge, charge) move, or None when the band window misses the
-    achievable output range. Every operation matches the vectorized path
-    element for element, so both give bit-identical moves.
+    (discharge, charge, output) move, or None when the band window misses
+    the achievable output range. The output is returned as computed, not
+    rebuilt from the two inputs, which would lose the sign of a zero.
     """
     if norm_power == 2:
         shift_d = g_d / (2.0 * q)
@@ -233,66 +221,19 @@ def charge_discharge_step(
         f_up = q * d_up * d_up + g_d * y_up
         f_dn = q * d_dn * d_dn - g_c * y_dn
     else:
-        # An array power, so the same pow kernel runs as in the stacked path.
+        # An array power: numpy's pow kernel, as in the fill-order solve.
         cubes = np.abs(np.array((d_up, d_dn))) ** 3
         f_up = q * cubes[0] + g_d * y_up
         f_dn = q * cubes[1] - g_c * y_dn
     y = y_up if f_up <= f_dn else y_dn
+    # The objective is convex in y, so clipping the global argmin into the
+    # band window yields the constrained argmin.
     y_lo = _np_max(-cap_c, rhat - band_hi)
     y_hi = _np_min(cap_d, rhat - band_lo)
     if y_lo > y_hi + 1e-9:
         return None
     y = _np_min(_np_max(y, y_lo), y_hi)
-    return _np_max(y, 0.0), _np_max(-y, 0.0)
-
-
-def _cd_plan(st: StepStructure, hi: np.ndarray) -> tuple | None:
-    """Price-free part of :func:`_solve_charge_discharge`: the discharge
-    and charge columns, their caps and the band window on y; None when the
-    window misses the achievable output range."""
-    i_d = 0 if st.c_y[0] > 0 else 1
-    i_c = 1 - i_d
-    cap_d = hi[:, i_d]
-    cap_c = hi[:, i_c]
-    y_lo = np.maximum(-cap_c, st.rhat - st.band_hi)
-    y_hi = np.minimum(cap_d, st.rhat - st.band_lo)
-    if np.any(y_lo > y_hi + 1e-9):
-        return None
-    return i_d, i_c, cap_d, cap_c, y_lo, y_hi
-
-
-def _solve_charge_discharge(st: StepStructure, plan: tuple, price: np.ndarray):
-    """Specialized path for one charge / one discharge input with zero
-    floors and non-negative prices (every L2/L3 solve)."""
-    i_d, i_c, cap_d, cap_c, y_lo, y_hi = plan
-    q = st.q
-    rhat = st.rhat
-    g_d, g_c = price[i_d], price[i_c]
-    if st.norm_power == 2:
-        shift_d = g_d / (2.0 * q)
-        shift_c = g_c / (2.0 * q)
-    else:
-        shift_d = np.sqrt(g_d / (3.0 * q))
-        shift_c = np.sqrt(g_c / (3.0 * q))
-
-    y_up = np.minimum(np.maximum(rhat - shift_d, 0.0), cap_d)
-    y_dn = np.maximum(np.minimum(rhat + shift_c, 0.0), -cap_c)
-    d_up = rhat - y_up
-    d_dn = rhat - y_dn
-    if st.norm_power == 2:
-        f_up = q * d_up * d_up + g_d * y_up
-        f_dn = q * d_dn * d_dn - g_c * y_dn
-    else:
-        f_up = q * np.abs(d_up) ** 3 + g_d * y_up
-        f_dn = q * np.abs(d_dn) ** 3 - g_c * y_dn
-    y_star = np.where(f_up <= f_dn, y_up, y_dn)
-    # Objective is convex in y, so clipping the global argmin into the
-    # band window yields the constrained argmin.
-    y_star = np.minimum(np.maximum(y_star, y_lo), y_hi)
-    u = np.empty((st.n_steps, 2))
-    u[:, i_d] = np.maximum(y_star, 0.0)
-    u[:, i_c] = np.maximum(-y_star, 0.0)
-    return u, y_star, True
+    return _np_max(y, 0.0), _np_max(-y, 0.0), y
 
 
 def _fill_order(c_y: np.ndarray, price: np.ndarray) -> list[tuple]:
@@ -375,32 +316,49 @@ def _fill_plan(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
     )
 
 
+def _charge_discharge_steps(st: StepStructure, hi: np.ndarray,
+                            price: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool] | None:
+    """:func:`charge_discharge_step` on each step; None when a step's band
+    window misses its achievable output range."""
+    i_d = 0 if st.c_y[0] > 0 else 1
+    g_d, g_c = float(price[i_d]), float(price[1 - i_d])
+    moves = [charge_discharge_step(st.q, st.norm_power, g_d, g_c, *step)
+             for step in zip(st.rhat.tolist(), hi[:, i_d].tolist(), hi[:, 1 - i_d].tolist(),
+                             st.band_lo.tolist(), st.band_hi.tolist())]
+    if None in moves:
+        return None
+    dcy = np.array(moves).reshape(st.n_steps, 3)
+    u = np.empty((st.n_steps, 2))
+    u[:, i_d] = dcy[:, 0]
+    u[:, 1 - i_d] = dcy[:, 1]
+    return u, dcy[:, 2], True
+
+
 def _solve_priced(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
                   price: np.ndarray, has_floor: bool,
                   plans: dict) -> tuple[np.ndarray, np.ndarray, bool]:
     """Closed-form per-step minimization at one price vector shared by all
-    steps, vectorized across steps.
+    steps: the single-store step rule on each step, else the fill-order
+    solve, vectorized across steps.
 
-    has_floor is ``lo.any()``. plans caches the price-free part of the
-    solve for (st, lo, hi): a caller that solves the same steps at many
-    prices passes one dict to every call, so each plan is built once.
+    has_floor is ``lo.any()``. plans caches the price-free part of a
+    fill-order solve for (st, lo, hi): a caller that solves the same steps
+    at many prices passes one dict to every call, so each plan is built
+    once.
     """
     if charge_discharge_form(st.c_y, price, has_floor):
-        key = "charge_discharge"
-        if key not in plans:
-            plans[key] = _cd_plan(st, hi)
+        solved = _charge_discharge_steps(st, hi, price)
     else:
         moves = _fill_order(st.c_y, price)
         negative = price < 0.0
         key = (negative.tobytes(), tuple(2 * k + side for _, k, _, side, _ in moves))
         if key not in plans:
             plans[key] = _fill_plan(st, lo, hi, negative, moves)
-    plan = plans[key]
-    if plan is None:
+        plan = plans[key]
+        solved = None if plan is None else _fill_solve(st, lo, hi, plan, moves)
+    if solved is None:
         return np.zeros((st.n_steps, st.nu)), np.zeros(st.n_steps), False
-    if key == "charge_discharge":
-        return _solve_charge_discharge(st, plan, price)
-    return _fill_solve(st, lo, hi, plan, moves)
+    return solved
 
 
 def _fill_solve(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
@@ -467,20 +425,15 @@ def _fill_solve(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
     return u, best_y, True
 
 
-def _solve_steps(
-    st: StepStructure,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    extra_cost: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def _solve_steps(st: StepStructure, lo: np.ndarray,
+                 hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Closed-form per-step minimization of one problem.
 
-    lo/hi are (N, nu). extra_cost, (nu,), shifts the price row. Returns
-    (U as (N, nu), y per step, feasible flag); infeasible means a banded
-    step's output window misses the achievable output range.
+    lo/hi are (N, nu). Returns (U as (N, nu), y per step, feasible flag);
+    infeasible means a banded step's output window misses the achievable
+    output range.
     """
-    price = st.price if extra_cost is None else st.price + extra_cost
-    return _solve_priced(st, lo, hi, price, lo.any(), {})
+    return _solve_priced(st, lo, hi, st.price, lo.any(), {})
 
 
 def _objective_from_structure(st: StepStructure, u: np.ndarray) -> float:
@@ -496,8 +449,8 @@ def _objective_from_structure(st: StepStructure, u: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 
 def _solve_with_terminal(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
-                         pattern: np.ndarray, k_end: int, b: float, tol: float,
-                         max_iter: int, mu_hint) -> QpSolution:
+                         pattern: np.ndarray, k_end: int, b: float, mu_hint) -> QpSolution:
+    max_iter = 50 * (st.n_steps * st.nu + 10) + 200
     if np.isfinite(st.band_lo).any() or np.isfinite(st.band_hi).any():
         raise ValueError("the terminal row does not combine with band rows")
     # Without band rows every step is feasible. The steps from k_end on do
@@ -544,7 +497,7 @@ def _solve_with_terminal(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
         it = 1
         # The dual only needs to be resolved until the terminal-energy
         # mismatch is negligible, not to machine precision in mu.
-        h_tol = max(tol, 1e-7 * span)
+        h_tol = 1e-7 * span
         if abs(h - b) > h_tol:
             width = max(1.0, abs(start))
             if h > b:
@@ -622,214 +575,8 @@ def _solve_with_terminal(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
     )
 
 
-# ----------------------------------------------------------------------
-# Generic dense dual active-set method
-# ----------------------------------------------------------------------
-
-def _constraint_rows(p: QpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """All constraints as c.x >= b rows (boxes first, then G rows)."""
-    n = p.n
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    eye = np.eye(n)
-    for k in range(n):
-        if np.isfinite(p.var_lower[k]):
-            rows.append(eye[k]); rhs.append(p.var_lower[k])
-        if np.isfinite(p.var_upper[k]):
-            rows.append(-eye[k]); rhs.append(-p.var_upper[k])
-    g, glo, ghi = p.ineq_rows()
-    for i in range(g.shape[0]):
-        if np.isfinite(glo[i]):
-            rows.append(g[i]); rhs.append(glo[i])
-        if np.isfinite(ghi[i]):
-            rows.append(-g[i]); rhs.append(-ghi[i])
-    if not rows:
-        return np.zeros((0, n)), np.zeros(0)
-    return np.vstack(rows), np.array(rhs)
-
-
-def _solve_without_fixed(p: QpProblem, fixed: np.ndarray, tol: float,
-                         max_iter: int) -> QpSolution:
-    """Solve p with its fixed inputs (lo == hi) substituted out, then put
-    them back. The regularization of a singular Hessian otherwise acts on
-    inputs that cannot move, and can stop the dual method short of, or
-    outside, a box of zero width."""
-    free = ~fixed
-    x = p.var_lower.copy()
-    xf = x[fixed]
-    h = p.hessian
-    g, glo, ghi = p.ineq_rows()
-    shift = g[:, fixed] @ xf
-    g_free = g[:, free]
-    live = np.abs(g_free).sum(axis=1) > 0.0
-    # Rows without a free input hold or fail on the fixed inputs alone.
-    feas_tol = max(tol, 1e-10)
-    s, d_lo, d_hi = shift[~live], glo[~live], ghi[~live]
-    if np.any(s - d_lo < -feas_tol * (1.0 + np.abs(d_lo))) or \
-            np.any(d_hi - s < -feas_tol * (1.0 + np.abs(d_hi))):
-        return QpSolution(u_star=x, objective=np.inf, status=INFEASIBLE,
-                          kkt_residual=np.inf, iterations=0)
-    status, kkt, iters, regularized = OPTIMAL, 0.0, 0, False
-    if free.any():
-        reduced = QpProblem(
-            hessian=h[np.ix_(free, free)],
-            f=p.f[free] + h[np.ix_(free, fixed)] @ xf,
-            var_lower=p.var_lower[free], var_upper=p.var_upper[free],
-            rows=[(g_free[i], glo[i] - shift[i], ghi[i] - shift[i])
-                  for i in np.flatnonzero(live)],
-        )
-        sol = solve_dense(reduced, tol, max_iter)
-        x[free] = sol.u_star
-        status, kkt, iters, regularized = (
-            sol.status, sol.kkt_residual, sol.iterations, sol.regularized)
-    obj = np.inf if status == INFEASIBLE else \
-        0.5 * float(x @ h @ x) + float(p.f @ x) + p.objective_const
-    return QpSolution(u_star=x, objective=obj, status=status, kkt_residual=kkt,
-                      iterations=iters, regularized=regularized)
-
-
-def solve_dense(p: QpProblem, tol: float = 1e-8, max_iter: int | None = None) -> QpSolution:
-    """Dual active-set method on the dense form, with fixed inputs (lower
-    == upper) substituted out first: the tests' oracle for the step solves.
-    A singular Hessian is regularized, and the solution says so."""
-    # Imported here: no controller's run reaches the dense method, so a run
-    # never pays for loading scipy.linalg.
-    from scipy.linalg import cho_factor, cho_solve
-
-    if max_iter is None:
-        max_iter = 50 * (p.n + 10) + 200
-    fixed = (p.var_lower == p.var_upper) & np.isfinite(p.var_lower)
-    if fixed.any():
-        return _solve_without_fixed(p, fixed, tol, max_iter)
-    h = p.hessian.copy()
-    n = p.n
-    regularized = False
-    w_min = float(np.linalg.eigvalsh(h).min()) if n else 0.0
-    if w_min < 1e-10:
-        h[np.diag_indices(n)] += 1e-9 * max(np.trace(h) / max(n, 1), 1.0)
-        regularized = True
-    chol = cho_factor(h)
-    c_all, b_all = _constraint_rows(p)
-    m = c_all.shape[0]
-
-    x = cho_solve(chol, -p.f)
-    active: list[int] = []
-    mult: list[float] = []
-    accepted: set[int] = set()
-    iters = 0
-    status = OPTIMAL
-    feas_tol = max(tol, 1e-10)
-    # Violations are judged relative to each row's right-hand-side scale so
-    # float noise after large interior excursions cannot masquerade as
-    # infeasibility.
-    viol_scale = 1.0 + np.abs(b_all) if m else np.ones(0)
-
-    while True:
-        iters += 1
-        if iters > max_iter:
-            status = MAX_ITER
-            break
-        if m:
-            s = (c_all @ x - b_all) / viol_scale
-            if accepted:
-                s = s.copy()
-                s[list(accepted)] = 0.0
-            pidx = int(np.argmin(s))
-            viol = float(s[pidx])
-        else:
-            viol = 0.0
-            pidx = -1
-        if viol >= -feas_tol:
-            break
-        cp = c_all[pidx]
-        u_p = 0.0
-        infeasible = False
-        while True:
-            iters += 1
-            if iters > max_iter:
-                status = MAX_ITER
-                break
-            gi_cp = cho_solve(chol, cp)
-            if active:
-                ca = c_all[active]
-                gi_ca = cho_solve(chol, ca.T)
-                mgram = ca @ gi_ca
-                rhsv = ca @ gi_cp
-                try:
-                    r = np.linalg.solve(mgram, rhsv)
-                except np.linalg.LinAlgError:
-                    r = np.linalg.lstsq(mgram, rhsv, rcond=None)[0]
-                z = gi_cp - gi_ca @ r
-            else:
-                r = np.zeros(0)
-                z = gi_cp
-            t1 = np.inf
-            k1 = -1
-            for j in range(len(active)):
-                if r[j] > _DROP_TOL:
-                    ratio = mult[j] / r[j]
-                    if ratio < t1:
-                        t1 = ratio
-                        k1 = j
-            denom = float(z @ cp)
-            if denom > _DROP_TOL:
-                t2 = -(float(cp @ x) - b_all[pidx]) / denom
-            else:
-                t2 = np.inf
-            t = min(t1, t2)
-            if not np.isfinite(t):
-                s_p = (float(cp @ x) - b_all[pidx]) / viol_scale[pidx]
-                if s_p >= -1e-5:
-                    # Dead end on a noise-level violation: accept the row as
-                    # satisfied instead of declaring infeasibility.
-                    accepted.add(pidx)
-                    break
-                infeasible = True
-                break
-            if np.isinf(t2):
-                for j in range(len(active)):
-                    mult[j] -= t * r[j]
-                u_p += t
-                active.pop(k1)
-                mult.pop(k1)
-                continue
-            x = x + t * z
-            for j in range(len(active)):
-                mult[j] -= t * r[j]
-            u_p += t
-            if t == t2:
-                active.append(pidx)
-                mult.append(u_p)
-                break
-            active.pop(k1)
-            mult.pop(k1)
-        if infeasible:
-            return QpSolution(
-                u_star=x, objective=np.inf, status=INFEASIBLE,
-                kkt_residual=np.inf, iterations=iters,
-                regularized=regularized,
-            )
-        if status == MAX_ITER:
-            break
-
-    grad = h @ x + p.f
-    if active:
-        grad = grad - c_all[active].T @ np.array(mult)
-    stat_res = float(np.abs(grad).max()) if n else 0.0
-    feas_res = 0.0
-    if m:
-        feas_res = max(0.0, float(-(c_all @ x - b_all).min()))
-    kkt = max(stat_res, feas_res)
-    obj = 0.5 * float(x @ p.hessian @ x) + float(p.f @ x) + p.objective_const
-    return QpSolution(
-        u_star=x, objective=obj, status=status, kkt_residual=kkt,
-        iterations=iters, regularized=regularized,
-    )
-
-
 def solve_qp(st: StepStructure, lo: np.ndarray, hi: np.ndarray, terminal=None,
-             mu_hint: float | None = None, tol: float = 1e-8,
-             max_iter: int | None = None) -> QpSolution:
+             mu_hint: float | None = None) -> QpSolution:
     """Solve the layer problem ``st`` within the per-step boxes lo/hi, each
     (N, nu); ``u_star`` is the stacked input vector.
 
@@ -851,11 +598,9 @@ def solve_qp(st: StepStructure, lo: np.ndarray, hi: np.ndarray, terminal=None,
             u_star=u.ravel(), objective=_objective_from_structure(st, u),
             status=OPTIMAL, kkt_residual=0.0, iterations=st.n_steps,
         )
-    if max_iter is None:
-        max_iter = 50 * (st.n_steps * st.nu + 10) + 200
     pattern, k_end, target = terminal
     return _solve_with_terminal(st, lo, hi, np.asarray(pattern, dtype=np.float64),
-                                k_end, target, tol, max_iter, mu_hint)
+                                k_end, target, mu_hint)
 
 
 def dump_problem(p: QpProblem, path) -> None:

@@ -178,7 +178,8 @@ def fill_order_cases():
     edges at zero, steps without room, zero and negative prices, and output rows with one, two
     or three active inputs.
 
-    Yields (name, structure, lo, hi, extra_cost).
+    Yields (name, structure, lo, hi, extra); extra, when not None, shifts
+    the structure's price row.
     """
     import numpy as np
 
@@ -231,13 +232,16 @@ def fill_order_cases():
 
 
 def compute_fill_order() -> dict:
+    import dataclasses
     import hashlib
 
     from hessmpc.qp import _solve_steps
 
     out = {}
     for name, st, lo, hi, extra in fill_order_cases():
-        u, y, ok = _solve_steps(st, lo, hi, extra)
+        if extra is not None:
+            st = dataclasses.replace(st, price=st.price + extra)
+        u, y, ok = _solve_steps(st, lo, hi)
         out[name] = [hashlib.sha256(u.tobytes() + y.tobytes()).hexdigest()[:32], ok]
     return out
 

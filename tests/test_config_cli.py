@@ -186,6 +186,19 @@ def test_cli_run_rejects_partial_hours(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("days", ["0", "-1", "0.01", "nan"])
+def test_cli_rejects_runs_that_are_not_whole_positive_hours(tmp_path, capsys, days):
+    # validate names the duration, and run and compare stop with the config
+    # exit code before they synthesize anything.
+    assert main(["validate", "--days", days]) == 2
+    assert "error: scenario.duration_days:" in capsys.readouterr().out
+    for command in ("run", "compare"):
+        out = tmp_path / command
+        assert main([command, "--days", days, "--out", str(out)]) == 2, command
+        assert "config error: scenario.duration_days:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_default_config(tmp_path):
     path = tmp_path / "defaults.json"
     rc = main(["default-config", "--out", str(path)])

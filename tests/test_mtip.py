@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from hessmpc.devices import EssState
 from hessmpc.mtip import (
-    MtipBounds, adaptive_bounds, brute_force_band_oracle, flat_bounds,
-    fluctuation_potentials, marginal_cost, physical_bounds, psi,
+    MtipBounds, adaptive_bounds, flat_bounds, marginal_cost, physical_bounds, psi,
 )
+from oracles import brute_force_band_oracle, fluctuation_potentials, paper_form_bounds
 
 
 def _band(xi, energy=500.0, envelope=(0.0, 1000.0), eta_c=1.0, eta_d=1.0,
@@ -329,8 +329,6 @@ def test_oracle_trivial_cases():
 
 
 def test_paper_form_bounds_conservative():
-    from hessmpc.mtip import paper_form_bounds
-
     rng = np.random.default_rng(55)
     for _ in range(200):
         j = int(rng.integers(2, 40))

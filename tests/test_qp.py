@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ import goldens
 from hessmpc.mpc import LayerSpec, build_layer_problem
 from hessmpc.qp import (
     INFEASIBLE, OPTIMAL, QpProblem, StepStructure, _objective_from_structure,
-    _solve_priced, _solve_steps, dense_problem, dump_problem, solve_dense, solve_qp,
+    _solve_priced, _solve_steps, dense_problem, dump_problem, solve_qp,
 )
+from oracles import solve_dense, validate
 
 
 def projected_gradient_box(h, f, lo, hi, tol=1e-8, max_iter=200_000):
@@ -148,7 +151,7 @@ def test_tracking_assembly_rank_one_block():
     assert np.allclose(h, 2.0 * np.outer(c_y, c_y))
     assert np.linalg.matrix_rank(h) == 1
     assert np.linalg.eigvalsh(h).min() >= -1e-12
-    p.validate()
+    validate(p)
 
 
 def test_tracking_assembly_kronecker_blocks():
@@ -293,7 +296,7 @@ def test_validate_rejects_asymmetric():
     h = np.array([[1.0, 0.2], [0.0, 1.0]])
     p = QpProblem(hessian=h, f=np.zeros(2), var_lower=np.zeros(2), var_upper=np.ones(2))
     with pytest.raises(ValueError):
-        p.validate()
+        validate(p)
 
 
 def test_dump_problem_writes_blocks(tmp_path):
@@ -401,7 +404,7 @@ def test_shared_plan_store_matches_fresh_solves(layer, data):
     plans: dict = {}
     for mu in mus:
         got = _solve_priced(st_, lo, hi, price0 + mu * a0, lo.any(), plans)
-        want = _solve_steps(st_, lo, hi, extra_cost=mu * a0)
+        want = _solve_steps(dataclasses.replace(st_, price=price0 + mu * a0), lo, hi)
         assert got[0].tobytes() == want[0].tobytes(), mu
         assert got[1].tobytes() == want[1].tobytes(), mu
         assert got[2] == want[2]

@@ -120,6 +120,27 @@ def test_runs_load_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_package_does_not_depend_on_scipy():
+    # scipy is a test dependency: only the tests' oracles import it.
+    found = []
+    for path in sorted((ROOT / "src" / "hessmpc").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno}"
+                      for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert not [dep for dep in project["dependencies"] if "scipy" in dep]
+
+
 def test_regenerate_writes_only_the_named_goldens(tmp_path):
     import goldens
 
