@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .config import EngineConfig, load_config, save_config, validate
+from .config import EngineConfig, load_config, run_length_error, save_config, validate
 from .engine import prepare_scenario, run, write_report
 from .errors import ConfigError, HessError, LedgerClosureError, QpInfeasible
 from .scenario import synthesize
@@ -101,6 +101,9 @@ def cmd_compare(args) -> int:
 
 def cmd_synth(args) -> int:
     config = _load(args)
+    length_error = run_length_error(config.scenario.duration_days)
+    if length_error:
+        raise ConfigError(f"scenario.duration_days: {length_error}")
     ts = synthesize(config.scenario)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "netload.csv")

@@ -174,6 +174,17 @@ class Finding:
     message: str
 
 
+def run_length_error(days: float) -> str | None:
+    """Why ``days`` is not a run length, a positive whole number of hours;
+    None if it is one."""
+    span_s = days * 86400.0
+    # round() refuses NaN and infinity; they count as no run at all.
+    run_s = round(span_s) if 0.0 < span_s < np.inf else 0
+    if run_s < 3600 or run_s % 3600:
+        return f"run length must be a positive whole number of hours, got {days} days"
+    return None
+
+
 def validate(config: EngineConfig) -> list[Finding]:
     """Exhaustive cross-field checks; findings are the output, never raises."""
     out: list[Finding] = []
@@ -259,13 +270,9 @@ def validate(config: EngineConfig) -> list[Finding]:
     if config.n3 * 1.0 < 15.0:
         warn("n3", "L3 horizon shorter than one L2 step")
 
-    days = config.scenario.duration_days
-    span_s = days * 86400.0
-    # round() refuses NaN and infinity; they count as no run at all.
-    run_s = round(span_s) if 0.0 < span_s < np.inf else 0
-    if run_s < 3600 or run_s % 3600:
-        err("scenario.duration_days",
-            f"run length must be a positive whole number of hours, got {days} days")
+    length_error = run_length_error(config.scenario.duration_days)
+    if length_error:
+        err("scenario.duration_days", length_error)
     for layer, acc in config.scenario.forecast_accuracy.items():
         if not 0.0 < acc <= 1.0:
             err(f"scenario.forecast_accuracy.{layer}", f"must lie in (0, 1], got {acc}")

@@ -51,7 +51,7 @@ from .mpc import (  # noqa: F401
     receding_step, simple_bounds,
 )
 from .mtip import (
-    MtipBounds, adaptive_bounds, flat_bounds, marginal_cost, physical_bounds,
+    MtipBounds, adaptive_bounds, blend_gamma, flat_bounds, marginal_cost, physical_bounds,
 )
 from .qp import OPTIMAL, dense_problem, dump_problem, solve_qp
 from .timeseries import TimeSeries, ingest_csv, write_csv
@@ -234,6 +234,12 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     lam = {name: marginal_cost(lay[name].spec) for name in _STEP_S}
     lam["L4"] = config.c_l4
     mtip_cfg = config.mtip
+    # The sigmoid's blend factor of each band layer; the periodic baseline
+    # drops bands.
+    gamma = {} if periodic else {
+        name: blend_gamma(lam[name], lam[child], mtip_cfg.kappa, mtip_cfg.chi_th)
+        for name, child in _CHILD.items()
+    }
 
     inject_tr = np.zeros(n_sec)
     resid_tr = np.zeros(n_sec)
@@ -279,10 +285,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             # A band the cap clip leaves crossed (it lies wholly beyond
             # the cap) collapses to its midpoint.
             lo = hi = 0.5 * (lo + hi)
-        b = adaptive_bounds(
-            (lo, hi), lam[name], lam[child],
-            mtip_cfg.kappa, mtip_cfg.chi_th, mtip_cfg.eps_db,
-        )
+        b = adaptive_bounds((lo, hi), gamma[name], mtip_cfg.eps_db)
         lay[name].band[k] = (b.r_lower, b.r_upper, b.gamma)
         return b
 

@@ -141,29 +141,32 @@ def marginal_cost(spec) -> float:
     return float(spec.cost_weight * cost[coupled].mean())
 
 
-def adaptive_bounds(
-    phy: tuple[float, float],
-    lambda_upper: float,
-    lambda_lower: float,
-    kappa: float,
-    chi_th: float,
-    eps_db: float,
-) -> MtipBounds:
-    """Blend the physical band with the deadband through the cost sigmoid.
+def blend_gamma(lambda_upper: float, lambda_lower: float, kappa: float, chi_th: float) -> float:
+    """Blend factor of the cost sigmoid for a parent of marginal cost
+    ``lambda_upper`` over a child of ``lambda_lower``.
 
     gamma -> 1 when the upper layer is much more expensive than the child
     (band opens to the physical one); gamma -> 0 collapses the band toward
-    +-eps_db. For an ordered physical band and eps_db >= 0 the blend stays
-    ordered, since every rounding step is monotone; a crossed physical band
-    is a ValueError.
+    +-eps_db. It depends on the layer pair only, so a run computes it once
+    per layer.
     """
     if lambda_lower <= 0.0:
         raise ValueError("lambda_lower must be positive")
+    ratio = lambda_upper / lambda_lower
+    return float(1.0 / (1.0 + np.exp(min(-kappa * (ratio - chi_th), 700.0))))
+
+
+def adaptive_bounds(phy: tuple[float, float], gamma: float, eps_db: float) -> MtipBounds:
+    """Blend the physical band with the deadband by :func:`blend_gamma`'s
+    ``gamma``.
+
+    For an ordered physical band, gamma in [0, 1] and eps_db >= 0 the blend
+    stays ordered, since every rounding step is monotone; a crossed physical
+    band is a ValueError.
+    """
     phy_lo, phy_hi = phy
     if not phy_lo <= phy_hi:
         raise ValueError(f"physical band [{phy_lo}, {phy_hi}] is crossed or not a number")
-    ratio = lambda_upper / lambda_lower
-    gamma = 1.0 / (1.0 + np.exp(min(-kappa * (ratio - chi_th), 700.0)))
     r_hi = gamma * phy_hi + (1.0 - gamma) * eps_db
     r_lo = gamma * phy_lo - (1.0 - gamma) * eps_db
-    return MtipBounds(float(r_lo), float(r_hi), float(gamma))
+    return MtipBounds(float(r_lo), float(r_hi), gamma)

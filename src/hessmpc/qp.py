@@ -121,7 +121,6 @@ class QpSolution:
     status: str
     kkt_residual: float
     iterations: int
-    regularized: bool = False
     coupling_slack: float = 0.0
     mu_hint: float | None = None
 

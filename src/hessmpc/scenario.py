@@ -58,8 +58,10 @@ class ScenarioConfig:
                 raise ValueError(f"accuracy for {layer} must lie in (0, 1]")
 
 
-def _ar1(rng: np.random.Generator, n: int, phi: float, sigma: float = 1.0) -> np.ndarray:
-    white = rng.standard_normal(n) * sigma * np.sqrt(1.0 - phi * phi)
+def _ar1(rng: np.random.Generator, n: int, phi: float) -> np.ndarray:
+    """Unit-variance AR(1) series of length n."""
+    white = rng.standard_normal(n)
+    white *= np.sqrt(1.0 - phi * phi)
     return _recurrence(white, phi)
 
 
@@ -86,7 +88,9 @@ def _recurrence(x: np.ndarray, phi: float) -> np.ndarray:
     true zero, every chunk has then run from its true start, so the result
     is the sequential recurrence. The worst case takes one pass per chunk;
     with ``phi < 1`` a start error decays as ``phi**chunk_len``, and a series
-    of a million samples converges in two.
+    of a million samples converges in two. ``x`` is not written; the result
+    of a long series is a view of the transposed input's buffer, so at most
+    two arrays of its length besides ``x`` are alive at once.
     """
     n = x.size
     if n < _LOCKSTEP_MIN:
@@ -112,8 +116,12 @@ def _recurrence(x: np.ndarray, phi: float) -> np.ndarray:
             np.multiply(s, phi, out=tmp)
             s = np.add(x_row, tmp, out=y_row)
         if s[:-1].tobytes() == starts[1:].tobytes():
-            return yt.T.reshape(-1)[:n]
+            break
         starts = np.concatenate(([0.0], s[:-1]))
+    # Chunk-major order is the series; xt's buffer holds at least n values.
+    out = xt.reshape(yt.shape[::-1])
+    out[...] = yt.T
+    return out.reshape(-1)[:n]
 
 
 # Normal CDF by the cephes ndtr/erf/erfc algorithm (Stephen L. Moshier,
@@ -198,11 +206,28 @@ def ndtr(a: float) -> float:
     return 1.0 - y if x > 0.0 else y
 
 
-def _interp_to_seconds(coarse: np.ndarray, step_s: float, n_seconds: int) -> np.ndarray:
-    t_coarse = np.arange(coarse.size) * step_s
-    t_fine = np.arange(n_seconds, dtype=np.float64)
-    return np.interp(t_fine, t_coarse, coarse)
+#: Samples per block of the one-second passes that would otherwise build
+#: full-length temporaries (grids, index arrays).
+_BLOCK = 65536
 
+
+def _interp_to_seconds(coarse: np.ndarray, step_s: float, n_seconds: int) -> np.ndarray:
+    """``coarse``, one value per ``step_s`` from t = 0, linearly interpolated
+    at every second. np.interp works point by point, so the blocks give the
+    bits of one call on the whole grid."""
+    t_coarse = np.arange(coarse.size) * step_s
+    out = np.empty(n_seconds)
+    for start in range(0, n_seconds, _BLOCK):
+        stop = min(start + _BLOCK, n_seconds)
+        out[start:stop] = np.interp(np.arange(start, stop, dtype=np.float64), t_coarse, coarse)
+    return out
+
+
+# The component generators keep their one-second arrays few: each draws its
+# one-second AR noise before it builds the parts that need no draw, and then
+# works in place. Each product and sum keeps the operands and the
+# left-to-right grouping of its formula (IEEE * and + commute, but do not
+# associate), so the bits are those of the formula.
 
 def _wind_power(rng: np.random.Generator, n_seconds: int, capacity: float) -> np.ndarray:
     n_hours = n_seconds // 3600 + 2
@@ -210,40 +235,63 @@ def _wind_power(rng: np.random.Generator, n_seconds: int, capacity: float) -> np
     quantile = np.array([ndtr(v) for v in z.tolist()])
     # Weibull speeds (shape 2, scale 8.5 m/s), persistent through the AR chain.
     speeds = 8.5 * np.sqrt(-np.log(np.clip(1.0 - quantile, 1e-12, 1.0)))
-    v = _interp_to_seconds(speeds, 3600.0, n_seconds)
-    v = v * (1.0 + 0.06 * _ar1(rng, n_seconds, phi=0.9))
+    # v = speed * (1 + 0.06 * gust), clipped at zero.
+    v = _ar1(rng, n_seconds, phi=0.9)
+    v *= 0.06
+    v += 1.0
+    v *= _interp_to_seconds(speeds, 3600.0, n_seconds)
     np.clip(v, 0.0, None, out=v)
     v_in, v_rated, v_out = 3.0, 12.0, 25.0
-    frac = np.clip((v - v_in) / (v_rated - v_in), 0.0, 1.0) ** 3
-    frac[v > v_out] = 0.0
-    return capacity * frac
+    cut_out = v > v_out
+    # capacity * clip((v - v_in) / (v_rated - v_in), 0, 1) ** 3, zero past cut-out.
+    v -= v_in
+    v /= v_rated - v_in
+    np.clip(v, 0.0, 1.0, out=v)
+    v **= 3
+    v[cut_out] = 0.0
+    v *= capacity
+    return v
 
 
 def _pv_power(rng: np.random.Generator, n_seconds: int, capacity: float) -> np.ndarray:
-    # The envelope repeats daily: t % 86400 is exact, so one day tiles it.
-    day_frac = np.arange(min(n_seconds, 86400), dtype=np.float64) / 86400.0
-    daylight = np.clip(np.sin(np.pi * (day_frac - 0.25) / 0.5), 0.0, None)
-    clear_sky = np.tile(daylight**1.3, -(-n_seconds // 86400))[:n_seconds]
     n_coarse = n_seconds // 600 + 2
     cloud = _ar1(rng, n_coarse, phi=0.97)
     transmission = 0.25 + 0.75 / (1.0 + np.exp(-1.2 * cloud - 0.8))
-    trans = _interp_to_seconds(transmission, 600.0, n_seconds)
-    flicker = 1.0 + 0.04 * _ar1(rng, n_seconds, phi=0.7)
-    return capacity * clear_sky * np.clip(trans * flicker, 0.0, 1.0)
+    # clip(trans * (1 + 0.04 * flicker), 0, 1)
+    sky = _ar1(rng, n_seconds, phi=0.7)
+    sky *= 0.04
+    sky += 1.0
+    sky *= _interp_to_seconds(transmission, 600.0, n_seconds)
+    np.clip(sky, 0.0, 1.0, out=sky)
+    # The envelope repeats daily: t % 86400 is exact, so one day tiles it.
+    day_frac = np.arange(min(n_seconds, 86400), dtype=np.float64) / 86400.0
+    daylight = np.clip(np.sin(np.pi * (day_frac - 0.25) / 0.5), 0.0, None)
+    # (capacity * clear_sky) * sky
+    pv = np.resize(daylight**1.3, n_seconds)
+    pv *= capacity
+    pv *= sky
+    return pv
 
 
 def _load_power(rng: np.random.Generator, n_seconds: int, peak: float) -> np.ndarray:
+    z = _ar1(rng, n_seconds // 3600 + 2, 0.9)
+    fast = _ar1(rng, n_seconds, phi=0.8)
+    fast *= 0.01
+    fast += 1.0
+    slow = _interp_to_seconds(z, 3600.0, n_seconds)
+    slow *= 0.05
+    slow += 1.0
     # Shift and weekday factors are constant within each hour, so they are
-    # evaluated hourly and held; the product keeps its left-to-right order.
+    # evaluated hourly and held: load = (hourly * slow) * fast.
     t = np.arange(-(-n_seconds // 3600), dtype=np.float64) * 3600.0
     hour = (t % 86400.0) / 3600.0
     day = np.floor(t / 86400.0)
     shift = np.where(hour < 6.0, 0.72, np.where(hour < 14.0, 1.0, np.where(hour < 22.0, 0.9, 0.72)))
     weekly = np.where((day % 7) >= 5, 0.85, 1.0)
     hourly = np.repeat(peak * 0.9 * shift * weekly, 3600)[:n_seconds]
-    slow = 1.0 + 0.05 * _interp_to_seconds(_ar1(rng, n_seconds // 3600 + 2, 0.9), 3600.0, n_seconds)
-    fast = 1.0 + 0.01 * _ar1(rng, n_seconds, phi=0.8)
-    return hourly * slow * fast
+    hourly *= slow
+    fast *= hourly
+    return fast
 
 
 def calm_window(duration_days: float) -> tuple[float, float]:
@@ -258,32 +306,43 @@ def synthesize(config: ScenarioConfig) -> TimeSeries:
     wind_scale, pv_scale, load_scale = _ARCHETYPE_SCALES[config.archetype]
     wind = _wind_power(rng, n_seconds, config.wind_capacity * wind_scale)
     pv = _pv_power(rng, n_seconds, config.pv_capacity * pv_scale)
-    load = _load_power(rng, n_seconds, config.load_peak * load_scale)
+    net = _load_power(rng, n_seconds, config.load_peak * load_scale)
     if config.archetype == "extreme_calm":
         window = config.calm_window_days or calm_window(config.duration_days)
         start = int(round(window[0] * 86400.0))
         stop = int(round(window[1] * 86400.0))
         wind[start:stop] = 0.0
         pv[start:stop] = 0.0
-    net = load - wind - pv
+    # net = (load - wind) - pv, each component freed once folded in.
+    net -= wind
+    del wind
+    net -= pv
+    del pv
     if config.archetype == "balanced":
         # An energy-balance window by construction: intra-day structure and
         # hourly swings stay, but multi-day energy trends (which no finite
         # store can absorb) are removed, and a small surplus funds the
         # storage round-trip losses.
-        net = net - _centered_mean(net, 36 * 3600)
+        net -= _centered_mean(net, 36 * 3600)
         net -= net.mean() + config.balanced_surplus_mw
     return TimeSeries(0.0, 1.0, net)
 
 
 def _centered_mean(x: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with edge clamping, O(n) via prefix sums."""
+    """Centered moving average with edge clamping, O(n) via prefix sums; the
+    window's index arithmetic runs in blocks."""
     n = x.size
     half = min(window, n) // 2
-    c = np.concatenate([[0.0], np.cumsum(x)])
-    left = np.clip(np.arange(n) - half, 0, n)
-    right = np.clip(np.arange(n) + half + 1, 0, n)
-    return (c[right] - c[left]) / (right - left)
+    c = np.empty(n + 1)
+    c[0] = 0.0
+    np.cumsum(x, out=c[1:])
+    out = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, n))
+        left = np.clip(k - half, 0, n)
+        right = np.clip(k + half + 1, 0, n)
+        out[start : start + k.size] = (c[right] - c[left]) / (right - left)
+    return out
 
 
 def make_forecast(

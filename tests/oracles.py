@@ -13,6 +13,8 @@ Nothing in the package calls them, and only they need scipy.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from hessmpc.devices.storage import EssState
@@ -60,8 +62,16 @@ def _constraint_rows(p: QpProblem) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(rows), np.array(rhs)
 
 
+@dataclass
+class DenseSolution(QpSolution):
+    """A :func:`solve_dense` result; ``regularized`` says that a singular
+    Hessian was regularized."""
+
+    regularized: bool = False
+
+
 def _solve_without_fixed(p: QpProblem, fixed: np.ndarray, tol: float,
-                         max_iter: int) -> QpSolution:
+                         max_iter: int) -> DenseSolution:
     """Solve p with its fixed inputs (lo == hi) substituted out, then put
     them back. The regularization of a singular Hessian otherwise acts on
     inputs that cannot move, and can stop the dual method short of, or
@@ -79,8 +89,8 @@ def _solve_without_fixed(p: QpProblem, fixed: np.ndarray, tol: float,
     s, d_lo, d_hi = shift[~live], glo[~live], ghi[~live]
     if np.any(s - d_lo < -feas_tol * (1.0 + np.abs(d_lo))) or \
             np.any(d_hi - s < -feas_tol * (1.0 + np.abs(d_hi))):
-        return QpSolution(u_star=x, objective=np.inf, status=INFEASIBLE,
-                          kkt_residual=np.inf, iterations=0)
+        return DenseSolution(u_star=x, objective=np.inf, status=INFEASIBLE,
+                             kkt_residual=np.inf, iterations=0)
     status, kkt, iters, regularized = OPTIMAL, 0.0, 0, False
     if free.any():
         reduced = QpProblem(
@@ -96,11 +106,11 @@ def _solve_without_fixed(p: QpProblem, fixed: np.ndarray, tol: float,
             sol.status, sol.kkt_residual, sol.iterations, sol.regularized)
     obj = np.inf if status == INFEASIBLE else \
         0.5 * float(x @ h @ x) + float(p.f @ x) + p.objective_const
-    return QpSolution(u_star=x, objective=obj, status=status, kkt_residual=kkt,
-                      iterations=iters, regularized=regularized)
+    return DenseSolution(u_star=x, objective=obj, status=status, kkt_residual=kkt,
+                         iterations=iters, regularized=regularized)
 
 
-def solve_dense(p: QpProblem, tol: float = 1e-8, max_iter: int | None = None) -> QpSolution:
+def solve_dense(p: QpProblem, tol: float = 1e-8, max_iter: int | None = None) -> DenseSolution:
     """Dual active-set method on the dense form, with fixed inputs (lower
     == upper) substituted out first: the tests' oracle for the step solves.
     A singular Hessian is regularized, and the solution says so."""
@@ -216,7 +226,7 @@ def solve_dense(p: QpProblem, tol: float = 1e-8, max_iter: int | None = None) ->
             active.pop(k1)
             mult.pop(k1)
         if infeasible:
-            return QpSolution(
+            return DenseSolution(
                 u_star=x, objective=np.inf, status=INFEASIBLE,
                 kkt_residual=np.inf, iterations=iters,
                 regularized=regularized,
@@ -233,7 +243,7 @@ def solve_dense(p: QpProblem, tol: float = 1e-8, max_iter: int | None = None) ->
         feas_res = max(0.0, float(-(c_all @ x - b_all).min()))
     kkt = max(stat_res, feas_res)
     obj = 0.5 * float(x @ p.hessian @ x) + float(p.f @ x) + p.objective_const
-    return QpSolution(
+    return DenseSolution(
         u_star=x, objective=obj, status=status, kkt_residual=kkt,
         iterations=iters, regularized=regularized,
     )

@@ -199,6 +199,16 @@ def test_cli_rejects_runs_that_are_not_whole_positive_hours(tmp_path, capsys, da
         assert not out.exists()
 
 
+@pytest.mark.parametrize("days", ["0", "-1", "0.01", "nan"])
+def test_cli_synth_rejects_runs_that_are_not_whole_positive_hours(tmp_path, capsys, days):
+    # synth applies validate's duration check: a negative length used to die
+    # in numpy, and zero wrote an empty netload.csv.
+    out = tmp_path / "synth"
+    assert main(["synth", "--days", days, "--out", str(out)]) == 2
+    assert "config error: scenario.duration_days:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_default_config(tmp_path):
     path = tmp_path / "defaults.json"
     rc = main(["default-config", "--out", str(path)])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from hessmpc.devices import EssState
 from hessmpc.mtip import (
-    MtipBounds, adaptive_bounds, flat_bounds, marginal_cost, physical_bounds, psi,
+    MtipBounds, adaptive_bounds, blend_gamma, flat_bounds, marginal_cost, physical_bounds,
+    psi,
 )
 from oracles import brute_force_band_oracle, fluctuation_potentials, paper_form_bounds
 
@@ -256,19 +259,34 @@ def test_marginal_cost_aggregation():
         == pytest.approx(20.0)
 
 
+def _blend(phy, lambda_upper, lambda_lower, kappa, chi_th, eps_db):
+    return adaptive_bounds(phy, blend_gamma(lambda_upper, lambda_lower, kappa, chi_th), eps_db)
+
+
+def _blend_per_band(phy, lambda_upper, lambda_lower, kappa, chi_th, eps_db):
+    """The blend with the sigmoid evaluated inline, as one expression per
+    band: the reference the split into blend_gamma and adaptive_bounds must
+    reproduce bit for bit."""
+    ratio = lambda_upper / lambda_lower
+    gamma = 1.0 / (1.0 + np.exp(min(-kappa * (ratio - chi_th), 700.0)))
+    r_hi = gamma * phy[1] + (1.0 - gamma) * eps_db
+    r_lo = gamma * phy[0] - (1.0 - gamma) * eps_db
+    return float(r_lo), float(r_hi), float(gamma)
+
+
 def test_gamma_sigmoid_midpoint_and_limits():
-    b = adaptive_bounds((-100.0, 100.0), 1.0, 1.0, 5.0, 1.0, 2.0)
+    b = _blend((-100.0, 100.0), 1.0, 1.0, 5.0, 1.0, 2.0)
     assert b.gamma == pytest.approx(0.5)
-    b2 = adaptive_bounds((-100.0, 100.0), 2.0, 1.0, 5.0, 1.0, 2.0)
+    b2 = _blend((-100.0, 100.0), 2.0, 1.0, 5.0, 1.0, 2.0)
     assert b2.gamma == pytest.approx(1.0 / (1.0 + np.exp(-5.0)))
     assert b2.r_upper == pytest.approx(b2.gamma * 100.0 + (1 - b2.gamma) * 2.0)
-    b3 = adaptive_bounds((-100.0, 100.0), 1e-9, 1.0, 5.0, 1.0, 2.0)
+    b3 = _blend((-100.0, 100.0), 1e-9, 1.0, 5.0, 1.0, 2.0)
     assert b3.gamma == pytest.approx(1.0 / (1.0 + np.exp(5.0)), rel=1e-6)
 
 
 def test_gamma_monotone_in_ratio():
     gammas = [
-        adaptive_bounds((-10.0, 10.0), r, 1.0, 5.0, 1.0, 2.0).gamma
+        _blend((-10.0, 10.0), r, 1.0, 5.0, 1.0, 2.0).gamma
         for r in (0.2, 0.5, 1.0, 2.0, 5.0)
     ]
     assert all(b > a for a, b in zip(gammas, gammas[1:]))
@@ -278,12 +296,12 @@ def test_gamma_monotone_in_ratio():
 def test_band_nesting_limits():
     phy = (-73.0, 41.0)
     # Gamma forced to 1: exactly the physical band.
-    wide = adaptive_bounds(phy, 1e6, 1.0, 5.0, 1.0, 2.0)
+    wide = _blend(phy, 1e6, 1.0, 5.0, 1.0, 2.0)
     assert wide.r_lower == pytest.approx(phy[0], rel=1e-6)
     assert wide.r_upper == pytest.approx(phy[1], rel=1e-6)
     # Gamma forced to ~0 (steep sigmoid below threshold): exactly +-eps_db
     # after float collapse.
-    tight = adaptive_bounds(phy, 0.5, 1.0, 1e4, 1.0, 2.0)
+    tight = _blend(phy, 0.5, 1.0, 1e4, 1.0, 2.0)
     assert tight.gamma < 1e-300
     assert tight.r_lower == -2.0
     assert tight.r_upper == 2.0
@@ -294,11 +312,11 @@ def test_crossed_physical_band_raises():
     # a crossed physical band; the engine collapses those before blending.
     for ratio in (1e6, 1.0):
         with pytest.raises(ValueError, match="crossed"):
-            adaptive_bounds((1.0, 0.5), ratio, 1.0, 5.0, 1.0, 2.0)
+            _blend((1.0, 0.5), ratio, 1.0, 5.0, 1.0, 2.0)
     with pytest.raises(ValueError, match="crossed"):
-        adaptive_bounds((0.0, np.nan), 1.0, 1.0, 5.0, 1.0, 2.0)
+        _blend((0.0, np.nan), 1.0, 1.0, 5.0, 1.0, 2.0)
     with pytest.raises(ValueError):
-        adaptive_bounds((0.0, 1.0), 1.0, 0.0, 5.0, 1.0, 2.0)
+        _blend((0.0, 1.0), 1.0, 0.0, 5.0, 1.0, 2.0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -310,9 +328,29 @@ def test_blend_of_ordered_band_stays_ordered(lo, width, lam_up, lam_lo, kappa, e
     # Every rounding step of the blend is monotone, so an ordered physical
     # band and a non-negative deadband never give a crossed band.
     hi = lo + width
-    b = adaptive_bounds((lo, hi), lam_up, lam_lo, kappa, 1.0, eps_db)
+    b = _blend((lo, hi), lam_up, lam_lo, kappa, 1.0, eps_db)
     assert b.r_lower <= b.r_upper
     assert 0.0 <= b.gamma <= 1.0
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(-1e4, 1e4), st.floats(0.0, 1e4),
+    st.one_of(st.sampled_from([0.0, 1.0, 20.0, 1e6]), st.floats(-1e3, 1e3)),
+    st.one_of(st.sampled_from([1.0, 20.0, 5e-3]), st.floats(1e-6, 1e3)),
+    st.one_of(st.sampled_from([0.0, 5.0, 1e4]), st.floats(0.0, 1e4)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 10.0)),
+    st.one_of(st.sampled_from([0.0, 2.0]), st.floats(0.0, 50.0)),
+)
+def test_blend_matches_per_band_formula_bit_for_bit(lo, width, lam_up, lam_lo, kappa,
+                                                    chi_th, eps_db):
+    # The engine computes gamma once per layer and blends every band with it;
+    # band edges and gamma must keep the bits of the inline formula, signed
+    # zeros included.
+    phy = (lo, lo + width)
+    b = _blend(phy, lam_up, lam_lo, kappa, chi_th, eps_db)
+    got = struct.pack("<3d", b.r_lower, b.r_upper, b.gamma)
+    assert got == struct.pack("<3d", *_blend_per_band(phy, lam_up, lam_lo, kappa, chi_th, eps_db))
 
 
 def test_mtip_bounds_must_be_ordered():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,41 @@ def test_recurrence_matches_lfilter(n, phi, seed, scale, zero_share, specials):
     prod = phi * got[:-1]
     if phi == 0.0 or not np.any((prod == 0.0) & (got[:-1] != 0.0)):
         assert got.tobytes() == lfilter([1.0], [1.0, -phi], x).tobytes()
+
+
+@pytest.mark.parametrize("n", [_LOCKSTEP_MIN - 1, _LOCKSTEP_MIN, 10_007, 1_036_800])
+def test_recurrence_leaves_input_unchanged(n):
+    # The lockstep returns a view of its own transposed buffer and never
+    # writes into x, which callers may reuse.
+    x = np.random.default_rng(n).standard_normal(n)
+    before = x.tobytes()
+    for phi in (0.0, 0.8, 0.97):
+        y = _recurrence(x, phi)
+        assert x.tobytes() == before
+        assert not np.shares_memory(x, y)
+
+
+#: Full-length float64 arrays that synthesize may hold at once. Its peak is
+#: the load's one-second AR draw: wind and PV, the draw's normals and the
+#: lockstep's transposed input and output, five arrays; the sixth is margin
+#: for the block temporaries and the hourly series. Whole-array
+#: expressions on the one-second series take 8 (9 for balanced).
+_SYNTH_ARRAY_BUDGET = 6
+
+
+@pytest.mark.parametrize("archetype", ARCHETYPES)
+def test_synthesize_peak_memory_budget(archetype):
+    days = 12.0   # 1,036,800 samples, a 2-day run plus the 240 h pad
+    n = int(days * 86400)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ts = synthesize(ScenarioConfig(seed=1, duration_days=days, archetype=archetype))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == n
+    assert peak <= _SYNTH_ARRAY_BUDGET * 8 * n, f"peak {peak / (8 * n):.2f} arrays"
 
 
 def _edges():
