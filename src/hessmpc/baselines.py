@@ -21,101 +21,59 @@ import numpy as np
 from .config import EngineConfig
 from .devices.storage import saturate
 from .metrics import DeviceLedger, SimulationReport
+from .scenario import window_mean
 from .timeseries import TimeSeries
-
-
-def _trailing_mean(x: np.ndarray, window: int) -> np.ndarray:
-    c = np.concatenate([[0.0], np.cumsum(x)])
-    out = np.empty_like(x)
-    n = x.size
-    w = min(window, n)
-    head = np.arange(1, w + 1, dtype=np.float64)
-    out[:w] = c[1 : w + 1] / head
-    if n > w:
-        out[w:] = (c[w + 1 :] - c[1 : n - w + 1]) / w
-    return out
 
 
 def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationReport:
     """Moving-average band split with device saturation, no optimization."""
-    from .engine import prepare_scenario
+    from .engine import _SOC_STEP_S, _finalize_metrics, prepare_scenario
     from .mpc import freeze_efficiencies
 
     if data is None:
         data = prepare_scenario(config)
     n_sec = data.run_seconds
     x = data.actuals.values[:n_sec]
+    dth = 1.0 / 3600.0
 
-    c1, c2 = config.baseline.filter_cutoffs
-    c3 = config.baseline.trend_cutoff_s
-    ma1 = _trailing_mean(x, int(round(c1)))
-    ma2 = _trailing_mean(ma1, int(round(c2)))
-    ma3 = _trailing_mean(ma2, int(round(c3)))
-    band_fess = x - ma1
-    band_bess = ma1 - ma2
-    band_caes = ma2 - ma3
-    band_hmes = ma3
+    # Cascaded trailing means: each band is the step between two of them,
+    # fastest first, and the last mean is the trend.
+    means = [x]
+    for cutoff in (*config.baseline.filter_cutoffs, config.baseline.trend_cutoff_s):
+        means.append(window_mean(means[-1], int(round(cutoff)) - 1, 0))
+    bands = [a - b for a, b in zip(means, means[1:])] + [means[-1]]
+
+    def numbers(st):
+        return (st.energy, *st.envelope, st.power_cap, st.eta_c, st.eta_d, st.standby_loss * dth)
 
     eff = freeze_efficiencies(config.awe, config.pemfc, config.meoh, config.turbine)
-    caes = config.caes.make_state()
-    bess = config.bess.make_state()
-    fess = config.fess_state()
-    tank_cap = config.tank_cap_mwh
-    e_h = config.tank_init_frac * tank_cap
+    # (layer, device, (energy, lo, hi, cap, eta_c, eta_d, standby MWh), band).
+    # The hydrogen tank is plain numbers: an EssState would check them.
+    stores = (
+        ("L4", "fess", numbers(config.fess_state()), bands[0]),
+        ("L3", "bess", numbers(config.bess.make_state()), bands[1]),
+        ("L2", "caes", numbers(config.caes.make_state()), bands[2]),
+        ("L1", "hydrogen", (config.tank_init_frac * config.tank_cap_mwh, 0.0,
+                            config.tank_cap_mwh, config.h2_power_mw,
+                            eff.eta_hc, eff.eta_hd, 0.0), bands[3]),
+    )
+
+    # Ledgers in report order, which round_trip_efficiency sums in.
+    ledgers = dict.fromkeys(_SOC_STEP_S)
     e_m = config.meoh_init_mwh
-
-    dth = 1.0 / 3600.0
-    n_min = n_sec // 60
-    n_q = n_sec // 900
-    n_hr = n_sec // 3600
-
-    realized = {k: np.zeros(n_sec) for k in ("fess", "bess", "caes", "hmes")}
-    soc = {
-        "hydrogen": np.zeros(n_hr + 1), "methanol": np.full(n_hr + 1, e_m),
-        "caes": np.zeros(n_q + 1), "bess": np.zeros(n_min + 1),
-        "fess": np.zeros(n_min + 1),
-    }
-    soc["hydrogen"][0] = e_h
-    soc["caes"][0] = caes.energy
-    soc["bess"][0] = bess.energy
-    soc["fess"][0] = fess.energy
-
-    ledgers = {
-        "hydrogen": DeviceLedger(initial_energy=e_h, eta_c=eff.eta_hc, eta_d=eff.eta_hd),
-        "methanol": DeviceLedger(
-            initial_energy=e_m, eta_c=eff.eta_hc * eff.eta_mc, eta_d=eff.eta_md
-        ),
-        "caes": DeviceLedger(initial_energy=caes.energy, eta_c=caes.eta_c, eta_d=caes.eta_d),
-        "bess": DeviceLedger(initial_energy=bess.energy, eta_c=bess.eta_c, eta_d=bess.eta_d),
-        "fess": DeviceLedger(initial_energy=fess.energy, eta_c=fess.eta_c, eta_d=fess.eta_d),
-    }
-    saturations = 0
-
-    # Flat per-device loop state: (energy, lo, hi, cap, eta_c, eta_d, standby_e)
-    dev = {
-        "fess": [fess.energy, fess.envelope[0], fess.envelope[1], fess.power_cap,
-                 fess.eta_c, fess.eta_d, fess.standby_loss * dth],
-        "bess": [bess.energy, bess.envelope[0], bess.envelope[1], bess.power_cap,
-                 bess.eta_c, bess.eta_d, 0.0],
-        "caes": [caes.energy, caes.envelope[0], caes.envelope[1], caes.power_cap,
-                 caes.eta_c, caes.eta_d, 0.0],
-        "hmes": [e_h, 0.0, tank_cap, config.h2_power_mw,
-                 eff.eta_hc, eff.eta_hd, 0.0],
-    }
-    bands = {"fess": band_fess, "bess": band_bess, "caes": band_caes, "hmes": band_hmes}
-    trace_of = {"fess": ("fess", 60), "bess": ("bess", 60),
-                "caes": ("caes", 900), "hmes": ("hydrogen", 3600)}
+    ledgers["methanol"] = DeviceLedger(initial_energy=e_m, final_energy=e_m,
+                                       eta_c=eff.eta_hc * eff.eta_mc, eta_d=eff.eta_md)
+    soc = {"methanol": np.full(n_sec // 3600 + 1, e_m)}
+    outputs = {}
     resid = np.zeros(n_sec)
-
-    for name in ("fess", "bess", "caes", "hmes"):
-        e, lo, hi, cap, ec, ed, stb = dev[name]
-        b = bands[name]
-        out = realized[name]
-        soc_key, block = trace_of[name]
-        soc_arr = soc[soc_key]
-        charged = 0.0
-        discharged = 0.0
-        for s, want in enumerate(b.tolist()):
+    saturations = 0
+    for layer, dev, (e0, lo, hi, cap, ec, ed, stb), band in stores:
+        step = _SOC_STEP_S[dev]
+        trace = np.zeros(n_sec // step + 1)
+        trace[0] = e = e0
+        out = np.zeros(n_sec)
+        charged = discharged = 0.0
+        for s, want in enumerate(band.tolist()):
             p, e = saturate(e, want, lo, hi, cap, ec, ed, stb, dth)
             if want >= 0.0:
                 discharged += p
@@ -124,30 +82,17 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
             if p != want:
                 saturations += 1
             out[s] = p
-            if (s + 1) % block == 0:
-                soc_arr[(s + 1) // block] = e
-        dev[name][0] = e
-        ledgers_key = "hydrogen" if name == "hmes" else name
-        ledgers[ledgers_key].charged_mwh = charged * dth
-        ledgers[ledgers_key].discharged_mwh = discharged * dth
-        resid += b - out
+            if (s + 1) % step == 0:
+                trace[(s + 1) // step] = e
+        ledgers[dev] = DeviceLedger(charged * dth, discharged * dth, e0, e, ec, ed)
+        soc[dev] = trace
+        outputs[layer] = out
+        resid += band - out
 
-    ledgers["hydrogen"].final_energy = dev["hmes"][0]
-    ledgers["methanol"].final_energy = e_m
-    ledgers["caes"].final_energy = dev["caes"][0]
-    ledgers["bess"].final_energy = dev["bess"][0]
-    ledgers["fess"].final_energy = dev["fess"][0]
-
-    cost = {
-        "L1": (ledgers["hydrogen"].charged_mwh * config.c_l1[0]
-               + ledgers["hydrogen"].discharged_mwh * config.c_l1[1]),
-        "L2": (ledgers["caes"].charged_mwh * config.c_l2[0]
-               + ledgers["caes"].discharged_mwh * config.c_l2[1]),
-        "L3": (ledgers["bess"].charged_mwh * config.c_l3[0]
-               + ledgers["bess"].discharged_mwh * config.c_l3[1]),
-        "L4": config.c_l4 * (ledgers["fess"].charged_mwh
-                             + ledgers["fess"].discharged_mwh),
-    }
+    cost = {layer: ledgers[dev].charged_mwh * prices[0] + ledgers[dev].discharged_mwh * prices[1]
+            for layer, dev, prices in (("L1", "hydrogen", config.c_l1),
+                                       ("L2", "caes", config.c_l2), ("L3", "bess", config.c_l3))}
+    cost["L4"] = config.c_l4 * (ledgers["fess"].charged_mwh + ledgers["fess"].discharged_mwh)
 
     t0 = data.actuals.start_epoch
     report = SimulationReport(
@@ -155,24 +100,14 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
         seed=config.scenario.seed,
         original_netload=TimeSeries(t0, 1.0, x.copy()),
         smoothed_netload=TimeSeries(t0, 1.0, resid),
-        layer_outputs={
-            "L1": TimeSeries(t0, 1.0, realized["hmes"]),
-            "L2": TimeSeries(t0, 1.0, realized["caes"]),
-            "L3": TimeSeries(t0, 1.0, realized["bess"]),
-            "L4": TimeSeries(t0, 1.0, realized["fess"]),
-        },
-        soc_traces={
-            "hydrogen": TimeSeries(t0, 3600.0, soc["hydrogen"]),
-            "methanol": TimeSeries(t0, 3600.0, soc["methanol"]),
-            "caes": TimeSeries(t0, 900.0, soc["caes"]),
-            "bess": TimeSeries(t0, 60.0, soc["bess"]),
-            "fess": TimeSeries(t0, 60.0, soc["fess"]),
-        },
+        layer_outputs={layer: TimeSeries(t0, 1.0, outputs[layer])
+                       for layer in ("L1", "L2", "L3", "L4")},
+        soc_traces={dev: TimeSeries(t0, float(step), soc[dev])
+                    for dev, step in _SOC_STEP_S.items()},
         ledgers=ledgers,
         dispatch_cost=cost,
         solver_stats={},
         events={"saturations": saturations},
     )
-    from .engine import _finalize_metrics
     _finalize_metrics(report, config, data)
     return report

@@ -185,9 +185,27 @@ def run_length_error(days: float) -> str | None:
     return None
 
 
+def _length_errors(config, default, prefix: str = "") -> list[Finding]:
+    """A finding for each tuple field of ``default`` whose value in
+    ``config`` is no sequence of the same length; sections recurse."""
+    out = []
+    for f in dataclasses.fields(default):
+        want, got = getattr(default, f.name), getattr(config, f.name)
+        if dataclasses.is_dataclass(want) and dataclasses.is_dataclass(got):
+            out += _length_errors(got, want, f"{prefix}{f.name}.")
+        elif isinstance(want, tuple) and not (
+                isinstance(got, (tuple, list)) and len(got) == len(want)):
+            out.append(Finding("error", prefix + f.name, f"must hold {len(want)} values"))
+    return out
+
+
 def validate(config: EngineConfig) -> list[Finding]:
-    """Exhaustive cross-field checks; findings are the output, never raises."""
-    out: list[Finding] = []
+    """Exhaustive cross-field checks; findings are the output, never raises.
+    A field of the wrong length is reported alone: the other checks index
+    the tuples."""
+    out = _length_errors(config, EngineConfig())
+    if out:
+        return out
 
     def err(path, msg):
         out.append(Finding("error", path, msg))
@@ -207,10 +225,14 @@ def validate(config: EngineConfig) -> list[Finding]:
             err(f"{name}.power_mw", "must be positive")
         if not 0.0 <= store.init_frac <= 1.0:
             err(f"{name}.init_frac", "must lie in [0, 1]")
+        if not 0.0 <= store.self_discharge < 1.0:
+            err(f"{name}.self_discharge", "must lie in [0, 1)")
     for side in ("eta_c", "eta_d"):
         val = getattr(config.fess, side)
         if not 0.0 < val <= 1.0:
             err(f"fess.{side}", f"must lie in (0, 1], got {val}")
+    if not 0.0 <= config.fess_init_frac <= 1.0:
+        err("fess_init_frac", "must lie in [0, 1]")
     for i, q in enumerate(config.q_weights):
         if q <= 0.0:
             err(f"q_weights[{i}]", "tracking weights must be positive")
@@ -264,6 +286,9 @@ def validate(config: EngineConfig) -> list[Finding]:
         err("tank_init_frac", "must lie in [0, 1]")
     if config.meoh_init_mwh < 0.0:
         err("meoh_init_mwh", "must be non-negative")
+    if not -273.0 < config.ambient_temp_c < np.inf:
+        # The degradation model's stress factor divides by 273 + T.
+        err("ambient_temp_c", f"must be finite and above -273, got {config.ambient_temp_c}")
 
     if config.n2 * 0.25 < 1.0:
         warn("n2", "L2 horizon shorter than one L1 step")
@@ -274,7 +299,9 @@ def validate(config: EngineConfig) -> list[Finding]:
     if length_error:
         err("scenario.duration_days", length_error)
     for layer, acc in config.scenario.forecast_accuracy.items():
-        if not 0.0 < acc <= 1.0:
+        if layer not in ("L1", "L2", "L3"):
+            err(f"scenario.forecast_accuracy.{layer}", "names no layer; the layers are L1, L2 and L3")
+        elif not 0.0 < acc <= 1.0:
             err(f"scenario.forecast_accuracy.{layer}", f"must lie in (0, 1], got {acc}")
     if config.csv_path is not None and not os.path.exists(config.csv_path):
         err("csv_path", f"file '{config.csv_path}' does not exist")
@@ -287,10 +314,13 @@ def validate(config: EngineConfig) -> list[Finding]:
     except ValueError as exc:
         err("tariff.tou_schedule", str(exc))
     c0, c1 = config.baseline.filter_cutoffs
+    if not c0 > 0.5:
+        # The filter's first trailing mean spans round(c0) samples.
+        err("baseline.filter_cutoffs", f"the first corner must round to at least 1 s, got {c0}")
     if not c0 < c1:
         err("baseline.filter_cutoffs", "cutoffs must be strictly ordered")
-    if config.baseline.trend_cutoff_s <= c1:
-        err("baseline.trend_cutoff_s", "trend cutoff must exceed the second corner")
+    if not c1 < config.baseline.trend_cutoff_s < np.inf:
+        err("baseline.trend_cutoff_s", "trend cutoff must be finite and exceed the second corner")
     if config.baseline.soc_period_h <= 0.0:
         err("baseline.soc_period_h", "must be positive")
     return out
@@ -341,35 +371,27 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-#: Config sections built from a nested JSON object, by field name.
-_NESTED = {
-    "scenario": ScenarioConfig, "awe": AweParams, "pemfc": PemfcParams,
-    "meoh": MeohParams, "turbine": TurbineParams,
-    "battery_deg": BatteryDegParams, "fess": FessParams,
-    "bess": StoreConfig, "caes": StoreConfig, "vic": VicParams,
-    "mtip": MtipConfig, "baseline": BaselineConfig, "tariff": TariffConfig,
-}
-
-
-def _unknown_keys(cls, data: dict, prefix: str = "") -> list[str]:
-    """Dotted paths of the keys in ``data`` that name no field of ``cls``."""
-    fields = {f.name for f in dataclasses.fields(cls)}
+def _unknown_keys(default, data: dict, prefix: str = "") -> list[str]:
+    """Dotted paths of the keys in ``data`` that name no field of ``default``."""
+    fields = {f.name for f in dataclasses.fields(default)}
     out = []
     for key, val in data.items():
         if key not in fields:
             out.append(prefix + key)
-        elif key in _NESTED and isinstance(val, dict):
-            out += _unknown_keys(_NESTED[key], val, f"{prefix}{key}.")
+        elif dataclasses.is_dataclass(getattr(default, key)) and isinstance(val, dict):
+            out += _unknown_keys(getattr(default, key), val, f"{prefix}{key}.")
     return out
 
 
-def _build(cls, data: dict):
+def _build(default, data: dict):
+    """``default`` with the fields ``data`` names replaced; a nested object
+    overrides its section of ``default`` field by field."""
     kwargs = {}
-    for f in dataclasses.fields(cls):
+    for f in dataclasses.fields(default):
         if f.name not in data:
             continue
         val = data[f.name]
-        nested = _NESTED.get(f.name)
+        base = getattr(default, f.name)
         if f.name == "tariff" and isinstance(val, dict):
             if "tou_schedule" not in val:
                 raise ConfigError(
@@ -378,26 +400,27 @@ def _build(cls, data: dict):
                 )
             sched = [((a, b), p) for (a, b), p in
                      ((tuple(rng), p) for rng, p in val["tou_schedule"])]
-            kwargs[f.name] = TariffConfig(sched, val.get("capacity_rate", 10000.0))
-        elif nested is not None and isinstance(val, dict):
-            kwargs[f.name] = _build(nested, val)
+            kwargs[f.name] = TariffConfig(sched, val.get("capacity_rate", base.capacity_rate))
+        elif dataclasses.is_dataclass(base) and isinstance(val, dict):
+            kwargs[f.name] = _build(base, val)
         elif f.name in _TUPLE_FIELDS and isinstance(val, list):
             kwargs[f.name] = tuple(val)
         elif f.name == "forecast_accuracy" and isinstance(val, dict):
             kwargs[f.name] = dict(val)
         else:
             kwargs[f.name] = val
-    return cls(**kwargs)
+    return dataclasses.replace(default, **kwargs)
 
 
 def from_dict(data: dict) -> EngineConfig:
     """Build a configuration from its JSON form; a key that names no
     configuration field is an error, reported with its dotted path."""
-    unknown = _unknown_keys(EngineConfig, data)
+    default = EngineConfig()
+    unknown = _unknown_keys(default, data)
     if unknown:
         raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
     try:
-        return _build(EngineConfig, data)
+        return _build(default, data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration: {exc}") from exc
 

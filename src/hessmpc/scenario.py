@@ -323,24 +323,26 @@ def synthesize(config: ScenarioConfig) -> TimeSeries:
         # hourly swings stay, but multi-day energy trends (which no finite
         # store can absorb) are removed, and a small surplus funds the
         # storage round-trip losses.
-        net -= _centered_mean(net, 36 * 3600)
+        half = min(36 * 3600, n_seconds) // 2
+        net -= window_mean(net, half, half)
         net -= net.mean() + config.balanced_surplus_mw
     return TimeSeries(0.0, 1.0, net)
 
 
-def _centered_mean(x: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with edge clamping, O(n) via prefix sums; the
-    window's index arithmetic runs in blocks."""
+def window_mean(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Mean of ``x[k - before : k + after + 1]`` at each k, the window cut
+    to the series; O(n) via prefix sums, the window's index arithmetic in
+    blocks. ``window_mean(x, w - 1, 0)`` is the trailing mean over w
+    samples, ``window_mean(x, h, h)`` the centered one over 2h + 1."""
     n = x.size
-    half = min(window, n) // 2
     c = np.empty(n + 1)
     c[0] = 0.0
     np.cumsum(x, out=c[1:])
     out = np.empty(n)
     for start in range(0, n, _BLOCK):
         k = np.arange(start, min(start + _BLOCK, n))
-        left = np.clip(k - half, 0, n)
-        right = np.clip(k + half + 1, 0, n)
+        left = np.clip(k - before, 0, n)
+        right = np.clip(k + after + 1, 0, n)
         out[start : start + k.size] = (c[right] - c[left]) / (right - left)
     return out
 

@@ -342,3 +342,48 @@ def test_periodic_horizon_past_the_forecast_pad_is_a_config_error(tmp_path, caps
     assert [f.path for f in validate(cfg) if f.severity == "error"] == ["n3"]
     # The proposed controller plans one step, so the same horizons run.
     assert main(["validate", "--config", str(cfg_path)]) == 0
+
+
+@pytest.mark.parametrize("override, path", [
+    ({"fess_init_frac": -0.1}, "fess_init_frac"),
+    ({"fess_init_frac": 1.5}, "fess_init_frac"),
+    ({"q_weights": [0.27, 0.15]}, "q_weights"),
+    ({"r_weights": [1.0, 1.0, 1.0, 1.0]}, "r_weights"),
+    ({"c_l2": [0.35]}, "c_l2"),
+    ({"ambient_temp_c": -273.0}, "ambient_temp_c"),
+    ({"ambient_temp_c": -300.0}, "ambient_temp_c"),
+    ({"bess": {"self_discharge": 1.5}}, "bess.self_discharge"),
+    ({"controller": "filter", "baseline": {"filter_cutoffs": [0.2, 900.0]}},
+     "baseline.filter_cutoffs"),
+])
+def test_values_that_crashed_the_run_are_config_errors(tmp_path, capsys, override, path):
+    # Each used to pass validate and then stop the run with a traceback
+    # (exit 1) or an envelope violation (exit 3).
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(override))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--days", "0.041666666666666664",
+                 "--out", str(out)]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_forecast_accuracy_keys_name_layers():
+    # A misspelled layer used to run silently at the default accuracy.
+    cfg = from_dict({"scenario": {"forecast_accuracy": {"l2": 0.5, "L4": 0.5, "L1": 0.8}}})
+    assert [f.path for f in validate(cfg)] == [
+        "scenario.forecast_accuracy.l2", "scenario.forecast_accuracy.L4",
+    ]
+
+
+@pytest.mark.parametrize("store", ["bess", "caes"])
+def test_one_field_store_override_changes_only_that_field(store):
+    # A store section is built over its default, so one key is enough.
+    for field, value in (("power_mw", 50.0), ("energy_mwh", 123.0),
+                         ("envelope_frac", [0.2, 0.8]), ("eta_c", 0.9), ("eta_d", 0.9),
+                         ("self_discharge", 0.001), ("init_frac", 0.25)):
+        want = to_dict(EngineConfig())
+        want[store][field] = value
+        assert to_dict(from_dict({store: {field: value}})) == want, field

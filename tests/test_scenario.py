@@ -10,8 +10,8 @@ from scipy.special import ndtr as scipy_ndtr
 
 import goldens
 from hessmpc.scenario import (
-    _LOCKSTEP_MIN, ARCHETYPES, ScenarioConfig, _recurrence, make_forecast, ndtr,
-    realized_accuracy, synthesize,
+    _BLOCK, _LOCKSTEP_MIN, ARCHETYPES, ScenarioConfig, _recurrence, make_forecast, ndtr,
+    realized_accuracy, synthesize, window_mean,
 )
 from hessmpc.timeseries import resample
 
@@ -222,3 +222,46 @@ def test_ndtr_matches_scipy_bit_for_bit():
     want = scipy_ndtr(a)
     bad = np.nonzero(got.view(np.int64) != want.view(np.int64))[0]
     assert a[bad[:5]].tolist() == []
+
+
+def _trailing_mean_reference(x, window):
+    """The filter baseline's trailing mean that window_mean replaced."""
+    c = np.concatenate([[0.0], np.cumsum(x)])
+    out = np.empty_like(x)
+    n = x.size
+    w = min(window, n)
+    head = np.arange(1, w + 1, dtype=np.float64)
+    out[:w] = c[1 : w + 1] / head
+    if n > w:
+        out[w:] = (c[w + 1 :] - c[1 : n - w + 1]) / w
+    return out
+
+
+def _centered_mean_reference(x, window):
+    """The balanced archetype's centered mean that window_mean replaced,
+    in one block."""
+    n = x.size
+    half = min(window, n) // 2
+    c = np.empty(n + 1)
+    c[0] = 0.0
+    np.cumsum(x, out=c[1:])
+    k = np.arange(n)
+    left = np.clip(k - half, 0, n)
+    right = np.clip(k + half + 1, 0, n)
+    return (c[right] - c[left]) / (right - left)
+
+
+@pytest.mark.parametrize("n", [1, 7, 3600, 3 * _BLOCK + 17])
+@pytest.mark.parametrize("window", [1, 60, 901, 4 * _BLOCK])
+def test_window_mean_matches_the_formulas_it_replaced(n, window):
+    # The filter's trailing means and the balanced archetype's de-meaning
+    # call window_mean as below; their reports stay the same only if it
+    # gives the old kernels' bits.
+    x = np.random.default_rng(n).standard_normal(n) * 50.0 + 20.0
+    x[::5] = 0.0
+    x[1::7] = -0.0
+    trailing = window_mean(x, window - 1, 0)
+    assert trailing.tobytes() == _trailing_mean_reference(x, window).tobytes()
+    half = min(window, n) // 2
+    centered = window_mean(x, half, half)
+    assert centered.tobytes() == _centered_mean_reference(x, window).tobytes()

@@ -162,3 +162,32 @@ def test_program_has_no_assert_statement():
         found += [f"{path.relative_to(ROOT)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_filter_run_calls_the_names_the_tracer_wraps(monkeypatch):
+    # The tracer's baselines.run_filter_decomposition.run_share and
+    # metrics.finalize.* metrics count calls of these names in the module
+    # namespaces it wraps; a filter run that reached them any other way
+    # would read 0 there.
+    from hessmpc import engine
+    from hessmpc.config import EngineConfig
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    calls = {}
+    for module, attr, name in tracer._WRAPS:
+        if name.startswith(("baselines.", "metrics.finalize.")):
+            calls[name] = 0
+
+            def counting(*args, _fn=getattr(module, attr), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counting)
+    cfg = EngineConfig(controller="filter")
+    cfg.scenario.duration_days = 1.0 / 24.0
+    engine.run(cfg)
+    assert calls.pop("baselines.run_filter_decomposition") == 1
+    assert sorted(calls) == sorted(f"metrics.finalize.{fn}" for fn in tracer._FINALIZE)
+    assert [name for name, n in calls.items() if n == 0] == []
