@@ -107,7 +107,7 @@ def cmd_synth(args) -> int:
     ts = synthesize(config.scenario)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "netload.csv")
-    write_csv(path, ts)
+    write_csv({path: ts})
     print(f"wrote {len(ts)} samples to {path}")
     return EXIT_OK
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -185,25 +186,34 @@ def run_length_error(days: float) -> str | None:
     return None
 
 
-def _length_errors(config, default, prefix: str = "") -> list[Finding]:
-    """A finding for each tuple field of ``default`` whose value in
-    ``config`` is no sequence of the same length; sections recurse."""
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _shape_errors(config, default, prefix: str = "") -> list[Finding]:
+    """A finding for each number or tuple field of ``default`` whose value
+    in ``config`` is no number, or no sequence of as many numbers; sections
+    recurse."""
     out = []
     for f in dataclasses.fields(default):
         want, got = getattr(default, f.name), getattr(config, f.name)
         if dataclasses.is_dataclass(want) and dataclasses.is_dataclass(got):
-            out += _length_errors(got, want, f"{prefix}{f.name}.")
-        elif isinstance(want, tuple) and not (
-                isinstance(got, (tuple, list)) and len(got) == len(want)):
-            out.append(Finding("error", prefix + f.name, f"must hold {len(want)} values"))
+            out += _shape_errors(got, want, f"{prefix}{f.name}.")
+        elif isinstance(want, tuple):
+            if not (isinstance(got, (tuple, list)) and len(got) == len(want)):
+                out.append(Finding("error", prefix + f.name, f"must hold {len(want)} values"))
+            elif not all(map(_is_number, got)):
+                out.append(Finding("error", prefix + f.name, f"must hold {len(want)} numbers"))
+        elif _is_number(want) and not _is_number(got):
+            out.append(Finding("error", prefix + f.name, f"must be a number, got {got!r}"))
     return out
 
 
 def validate(config: EngineConfig) -> list[Finding]:
     """Exhaustive cross-field checks; findings are the output, never raises.
-    A field of the wrong length is reported alone: the other checks index
-    the tuples."""
-    out = _length_errors(config, EngineConfig())
+    A field of the wrong shape or type is reported alone: the other checks
+    compare the numbers and index the tuples."""
+    out = _shape_errors(config, EngineConfig())
     if out:
         return out
 
@@ -305,9 +315,13 @@ def validate(config: EngineConfig) -> list[Finding]:
             err(f"scenario.forecast_accuracy.{layer}", f"must lie in (0, 1], got {acc}")
     if config.csv_path is not None and not os.path.exists(config.csv_path):
         err("csv_path", f"file '{config.csv_path}' does not exist")
-    if config.scenario.calm_window_days is not None:
-        a, b = config.scenario.calm_window_days
-        if not 0.0 <= a < b <= config.scenario.duration_days:
+    window = config.scenario.calm_window_days
+    if window is not None:
+        # No default shape to check it against: the default is None.
+        if not (isinstance(window, (tuple, list)) and len(window) == 2
+                and all(map(_is_number, window))):
+            err("scenario.calm_window_days", "must be null or hold 2 numbers")
+        elif not 0.0 <= window[0] < window[1] <= config.scenario.duration_days:
             err("scenario.calm_window_days", "window must lie inside the run")
     try:
         TariffConfig(config.tariff.tou_schedule, config.tariff.capacity_rate)

@@ -573,11 +573,17 @@ def write_report(report: SimulationReport, out_dir: str) -> None:
     with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_csv(os.path.join(out_dir, "original.csv"), report.original_netload)
-    write_csv(os.path.join(out_dir, "smoothed.csv"), report.smoothed_netload)
-    for name, ts in report.layer_outputs.items():
-        write_csv(os.path.join(out_dir, f"output_{name}.csv"), ts)
-    for name, ts in report.soc_traces.items():
-        write_csv(os.path.join(out_dir, f"soc_{name}.csv"), ts)
-    for name, ts in report.band_traces.items():
-        write_csv(os.path.join(out_dir, f"band_{name}.csv"), ts)
+    traces = {
+        "original": report.original_netload,
+        "smoothed": report.smoothed_netload,
+        **{f"output_{name}": ts for name, ts in report.layer_outputs.items()},
+        **{f"soc_{name}": ts for name, ts in report.soc_traces.items()},
+        **{f"band_{name}": ts for name, ts in report.band_traces.items()},
+    }
+    # One write_csv call per time grid, so each grid's epochs are formatted once.
+    grids = {}
+    for name, ts in traces.items():
+        grid = grids.setdefault((ts.start_epoch, ts.dt, len(ts)), {})
+        grid[os.path.join(out_dir, f"{name}.csv")] = ts
+    for files in grids.values():
+        write_csv(files)

@@ -9,6 +9,7 @@ energy integral is preserved exactly up to float rounding.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -149,28 +150,58 @@ def ingest_csv(path) -> TimeSeries:
     return TimeSeries(ep[0], dt, np.array(powers))
 
 
-def write_csv(path, ts: TimeSeries) -> None:
-    """Write a TimeSeries using the same contract :func:`ingest_csv` reads.
+def write_csv(files: dict) -> None:
+    """Write series that share one time grid, one file each, using the same
+    contract :func:`ingest_csv` reads.
 
-    Epochs are written as ``f"{e:.0f}"`` and values as the shortest
-    round-trip ``repr``. Each block of ``CSV_BLOCK_ROWS`` rows is one
-    ``"".join`` over the row cells ``[epoch, ",", value, "\\n"]``, written
-    at once.
+    ``files`` maps a path to its TimeSeries; every series must have the same
+    ``start_epoch``, ``dt`` and length, or ``ValueError`` is raised before
+    any file is opened. Epochs are written as ``f"{e:.0f}"`` and values as
+    the shortest round-trip ``repr``. The files are written together, in
+    blocks of ``CSV_BLOCK_ROWS`` rows: each block's epochs are formatted
+    once, as ``"epoch,"`` prefixes, and each file writes that block as one
+    ``"".join`` over its row cells ``[prefix, value, "\\n"]``.
     """
-    epochs = ts.start_epoch + ts.dt * np.arange(ts.values.size)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for lo in range(0, epochs.size, CSV_BLOCK_ROWS):
-            e = epochs[lo : lo + CSV_BLOCK_ROWS]
-            cells = ["\n"] * (4 * e.size)
-            # For an integral float below 2**53, str(int(e)) equals
-            # f"{e:.0f}" and is cheaper to build (ROADMAP item 4 has the
+    series = list(files.values())
+    if not series:
+        return
+    first = series[0]
+    grid = (first.start_epoch, first.dt, len(first))
+    for path, ts in files.items():
+        if (ts.start_epoch, ts.dt, len(ts)) != grid:
+            raise ValueError(
+                f"{path}: grid (start {ts.start_epoch}, dt {ts.dt}, {len(ts)} "
+                f"samples) differs from (start {grid[0]}, dt {grid[1]}, {grid[2]} samples)"
+            )
+    start, dt, n = grid
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+                   for path in files]
+        for fh in handles:
+            fh.write(CSV_HEADER + "\n")
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, n)
+            e = start + dt * np.arange(lo, hi)
+            # For an integral float below 2**53, the decimal form of int(e)
+            # equals f"{e:.0f}" and is cheaper to build (ROADMAP item 4 has the
             # timing). The one exception, -0.0 ("0" against "-0"), cannot
             # occur: with dt > 0, start + dt * k rounds an exact zero to +0.0.
             if np.all(np.abs(e) < 2.0**53) and np.array_equal(e, np.trunc(e)):
-                cells[0::4] = map(str, e.astype(np.int64).tolist())
+                prefixes = list(map("{},".format, e.astype(np.int64).tolist()))
             else:
-                cells[0::4] = map("{:.0f}".format, e.tolist())
-            cells[1::4] = [","] * e.size
-            cells[2::4] = map(repr, ts.values[lo : lo + CSV_BLOCK_ROWS].tolist())
-            fh.write("".join(cells))
+                prefixes = list(map("{:.0f},".format, e.tolist()))
+            for fh, ts in zip(handles, series):
+                fh.write(_rows(prefixes, ts.values[lo:hi]))
+
+
+def _rows(prefixes: list, values: np.ndarray) -> str:
+    """One block of CSV rows, ``prefix + repr(value) + "\\n"`` each.
+
+    The cell list is built fresh for each call and dies on return, before
+    the caller encodes and writes the text: a list reused across files, or
+    one still alive during the write, adds a block of strings to the peak.
+    """
+    cells = ["\n"] * (3 * values.size)
+    cells[0::3] = prefixes
+    cells[1::3] = map(repr, values.tolist())
+    return "".join(cells)

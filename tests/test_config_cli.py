@@ -355,6 +355,9 @@ def test_periodic_horizon_past_the_forecast_pad_is_a_config_error(tmp_path, caps
     ({"bess": {"self_discharge": 1.5}}, "bess.self_discharge"),
     ({"controller": "filter", "baseline": {"filter_cutoffs": [0.2, 900.0]}},
      "baseline.filter_cutoffs"),
+    # These two stopped validate itself with a traceback.
+    ({"q_weights": ["a", 0.15, 0.1]}, "q_weights"),
+    ({"scenario": {"calm_window_days": [0.01]}}, "scenario.calm_window_days"),
 ])
 def test_values_that_crashed_the_run_are_config_errors(tmp_path, capsys, override, path):
     # Each used to pass validate and then stop the run with a traceback

@@ -108,7 +108,7 @@ def test_csv_ingestion_path(tmp_path):
     rng = np.random.default_rng(0)
     vals = rng.normal(40.0, 15.0, 3600)
     path = tmp_path / "netload.csv"
-    write_csv(path, TimeSeries(0.0, 1.0, vals))
+    write_csv({path: TimeSeries(0.0, 1.0, vals)})
     cfg = _config(days=1.0 / 24.0)
     cfg.csv_path = str(path)
     rep = run(cfg)
@@ -125,7 +125,7 @@ def test_csv_start_epoch_carries_into_report_and_tariff(tmp_path, controller):
     from hessmpc.timeseries import TimeSeries, write_csv
     rng = np.random.default_rng(4)
     path = tmp_path / "netload.csv"
-    write_csv(path, TimeSeries(43200.0, 1.0, rng.normal(40.0, 15.0, 3 * 3600)))
+    write_csv({path: TimeSeries(43200.0, 1.0, rng.normal(40.0, 15.0, 3 * 3600))})
     cfg = _config(days=3.0 / 24.0, controller=controller)
     cfg.csv_path = str(path)
     rep = run(cfg)
@@ -170,7 +170,7 @@ def test_csv_shorter_than_run_is_rejected(tmp_path):
     from hessmpc.cli import main
     from hessmpc.timeseries import TimeSeries, write_csv
     path = tmp_path / "netload.csv"
-    write_csv(path, TimeSeries(0.0, 1.0, np.full(3600, 40.0)))
+    write_csv({path: TimeSeries(0.0, 1.0, np.full(3600, 40.0))})
     cfg = _config(days=2.0 / 24.0)
     cfg.csv_path = str(path)
     with pytest.raises(ConfigError, match=r"3600 s .* 7200 s run"):

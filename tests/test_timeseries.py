@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -49,7 +50,7 @@ def test_incompatible_step_rejected():
 def test_csv_round_trip(tmp_path):
     ts = TimeSeries(100.0, 1.0, np.array([1.25, -3.5, 0.0]))
     path = tmp_path / "series.csv"
-    write_csv(path, ts)
+    write_csv({path: ts})
     back = ingest_csv(path)
     assert back.dt == 1.0
     assert back.start_epoch == 100.0
@@ -82,40 +83,83 @@ _values = st.one_of(
 )
 
 
+def _tables(n_files):
+    """(n_files, rows): each row holds one value per file."""
+    rows = st.tuples(*[_values] * n_files)
+    return st.tuples(st.just(n_files), st.one_of(
+        st.just([]), st.lists(rows, min_size=1, max_size=1), st.lists(rows, max_size=500)))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     start=_starts,
     dt=st.sampled_from([1.0, 0.5, 60.0, 3600.0]),
-    values=st.one_of(st.just([]), st.lists(_values, min_size=1, max_size=1),
-                     st.lists(_values, max_size=500)),
+    table=st.integers(1, 3).flatmap(_tables),
     block_rows=st.sampled_from([1, 7, 64, timeseries.CSV_BLOCK_ROWS]),
 )
-def test_write_csv_matches_per_row_writer(tmp_path_factory, start, dt, values, block_rows):
-    ts = TimeSeries(start, dt, np.array(values, dtype=np.float64))
+def test_write_csv_matches_per_row_writer(tmp_path_factory, start, dt, table, block_rows):
+    n_files, rows = table
+    series = [TimeSeries(start, dt, np.array([row[j] for row in rows], dtype=np.float64))
+              for j in range(n_files)]
     out = tmp_path_factory.mktemp("csv")
     # Small blocks split the rows over several writes.
     with mock.patch.object(timeseries, "CSV_BLOCK_ROWS", block_rows):
-        write_csv(out / "bulk.csv", ts)
-    _write_csv_per_row(out / "rows.csv", ts)
-    assert (out / "bulk.csv").read_bytes() == (out / "rows.csv").read_bytes()
-
-    if not values:
-        with pytest.raises(ParseError):
-            ingest_csv(out / "bulk.csv")
-        return
-    epochs = start + dt * np.arange(len(values))
+        write_csv({out / f"bulk{j}.csv": ts for j, ts in enumerate(series)})
+    epochs = start + dt * np.arange(len(rows))
     exact = float(start).is_integer() and dt >= 1.0 and np.all(np.abs(epochs) < 2.0**53)
-    try:
-        back = ingest_csv(out / "bulk.csv")
-    except GapError:
-        # Rounding to whole seconds makes the written step uneven for
-        # fractional epochs and for epochs past 2**53.
-        assert not exact
-    else:
-        assert back.values.tobytes() == ts.values.tobytes()
-        if exact:
-            assert back.start_epoch == start
-            assert back.dt == (dt if len(values) > 1 else 1.0)
+    for j, ts in enumerate(series):
+        bulk = out / f"bulk{j}.csv"
+        _write_csv_per_row(out / f"rows{j}.csv", ts)
+        assert bulk.read_bytes() == (out / f"rows{j}.csv").read_bytes()
+
+        if not rows:
+            with pytest.raises(ParseError):
+                ingest_csv(bulk)
+            continue
+        try:
+            back = ingest_csv(bulk)
+        except GapError:
+            # Rounding to whole seconds makes the written step uneven for
+            # fractional epochs and for epochs past 2**53.
+            assert not exact
+        else:
+            assert back.values.tobytes() == ts.values.tobytes()
+            if exact:
+                assert back.start_epoch == start
+                assert back.dt == (dt if len(rows) > 1 else 1.0)
+
+
+@pytest.mark.parametrize("other", [
+    TimeSeries(1.0, 1.0, np.ones(4)), TimeSeries(0.0, 60.0, np.ones(4)),
+    TimeSeries(0.0, 1.0, np.ones(5)),
+])
+def test_write_csv_rejects_mismatched_grid(tmp_path, other):
+    files = {tmp_path / "a.csv": TimeSeries(0.0, 1.0, np.ones(4)), tmp_path / "b.csv": other}
+    with pytest.raises(ValueError, match="grid"):
+        write_csv(files)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_memory_is_bounded_per_block(tmp_path):
+    # Three files over 6 blocks peak no higher than over 2: the writer holds
+    # one block of text at a time, not a whole run's epochs or rows.
+    rng = np.random.default_rng(0)
+
+    def peak(blocks):
+        n = blocks * timeseries.CSV_BLOCK_ROWS
+        files = {tmp_path / f"{blocks}_{j}.csv": TimeSeries(0.0, 1.0, rng.normal(40.0, 15.0, n))
+                 for j in range(3)}
+        tracemalloc.start()
+        try:
+            write_csv(files)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Smaller blocks keep the traced run short; the ratio does not depend on them.
+    with mock.patch.object(timeseries, "CSV_BLOCK_ROWS", 4096):
+        small, large = peak(2), peak(6)
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_csv_gap_detected(tmp_path):

@@ -40,9 +40,9 @@ def test_tracer_wraps_existing_names():
     assert missing == []
 
 
-def test_write_report_calls_engine_write_csv_per_file(tmp_path, monkeypatch):
-    # The tracer's timeseries.write_csv.* metrics count calls of the name
-    # engine.write_csv; a writer reached any other way would read 0 there.
+def test_write_report_writes_each_csv_in_one_engine_write_csv_call(tmp_path, monkeypatch):
+    # The tracer's timeseries.write_csv.* metrics time calls of the name
+    # engine.write_csv; a file written any other way would be missing there.
     from hessmpc import engine
     from hessmpc.config import EngineConfig
 
@@ -52,9 +52,9 @@ def test_write_report_calls_engine_write_csv_per_file(tmp_path, monkeypatch):
     written = []
     write_csv = engine.write_csv
 
-    def counting_write_csv(path, ts):
-        written.append(Path(path).name)
-        write_csv(path, ts)
+    def counting_write_csv(files):
+        written.extend(Path(path).name for path in files)
+        write_csv(files)
 
     monkeypatch.setattr(engine, "write_csv", counting_write_csv)
     engine.write_report(report, str(tmp_path))
