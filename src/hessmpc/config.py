@@ -192,18 +192,19 @@ def _is_number(value) -> bool:
 
 def _shape_errors(config, default, prefix: str = "") -> list[Finding]:
     """A finding for each number or tuple field of ``default`` whose value
-    in ``config`` is no number, or no sequence of as many numbers; sections
-    recurse."""
+    in ``config`` is no number, or no sequence of as many numbers (of any
+    number of them where the default is empty); sections recurse."""
     out = []
     for f in dataclasses.fields(default):
         want, got = getattr(default, f.name), getattr(config, f.name)
         if dataclasses.is_dataclass(want) and dataclasses.is_dataclass(got):
             out += _shape_errors(got, want, f"{prefix}{f.name}.")
         elif isinstance(want, tuple):
-            if not (isinstance(got, (tuple, list)) and len(got) == len(want)):
-                out.append(Finding("error", prefix + f.name, f"must hold {len(want)} values"))
+            count = f"{len(want)} " if want else ""
+            if not isinstance(got, (tuple, list)) or (want and len(got) != len(want)):
+                out.append(Finding("error", prefix + f.name, f"must hold {count}values"))
             elif not all(map(_is_number, got)):
-                out.append(Finding("error", prefix + f.name, f"must hold {len(want)} numbers"))
+                out.append(Finding("error", prefix + f.name, f"must hold {count}numbers"))
         elif _is_number(want) and not _is_number(got):
             out.append(Finding("error", prefix + f.name, f"must be a number, got {got!r}"))
     return out

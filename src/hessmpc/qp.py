@@ -16,9 +16,18 @@ solves it on that step structure, with no dense form:
   own; the others are met through bisection on the scalar dual of that row,
   warm started from the dual the previous solve hands on. Each trial dual
   is a closed-form step solve at the price row shifted by the dual times
-  the pattern; the part of a fill-order solve which depends on the prices
-  only through their signs and the order of the fill moves (the fill plan)
-  is built once per solve and shared by its trials.
+  the pattern.
+
+A fill-order solve is split in two. Its fill plan depends on the prices only
+through their signs and the order of the fill moves, so a coupled solve
+builds each plan once and shares it among its trials. The plan holds the
+cost-minimal base and its output, the capacity and starting fill of each
+move, the segment and output-window bounds of each candidate row, and the
+sign of each fill direction, all in the layout the scan reads; a direction
+without room at any step is left out. A trial computes what depends on the
+move rates: one target row per move, the candidates clipped to their
+segments and the window, their tracking plus fill costs, the first best per
+step, and the inputs of the fills at that candidate.
 
 :func:`dense_problem` writes the same problem in dense standard form
 (``H = 2 C' (I x Q) C``, a linear term, boxes and constraint rows) for
@@ -35,6 +44,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+try:  # the clip ufunc itself, without np.clip's Python wrappers
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
@@ -235,9 +249,9 @@ def charge_discharge_step(
     return _np_max(y, 0.0), _np_max(-y, 0.0), y
 
 
-def _fill_order(c_y: np.ndarray, price: np.ndarray) -> list[tuple]:
+def _fill_order(c_y, price) -> list[tuple]:
     """Moves away from the cost-minimal base, raising moves first, each
-    direction cheapest first.
+    direction cheapest first. c_y and price are sequences of floats.
 
     A move raises (side 0) or lowers (side 1) one input, with a scalar
     price per unit |dy|, a per-step capacity in y units and the input
@@ -246,44 +260,68 @@ def _fill_order(c_y: np.ndarray, price: np.ndarray) -> list[tuple]:
     can carry a negative rate (base is cost-minimal), so the piecewise cost
     is convex. Each move is (rate, input, du per dy, side, dy per du).
     """
-    fill: tuple[list, list] = ([], [])                     # raise y, lower y
-    for k, (ck, pk) in enumerate(zip(c_y.tolist(), price.tolist())):
+    up: list = []                                          # moves that raise y
+    down: list = []                                        # ... and lower it
+    for k, (ck, pk) in enumerate(zip(c_y, price)):
         if ck == 0.0:
             continue
-        for side, u_dir in enumerate((1.0, -1.0)):
-            move = (u_dir * pk / abs(ck), k, u_dir / abs(ck), side, abs(ck))
-            fill[0 if u_dir * ck > 0.0 else 1].append(move)
-    # Ties by input, then by direction.
-    return [mv for way in fill for mv in sorted(way, key=lambda mv: mv[:3])]
+        a = abs(ck)
+        more, less = (up, down) if ck > 0.0 else (down, up)   # by raising, lowering u_k
+        more.append((pk / a, k, 1.0 / a, 0, a))
+        less.append((-pk / a, k, -1.0 / a, 1, a))
+    # Ties by input, then by direction; no two moves tie on both.
+    up.sort()
+    down.sort()
+    return up + down
+
+
+#: Fill direction signs, +1 raising y and -1 lowering it.
+_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
 @dataclass
 class _FillPlan:
-    """The price-free part of a fill-order solve. It depends on the price
-    only through the set of negatively priced inputs (the base) and the
-    order of the fill moves, so every price with the same two shares it."""
+    """The price-free part of a fill-order solve, in the layout the scan
+    reads. It depends on the price only through the set of negatively
+    priced inputs (the base) and the order of the fill moves, so every price
+    with the same two shares it.
 
+    The scan keeps only the directions (raising or lowering y) with some
+    capacity, at least one: S directions of m moves each, R = S * m moves.
+    A direction without capacity at any step has candidates equal in value
+    to the clipped base, which comes first in the scan, so none of them can
+    win. Its moves would add zeros to inputs that sit at a bound of the box,
+    and where such an input ends at that bound's value, the final clip to
+    the box gives it the bound's own bits, the sign of a zero included.
+    """
+
+    kept: slice           # the kept moves among the fill order's
+    who: list             # (R,) input of each kept move
+    toward: list          # (R,) -1.0 raising, +1.0 lowering: its target's side of rhat
     base: np.ndarray      # (N, nu) cost-minimal configuration
-    y_base: np.ndarray    # (N,)
-    who: tuple            # input of each move, in fill order
-    du: np.ndarray        # (2, m, 1) input change per unit dy
-    caps: np.ndarray      # (2, m, N) move capacity in y units
-    prev: np.ndarray      # (2, m, N) fill at each move's start
-    seg: np.ndarray       # (2, 2, m, N) (lower, upper) x side
-    window: np.ndarray    # (2, 2m, N) band window on y
+    sign: np.ndarray      # (S, 1, 1) +1 raising, -1 lowering
+    y_signed: np.ndarray  # (S, 1, N) sign * output at base
+    du: np.ndarray        # (S, m, 1) input change per unit dy
+    prev: np.ndarray      # (S, m, 1, N) fill at each move's start
+    caps: np.ndarray      # (S, m, R+1, N) move capacity in y units, per candidate
+    seg_lo: np.ndarray    # (R, N) each move's segment on y
+    seg_hi: np.ndarray    # (R, N)
+    win_lo: np.ndarray    # (R, N) band window on y, one row per move
+    win_hi: np.ndarray    # (R, N)
     cand0: np.ndarray     # (N,) clipped base
+    steps: np.ndarray     # (N,) step index
 
 
 def _fill_plan(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
-               negative: np.ndarray, moves: list[tuple]) -> _FillPlan | None:
-    """The fill plan of base ``negative`` and fill order ``moves``; None
-    when the band window misses the achievable output range."""
+               negative, moves: list[tuple]) -> _FillPlan | None:
+    """The fill plan of base ``negative`` (a flag per input) and fill order
+    ``moves``; None when the band window misses the achievable output
+    range."""
     n, nu = st.n_steps, st.nu
     # Cost-minimal base configuration: saturate negatively priced inputs.
     base = np.where(negative, hi, lo)                      # (N, nu)
     y_base = base @ st.c_y                                 # (N,)
     m = len(moves) // 2                                    # moves per direction
-    nm = 2 * m
     _, who, du, side, scale = zip(*moves) if moves else ((),) * 5
     rooms = np.empty((2, nu, n))                           # room to raise, to lower
     np.subtract(hi.T, base.T, out=rooms[0])
@@ -301,22 +339,36 @@ def _fill_plan(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
     y_hi = np.minimum(y_max, st.rhat - st.band_lo)
     if np.any(y_lo > y_hi + 1e-9):
         return None
-    seg = np.empty((2, 2, m, n))
+    seg = np.empty((2, 2, m, n))                           # (lower, upper) x direction
     np.add(y_base, prev[0], out=seg[0, 0])
     np.add(y_base, edges[0], out=seg[1, 0])
     np.subtract(y_base, edges[1], out=seg[0, 1])
     np.subtract(y_base, prev[1], out=seg[1, 1])
-    window = np.empty((2, nm, n))
+
+    du = np.array(du).reshape(2, m, 1)
+    # The directions with room, or the raising one when neither has any, so
+    # that the inputs still take the fills at the pick (a NaN one included).
+    room = caps.any(axis=(1, 2)).tolist()
+    sides = slice(0 if room[0] or not room[1] else 1, 2 if room[1] else 1)
+    kept = slice(sides.start * m, sides.stop * m)
+    r = kept.stop - kept.start
+    seg = seg[:, sides].reshape(2, r, n)
+    window = np.empty((2, r, n))
     window[0] = y_lo
     window[1] = y_hi
+    sign = _SIGNS[sides]
     return _FillPlan(
-        base, y_base, who, np.array(du).reshape(2, m, 1), caps, prev, seg, window,
-        np.clip(y_base, y_lo, y_hi),
+        kept, list(who[kept]), [-1.0 if j < m else 1.0 for j in range(2 * m)][kept],
+        base, sign, sign * y_base, du[sides], prev[sides, :, None],
+        # Caps as large as the fills, so that their clip runs the kernel for
+        # per-element bounds (see _fill_solve), and runs it without broadcasting.
+        np.repeat(caps[sides, :, None], r + 1, axis=2),
+        seg[0], seg[1], window[0], window[1], _clip(y_base, y_lo, y_hi), np.arange(n),
     )
 
 
 def _charge_discharge_steps(st: StepStructure, hi: np.ndarray,
-                            price: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool] | None:
+                            price) -> tuple[np.ndarray, np.ndarray, bool] | None:
     """:func:`charge_discharge_step` on each step; None when a step's band
     window misses its achievable output range."""
     i_d = 0 if st.c_y[0] > 0 else 1
@@ -334,23 +386,24 @@ def _charge_discharge_steps(st: StepStructure, hi: np.ndarray,
 
 
 def _solve_priced(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
-                  price: np.ndarray, has_floor: bool,
+                  price, has_floor: bool,
                   plans: dict) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Closed-form per-step minimization at one price vector shared by all
-    steps: the single-store step rule on each step, else the fill-order
-    solve, vectorized across steps.
+    """Closed-form per-step minimization at one price vector (a sequence of
+    floats) shared by all steps: the single-store step rule on each step,
+    else the fill-order solve, vectorized across steps.
 
     has_floor is ``lo.any()``. plans caches the price-free part of a
     fill-order solve for (st, lo, hi): a caller that solves the same steps
     at many prices passes one dict to every call, so each plan is built
     once.
     """
-    if charge_discharge_form(st.c_y, price, has_floor):
+    c_y = st.c_y.tolist()
+    if charge_discharge_form(c_y, price, has_floor):
         solved = _charge_discharge_steps(st, hi, price)
     else:
-        moves = _fill_order(st.c_y, price)
-        negative = price < 0.0
-        key = (negative.tobytes(), tuple(2 * k + side for _, k, _, side, _ in moves))
+        moves = _fill_order(c_y, price)
+        negative = tuple(p < 0.0 for p in price)
+        key = (negative, tuple(2 * k + side for _, k, _, side, _ in moves))
         if key not in plans:
             plans[key] = _fill_plan(st, lo, hi, negative, moves)
         plan = plans[key]
@@ -365,62 +418,51 @@ def _fill_solve(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
     """The fill-order solve at the prices whose moves are ``moves``."""
     n = st.n_steps
     q = st.q
-    pw = st.norm_power
     rhat = st.rhat
-    y_base, caps, prev = plan.y_base, plan.caps, plan.prev
-    nm = len(moves)
-    m = nm // 2
-    rate = [mv[0] for mv in moves]
-    rates = np.array(rate).reshape(2, m)
+    rate = [mv[0] for mv in moves[plan.kept]]
+    rows = len(rate)
 
     # Candidate outputs, one row each, in scan order: the clipped base and
-    # the stationary point of each raising then each lowering move's
+    # the stationary point of each kept raising then lowering move's
     # segment, clipped to the window (an optimal window edge is the clipped
-    # point of the segment that holds it). numpy's clip runs a separate
+    # point of the segment that holds it). A raising move's target lies
+    # below rhat, a lowering move's above. numpy's clip runs a separate
     # kernel, with the opposite signed-zero tie rule, when both bounds are
-    # constant across the elements it clips. Every clip here has a bound
-    # that varies across them, as the one-row clips of a per-candidate scan
-    # have, so the zero signs of the results are the same.
-    cand = np.empty((nm + 1, n))
-    cand[0] = plan.cand0
-    if pw == 2:
-        shift = rates / (2.0 * q)
+    # constant across the elements it clips. Both clips here take bounds as
+    # large as the candidates, as the one-row clips of a per-candidate scan
+    # do, so the zero signs of the results are the same.
+    if st.norm_power == 2:
+        toward = [g * r / (2.0 * q) for g, r in zip(plan.toward, rate)]
     else:
-        shift = np.array([np.sqrt(max(r, 0.0) / (3.0 * q)) for r in rate]).reshape(2, m)
-    target = np.empty((2, m, n))
-    np.subtract(rhat, shift[0][:, None], out=target[0])
-    np.add(rhat, shift[1][:, None], out=target[1])
-    seg, window = plan.seg, plan.window
-    np.clip(np.clip(target, seg[0], seg[1]).reshape(nm, n), window[0], window[1],
-            out=cand[1:])
+        toward = [g * math.sqrt(max(r, 0.0) / (3.0 * q)) for g, r in zip(plan.toward, rate)]
+    cand = np.empty((rows + 1, n))
+    cand[0] = plan.cand0
+    moved = cand[1:]
+    np.add.outer(toward, rhat, out=moved)
+    _clip(moved, plan.seg_lo, plan.seg_hi, out=moved)
+    _clip(moved, plan.win_lo, plan.win_hi, out=moved)
 
     # Objective of every candidate: tracking plus the fill-order cost, summed
     # one move at a time from zero.
     d = rhat - cand
-    obj = q * d * d if pw == 2 else q * np.abs(d) ** 3
-    dev = cand - y_base
-    beyond = np.empty((2, nm + 1, 1, n))                   # past base, up and down
-    np.maximum(dev, 0.0, out=beyond[0, :, 0])
-    np.maximum(-dev, 0.0, out=beyond[1, :, 0])
-    spent = np.clip(beyond - prev[:, None], 0.0, caps[:, None]) * rates[:, None, :, None]
-    fill_cost = np.zeros((nm + 1, n))
-    for j in range(nm):
-        fill_cost += spent[j // m, :, j % m]
-    obj += fill_cost
+    obj = q * d * d if st.norm_power == 2 else q * np.abs(d) ** 3
+    beyond = np.maximum(cand * plan.sign - plan.y_signed, 0.0)   # past base, (S, R+1, N)
+    fill = _clip(beyond[:, None] - plan.prev, 0.0, plan.caps)     # of each move, (S, m, R+1, N)
+    spent = fill * np.array(rate).reshape(plan.du.shape + (1,))
+    obj += sum(spent.reshape(rows, rows + 1, n), 0.0)
     # The first minimum per step is the pick of a strict-< scan in row order,
     # which never moves to a NaN objective and never leaves the first row's.
     np.fmin(obj[1:], np.inf, out=obj[1:])
-    best_y = cand[obj.T.argmin(axis=1), np.arange(n)]
+    best = obj.argmin(axis=0)
+    best_y = cand[best, plan.steps]
 
-    # Decompose best_y back into inputs by walking the fill order.
+    # Decompose best_y back into inputs by walking the fill order: the fill
+    # of each move at best_y is its fill at the chosen candidate, above.
+    amt = fill[:, :, best, plan.steps] * plan.du
     u = plan.base.copy()
-    need = np.empty((2, 1, n))
-    np.maximum(best_y - y_base, 0.0, out=need[0, 0])
-    np.maximum(y_base - best_y, 0.0, out=need[1, 0])
-    amt = (np.clip(need - prev, 0.0, caps) * plan.du).reshape(nm, n)
-    for j, k in enumerate(plan.who):
-        u[:, k] += amt[j]
-    np.clip(u, lo, hi, out=u)
+    for k, part in zip(plan.who, amt.reshape(rows, n)):
+        u[:, k] += part
+    _clip(u, lo, hi, out=u)
     return u, best_y, True
 
 
@@ -432,7 +474,7 @@ def _solve_steps(st: StepStructure, lo: np.ndarray,
     infeasible means a banded step's output window misses the achievable
     output range.
     """
-    return _solve_priced(st, lo, hi, st.price, lo.any(), {})
+    return _solve_priced(st, lo, hi, st.price.tolist(), lo.any(), {})
 
 
 def _objective_from_structure(st: StepStructure, u: np.ndarray) -> float:
@@ -459,14 +501,14 @@ def _solve_with_terminal(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
         u_full[k_end:] = _solve_steps(st.take(slice(k_end, None)), lo[k_end:], hi[k_end:])[0]
     st_t = st.take(slice(k_end))
     lo_t, hi_t = lo[:k_end], hi[:k_end]
-    a_t = np.tile(pattern, (k_end, 1))
 
     # Achievable range of the row under the box alone; a target outside it
     # is met at the nearest boundary with the gap reported as slack.
-    hi_cfg = np.where(a_t > 0, hi_t, lo_t)
-    lo_cfg = np.where(a_t > 0, lo_t, hi_t)
-    h_max = float((hi_cfg * a_t).sum())
-    h_min = float((lo_cfg * a_t).sum())
+    raises = pattern > 0
+    hi_cfg = np.where(raises, hi_t, lo_t)
+    lo_cfg = np.where(raises, lo_t, hi_t)
+    h_max = float((hi_cfg * pattern).sum())
+    h_min = float((lo_cfg * pattern).sum())
     span = max(abs(h_max), abs(h_min), 1.0)
     if b >= h_max - 1e-12 * span:
         u_t = hi_cfg
@@ -486,10 +528,12 @@ def _solve_with_terminal(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
         # share one plan store and build each plan once.
         has_floor = lo_t.any()
         plans: dict = {}
+        price_row = list(zip(st.price.tolist(), pattern.tolist()))
 
         def inner(mu: float) -> tuple[np.ndarray, float]:
-            u = _solve_priced(st_t, lo_t, hi_t, st.price + mu * pattern, has_floor, plans)[0]
-            return u, float((a_t * u).sum())
+            price = [p + mu * a for p, a in price_row]
+            u = _solve_priced(st_t, lo_t, hi_t, price, has_floor, plans)[0]
+            return u, float((pattern * u).sum())
 
         start = mu_hint if mu_hint is not None and np.isfinite(mu_hint) else 0.0
         u_t, h = inner(start)

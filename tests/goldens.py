@@ -316,6 +316,10 @@ def report_cases(work_dir: str):
                config(0.25, 8, "oversupply", controller=controller), quarter)
     yield "periodic-qp-dump", config(0.25, 8, "oversupply", controller="periodic_soc",
                                      debug_qp_dump=True), quarter
+    # A second archetype for the coupled solve: the four-input L1 row, and
+    # trial duals that turn a store's shifted price negative.
+    yield ("periodic_soc-balanced-0.25d-s3",
+           config(0.25, 3, "balanced", controller="periodic_soc"), None)
     csv_path = os.path.join(work_dir, "replay.csv")
     write_csv({csv_path: synthesize(config(0.125, 5, "deficit").scenario)})
     yield "csv-replay-3h", config(0.125, 5, "deficit", csv_path=csv_path), None

@@ -8,7 +8,10 @@ Nothing in the package calls them, and only they need scipy.
 * :func:`brute_force_band_oracle`, which simulates a child store under a
   constant baseline, and :func:`paper_form_bounds`, the paper's closed-form
   band estimate from :func:`fluctuation_potentials`, both checked against
-  :func:`hessmpc.mtip.physical_bounds`.
+  :func:`hessmpc.mtip.physical_bounds`;
+* :func:`solve_priced`, a reference fill-order solve that scans every move
+  with ``np.clip``, which :func:`hessmpc.qp._solve_priced` must match byte
+  for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from hessmpc.devices.storage import EssState
-from hessmpc.qp import INFEASIBLE, MAX_ITER, OPTIMAL, QpProblem, QpSolution
+from hessmpc.qp import (
+    INFEASIBLE, MAX_ITER, OPTIMAL, QpProblem, QpSolution, StepStructure,
+    _charge_discharge_steps, charge_discharge_form,
+)
 
 _DROP_TOL = 1e-12
 
@@ -302,3 +308,171 @@ def brute_force_band_oracle(
     # at the 1e-6 MW level).
     tol = 1e-12 * max(1.0, abs(hi), abs(lo), abs(store.energy))
     return bool(np.all(traj >= lo - tol) and np.all(traj <= hi + tol))
+
+
+# ----------------------------------------------------------------------
+# Reference fill-order solve
+# ----------------------------------------------------------------------
+# The fill-order solve that scans every move of both directions, whatever
+# their capacity, with np.clip throughout and the price-free arrays laid out
+# per direction. hessmpc.qp's solve must give its u and y byte for byte.
+
+def _fill_order(c_y: np.ndarray, price: np.ndarray) -> list[tuple]:
+    """Moves away from the cost-minimal base, raising moves first, each
+    direction cheapest first.
+
+    A move raises (side 0) or lowers (side 1) one input, with a scalar
+    price per unit |dy|, a per-step capacity in y units and the input
+    change per unit dy. Every input with a nonzero output coefficient gives
+    one move that raises y and one that lowers it. Only zero-capacity moves
+    can carry a negative rate (base is cost-minimal), so the piecewise cost
+    is convex. Each move is (rate, input, du per dy, side, dy per du).
+    """
+    fill: tuple[list, list] = ([], [])                     # raise y, lower y
+    for k, (ck, pk) in enumerate(zip(c_y.tolist(), price.tolist())):
+        if ck == 0.0:
+            continue
+        for side, u_dir in enumerate((1.0, -1.0)):
+            move = (u_dir * pk / abs(ck), k, u_dir / abs(ck), side, abs(ck))
+            fill[0 if u_dir * ck > 0.0 else 1].append(move)
+    # Ties by input, then by direction.
+    return [mv for way in fill for mv in sorted(way, key=lambda mv: mv[:3])]
+
+
+@dataclass
+class _FillPlan:
+    """The price-free part of a fill-order solve. It depends on the price
+    only through the set of negatively priced inputs (the base) and the
+    order of the fill moves, so every price with the same two shares it."""
+
+    base: np.ndarray      # (N, nu) cost-minimal configuration
+    y_base: np.ndarray    # (N,)
+    who: tuple            # input of each move, in fill order
+    du: np.ndarray        # (2, m, 1) input change per unit dy
+    caps: np.ndarray      # (2, m, N) move capacity in y units
+    prev: np.ndarray      # (2, m, N) fill at each move's start
+    seg: np.ndarray       # (2, 2, m, N) (lower, upper) x side
+    window: np.ndarray    # (2, 2m, N) band window on y
+    cand0: np.ndarray     # (N,) clipped base
+
+
+def _fill_plan(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
+               negative: np.ndarray, moves: list[tuple]) -> _FillPlan | None:
+    """The fill plan of base ``negative`` and fill order ``moves``; None
+    when the band window misses the achievable output range."""
+    n, nu = st.n_steps, st.nu
+    # Cost-minimal base configuration: saturate negatively priced inputs.
+    base = np.where(negative, hi, lo)                      # (N, nu)
+    y_base = base @ st.c_y                                 # (N,)
+    m = len(moves) // 2                                    # moves per direction
+    nm = 2 * m
+    _, who, du, side, scale = zip(*moves) if moves else ((),) * 5
+    rooms = np.empty((2, nu, n))                           # room to raise, to lower
+    np.subtract(hi.T, base.T, out=rooms[0])
+    np.subtract(base.T, lo.T, out=rooms[1])
+    caps = (rooms.reshape(2 * nu, n)[[sd * nu + k for sd, k in zip(side, who)]]
+            * np.array(scale)[:, None]).reshape(2, m, n)
+    edges = np.cumsum(caps, axis=1)                        # fill at each move's end
+    prev = np.zeros((2, m, n))                             # ... and at its start
+    prev[:, 1:] = edges[:, :-1]
+    y_max = y_base + (edges[0, -1] if m else 0.0)
+    y_min = y_base - (edges[1, -1] if m else 0.0)
+
+    # Residual band maps to a window on y.
+    y_lo = np.maximum(y_min, st.rhat - st.band_hi)
+    y_hi = np.minimum(y_max, st.rhat - st.band_lo)
+    if np.any(y_lo > y_hi + 1e-9):
+        return None
+    seg = np.empty((2, 2, m, n))
+    np.add(y_base, prev[0], out=seg[0, 0])
+    np.add(y_base, edges[0], out=seg[1, 0])
+    np.subtract(y_base, edges[1], out=seg[0, 1])
+    np.subtract(y_base, prev[1], out=seg[1, 1])
+    window = np.empty((2, nm, n))
+    window[0] = y_lo
+    window[1] = y_hi
+    return _FillPlan(
+        base, y_base, who, np.array(du).reshape(2, m, 1), caps, prev, seg, window,
+        np.clip(y_base, y_lo, y_hi),
+    )
+
+
+def solve_priced(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
+                 price) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Closed-form per-step minimization at one price vector shared by all
+    steps, with a fresh fill plan: the package's single-store step rule on
+    each step, else the reference fill-order solve."""
+    price = np.asarray(price, dtype=np.float64)
+    if charge_discharge_form(st.c_y, price, lo.any()):
+        solved = _charge_discharge_steps(st, hi, price)
+    else:
+        moves = _fill_order(st.c_y, price)
+        plan = _fill_plan(st, lo, hi, price < 0.0, moves)
+        solved = None if plan is None else _fill_solve(st, lo, hi, plan, moves)
+    if solved is None:
+        return np.zeros((st.n_steps, st.nu)), np.zeros(st.n_steps), False
+    return solved
+
+
+def _fill_solve(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
+                plan: _FillPlan, moves: list[tuple]) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The fill-order solve at the prices whose moves are ``moves``."""
+    n = st.n_steps
+    q = st.q
+    pw = st.norm_power
+    rhat = st.rhat
+    y_base, caps, prev = plan.y_base, plan.caps, plan.prev
+    nm = len(moves)
+    m = nm // 2
+    rate = [mv[0] for mv in moves]
+    rates = np.array(rate).reshape(2, m)
+
+    # Candidate outputs, one row each, in scan order: the clipped base and
+    # the stationary point of each raising then each lowering move's
+    # segment, clipped to the window (an optimal window edge is the clipped
+    # point of the segment that holds it). numpy's clip runs a separate
+    # kernel, with the opposite signed-zero tie rule, when both bounds are
+    # constant across the elements it clips. Every clip here has a bound
+    # that varies across them, as the one-row clips of a per-candidate scan
+    # have, so the zero signs of the results are the same.
+    cand = np.empty((nm + 1, n))
+    cand[0] = plan.cand0
+    if pw == 2:
+        shift = rates / (2.0 * q)
+    else:
+        shift = np.array([np.sqrt(max(r, 0.0) / (3.0 * q)) for r in rate]).reshape(2, m)
+    target = np.empty((2, m, n))
+    np.subtract(rhat, shift[0][:, None], out=target[0])
+    np.add(rhat, shift[1][:, None], out=target[1])
+    seg, window = plan.seg, plan.window
+    np.clip(np.clip(target, seg[0], seg[1]).reshape(nm, n), window[0], window[1],
+            out=cand[1:])
+
+    # Objective of every candidate: tracking plus the fill-order cost, summed
+    # one move at a time from zero.
+    d = rhat - cand
+    obj = q * d * d if pw == 2 else q * np.abs(d) ** 3
+    dev = cand - y_base
+    beyond = np.empty((2, nm + 1, 1, n))                   # past base, up and down
+    np.maximum(dev, 0.0, out=beyond[0, :, 0])
+    np.maximum(-dev, 0.0, out=beyond[1, :, 0])
+    spent = np.clip(beyond - prev[:, None], 0.0, caps[:, None]) * rates[:, None, :, None]
+    fill_cost = np.zeros((nm + 1, n))
+    for j in range(nm):
+        fill_cost += spent[j // m, :, j % m]
+    obj += fill_cost
+    # The first minimum per step is the pick of a strict-< scan in row order,
+    # which never moves to a NaN objective and never leaves the first row's.
+    np.fmin(obj[1:], np.inf, out=obj[1:])
+    best_y = cand[obj.T.argmin(axis=1), np.arange(n)]
+
+    # Decompose best_y back into inputs by walking the fill order.
+    u = plan.base.copy()
+    need = np.empty((2, 1, n))
+    np.maximum(best_y - y_base, 0.0, out=need[0, 0])
+    np.maximum(y_base - best_y, 0.0, out=need[1, 0])
+    amt = (np.clip(need - prev, 0.0, caps) * plan.du).reshape(nm, n)
+    for j, k in enumerate(plan.who):
+        u[:, k] += amt[j]
+    np.clip(u, lo, hi, out=u)
+    return u, best_y, True

@@ -358,6 +358,7 @@ def test_periodic_horizon_past_the_forecast_pad_is_a_config_error(tmp_path, caps
     # These two stopped validate itself with a traceback.
     ({"q_weights": ["a", 0.15, 0.1]}, "q_weights"),
     ({"scenario": {"calm_window_days": [0.01]}}, "scenario.calm_window_days"),
+    ({"fess": {"rotor_inertias": ["a"]}}, "fess.rotor_inertias"),
 ])
 def test_values_that_crashed_the_run_are_config_errors(tmp_path, capsys, override, path):
     # Each used to pass validate and then stop the run with a traceback
@@ -371,6 +372,16 @@ def test_values_that_crashed_the_run_are_config_errors(tmp_path, capsys, overrid
                  "--out", str(out)]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rotor_inertias_take_any_number_of_rotors(tmp_path, capsys):
+    # The default rotor list is empty, so its length is no rule for others.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"fess": {"rotor_inertias": [1.0, 2.0]}}))
+    assert main(["validate", "--config", str(cfg_path)]) == 0
+    assert main(["run", "--config", str(cfg_path), "--days", "0.041666666666666664",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "error" not in capsys.readouterr().out
 
 
 def test_forecast_accuracy_keys_name_layers():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldens
+import oracles
 from hessmpc.mpc import LayerSpec, build_layer_problem
 from hessmpc.qp import (
     INFEASIBLE, OPTIMAL, QpProblem, StepStructure, _objective_from_structure,
@@ -385,6 +386,20 @@ def test_fill_order_solve_matches_active_set_oracle(layer):
 _ROW_COEFFS = (0.0, 0.2125, -0.2941176470588235, 0.9, -1.1111111111111112, -1.0, 1.0)
 
 
+def _duals_near_crossings(data, st_):
+    """A terminal-row pattern and trial duals for st_, many of them near a
+    zero crossing of a shifted price, where the base flips, the fill moves
+    reorder and a fill direction can lose all its room."""
+    nu = st_.nu
+    a0 = np.array(data.draw(st.lists(st.sampled_from(_ROW_COEFFS), min_size=nu, max_size=nu)))
+    crossings = [-st_.price[k] / a0[k] for k in range(nu) if a0[k] != 0.0]
+    near = st.tuples(st.sampled_from(crossings or [0.0]),
+                     st.sampled_from([0.0, -1e-9, 1e-9, -0.05, 0.05]))
+    mus = data.draw(st.lists(st.one_of(near.map(sum), st.floats(-5.0, 5.0)),
+                             min_size=1, max_size=12))
+    return a0, mus
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(layer=_step_problems(), data=st.data())
 def test_shared_plan_store_matches_fresh_solves(layer, data):
@@ -393,14 +408,8 @@ def test_shared_plan_store_matches_fresh_solves(layer, data):
     # shifted price flip the base and reorder the fill moves; a shared store
     # must still give the bytes of a fresh solve per dual.
     st_, lo, hi = layer
-    nu = st_.nu
-    a0 = np.array(data.draw(st.lists(st.sampled_from(_ROW_COEFFS), min_size=nu, max_size=nu)))
+    a0, mus = _duals_near_crossings(data, st_)
     price0 = st_.price
-    crossings = [-price0[k] / a0[k] for k in range(nu) if a0[k] != 0.0]
-    near = st.tuples(st.sampled_from(crossings or [0.0]),
-                     st.sampled_from([0.0, -1e-9, 1e-9, -0.05, 0.05]))
-    mus = data.draw(st.lists(st.one_of(near.map(sum), st.floats(-5.0, 5.0)),
-                             min_size=1, max_size=12))
     plans: dict = {}
     for mu in mus:
         got = _solve_priced(st_, lo, hi, price0 + mu * a0, lo.any(), plans)
@@ -409,3 +418,42 @@ def test_shared_plan_store_matches_fresh_solves(layer, data):
         assert got[1].tobytes() == want[1].tobytes(), mu
         assert got[2] == want[2]
     assert len(plans) <= len(mus)
+
+
+def _signed_zeros(data, layer):
+    """When drawn, layer with whole-numbered forecasts, boxes and band edges,
+    so that candidate outputs tie with their bounds, many of them zeros of
+    either sign."""
+    if not data.draw(st.booleans()):
+        return layer
+    st_, lo, hi = layer
+
+    def whole(x):
+        pick = data.draw(st.lists(st.sampled_from((None, 0.0, -0.0)),
+                                  min_size=x.size, max_size=x.size))
+        return np.array([w if v is None else v
+                         for v, w in zip(pick, np.round(x).ravel().tolist())]).reshape(x.shape)
+
+    band_lo, band_hi, lo, hi = (whole(x) for x in (st_.band_lo, st_.band_hi, lo, hi))
+    st_ = dataclasses.replace(st_, rhat=whole(st_.rhat), band_lo=np.fmin(band_lo, band_hi),
+                              band_hi=band_hi)
+    return st_, np.where(lo > hi, hi, lo), hi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(layer=_step_problems(), data=st.data())
+def test_fill_order_scan_matches_reference_bytes(layer, data):
+    # The package's scan leaves out fill directions without room and reads
+    # its plan's precomputed layout; the reference scans every move of both
+    # directions with np.clip. Signs of zeros included, u and y must agree
+    # at every trial dual, with one plan store across the trials.
+    st_, lo, hi = _signed_zeros(data, layer)
+    a0, mus = _duals_near_crossings(data, st_)
+    plans: dict = {}
+    for mu in mus:
+        price = st_.price + mu * a0
+        got = _solve_priced(st_, lo, hi, price.tolist(), lo.any(), plans)
+        want = oracles.solve_priced(st_, lo, hi, price)
+        assert got[0].tobytes() == want[0].tobytes(), mu
+        assert got[1].tobytes() == want[1].tobytes(), mu
+        assert got[2] == want[2]
