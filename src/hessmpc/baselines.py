@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import EngineConfig
-from .devices.storage import saturate
+from .devices.storage import EssState, saturate
 from .metrics import DeviceLedger, SimulationReport
 from .scenario import window_mean
 from .timeseries import TimeSeries
@@ -43,19 +43,16 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
         means.append(window_mean(means[-1], int(round(cutoff)) - 1, 0))
     bands = [a - b for a, b in zip(means, means[1:])] + [means[-1]]
 
-    def numbers(st):
-        return (st.energy, *st.envelope, st.power_cap, st.eta_c, st.eta_d, st.standby_loss * dth)
-
     eff = freeze_efficiencies(config.awe, config.pemfc, config.meoh, config.turbine)
-    # (layer, device, (energy, lo, hi, cap, eta_c, eta_d, standby MWh), band).
-    # The hydrogen tank is plain numbers: an EssState would check them.
+    # (layer, device, store, band), fastest band first.
     stores = (
-        ("L4", "fess", numbers(config.fess_state()), bands[0]),
-        ("L3", "bess", numbers(config.bess.make_state()), bands[1]),
-        ("L2", "caes", numbers(config.caes.make_state()), bands[2]),
-        ("L1", "hydrogen", (config.tank_init_frac * config.tank_cap_mwh, 0.0,
-                            config.tank_cap_mwh, config.h2_power_mw,
-                            eff.eta_hc, eff.eta_hd, 0.0), bands[3]),
+        ("L4", "fess", config.fess_state(), bands[0]),
+        ("L3", "bess", config.bess.make_state(), bands[1]),
+        ("L2", "caes", config.caes.make_state(), bands[2]),
+        ("L1", "hydrogen", EssState(
+            energy=config.tank_init_frac * config.tank_cap_mwh,
+            envelope=(0.0, config.tank_cap_mwh), power_cap=config.h2_power_mw,
+            eta_c=eff.eta_hc, eta_d=eff.eta_hd), bands[3]),
     )
 
     # Ledgers in report order, which round_trip_efficiency sums in.
@@ -67,14 +64,15 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
     outputs = {}
     resid = np.zeros(n_sec)
     saturations = 0
-    for layer, dev, (e0, lo, hi, cap, ec, ed, stb), band in stores:
+    for layer, dev, st, band in stores:
+        lo, hi, cap, ec, ed, keep, stb = st.saturate_args(dth)
         step = _SOC_STEP_S[dev]
         trace = np.zeros(n_sec // step + 1)
-        trace[0] = e = e0
+        trace[0] = e = st.energy
         out = np.zeros(n_sec)
         charged = discharged = 0.0
         for s, want in enumerate(band.tolist()):
-            p, e = saturate(e, want, lo, hi, cap, ec, ed, stb, dth)
+            p, e = saturate(e, want, lo, hi, cap, ec, ed, keep, stb, dth)
             if want >= 0.0:
                 discharged += p
             else:
@@ -84,7 +82,7 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
             out[s] = p
             if (s + 1) % step == 0:
                 trace[(s + 1) // step] = e
-        ledgers[dev] = DeviceLedger(charged * dth, discharged * dth, e0, e, ec, ed)
+        ledgers[dev] = DeviceLedger(charged * dth, discharged * dth, st.energy, e, ec, ed)
         soc[dev] = trace
         outputs[layer] = out
         resid += band - out

@@ -35,7 +35,8 @@ from .vic import VicParams
 
 @dataclass
 class StoreConfig:
-    """One simple storage device (battery or compressed air)."""
+    """One simple storage device (battery or compressed air);
+    self_discharge is its leak, a fraction of the energy per hour."""
 
     power_mw: float
     energy_mwh: float
@@ -45,18 +46,12 @@ class StoreConfig:
     self_discharge: float = 0.0
     init_frac: float = 0.5
 
-    def make_state(self, standby_loss: float = 0.0) -> EssState:
+    def make_state(self) -> EssState:
         lo = self.envelope_frac[0] * self.energy_mwh
         hi = self.envelope_frac[1] * self.energy_mwh
-        return EssState(
-            energy=lo + self.init_frac * (hi - lo),
-            envelope=(lo, hi),
-            power_cap=self.power_mw,
-            eta_c=self.eta_c,
-            eta_d=self.eta_d,
-            self_discharge=self.self_discharge,
-            standby_loss=standby_loss,
-        )
+        return EssState(energy=lo + self.init_frac * (hi - lo), envelope=(lo, hi),
+                        power_cap=self.power_mw, eta_c=self.eta_c, eta_d=self.eta_d,
+                        self_discharge=self.self_discharge)
 
 
 @dataclass

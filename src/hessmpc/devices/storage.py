@@ -1,9 +1,9 @@
 """Generic storage energy state and the single-step dispatch update.
 
 Every technology in the portfolio (flywheel, battery, compressed air,
-hydrogen tank) advances through the same ledger rule: self-discharge on the
-stored energy, a standby drain while spinning, charge scaled by eta_c and
-discharge scaled by 1/eta_d. Charge and discharge are mutually exclusive
+hydrogen tank) advances through the same ledger rule: the losses of
+:func:`lose`, which stop at the lower envelope, then charge scaled by eta_c
+and discharge scaled by 1/eta_d. Charge and discharge are mutually exclusive
 within a step. :func:`ess_step` applies a move the MPC layers planned, so an
 update that would leave the envelope is an error, never a silent clamp.
 :func:`saturate` is the one clipping form of the rule, for the controllers
@@ -26,10 +26,11 @@ _EDGE_TOL = 1e-9
 class EssState:
     """Energy content plus the static limits of one storage device.
 
-    energy and the envelope are MWh, power_cap is MW, self_discharge is the
-    per-step loss fraction (zero for everything but batteries), standby_loss
-    is MW drawn while the device is above its lower envelope (zero for
-    everything but flywheels).
+    energy and the envelope are MWh, power_cap is MW. self_discharge is the
+    leak, the fraction of the stored energy lost per hour (the battery and
+    compressed-air config sections carry the key); standby_loss is MW drawn
+    while the device is above its lower envelope (the flywheel's). Both
+    losses stop at the lower envelope.
     """
 
     energy: float
@@ -51,15 +52,23 @@ class EssState:
                 f"energy {self.energy} outside envelope [{lo}, {hi}]"
             )
 
-    @property
-    def headroom_charge(self) -> float:
-        """MWh that can still be stored."""
-        return self.envelope[1] - self.energy
+    def losses(self, dt_h: float) -> tuple[float, float]:
+        """The (keep, standby_e) of :func:`lose` for a dt_h step."""
+        return (1.0 - self.self_discharge) ** dt_h, self.standby_loss * dt_h
 
-    @property
-    def headroom_discharge(self) -> float:
-        """MWh that can still be drawn."""
-        return self.energy - self.envelope[0]
+    def saturate_args(self, dt_h: float) -> tuple[float, ...]:
+        """The (lo, hi, cap, eta_c, eta_d, keep, standby_e) of :func:`saturate`."""
+        return (*self.envelope, self.power_cap, self.eta_c, self.eta_d, *self.losses(dt_h))
+
+
+def lose(e: float, lo: float, keep: float, standby_e: float) -> float:
+    """The energy e (MWh) after one step's losses: the leak keeps the
+    fraction keep of it and the standby drain takes standby_e MWh, together
+    coasting e down to lo and never below it."""
+    drop = e - e * keep + standby_e
+    if drop > 0.0 and e > lo:
+        e -= drop if e - lo > drop else e - lo
+    return e
 
 
 def saturate(
@@ -70,20 +79,22 @@ def saturate(
     cap: float,
     eta_c: float,
     eta_d: float,
+    keep: float,
     standby_e: float,
     dt_h: float,
 ) -> tuple[float, float]:
     """Clip a discharge-positive power request to what the store can deliver.
 
-    The standby drain (standby_e MWh, applied only above the lower envelope
-    lo and never below it) comes first, then the power cap, then the
+    The losses of :func:`lose` (the leak's keep fraction and the standby
+    drain of standby_e MWh) come first, then the power cap, then the
     envelope: a discharge may not draw the store below lo within the dt_h
     step, a charge may not lift it above hi. Returns the realized power in
     MW (discharge-positive) and the energy after the step in MWh.
     Saturation is silent; callers compare the result with the request.
     """
-    if standby_e > 0.0 and e > lo:
-        e -= standby_e if e - lo > standby_e else e - lo
+    # Runs once per simulated second: skip the call for a lossless store.
+    if keep < 1.0 or standby_e > 0.0:
+        e = lose(e, lo, keep, standby_e)
     if p >= 0.0:
         avail = (e - lo) * eta_d / dt_h
         if p > cap:
@@ -130,11 +141,7 @@ def ess_step(state: EssState, p_charge: float, p_discharge: float, dt_h: float) 
             f"power {max(p_charge, p_discharge)} MW exceeds cap {state.power_cap} MW"
         )
     lo, hi = state.envelope
-    # Standby loss only applies above the lower envelope and can at most
-    # coast the energy down to it; it never drives a violation on its own.
-    e = state.energy * (1.0 - state.self_discharge)
-    if state.standby_loss > 0.0 and e > lo:
-        e -= min(state.standby_loss * dt_h, e - lo)
+    e = lose(state.energy, lo, *state.losses(dt_h))
     e_next = e + p_charge * state.eta_c * dt_h - (p_discharge / state.eta_d) * dt_h
     tol = _EDGE_TOL * max(1.0, abs(hi))
     if e_next < lo - tol or e_next > hi + tol:

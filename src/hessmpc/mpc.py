@@ -9,14 +9,14 @@ first move is a closed-form function of the step-0 data: the explicit law of
 :func:`explicit_step`, which the proposed controller applies. The periodic-SOC
 baseline, whose terminal row couples the steps, solves the stacked problem of
 :func:`build_layer_problem` over the full horizon; :func:`receding_step` is
-the stacked reference the explicit law is tested against. The
-hydrogen/methanol layer linearizes the
-load-dependent device efficiencies by freezing them at the previous applied
-operating point for the whole horizon, and maps its tank envelope into
-per-step input bounds: exact headroom caps on the first (applied) move plus
-conversion floors scheduled wherever the projected tank trajectory would hit
-its cap — that floor is what routes surplus hydrogen into methanol, since
-conversion never helps the tracking objective directly.
+the stacked reference the explicit law is tested against. The hydrogen/
+methanol layer linearizes the load-dependent device efficiencies by freezing
+them at the previous applied operating point for the whole horizon, and maps
+its tank envelope into per-step input bounds: exact headroom caps on the
+first (applied) move plus conversion floors scheduled wherever the projected
+tank trajectory would hit its cap — that floor is what routes surplus
+hydrogen into methanol, since conversion never helps the tracking objective
+directly.
 
 A band that cannot be met is dropped: the step is solved again without it,
 and the decision says so. No narrower band can succeed where the offered one
@@ -31,7 +31,7 @@ import numpy as np
 
 from .devices.hydrogen import AweParams, PemfcParams, awe_hydrogen, pemfc_discharge_efficiency
 from .devices.methanol import MeohParams, TurbineParams, meoh_conversion, turbine_efficiency
-from .devices.storage import EssState
+from .devices.storage import EssState, lose
 from .errors import AlignmentError, EnvelopeViolation, ExclusivityViolation
 from .mtip import MtipBounds
 from .qp import (
@@ -263,12 +263,14 @@ def l1_bounds(
 
 def first_step_caps(spec: LayerSpec, state: EssState) -> tuple[float, float]:
     """(charge, discharge) caps of a single-store layer's applied first step:
-    the rated powers, tightened so one step cannot leave the envelope."""
+    the rated powers, tightened so one step after its losses stays inside."""
     dt = spec.dt_h
     u_max = spec.u_max.tolist()
+    lo, hi = state.envelope
+    e = lose(state.energy, lo, *state.losses(dt))
     return (
-        min(u_max[0], max(0.0, state.headroom_charge) / (state.eta_c * dt)),
-        min(u_max[1], max(0.0, state.headroom_discharge) * state.eta_d / dt),
+        min(u_max[0], max(0.0, hi - e) / (state.eta_c * dt)),
+        min(u_max[1], max(0.0, e - lo) * state.eta_d / dt),
     )
 
 

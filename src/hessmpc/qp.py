@@ -190,16 +190,6 @@ def charge_discharge_form(c_y, price, has_floor: bool) -> bool:
     )
 
 
-def _np_max(a: float, b: float) -> float:
-    # np.maximum's pick on ties (the second argument), which decides the
-    # sign of a zero result; Python's max picks the first.
-    return a if a > b else b
-
-
-def _np_min(a: float, b: float) -> float:
-    return a if a < b else b
-
-
 def charge_discharge_step(
     q: float,
     norm_power: int,
@@ -226,8 +216,14 @@ def charge_discharge_step(
     else:
         shift_d = math.sqrt(g_d / (3.0 * q))
         shift_c = math.sqrt(g_c / (3.0 * q))
-    y_up = _np_min(_np_max(rhat - shift_d, 0.0), cap_d)
-    y_dn = _np_max(_np_min(rhat + shift_c, 0.0), -cap_c)
+    # Clips pick the second operand on ties, as np.maximum does (Python's
+    # max picks the first); that decides the sign of a zero result.
+    y_up = rhat - shift_d
+    y_up = y_up if y_up > 0.0 else 0.0
+    y_up = y_up if y_up < cap_d else cap_d
+    y_dn = rhat + shift_c
+    y_dn = y_dn if y_dn < 0.0 else 0.0
+    y_dn = y_dn if y_dn > -cap_c else -cap_c
     d_up = rhat - y_up
     d_dn = rhat - y_dn
     if norm_power == 2:
@@ -241,12 +237,15 @@ def charge_discharge_step(
     y = y_up if f_up <= f_dn else y_dn
     # The objective is convex in y, so clipping the global argmin into the
     # band window yields the constrained argmin.
-    y_lo = _np_max(-cap_c, rhat - band_hi)
-    y_hi = _np_min(cap_d, rhat - band_lo)
+    y_lo = rhat - band_hi
+    y_lo = -cap_c if -cap_c > y_lo else y_lo
+    y_hi = rhat - band_lo
+    y_hi = cap_d if cap_d < y_hi else y_hi
     if y_lo > y_hi + 1e-9:
         return None
-    y = _np_min(_np_max(y, y_lo), y_hi)
-    return _np_max(y, 0.0), _np_max(-y, 0.0), y
+    y = y if y > y_lo else y_lo
+    y = y if y < y_hi else y_hi
+    return y if y > 0.0 else 0.0, -y if -y > 0.0 else 0.0, y
 
 
 def _fill_order(c_y, price) -> list[tuple]:

@@ -59,7 +59,7 @@ def close_residual(
     the equivalent frequency deviation (Hz) after the previous sample; None
     starts the law at the steady-state deviation r / (k_pf + k_p) of the
     first sample. store supplies the envelope, power cap, efficiencies and
-    standby loss. Returns the realized injections (MW, discharge-positive),
+    losses. Returns the realized injections (MW, discharge-positive),
     the energy after the last sample and the deviation after it.
     """
     k_pf = params.k_pf
@@ -67,16 +67,14 @@ def close_residual(
     denom = k_pf + beta
     kpf_kd = k_pf * params.k_d
     p0 = params.baseline_mw
-    lo, hi = store.envelope
-    cap, eta_c, eta_d = store.power_cap, store.eta_c, store.eta_d
-    standby_e = store.standby_loss * DT_H
+    lo, hi, cap, eta_c, eta_d, keep, standby_e = store.saturate_args(DT_H)
     if df_prev is None:
         df_prev = residual[0] / (k_pf + params.k_p)
     out = []
     for r in residual:
         p, energy = saturate(
             energy, (beta * r - kpf_kd * df_prev) / denom - p0,
-            lo, hi, cap, eta_c, eta_d, standby_e, DT_H,
+            lo, hi, cap, eta_c, eta_d, keep, standby_e, DT_H,
         )
         df_prev = (r - p) / k_pf
         out.append(p)

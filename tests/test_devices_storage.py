@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hessmpc.devices import EssState, ess_step
+from hessmpc.devices import EssState, ess_step, saturate
 from hessmpc.errors import EnvelopeViolation, ExclusivityViolation
 
 
@@ -92,12 +92,30 @@ def test_standby_stops_at_floor():
     assert out.energy == 0.0
     again = ess_step(out, 0.0, 0.0, 1.0)
     assert again.energy == 0.0
+    # The leak stops there too, alone or with the standby drain.
+    for standby in (0.0, 1.0):
+        leaky = _state(energy=20.001, envelope=(20.0, 180.0), self_discharge=0.5,
+                       standby_loss=standby)
+        assert ess_step(leaky, 0.0, 0.0, 0.25).energy == 20.0
 
 
 def test_self_discharge_applied():
     st = _state(self_discharge=0.01)
     out = ess_step(st, 0.0, 0.0, 1.0)
     assert out.energy == pytest.approx(99.0)
+    # The leak is a fraction per hour: sixty one-minute steps leak as much.
+    for _ in range(60):
+        st = ess_step(st, 0.0, 0.0, 1.0 / 60.0)
+    assert st.energy == pytest.approx(99.0)
+
+
+@pytest.mark.parametrize("energy", [20.0, 20.001, 100.0])
+def test_saturate_loses_what_ess_step_loses(energy):
+    # The clipping form and the planned step apply the same losses.
+    st = _state(energy=energy, envelope=(20.0, 180.0), self_discharge=0.3, standby_loss=2.0)
+    for dt_h in (1.0 / 3600.0, 1.0 / 60.0, 0.25):
+        assert saturate(energy, 0.0, *st.saturate_args(dt_h), dt_h) == \
+            (0.0, ess_step(st, 0.0, 0.0, dt_h).energy)
 
 
 def test_step_keeps_every_static_field():

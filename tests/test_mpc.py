@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessmpc.devices import (
-    AweParams, EssState, MeohParams, PemfcParams, TurbineParams,
+    AweParams, EssState, MeohParams, PemfcParams, TurbineParams, ess_step,
 )
 from hessmpc.errors import EnvelopeViolation, ExclusivityViolation
 from hessmpc.mpc import (
@@ -109,6 +111,41 @@ def test_simple_bounds_first_step_tightened():
     assert hi[0, 1] == pytest.approx(1.0 * 0.95 * 60.0)
     assert hi[0, 0] == pytest.approx(100.0)   # charge headroom ample
     assert np.all(hi[1:, :] == 100.0)
+
+
+@st.composite
+def _leaky_moves(draw):
+    """A leaky store (energy at either edge or inside), a step length and a
+    move on one side, a fraction of that side's first-step cap."""
+    lo = draw(st.floats(0.0, 100.0))
+    hi = lo + draw(st.floats(1.0, 1000.0))
+    energy = draw(st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi)))
+    store = EssState(
+        energy=energy, envelope=(lo, hi), power_cap=draw(st.floats(0.1, 500.0)),
+        eta_c=draw(st.floats(0.5, 1.0)), eta_d=draw(st.floats(0.5, 1.0)),
+        self_discharge=draw(st.floats(0.0, 0.5)),
+        standby_loss=draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0))),
+    )
+    dt_h = draw(st.sampled_from([1.0 / 60.0, 0.25]))
+    side = draw(st.sampled_from([0, 1]))
+    frac = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    return store, dt_h, side, frac
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_leaky_moves())
+def test_moves_inside_first_step_caps_keep_a_leaky_store_inside(case):
+    # The caps are sized from the energy the step's losses leave, so no
+    # move inside them can take ess_step out of the envelope.
+    store, dt_h, side, frac = case
+    spec = LayerSpec(
+        layer_id="L3", dt_h=dt_h, horizon=1, tracking_weight=1.0, cost_weight=1.0,
+        cost_vec=np.zeros(2), output_row=np.array([-1.0, 1.0]),
+        u_max=np.full(2, store.power_cap),
+    )
+    move = [0.0, 0.0]
+    move[side] = frac * first_step_caps(spec, store)[side]
+    ess_step(store, *move, dt_h)
 
 
 def test_zero_forecast_stays_idle():

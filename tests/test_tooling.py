@@ -164,6 +164,29 @@ def test_program_has_no_assert_statement():
     assert found == []
 
 
+def test_store_losses_are_read_in_one_module():
+    # The loss step has one implementation, in devices/storage.py; every
+    # other module reaches the loss fields through EssState's helpers, and
+    # config.py fills them in.
+    readers = []
+    for path in sorted((ROOT / "src" / "hessmpc").rglob("*.py")):
+        if path.name in ("storage.py", "config.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        readers += [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr in ("self_discharge", "standby_loss")]
+    assert readers == []
+    # The flywheel loop and the filter loop take saturate's limits and
+    # losses from the one helper.
+    for module, fn in (("vic.py", "close_residual"), ("baselines.py", "run_filter_decomposition")):
+        tree = ast.parse((ROOT / "src" / "hessmpc" / module).read_text(encoding="utf-8"))
+        body = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == fn)
+        assert any(isinstance(node, ast.Attribute) and node.attr == "saturate_args"
+                   for node in ast.walk(body)), fn
+
+
 def test_filter_run_calls_the_names_the_tracer_wraps(monkeypatch):
     # The tracer's baselines.run_filter_decomposition.run_share and
     # metrics.finalize.* metrics count calls of these names in the module

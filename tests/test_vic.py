@@ -13,9 +13,7 @@ def _fess(energy=1.0, standby=0.0):
 
 
 def _saturate(p, st):
-    lo, hi = st.envelope
-    return saturate(st.energy, p, lo, hi, st.power_cap, st.eta_c, st.eta_d,
-                    st.standby_loss * DT_H, DT_H)
+    return saturate(st.energy, p, *st.saturate_args(DT_H), DT_H)
 
 
 def test_saturate_within_limits():
