@@ -76,10 +76,11 @@ def cmd_compare(args) -> int:
     data = prepare_scenario(config)
     rows = []
     for controller in ("proposed", "periodic_soc", "filter"):
-        cfg = dataclasses.replace(config, controller=controller)
+        # Each controller's report, and QP dump if any, in its own directory.
+        cfg = dataclasses.replace(config, controller=controller,
+                                  out_dir=os.path.join(config.out_dir, controller))
         report = run(cfg, data)
-        out = os.path.join(config.out_dir, controller)
-        write_report(report, out)
+        write_report(report, cfg.out_dir)
         rows.append((controller, report.metrics, sum(report.dispatch_cost.values())))
     keys = ["smoothing_rate", "minute_fluctuation_reduction", "round_trip_efficiency"]
     header = "controller".ljust(14) + "".join(k.ljust(30) for k in keys) + "dispatch_cost"

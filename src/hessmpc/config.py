@@ -27,7 +27,7 @@ from .devices import (
 )
 from .errors import ConfigError
 from .metrics import TariffConfig
-from .mpc import LayerSpec
+from .mpc import LayerSpec, freeze_efficiencies
 from .mtip import marginal_cost
 from .scenario import ScenarioConfig
 from .vic import VicParams
@@ -250,10 +250,6 @@ def validate(config: EngineConfig) -> list[Finding]:
             err(key, "horizon must hold at least one step")
     if config.l3_norm_power not in (2, 3):
         err("l3_norm_power", "must be 2 or 3")
-    if config.debug_qp_dump and config.l3_norm_power == 3 and config.controller != "filter":
-        # The dump writes the dense quadratic form, which the cubic penalty
-        # does not have; the filter controller writes no dump.
-        err("debug_qp_dump", "the QP dump needs the quadratic penalty, but l3_norm_power is 3")
     if not 0.0 <= config.forecast_bias_decay < 1.0:
         err("forecast_bias_decay", "must lie in [0, 1)")
     if config.mtip.eps_db < 0.0:
@@ -292,6 +288,16 @@ def validate(config: EngineConfig) -> list[Finding]:
         err("tank_init_frac", "must lie in [0, 1]")
     if config.meoh_init_mwh < 0.0:
         err("meoh_init_mwh", "must be non-negative")
+    try:  # the hydrogen chain's efficiencies before a load sets them
+        eff = freeze_efficiencies(config.awe, config.pemfc, config.meoh, config.turbine)
+    except (ArithmeticError, ValueError) as exc:
+        err("awe, pemfc, meoh, turbine", f"device curves fail at the idle point: {exc}")
+    else:
+        for section, name in (("awe", "eta_hc"), ("pemfc", "eta_hd"), ("meoh", "eta_mc"),
+                              ("turbine", "eta_md")):
+            val = getattr(eff, name)
+            if not 0.0 < val <= 1.0:
+                err(section, f"idle-point efficiency {name} must lie in (0, 1], got {val}")
     if not -273.0 < config.ambient_temp_c < np.inf:
         # The degradation model's stress factor divides by 273 + T.
         err("ambient_temp_c", f"must be finite and above -273, got {config.ambient_temp_c}")

@@ -136,7 +136,6 @@ class PemfcParams:
     p_h2: float = 3.0
     p_o2: float = 1.5
     c_o2: float = 1.2338e-6
-    hhv: float = HHV_H2
     temp_k: float = 348.15
     temp_ref_k: float = 298.15
     j_nominal: float = 0.6

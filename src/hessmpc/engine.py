@@ -21,7 +21,8 @@ solves each layer's stacked QP over the full horizon with a terminal
 equality returning the store to its run-start energy by the end of its
 period, with infeasibility relaxed to minimal slack and reported. Under
 ``debug_qp_dump`` each layer's first call of the law also writes the
-problem that law solves.
+problem that law solves, in the step form it reads
+(:func:`~hessmpc.qp.dump_problem`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .mpc import (  # noqa: F401
 from .mtip import (
     MtipBounds, adaptive_bounds, blend_gamma, flat_bounds, marginal_cost, physical_bounds,
 )
-from .qp import OPTIMAL, dense_problem, dump_problem, solve_qp
+from .qp import OPTIMAL, dump_problem, solve_qp
 from .timeseries import TimeSeries, ingest_csv, write_csv
 from .scenario import calm_window, make_forecast, realized_accuracy, synthesize
 from .vic import DT_H, close_residual
@@ -457,7 +458,7 @@ def _explicit_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDec
     infeasible solves."""
     spec = layer.spec
     if layer.dump_path is not None:
-        _dump(layer, dense_problem(build_layer_problem(spec, fc, band), lo, hi))
+        _dump(layer, build_layer_problem(spec, fc, band), lo, hi)
     dec = explicit_step(spec, fc[0], lo[0], hi[0], band)
     # Booked as the stacked closed form reported itself: one iteration per
     # horizon step, no residual.
@@ -486,7 +487,7 @@ def _coupled_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDeci
     st = build_layer_problem(spec, fc, band)
     row = (np.array(pattern) * spec.dt_h, layer.k_end, target)
     if layer.dump_path is not None:
-        _dump(layer, dense_problem(st, lo, hi, row))
+        _dump(layer, st, lo, hi, row)
     sol = solve_qp(st, lo, hi, terminal=row, mu_hint=layer.mu_hint)
     if sol.status != OPTIMAL:
         raise QpInfeasible(
@@ -520,8 +521,8 @@ def _coupled_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDeci
                          cost=float(spec.cost_vec @ u0), solution=sol)
 
 
-def _dump(layer: _Layer, problem):
-    dump_problem(problem, layer.dump_path)
+def _dump(layer: _Layer, st, lo, hi, terminal=None):
+    dump_problem(layer.dump_path, st, lo, hi, terminal)
     layer.dump_path = None
 
 

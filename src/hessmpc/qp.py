@@ -29,9 +29,9 @@ move rates: one target row per move, the candidates clipped to their
 segments and the window, their tracking plus fill costs, the first best per
 step, and the inputs of the fills at that candidate.
 
-:func:`dense_problem` writes the same problem in dense standard form
-(``H = 2 C' (I x Q) C``, a linear term, boxes and constraint rows) for
-``debug_qp_dump``; the tests' dense oracle for it lives in
+:func:`dump_problem` writes a problem in the form the solvers read, for
+``debug_qp_dump``: the step structure, the per-step boxes and the terminal
+row. The dense standard form, and the tests' dense oracle for it, live in
 ``tests/oracles.py``.
 
 All paths are deterministic: identical problems yield bit-identical
@@ -41,7 +41,7 @@ solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class StepStructure:
     step (already scaled by the cost weight and the step length);
     band_lo/band_hi bound the post-dispatch residual per step (+-inf where
     absent). norm_power selects the tracking penalty exponent (2, or 3 for
-    the flagged literal-cubic variant, which has no dense form).
+    the flagged literal-cubic variant).
     """
 
     c_y: np.ndarray
@@ -90,42 +90,6 @@ class StepStructure:
 
 
 @dataclass
-class QpProblem:
-    """A QP in dense standard form: minimize ``0.5 x'Hx + f.x +
-    objective_const`` over ``var_lower <= x <= var_upper`` and
-    ``lo <= g.x <= hi`` for each ``(g, lo, hi)`` of ``rows``."""
-
-    hessian: np.ndarray
-    f: np.ndarray
-    var_lower: np.ndarray
-    var_upper: np.ndarray
-    rows: list[tuple[np.ndarray, float, float]] = field(default_factory=list)
-    objective_const: float = 0.0
-
-    def __post_init__(self):
-        self.hessian = np.asarray(self.hessian, dtype=np.float64)
-        self.f = np.asarray(self.f, dtype=np.float64)
-        self.var_lower = np.asarray(self.var_lower, dtype=np.float64)
-        self.var_upper = np.asarray(self.var_upper, dtype=np.float64)
-        n = self.f.size
-        if self.var_lower.size != n or self.var_upper.size != n:
-            raise ValueError("bound vectors must match the variable count")
-        if np.any(self.var_lower > self.var_upper + 1e-12):
-            raise ValueError("var_lower must not exceed var_upper")
-
-    @property
-    def n(self) -> int:
-        return self.f.size
-
-    def ineq_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (G, lower, upper) of the constraint rows."""
-        if not self.rows:
-            return np.zeros((0, self.n)), np.zeros(0), np.zeros(0)
-        g, lo, hi = zip(*self.rows)
-        return np.vstack(g), np.array(lo), np.array(hi)
-
-
-@dataclass
 class QpSolution:
     """mu_hint is the terminal-row dual to warm start the next solve from:
     the refined bracket's midpoint, else the hint this solve was given."""
@@ -137,39 +101,6 @@ class QpSolution:
     iterations: int
     coupling_slack: float = 0.0
     mu_hint: float | None = None
-
-
-def dense_problem(st: StepStructure, lo, hi, terminal=None) -> QpProblem:
-    """``st`` within the per-step boxes lo/hi (one row per step) in dense
-    standard form: band rows first, then the row of ``terminal`` (see
-    :func:`solve_qp`), if given, as an equality."""
-    if st.norm_power != 2:
-        raise ValueError("dense form only exists for the quadratic penalty")
-    n, nu = st.n_steps, st.nu
-    h = np.zeros((n * nu, n * nu))
-    block = 2.0 * st.q * np.outer(st.c_y, st.c_y)
-    for i in range(n):
-        h[i * nu : (i + 1) * nu, i * nu : (i + 1) * nu] = block
-    rows = []
-    for i in np.flatnonzero(np.isfinite(st.band_lo) | np.isfinite(st.band_hi)):
-        g = np.zeros(n * nu)
-        g[i * nu : (i + 1) * nu] = st.c_y
-        # residual band: rhat - c_y.u in [blo, bhi] maps to
-        # c_y.u in [rhat - bhi, rhat - blo]
-        rows.append((g, st.rhat[i] - st.band_hi[i], st.rhat[i] - st.band_lo[i]))
-    if terminal is not None:
-        pattern, k_end, target = terminal
-        a = np.zeros(n * nu)
-        a[: k_end * nu] = np.tile(pattern, k_end)
-        rows.append((a, target, target))
-    return QpProblem(
-        hessian=h,
-        f=(-2.0 * st.q * st.rhat[:, None] * st.c_y[None, :] + st.price).ravel(),
-        var_lower=np.asarray(lo, dtype=np.float64).ravel(),
-        var_upper=np.asarray(hi, dtype=np.float64).ravel(),
-        rows=rows,
-        objective_const=st.q * float(st.rhat @ st.rhat),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -645,20 +576,19 @@ def solve_qp(st: StepStructure, lo: np.ndarray, hi: np.ndarray, terminal=None,
                                 k_end, target, mu_hint)
 
 
-def dump_problem(p: QpProblem, path) -> None:
-    """Write the dense blocks as plain text matrices (debug interface)."""
-    g, glo, ghi = p.ineq_rows()
-    blocks = [
-        ("H", np.atleast_2d(p.hessian)),
-        ("f", p.f[None, :]),
-        ("var_lower", p.var_lower[None, :]),
-        ("var_upper", p.var_upper[None, :]),
-        ("G", g if g.size else np.zeros((0, p.n))),
-        ("ineq_lower", glo[None, :] if glo.size else np.zeros((1, 0))),
-        ("ineq_upper", ghi[None, :] if ghi.size else np.zeros((1, 0))),
-    ]
+def dump_problem(path, st: StepStructure, lo, hi, terminal=None) -> None:
+    """Write ``st`` within the per-step boxes lo/hi, and the ``terminal``
+    row of :func:`solve_qp` if given, as ``# name rows cols`` blocks of
+    ``repr`` values (debug interface): one row per step for rhat, the band
+    and the boxes, one row for every other block."""
+    head = {"c_y": st.c_y, "q": st.q, "norm_power": st.norm_power, "price": st.price}
+    steps = {"rhat": st.rhat, "band_lo": st.band_lo, "band_hi": st.band_hi,
+             "var_lower": lo, "var_upper": hi}
+    tail = dict(zip(("pattern", "k_end", "target"), terminal or ()))
     with open(path, "w", encoding="utf-8") as fh:
-        for name, mat in blocks:
-            fh.write(f"# {name} {mat.shape[0]} {mat.shape[1]}\n")
-            for row in mat:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        for count, blocks in ((1, head), (st.n_steps, steps), (1, tail)):
+            for name, values in blocks.items():
+                values = np.asarray(values).reshape(count, -1)
+                fh.write(f"# {name} {values.shape[0]} {values.shape[1]}\n")
+                for row in values.tolist():
+                    fh.write(" ".join(map(repr, row)) + "\n")

@@ -2,9 +2,12 @@
 
 Nothing in the package calls them, and only they need scipy.
 
-* :func:`solve_dense`, a dual active-set method on the dense standard form
-  of :func:`hessmpc.qp.dense_problem`, with fixed inputs substituted out
-  first, and :func:`validate`, which checks that form's Hessian;
+* :class:`QpProblem`, the dense standard form, which :func:`dense_problem`
+  builds from a layer problem's step structure, :func:`write_dense` writes
+  as text matrices and :func:`validate` checks the Hessian of;
+  :func:`read_dump` reads back what :func:`hessmpc.qp.dump_problem` wrote;
+* :func:`solve_dense`, a dual active-set method on the dense standard form,
+  with fixed inputs substituted out first;
 * :func:`brute_force_band_oracle`, which simulates a child store under a
   constant baseline, and :func:`paper_form_bounds`, the paper's closed-form
   band estimate from :func:`fluctuation_potentials`, both checked against
@@ -16,17 +19,132 @@ Nothing in the package calls them, and only they need scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from hessmpc.devices.storage import EssState
 from hessmpc.qp import (
-    INFEASIBLE, MAX_ITER, OPTIMAL, QpProblem, QpSolution, StepStructure,
+    INFEASIBLE, MAX_ITER, OPTIMAL, QpSolution, StepStructure,
     _charge_discharge_steps, charge_discharge_form,
 )
 
 _DROP_TOL = 1e-12
+
+
+# ----------------------------------------------------------------------
+# Dense standard form
+# ----------------------------------------------------------------------
+
+@dataclass
+class QpProblem:
+    """A QP in dense standard form: minimize ``0.5 x'Hx + f.x +
+    objective_const`` over ``var_lower <= x <= var_upper`` and
+    ``lo <= g.x <= hi`` for each ``(g, lo, hi)`` of ``rows``."""
+
+    hessian: np.ndarray
+    f: np.ndarray
+    var_lower: np.ndarray
+    var_upper: np.ndarray
+    rows: list[tuple[np.ndarray, float, float]] = field(default_factory=list)
+    objective_const: float = 0.0
+
+    def __post_init__(self):
+        self.hessian = np.asarray(self.hessian, dtype=np.float64)
+        self.f = np.asarray(self.f, dtype=np.float64)
+        self.var_lower = np.asarray(self.var_lower, dtype=np.float64)
+        self.var_upper = np.asarray(self.var_upper, dtype=np.float64)
+        n = self.f.size
+        if self.var_lower.size != n or self.var_upper.size != n:
+            raise ValueError("bound vectors must match the variable count")
+        if np.any(self.var_lower > self.var_upper + 1e-12):
+            raise ValueError("var_lower must not exceed var_upper")
+
+    @property
+    def n(self) -> int:
+        return self.f.size
+
+    def ineq_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense (G, lower, upper) of the constraint rows."""
+        if not self.rows:
+            return np.zeros((0, self.n)), np.zeros(0), np.zeros(0)
+        g, lo, hi = zip(*self.rows)
+        return np.vstack(g), np.array(lo), np.array(hi)
+
+
+def dense_problem(st: StepStructure, lo, hi, terminal=None) -> QpProblem:
+    """``st`` within the per-step boxes lo/hi (one row per step) in dense
+    standard form, ``H = 2 C' (I x Q) C``: band rows first, then the row of
+    ``terminal`` (see :func:`hessmpc.qp.solve_qp`), if given, as an
+    equality."""
+    if st.norm_power != 2:
+        raise ValueError("dense form only exists for the quadratic penalty")
+    n, nu = st.n_steps, st.nu
+    h = np.zeros((n * nu, n * nu))
+    block = 2.0 * st.q * np.outer(st.c_y, st.c_y)
+    for i in range(n):
+        h[i * nu : (i + 1) * nu, i * nu : (i + 1) * nu] = block
+    rows = []
+    for i in np.flatnonzero(np.isfinite(st.band_lo) | np.isfinite(st.band_hi)):
+        g = np.zeros(n * nu)
+        g[i * nu : (i + 1) * nu] = st.c_y
+        # residual band: rhat - c_y.u in [blo, bhi] maps to
+        # c_y.u in [rhat - bhi, rhat - blo]
+        rows.append((g, st.rhat[i] - st.band_hi[i], st.rhat[i] - st.band_lo[i]))
+    if terminal is not None:
+        pattern, k_end, target = terminal
+        a = np.zeros(n * nu)
+        a[: k_end * nu] = np.tile(pattern, k_end)
+        rows.append((a, target, target))
+    return QpProblem(
+        hessian=h,
+        f=(-2.0 * st.q * st.rhat[:, None] * st.c_y[None, :] + st.price).ravel(),
+        var_lower=np.asarray(lo, dtype=np.float64).ravel(),
+        var_upper=np.asarray(hi, dtype=np.float64).ravel(),
+        rows=rows,
+        objective_const=st.q * float(st.rhat @ st.rhat),
+    )
+
+
+def write_dense(p: QpProblem, path) -> None:
+    """Write the dense blocks as plain text matrices."""
+    g, glo, ghi = p.ineq_rows()
+    blocks = [
+        ("H", np.atleast_2d(p.hessian)),
+        ("f", p.f[None, :]),
+        ("var_lower", p.var_lower[None, :]),
+        ("var_upper", p.var_upper[None, :]),
+        ("G", g if g.size else np.zeros((0, p.n))),
+        ("ineq_lower", glo[None, :] if glo.size else np.zeros((1, 0))),
+        ("ineq_upper", ghi[None, :] if ghi.size else np.zeros((1, 0))),
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        for name, mat in blocks:
+            fh.write(f"# {name} {mat.shape[0]} {mat.shape[1]}\n")
+            for row in mat:
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
+def read_dump(path) -> tuple[StepStructure, np.ndarray, np.ndarray, tuple | None]:
+    """The problem a :func:`hessmpc.qp.dump_problem` file holds, as
+    ``(st, lo, hi, terminal)``; terminal is None without a terminal row."""
+    blocks = {}
+    with open(path, encoding="utf-8") as fh:
+        lines = iter(fh.read().splitlines())
+    for header in lines:
+        _, name, n_rows, n_cols = header.split()
+        values = [float(v) for _ in range(int(n_rows)) for v in next(lines).split()]
+        blocks[name] = np.array(values).reshape(int(n_rows), int(n_cols))
+    st = StepStructure(
+        c_y=blocks["c_y"][0], q=float(blocks["q"][0, 0]), rhat=blocks["rhat"].ravel(),
+        price=blocks["price"][0], band_lo=blocks["band_lo"].ravel(),
+        band_hi=blocks["band_hi"].ravel(), norm_power=int(blocks["norm_power"][0, 0]),
+    )
+    terminal = None
+    if "pattern" in blocks:
+        terminal = (blocks["pattern"][0], int(blocks["k_end"][0, 0]),
+                    float(blocks["target"][0, 0]))
+    return st, blocks["var_lower"], blocks["var_upper"], terminal
 
 
 def validate(p: QpProblem, tol_sym: float = 1e-10, tol_psd: float = 1e-8) -> None:

@@ -19,10 +19,10 @@ from hessmpc.devices import (
 )
 from hessmpc.devices.battery import battery_damage
 from hessmpc.engine import prepare_scenario
-from hessmpc.qp import OPTIMAL, QpProblem
+from hessmpc.qp import OPTIMAL
 from hessmpc.scenario import ARCHETYPES
 from hessmpc.timeseries import TimeSeries
-from oracles import solve_dense
+from oracles import QpProblem, solve_dense
 from test_mtip import oracle_gap
 
 

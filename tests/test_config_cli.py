@@ -6,9 +6,10 @@ import pytest
 
 from hessmpc.cli import main
 from hessmpc.config import (
-    EngineConfig, from_dict, load_config, save_config, to_dict, validate,
+    EngineConfig, Finding, from_dict, load_config, save_config, to_dict, validate,
 )
 from hessmpc.errors import ConfigError
+from oracles import read_dump
 
 
 def test_default_config_has_no_findings():
@@ -61,18 +62,20 @@ def test_cubic_norm_flag():
     assert any(f.path == "l3_norm_power" for f in validate(cfg))
 
 
-def test_cubic_penalty_qp_dump_is_a_config_error(tmp_path, capsys):
-    # The pair used to pass validate and then stop run with a traceback
-    # (exit 1) when the first L3 dump asked for a dense cubic problem.
+def test_cubic_penalty_run_dumps_its_problem(tmp_path, capsys):
+    # The step form carries the penalty exponent, so the cubic L3 problem
+    # has a dump like any other.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "l3_norm_power": 3, "debug_qp_dump": True,
         "scenario": {"duration_days": 1.0 / 24.0},
     }))
-    assert main(["validate", "--config", str(cfg_path)]) == 2
-    assert "error: debug_qp_dump:" in capsys.readouterr().out
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-    assert "debug_qp_dump:" in capsys.readouterr().err
+    assert main(["validate", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    powers = {name: read_dump(out / f"qp_{name}.txt")[0].norm_power
+              for name in ("L1", "L2", "L3")}
+    assert powers == {"L1": 2, "L2": 2, "L3": 3}
 
 
 def test_config_round_trip(tmp_path):
@@ -239,6 +242,21 @@ def test_cli_compare(tmp_path):
     assert set(doc) == {"proposed", "periodic_soc", "filter"}
     for sub in ("proposed", "periodic_soc", "filter"):
         assert (out / sub / "metrics.json").exists()
+
+
+def test_cli_compare_dumps_each_controller_in_its_directory(tmp_path):
+    # Every controller used to dump into the compare root, the later over
+    # the earlier; the filter controller dumps nothing.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"debug_qp_dump": True}))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(cfg_path), "--days", "0.041666666666666664",
+                 "--out", str(out)]) == 0
+    dumps = sorted(str(p.relative_to(out)) for p in out.rglob("qp_*.txt"))
+    assert dumps == [f"{sub}/qp_L{i}.txt" for sub in ("periodic_soc", "proposed")
+                     for i in (1, 2, 3)]
+    terminal = read_dump(out / "periodic_soc" / "qp_L3.txt")[3]
+    assert terminal is not None and read_dump(out / "proposed" / "qp_L3.txt")[3] is None
 
 
 def test_band_traces_written(tmp_path):
@@ -422,3 +440,43 @@ def test_one_field_store_override_changes_only_that_field(store):
         want = to_dict(EngineConfig())
         want[store][field] = value
         assert to_dict(from_dict({store: {field: value}})) == want, field
+
+
+def test_non_physical_hydrogen_efficiencies_are_findings():
+    # The hydrogen chain's efficiencies at the idle point, under the device
+    # section whose curve gave them; a curve that fails there is a finding
+    # too, not a traceback.
+    assert validate(from_dict({"awe": {"u_rev": 0.9}})) == [Finding(
+        "error", "awe", "idle-point efficiency eta_hc must lie in (0, 1], "
+        "got 1.0193848658305096")]
+    assert [f.path for f in validate(from_dict({"turbine": {"eta_max": 1.2}}))] == ["turbine"]
+    assert [f.path for f in validate(from_dict({"pemfc": {"delta_g": 337200.0}}))] == ["pemfc"]
+    failing = validate(from_dict({"pemfc": {"j_max": 0.5}}))
+    assert [f.path for f in failing] == ["awe, pemfc, meoh, turbine"]
+    assert "current density 0.6" in failing[0].message
+
+
+@pytest.mark.parametrize("controller", ["proposed", "periodic_soc", "filter"])
+def test_non_physical_hydrogen_efficiency_is_a_config_error(tmp_path, capsys, controller):
+    # With an electrolyzer that makes more hydrogen energy than it takes in,
+    # validate passed; the filter run then died with a ValueError traceback
+    # (exit 1), and the other controllers ran a tank that gained energy.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"awe": {"u_rev": 0.9}, "controller": controller}))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert "error: awe: idle-point efficiency eta_hc" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--days", "0.041666666666666664",
+                 "--out", str(out)]) == 2
+    assert "config error: awe: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pemfc_hhv_is_an_unknown_key(tmp_path, capsys):
+    # The fuel cell's efficiency divides by the module's HHV voltage; the
+    # field that looked like a knob for it is gone.
+    assert "hhv" not in to_dict(EngineConfig())["pemfc"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pemfc": {"hhv": 40.0}}))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert "unknown configuration keys: pemfc.hhv" in capsys.readouterr().err

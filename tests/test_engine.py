@@ -1,5 +1,6 @@
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from hessmpc import EngineConfig, run
 from hessmpc.baselines import run_filter_decomposition
 from hessmpc.engine import prepare_scenario
 from hessmpc.errors import ConfigError
+from oracles import dense_problem, read_dump, write_dense
 
 
 def _config(days=1.0, seed=3, archetype="balanced", **kw):
@@ -241,19 +243,9 @@ def test_debug_qp_dump(tmp_path):
         assert (tmp_path / name).exists()
 
 
-def _read_dump(path):
-    """Blocks of a QP dump file as arrays, by name."""
-    blocks = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("# "):
-                name, rows, cols = line[2:].split()
-                blocks[name] = np.zeros((int(rows), int(cols)))
-                i = 0
-            else:
-                blocks[name][i] = [float(v) for v in line.split()]
-                i += 1
-    return blocks
+def _dense(path):
+    """The dense standard form of the problem a QP dump holds."""
+    return dense_problem(*read_dump(path))
 
 
 def test_proposed_qp_dump_is_the_one_step_problem(tmp_path):
@@ -265,24 +257,24 @@ def test_proposed_qp_dump_is_the_one_step_problem(tmp_path):
     data = prepare_scenario(cfg)
     rep = run(cfg, data)
     spec = cfg.layer_specs()["L3"]
-    blocks = _read_dump(tmp_path / "qp_L3.txt")
+    p = _dense(tmp_path / "qp_L3.txt")
+    g, ineq_lower, ineq_upper = p.ineq_rows()
     r0 = (data.forecasts["L3"].values[0] - rep.layer_outputs["L1"].values[0]
           - rep.layer_outputs["L2"].values[0])
     c_y = spec.output_row
-    assert np.array_equal(blocks["H"], 2.0 * spec.tracking_weight * np.outer(c_y, c_y))
-    assert np.array_equal(blocks["f"][0],
-                          -2.0 * spec.tracking_weight * r0 * c_y + spec.cost_vec * spec.dt_h)
-    assert blocks["var_lower"].tolist() == [[0.0, 0.0]]
-    assert blocks["var_upper"].tolist() == [list(first_step_caps(spec, cfg.bess.make_state()))]
-    assert blocks["G"].tolist() == [c_y.tolist()]
+    assert np.array_equal(p.hessian, 2.0 * spec.tracking_weight * np.outer(c_y, c_y))
+    assert np.array_equal(p.f, -2.0 * spec.tracking_weight * r0 * c_y + spec.cost_vec * spec.dt_h)
+    assert p.var_lower.tolist() == [0.0, 0.0]
+    assert p.var_upper.tolist() == list(first_step_caps(spec, cfg.bess.make_state()))
+    assert g.tolist() == [c_y.tolist()]
     lower = rep.band_traces["L3_lower"].values[0]
     upper = rep.band_traces["L3_upper"].values[0]
-    assert blocks["ineq_lower"].tolist() == [[r0 - upper]]
-    assert blocks["ineq_upper"].tolist() == [[r0 - lower]]
+    assert ineq_lower.tolist() == [r0 - upper]
+    assert ineq_upper.tolist() == [r0 - lower]
     for name, nu in (("L1", 4), ("L2", 2)):
-        one_step = _read_dump(tmp_path / f"qp_{name}.txt")
-        assert one_step["H"].shape == (nu, nu), name
-        assert one_step["G"].shape == (1, nu), name
+        one_step = _dense(tmp_path / f"qp_{name}.txt")
+        assert one_step.hessian.shape == (nu, nu), name
+        assert one_step.ineq_rows()[0].shape == (1, nu), name
 
 
 def test_periodic_qp_dump_holds_the_terminal_row(tmp_path):
@@ -300,14 +292,49 @@ def test_periodic_qp_dump_holds_the_terminal_row(tmp_path):
         "L3": [cfg.bess.eta_c, -1.0 / cfg.bess.eta_d],
     }
     for name, spec in cfg.layer_specs().items():
-        blocks = _read_dump(tmp_path / f"qp_{name}.txt")
+        g, ineq_lower, ineq_upper = _dense(tmp_path / f"qp_{name}.txt").ineq_rows()
         k_end = min(spec.horizon, max(1, round(cfg.baseline.soc_period_h / spec.dt_h)))
         row = np.zeros((spec.horizon, len(patterns[name])))
         row[:k_end] = np.array(patterns[name]) * spec.dt_h
         row = row.ravel()
-        assert blocks["G"].shape == (1, row.size), name
-        assert np.array_equal(blocks["G"][0], row), name
-        assert blocks["ineq_lower"].tolist() == blocks["ineq_upper"].tolist() == [[0.0]]
+        assert g.shape == (1, row.size), name
+        assert np.array_equal(g[0], row), name
+        assert ineq_lower.tolist() == ineq_upper.tolist() == [0.0]
+
+
+#: sha256 of the dense-form ``qp_L*.txt`` files that the two pinned dump
+#: cases of report_digests.json wrote before the dump took the step form.
+DENSE_DUMP_DIGESTS = {
+    "proposed-qp-dump": {
+        "qp_L1.txt": "9fc144cd85c70b52ffe9e28b9e267b3e9fc0a9d2e6da21844ff7b58f6ba7a5b0",
+        "qp_L2.txt": "9b6a44b7acf376c4adfbe53db98068ed377108723cae9aa3746b40c148350c1f",
+        "qp_L3.txt": "0722ec5e512df6b3c7f408f645469a1d7991a12606d67e5ce9a0be20e8bb4d3b",
+    },
+    "periodic-qp-dump": {
+        "qp_L1.txt": "d3db20b0f425a93cd81e1a4c675f39746c37804caa59b24d0f40f9a8bd9178f9",
+        "qp_L2.txt": "d116c783d4dd8c89712113e2e5d5ded1df7b20f90fcaa53860d0834294057bf3",
+        "qp_L3.txt": "b96650bfc5abe274a4611e24b07e3a287845aa4e6a6414a7dc8d79f3f0cdf73f",
+    },
+}
+
+
+def test_step_form_dumps_rebuild_the_dense_dumps(tmp_path):
+    # The step form loses nothing: the dense problem rebuilt from each
+    # step-form dump writes the bytes the dense dump wrote.
+    got = {}
+    for name, cfg, data in goldens.report_cases(str(tmp_path)):
+        if name not in DENSE_DUMP_DIGESTS:
+            continue
+        cfg.out_dir = str(tmp_path / name)
+        run(cfg, data)
+        got[name] = {}
+        for layer in ("L1", "L2", "L3"):
+            dense = tmp_path / name / f"dense_{layer}.txt"
+            write_dense(_dense(tmp_path / name / f"qp_{layer}.txt"), dense)
+            got[name][f"qp_{layer}.txt"] = hashlib.sha256(dense.read_bytes()).hexdigest()
+        if got.keys() == DENSE_DUMP_DIGESTS.keys():
+            break
+    assert got == DENSE_DUMP_DIGESTS
 
 
 def test_eff_clamp_events_counted(day_run):

@@ -14,7 +14,8 @@ from hessmpc.mpc import (
     receding_step, simple_bounds,
 )
 from hessmpc.mtip import MtipBounds
-from hessmpc.qp import OPTIMAL, dense_problem, solve_qp
+from hessmpc.qp import OPTIMAL, solve_qp
+from oracles import dense_problem
 
 AWE = AweParams()
 FC = PemfcParams()

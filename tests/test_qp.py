@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ import goldens
 import oracles
 from hessmpc.mpc import LayerSpec, build_layer_problem
 from hessmpc.qp import (
-    INFEASIBLE, OPTIMAL, QpProblem, StepStructure, _objective_from_structure,
-    _solve_priced, _solve_steps, dense_problem, dump_problem, solve_qp,
+    INFEASIBLE, OPTIMAL, StepStructure, _objective_from_structure, _solve_priced,
+    _solve_steps, dump_problem, solve_qp,
 )
-from oracles import solve_dense, validate
+from oracles import QpProblem, dense_problem, read_dump, solve_dense, validate
 
 
 def projected_gradient_box(h, f, lo, hi, tol=1e-8, max_iter=200_000):
@@ -300,15 +301,30 @@ def test_validate_rejects_asymmetric():
         validate(p)
 
 
-def test_dump_problem_writes_blocks(tmp_path):
-    layer = _layer(1.0, [1.0], [0.0], [1.0, 2.0], 0.0, 5.0,
-                   band_lo=[-1.0, -np.inf], band_hi=[1.0, np.inf])
+@pytest.mark.parametrize("terminal", [None, (np.array([0.95, -1.0 / 0.9]), 2, -0.0)],
+                         ids=["no_terminal", "terminal"])
+def test_dump_problem_round_trips_bit_for_bit(tmp_path, terminal):
+    # Every block reads back with its bits: signed zeros, infinite band
+    # edges, the integer fields and the terminal row.
+    st, lo, hi = _layer(0.1 + 0.2, [-1.0, 1.0], [1.0 / 3.0, 0.0], [-0.0, 2.5e-300, 7.0],
+                        [-0.0, 0.0], [50.0, 1e-7], band_lo=[-np.inf, -1.0, 0.0],
+                        band_hi=[np.inf, 1.0 / 7.0, -0.0])
+    st.norm_power = 3
     path = tmp_path / "dump.txt"
-    dump_problem(dense_problem(*layer), path)
-    text = path.read_text()
-    for name in ("# H", "# f", "# var_lower", "# var_upper", "# G",
-                 "# ineq_lower", "# ineq_upper"):
-        assert name in text
+    dump_problem(path, st, lo, hi, terminal)
+    st2, lo2, hi2, terminal2 = read_dump(path)
+    for name in ("c_y", "rhat", "price", "band_lo", "band_hi"):
+        assert getattr(st2, name).tobytes() == getattr(st, name).tobytes(), name
+    assert (st2.q, st2.norm_power) == (st.q, 3)
+    assert lo2.tobytes() == lo.tobytes() and hi2.tobytes() == hi.tobytes()
+    if terminal is None:
+        assert terminal2 is None
+    else:
+        assert terminal2[0].tobytes() == terminal[0].tobytes()
+        assert terminal2[1:] == terminal[1:]
+        assert math.copysign(1.0, terminal2[2]) == -1.0
+    dump_problem(tmp_path / "again.txt", st2, lo2, hi2, terminal2)
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
 def test_fill_order_solve_matches_golden():

@@ -214,3 +214,24 @@ def test_filter_run_calls_the_names_the_tracer_wraps(monkeypatch):
     assert calls.pop("baselines.run_filter_decomposition") == 1
     assert sorted(calls) == sorted(f"metrics.finalize.{fn}" for fn in tracer._FINALIZE)
     assert [name for name, n in calls.items() if n == 0] == []
+
+
+def test_package_has_no_dense_form():
+    # Every layer problem is solved, and dumped, on its step structure; the
+    # dense standard form is the tests' oracle, in tests/oracles.py.
+    dense = {"QpProblem", "dense_problem"}
+    found = []
+    for path in sorted((ROOT / "src" / "hessmpc").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                      for name in names if name in dense]
+    assert found == []
