@@ -18,6 +18,7 @@ import json
 import numbers
 import os
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .devices import (
 )
 from .errors import ConfigError
 from .metrics import TariffConfig
-from .mpc import LayerSpec, freeze_efficiencies
+from .mpc import LayerSpec, freeze_efficiencies, periodic_plan
 from .mtip import marginal_cost
 from .scenario import ScenarioConfig
 from .vic import VicParams
@@ -227,8 +228,6 @@ def validate(config: EngineConfig) -> list[Finding]:
         lo, hi = store.envelope_frac
         if not 0.0 <= lo < hi <= 1.0:
             err(f"{name}.envelope_frac", f"must satisfy 0 <= lo < hi <= 1, got {store.envelope_frac}")
-        if store.power_mw <= 0.0:
-            err(f"{name}.power_mw", "must be positive")
         if not 0.0 <= store.init_frac <= 1.0:
             err(f"{name}.init_frac", "must lie in [0, 1]")
         if not 0.0 <= store.self_discharge < 1.0:
@@ -239,6 +238,19 @@ def validate(config: EngineConfig) -> list[Finding]:
             err(f"fess.{side}", f"must lie in (0, 1], got {val}")
     if not 0.0 <= config.fess_init_frac <= 1.0:
         err("fess_init_frac", "must lie in [0, 1]")
+    # Rated powers and energies cap the inputs and the flywheel's injection,
+    # and the costs divide by them; the flywheel's levelized cost sums over
+    # its cycle life at a discount rate that a negative one makes overflow.
+    for path in ("bess.power_mw", "caes.power_mw", "h2_power_mw", "tank_cap_mwh",
+                 "meoh.rated_power", "turbine.rated", "fess.power_cap",
+                 "battery_deg.rated_energy"):
+        val = reduce(getattr, path.split("."), config)
+        if not 0.0 < val < np.inf:
+            err(path, f"must be positive and finite, got {val}")
+    for path, least in (("fess.lifetime_cycles", 1), ("fess.discount_rate", 0)):
+        val = reduce(getattr, path.split("."), config)
+        if not least <= val < np.inf:
+            err(path, f"must be finite and at least {least}, got {val}")
     for i, q in enumerate(config.q_weights):
         if q <= 0.0:
             err(f"q_weights[{i}]", "tracking weights must be positive")
@@ -254,27 +266,30 @@ def validate(config: EngineConfig) -> list[Finding]:
         err("forecast_bias_decay", "must lie in [0, 1)")
     if config.mtip.eps_db < 0.0:
         err("mtip.eps_db", "deadband must be non-negative")
+    period = config.baseline.soc_period_h
+    if not 0.0 < period < np.inf:
+        err("baseline.soc_period_h", f"must be positive and finite, got {period}")
+    try:  # a layer that cannot be built is reported by the checks above
+        specs = config.layer_specs()
+    except ValueError:
+        specs = None
     if config.controller == "periodic_soc":
         if config.l3_norm_power == 3:
             err("l3_norm_power", "cubic penalty is not available with the periodic-SOC baseline")
-        # The periodic law plans each layer's full horizon, and the forecast
-        # runs n1 hours past the run end: the last decision's window holds
-        # its own step and at most the pad's steps after it.
-        for key, per_hour in (("n2", 4), ("n3", 60)):
-            most = per_hour * config.n1 + 1
-            if getattr(config, key) > most:
-                err(key, f"periodic-SOC horizon outruns the forecast, which ends "
-                         f"n1 = {config.n1} h after the run: at most {most} steps")
+        # The forecast runs n1 hours past the run end, so the last decision's
+        # window holds its own step and at most the pad's steps after it;
+        # the periodic law reads the steps it plans.
+        if specs is not None and 0.0 < period < np.inf:
+            for key, name, per_hour in (("n2", "L2", 4), ("n3", "L3", 60)):
+                most = per_hour * config.n1 + 1
+                if periodic_plan(specs[name], period) > most:
+                    err(key, f"periodic-SOC horizon outruns the forecast, which ends "
+                             f"n1 = {config.n1} h after the run: at most {most} steps")
     if config.controller not in ("proposed", "periodic_soc", "filter"):
         err("controller", f"unknown controller '{config.controller}'")
     if config.controller == "proposed":
-        # The band blend divides by the marginal cost of each band child. A
-        # layer that cannot be built is reported by the checks above.
-        try:
-            specs = config.layer_specs()
-        except ValueError:
-            pass
-        else:
+        # The band blend divides by the marginal cost of each band child.
+        if specs is not None:
             for i, child, prices in ((1, "L2", "c_l2"), (2, "L3", "c_l3")):
                 lam = marginal_cost(specs[child])
                 if lam <= 0.0:
@@ -282,8 +297,6 @@ def validate(config: EngineConfig) -> list[Finding]:
                         f"marginal cost of band child {child} must be positive, got {lam}")
         if config.c_l4 <= 0.0:
             err("c_l4", f"marginal cost of band child L4 must be positive, got {config.c_l4}")
-    if config.tank_cap_mwh <= 0.0:
-        err("tank_cap_mwh", "must be positive")
     if not 0.0 <= config.tank_init_frac <= 1.0:
         err("tank_init_frac", "must lie in [0, 1]")
     if config.meoh_init_mwh < 0.0:
@@ -337,8 +350,6 @@ def validate(config: EngineConfig) -> list[Finding]:
         err("baseline.filter_cutoffs", "cutoffs must be strictly ordered")
     if not c1 < config.baseline.trend_cutoff_s < np.inf:
         err("baseline.trend_cutoff_s", "trend cutoff must be finite and exceed the second corner")
-    if config.baseline.soc_period_h <= 0.0:
-        err("baseline.soc_period_h", "must be positive")
     return out
 
 

@@ -17,9 +17,9 @@ proposed controller's law is the explicit step
 (:func:`~hessmpc.mpc.explicit_step`), which needs only the step-0 forecast,
 bounds and band, so its layers plan one step and their horizons only size
 the forecast pad. The periodic-SOC baseline drops the bands, and its law
-solves each layer's stacked QP over the full horizon with a terminal
-equality returning the store to its run-start energy by the end of its
-period, with infeasibility relaxed to minimal slack and reported. Under
+solves each layer's stacked QP over one SOC period, at most the horizon,
+with a terminal equality returning the store to its run-start energy by the
+period's end, with infeasibility relaxed to minimal slack and reported. Under
 ``debug_qp_dump`` each layer's first call of the law also writes the
 problem that law solves, in the step form it reads
 (:func:`~hessmpc.qp.dump_problem`).
@@ -49,7 +49,7 @@ from .metrics import (
 from .mpc import (  # noqa: F401
     L1State, LayerDecision, LayerSpec, build_layer_problem, explicit_step,
     first_step_caps, freeze_efficiencies, l1_bounds, l1_dynamics,
-    receding_step, simple_bounds,
+    periodic_plan, receding_step, simple_bounds,
 )
 from .mtip import (
     MtipBounds, adaptive_bounds, blend_gamma, flat_bounds, marginal_cost, physical_bounds,
@@ -143,10 +143,10 @@ class _Layer:
 
     actual_mean holds the run's actuals averaged over each layer step, for
     the forecast de-bias; bias_pow is None when de-biasing is off. plan is
-    the number of forecast steps the law reads per decision. k_end is the
-    periodic baseline's terminal step and mu_hint its warm-start dual.
-    output and band are the applied output and the (lower, upper, gamma)
-    band per layer step. dump_path is the QP dump still to write, if any.
+    the number of forecast steps the law reads per decision, and sizes its
+    bounds. mu_hint is the periodic baseline's warm-start dual. output and
+    band are the applied output and the (lower, upper, gamma) band per layer
+    step. dump_path is the QP dump still to write, if any.
     """
 
     spec: LayerSpec
@@ -154,7 +154,6 @@ class _Layer:
     actual_mean: np.ndarray
     bias_pow: np.ndarray | None
     plan: int
-    k_end: int
     output: np.ndarray
     band: np.ndarray
     dump_path: str | None
@@ -204,10 +203,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             actual_mean=av[:n_sec].reshape(n, step_s).mean(axis=1),
             bias_pow=bias_decay ** np.arange(1, spec.horizon + 1)
             if bias_decay > 0.0 else None,
-            plan=spec.horizon if periodic else 1,
-            # The periodic baseline's terminal equality binds at the end of
-            # the SOC period, clamped to the layer's horizon.
-            k_end=min(spec.horizon, max(1, int(round(config.baseline.soc_period_h / spec.dt_h)))),
+            plan=periodic_plan(spec, config.baseline.soc_period_h) if periodic else 1,
             output=np.zeros(n),
             band=np.zeros((n, 3)),
             dump_path=os.path.join(config.out_dir, f"qp_{name}.txt")
@@ -299,7 +295,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         dev = _STORE[name]
         state = stores[dev]
         fc = layer.window(k, layer.plan, held)
-        lo, hi = store_bounds(spec, state)
+        lo, hi = store_bounds(spec, state, layer.plan)
         terminal = ((state.eta_c, -1.0 / state.eta_d), e_init[dev] - state.energy, fc[0]) \
             if periodic else None
         dec = law(layer, fc, lo, hi, band, terminal, events)
@@ -445,8 +441,9 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     return report
 
 
-def _first_step_rows(spec: LayerSpec, state) -> tuple[tuple, tuple]:
-    """Step-0 (charge, discharge) floor and cap rows of a single-store layer."""
+def _first_step_rows(spec: LayerSpec, state, n: int) -> tuple[tuple, tuple]:
+    """Step-0 (charge, discharge) floor and cap rows of a single-store layer,
+    whose plan n is one step."""
     return ((0.0, 0.0),), (first_step_caps(spec, state),)
 
 
@@ -477,7 +474,7 @@ def _coupled_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDeci
 
     terminal is (pattern, target, demand). pattern is the store's energy
     change per MWh moved through each input; the terminal row asks the
-    steps before k_end to change the store's energy by ``target`` MWh. A
+    planned steps to change the store's energy by ``target`` MWh. A
     charging move while the forecast residual ``demand`` asks for discharge
     is a forced recharge. A solve that stops short of optimal raises
     QpInfeasible.
@@ -485,7 +482,7 @@ def _coupled_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDeci
     spec = layer.spec
     pattern, target, demand = terminal
     st = build_layer_problem(spec, fc, band)
-    row = (np.array(pattern) * spec.dt_h, layer.k_end, target)
+    row = (np.array(pattern) * spec.dt_h, target)
     if layer.dump_path is not None:
         _dump(layer, st, lo, hi, row)
     sol = solve_qp(st, lo, hi, terminal=row, mu_hint=layer.mu_hint)

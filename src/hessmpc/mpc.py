@@ -8,15 +8,15 @@ are per step and the band binds step 0 only, so it separates by step and its
 first move is a closed-form function of the step-0 data: the explicit law of
 :func:`explicit_step`, which the proposed controller applies. The periodic-SOC
 baseline, whose terminal row couples the steps, solves the stacked problem of
-:func:`build_layer_problem` over the full horizon; :func:`receding_step` is
-the stacked reference the explicit law is tested against. The hydrogen/
-methanol layer linearizes the load-dependent device efficiencies by freezing
-them at the previous applied operating point for the whole horizon, and maps
-its tank envelope into per-step input bounds: exact headroom caps on the
-first (applied) move plus conversion floors scheduled wherever the projected
-tank trajectory would hit its cap — that floor is what routes surplus
-hydrogen into methanol, since conversion never helps the tracking objective
-directly.
+:func:`build_layer_problem` over the steps that row binds (one SOC period,
+:func:`periodic_plan`); :func:`receding_step` is the stacked reference the
+explicit law is tested against. The hydrogen/methanol layer linearizes the
+load-dependent device efficiencies by freezing them at the previous applied
+operating point for the whole horizon, and maps its tank envelope into
+per-step input bounds: exact headroom caps on the first (applied) move plus
+conversion floors scheduled wherever the projected tank trajectory would hit
+its cap — that floor is what routes surplus hydrogen into methanol, since
+conversion never helps the tracking objective directly.
 
 A band that cannot be met is dropped: the step is solved again without it,
 and the decision says so. No narrower band can succeed where the offered one
@@ -274,10 +274,15 @@ def first_step_caps(spec: LayerSpec, state: EssState) -> tuple[float, float]:
     )
 
 
-def simple_bounds(spec: LayerSpec, state: EssState) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step (charge, discharge) bounds for a single-store layer; only the
-    applied first step is tightened against the current energy."""
-    n = spec.horizon
+def periodic_plan(spec: LayerSpec, soc_period_h: float) -> int:
+    """Steps the periodic-SOC law plans per decision: those of one SOC
+    period, which its terminal row binds, at most the layer's horizon."""
+    return min(spec.horizon, max(1, round(soc_period_h / spec.dt_h)))
+
+
+def simple_bounds(spec: LayerSpec, state: EssState, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(charge, discharge) bounds of n steps of a single-store layer; only
+    the applied first step is tightened against the current energy."""
     lo = np.zeros((n, 2))
     hi = np.tile(spec.u_max, (n, 1))
     hi[0] = first_step_caps(spec, state)

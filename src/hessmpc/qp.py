@@ -11,9 +11,8 @@ solves it on that step structure, with no dense form:
   step rule :func:`charge_discharge_step` of the explicit law on each step,
   other rows the fill-order solve, vectorized across steps;
 * the periodic-SOC baseline adds one terminal equality, given as
-  ``(pattern, k_end, target)``: ``pattern . u_i`` summed over the steps
-  before k_end equals target. The steps from k_end on solve once on their
-  own; the others are met through bisection on the scalar dual of that row,
+  ``(pattern, target)``: ``pattern . u_i`` summed over every step equals
+  target. It is met through bisection on the scalar dual of that row,
   warm started from the dual the previous solve hands on. Each trial dual
   is a closed-form step solve at the price row shifted by the dual times
   the pattern.
@@ -82,11 +81,6 @@ class StepStructure:
     @property
     def nu(self) -> int:
         return self.c_y.size
-
-    def take(self, steps: slice) -> StepStructure:
-        """The same problem on a slice of its steps."""
-        return StepStructure(self.c_y, self.q, self.rhat[steps], self.price,
-                             self.band_lo[steps], self.band_hi[steps], self.norm_power)
 
 
 @dataclass
@@ -420,54 +414,44 @@ def _objective_from_structure(st: StepStructure, u: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 
 def _solve_with_terminal(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
-                         pattern: np.ndarray, k_end: int, b: float, mu_hint) -> QpSolution:
+                         pattern: np.ndarray, b: float, mu_hint) -> QpSolution:
     max_iter = 50 * (st.n_steps * st.nu + 10) + 200
     if np.isfinite(st.band_lo).any() or np.isfinite(st.band_hi).any():
         raise ValueError("the terminal row does not combine with band rows")
-    # Without band rows every step is feasible. The steps from k_end on do
-    # not enter the row, so they decouple from the dual and solve once.
-    u_full = np.empty((st.n_steps, st.nu))
-    if k_end < st.n_steps:
-        u_full[k_end:] = _solve_steps(st.take(slice(k_end, None)), lo[k_end:], hi[k_end:])[0]
-    st_t = st.take(slice(k_end))
-    lo_t, hi_t = lo[:k_end], hi[:k_end]
 
-    # Achievable range of the row under the box alone; a target outside it
-    # is met at the nearest boundary with the gap reported as slack.
+    # Without band rows every step is feasible. Achievable range of the row
+    # under the box alone; a target outside it is met at the nearest
+    # boundary with the gap reported as slack.
     raises = pattern > 0
-    hi_cfg = np.where(raises, hi_t, lo_t)
-    lo_cfg = np.where(raises, lo_t, hi_t)
+    hi_cfg = np.where(raises, hi, lo)
+    lo_cfg = np.where(raises, lo, hi)
     h_max = float((hi_cfg * pattern).sum())
     h_min = float((lo_cfg * pattern).sum())
     span = max(abs(h_max), abs(h_min), 1.0)
-    if b >= h_max - 1e-12 * span:
-        u_t = hi_cfg
-        slack = b - h_max
-        it = 1
-        h = h_max
-    elif b <= h_min + 1e-12 * span:
-        u_t = lo_cfg
-        slack = b - h_min
-        it = 1
-        h = h_min
+    edge = 1e-12 * span
+    it = 1
+    if b >= h_max - edge or b <= h_min + edge:
+        u, h = (hi_cfg, h_max) if b >= h_max - edge else (lo_cfg, h_min)
+        slack = b - h
     else:
         slack = 0.0
-        # Every trial solves the steps before k_end at the price row
-        # price + mu * pattern. A fill plan depends on that price only
-        # through its signs and its move order, so the trials of this solve
-        # share one plan store and build each plan once.
-        has_floor = lo_t.any()
+        # Every trial solves the steps at the price row price + mu * pattern.
+        # A fill plan depends on that price only through its signs and its
+        # move order, so the trials of this solve share one plan store and
+        # build each plan once.
+        has_floor = lo.any()
         plans: dict = {}
         price_row = list(zip(st.price.tolist(), pattern.tolist()))
+        trials = {}   # (u, h) at each trial dual
 
         def inner(mu: float) -> tuple[np.ndarray, float]:
             price = [p + mu * a for p, a in price_row]
-            u = _solve_priced(st_t, lo_t, hi_t, price, has_floor, plans)[0]
-            return u, float((pattern * u).sum())
+            u = _solve_priced(st, lo, hi, price, has_floor, plans)[0]
+            trials[mu] = u, float((pattern * u).sum())
+            return trials[mu]
 
         start = mu_hint if mu_hint is not None and np.isfinite(mu_hint) else 0.0
-        u_t, h = inner(start)
-        it = 1
+        u, h = inner(start)
         # The dual only needs to be resolved until the terminal-energy
         # mismatch is negligible, not to machine precision in mu.
         h_tol = 1e-7 * span
@@ -477,7 +461,7 @@ def _solve_with_terminal(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
                 mu_lo, h_lo = start, h
                 mu_hi = start + width
                 while it < max_iter:
-                    u_t, h = inner(mu_hi)
+                    u, h = inner(mu_hi)
                     it += 1
                     if h <= b:
                         h_hi = h
@@ -490,7 +474,7 @@ def _solve_with_terminal(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
                 mu_hi, h_hi = start, h
                 mu_lo = start - width
                 while it < max_iter:
-                    u_t, h = inner(mu_lo)
+                    u, h = inner(mu_lo)
                     it += 1
                     if h >= b:
                         h_lo = h
@@ -510,7 +494,7 @@ def _solve_with_terminal(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
                     mu_new = (mu_lo * (h_hi - b) - mu_hi * (h_lo - b)) / denom
                     if not mu_lo < mu_new < mu_hi:
                         mu_new = 0.5 * (mu_lo + mu_hi)
-                u_t, h = inner(mu_new)
+                u, h = inner(mu_new)
                 it += 1
                 if h > b:
                     mu_lo, h_lo = mu_new, h
@@ -524,24 +508,23 @@ def _solve_with_terminal(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
                     side = 1
             if abs(h - b) > h_tol:
                 # The dual response jumps where a mu-modified price changes
-                # sign; both bracket endpoints minimize the same Lagrangian,
-                # so the convex combination meeting the row exactly is
-                # primal-optimal.
-                u_lo_sol, h_lo2 = inner(mu_lo)
-                u_hi_sol, h_hi2 = inner(mu_hi)
+                # sign; both bracket ends minimize the same Lagrangian, so
+                # the convex combination meeting the row exactly is
+                # primal-optimal. Both ends were tried, unless the bracket
+                # growth ran out of iterations; they count as two more.
+                (u_lo, h_lo), (u_hi, h_hi) = (trials[mu] if mu in trials else inner(mu)
+                                              for mu in (mu_lo, mu_hi))
                 it += 2
-                if h_lo2 > h_hi2 + 1e-15:
-                    theta = min(max((b - h_hi2) / (h_lo2 - h_hi2), 0.0), 1.0)
-                    u_t = theta * u_lo_sol + (1.0 - theta) * u_hi_sol
-                    h = theta * h_lo2 + (1.0 - theta) * h_hi2
+                if h_lo > h_hi + 1e-15:
+                    theta = min(max((b - h_hi) / (h_lo - h_hi), 0.0), 1.0)
+                    u = theta * u_lo + (1.0 - theta) * u_hi
+                    h = theta * h_lo + (1.0 - theta) * h_hi
                 else:
-                    u_t, h = u_hi_sol, h_hi2
+                    u, h = u_hi, h_hi
             mu_hint = 0.5 * (mu_lo + mu_hi)
 
-    u_full[:k_end] = u_t
-    obj = _objective_from_structure(st, u_full)
     return QpSolution(
-        u_star=u_full.ravel(), objective=obj,
+        u_star=u.ravel(), objective=_objective_from_structure(st, u),
         status=OPTIMAL if it < max_iter else MAX_ITER,
         kkt_residual=abs(h - (b - slack)), iterations=it,
         coupling_slack=slack, mu_hint=mu_hint,
@@ -554,8 +537,8 @@ def solve_qp(st: StepStructure, lo: np.ndarray, hi: np.ndarray, terminal=None,
     (N, nu); ``u_star`` is the stacked input vector.
 
     Without ``terminal`` the steps separate and each is solved in closed
-    form. terminal = (pattern, k_end, target) adds the equality
-    ``sum(pattern . u_i for i < k_end) == target`` (no band rows allowed),
+    form. terminal = (pattern, target) adds the equality
+    ``sum(pattern . u_i over all steps) == target`` (no band rows allowed),
     met through its scalar dual warm started from ``mu_hint``, which never
     changes the solution; a target beyond the box's reach is met at the
     nearest boundary and the gap reported as ``coupling_slack``.
@@ -571,9 +554,9 @@ def solve_qp(st: StepStructure, lo: np.ndarray, hi: np.ndarray, terminal=None,
             u_star=u.ravel(), objective=_objective_from_structure(st, u),
             status=OPTIMAL, kkt_residual=0.0, iterations=st.n_steps,
         )
-    pattern, k_end, target = terminal
+    pattern, target = terminal
     return _solve_with_terminal(st, lo, hi, np.asarray(pattern, dtype=np.float64),
-                                k_end, target, mu_hint)
+                                target, mu_hint)
 
 
 def dump_problem(path, st: StepStructure, lo, hi, terminal=None) -> None:
@@ -584,7 +567,7 @@ def dump_problem(path, st: StepStructure, lo, hi, terminal=None) -> None:
     head = {"c_y": st.c_y, "q": st.q, "norm_power": st.norm_power, "price": st.price}
     steps = {"rhat": st.rhat, "band_lo": st.band_lo, "band_hi": st.band_hi,
              "var_lower": lo, "var_upper": hi}
-    tail = dict(zip(("pattern", "k_end", "target"), terminal or ()))
+    tail = dict(zip(("pattern", "target"), terminal or ()))
     with open(path, "w", encoding="utf-8") as fh:
         for count, blocks in ((1, head), (st.n_steps, steps), (1, tail)):
             for name, values in blocks.items():

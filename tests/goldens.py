@@ -88,9 +88,11 @@ def compute_engine_regression() -> dict:
 
 def coupled_cases():
     """Seeded stacked layer problems with a terminal-energy row, built the
-    way the periodic-SOC baseline builds them.
+    way the periodic-SOC baseline builds them but over the full horizon.
 
-    Yields (name, structure, lo, hi, terminal, mu_hint). The cases cover L1 (four actuators,
+    Yields (name, structure, lo, hi, terminal, mu_hint); terminal is
+    (pattern, k_end, target), whose row binds the steps before k_end, the
+    steps the baseline plans. The cases cover L1 (four actuators,
     always the general fill-order path), L2 and L3 with targets that push a
     trial dual's price negative, targets beyond the box's reach (the slack
     branch), warm-start hints and short horizons.
@@ -130,7 +132,7 @@ def coupled_cases():
             st = EssState(energy=e_lo + float(rng.uniform(0.0, 1.0)) * (e_hi - e_lo),
                           envelope=st.envelope, power_cap=st.power_cap,
                           eta_c=st.eta_c, eta_d=st.eta_d)
-            lo, hi = simple_bounds(spec, st)
+            lo, hi = simple_bounds(spec, st, n)
             pattern = np.array([st.eta_c, -1.0 / st.eta_d])
         # The reach of the row is summed over the whole horizon, zero rows
         # after k_end included, as the targets were first drawn.
@@ -156,13 +158,21 @@ def coupled_cases():
 def compute_coupled_solver() -> dict:
     import hashlib
 
+    import numpy as np
+
     from hessmpc.qp import solve_qp
+    from oracles import split_steps
 
     out = {}
-    for name, st, lo, hi, terminal, hint in coupled_cases():
-        sol = solve_qp(st, lo, hi, terminal, mu_hint=hint)
+    for name, st, lo, hi, (pattern, k_end, b), hint in coupled_cases():
+        # The row binds the steps before k_end; the rest solve apart.
+        head, tail = split_steps(st, lo, hi, k_end)
+        sol = solve_qp(*head, (pattern, b), mu_hint=hint)
+        u = sol.u_star
+        if k_end < st.n_steps:
+            u = np.concatenate([u, solve_qp(*tail).u_star])
         out[name] = {
-            "u_sha256": hashlib.sha256(sol.u_star.tobytes()).hexdigest(),
+            "u_sha256": hashlib.sha256(u.tobytes()).hexdigest(),
             "iterations": sol.iterations,
             "status": sol.status,
             "coupling_slack": sol.coupling_slack,

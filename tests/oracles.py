@@ -6,6 +6,9 @@ Nothing in the package calls them, and only they need scipy.
   builds from a layer problem's step structure, :func:`write_dense` writes
   as text matrices and :func:`validate` checks the Hessian of;
   :func:`read_dump` reads back what :func:`hessmpc.qp.dump_problem` wrote;
+* :func:`split_steps`, which cuts a full-horizon problem at the step its
+  terminal row stops binding, so that the solver plans only the steps
+  before it, as the periodic-SOC baseline does;
 * :func:`solve_dense`, a dual active-set method on the dense standard form,
   with fixed inputs substituted out first;
 * :func:`brute_force_band_oracle`, which simulates a child store under a
@@ -19,6 +22,7 @@ Nothing in the package calls them, and only they need scipy.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,9 +78,9 @@ class QpProblem:
 
 def dense_problem(st: StepStructure, lo, hi, terminal=None) -> QpProblem:
     """``st`` within the per-step boxes lo/hi (one row per step) in dense
-    standard form, ``H = 2 C' (I x Q) C``: band rows first, then the row of
-    ``terminal`` (see :func:`hessmpc.qp.solve_qp`), if given, as an
-    equality."""
+    standard form, ``H = 2 C' (I x Q) C``: band rows first, then, if given,
+    the row of ``terminal = (pattern, k_end, target)`` as an equality:
+    ``pattern . u_i`` summed over the steps before k_end equals target."""
     if st.norm_power != 2:
         raise ValueError("dense form only exists for the quadratic penalty")
     n, nu = st.n_steps, st.nu
@@ -142,9 +146,17 @@ def read_dump(path) -> tuple[StepStructure, np.ndarray, np.ndarray, tuple | None
     )
     terminal = None
     if "pattern" in blocks:
-        terminal = (blocks["pattern"][0], int(blocks["k_end"][0, 0]),
-                    float(blocks["target"][0, 0]))
+        terminal = (blocks["pattern"][0], float(blocks["target"][0, 0]))
     return st, blocks["var_lower"], blocks["var_upper"], terminal
+
+
+def split_steps(st: StepStructure, lo, hi, k: int) -> tuple[tuple, tuple]:
+    """``(st, lo, hi)`` of the steps before k, and of the steps from k on."""
+    return tuple(
+        (dataclasses.replace(st, rhat=st.rhat[part], band_lo=st.band_lo[part],
+                             band_hi=st.band_hi[part]), lo[part], hi[part])
+        for part in (slice(k), slice(k, None))
+    )
 
 
 def validate(p: QpProblem, tol_sym: float = 1e-10, tol_psd: float = 1e-8) -> None:

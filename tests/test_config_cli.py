@@ -362,6 +362,20 @@ def test_periodic_horizon_past_the_forecast_pad_is_a_config_error(tmp_path, caps
     assert main(["validate", "--config", str(cfg_path)]) == 0
 
 
+def test_periodic_plan_inside_the_forecast_pad_runs(tmp_path, capsys):
+    # The periodic law plans the steps of one SOC period, at most the
+    # horizon. With a 2 h period the L2 plan is 8 steps, inside the 2 h pad,
+    # although the 96-step L2 horizon is not: the run goes ahead.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n1": 2, "baseline": {"soc_period_h": 2}}))
+    assert main(["validate", "--config", str(cfg_path), "--controller", "periodic_soc"]) == 0
+    assert "error" not in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--days", "0.125",
+                 "--controller", "periodic_soc", "--out", str(out)]) == 0
+    assert (out / "metrics.json").exists()
+
+
 @pytest.mark.parametrize("override, path", [
     ({"fess_init_frac": -0.1}, "fess_init_frac"),
     ({"fess_init_frac": 1.5}, "fess_init_frac"),
@@ -377,6 +391,16 @@ def test_periodic_horizon_past_the_forecast_pad_is_a_config_error(tmp_path, caps
     ({"q_weights": ["a", 0.15, 0.1]}, "q_weights"),
     ({"scenario": {"calm_window_days": [0.01]}}, "scenario.calm_window_days"),
     ({"fess": {"rotor_inertias": ["a"]}}, "fess.rotor_inertias"),
+    # Device values that stopped the run with a traceback, or wrote NaN or
+    # ran a flywheel that charged when asked to discharge.
+    ({"h2_power_mw": -5}, "h2_power_mw"),
+    ({"turbine": {"rated": -1}}, "turbine.rated"),
+    ({"meoh": {"rated_power": -1}}, "meoh.rated_power"),
+    ({"battery_deg": {"rated_energy": 0}}, "battery_deg.rated_energy"),
+    ({"fess": {"lifetime_cycles": 0}}, "fess.lifetime_cycles"),
+    ({"fess": {"discount_rate": -1}}, "fess.discount_rate"),
+    ({"fess": {"power_cap": -1}}, "fess.power_cap"),
+    ({"baseline": {"soc_period_h": float("nan")}}, "baseline.soc_period_h"),
 ])
 def test_values_that_crashed_the_run_are_config_errors(tmp_path, capsys, override, path):
     # Each used to pass validate and then stop the run with a traceback

@@ -244,8 +244,13 @@ def test_debug_qp_dump(tmp_path):
 
 
 def _dense(path):
-    """The dense standard form of the problem a QP dump holds."""
-    return dense_problem(*read_dump(path))
+    """The dense standard form of the problem a QP dump holds; its terminal
+    row binds every step."""
+    st, lo, hi, terminal = read_dump(path)
+    if terminal is not None:
+        pattern, target = terminal
+        terminal = (pattern, st.n_steps, target)
+    return dense_problem(st, lo, hi, terminal)
 
 
 def test_proposed_qp_dump_is_the_one_step_problem(tmp_path):
@@ -278,9 +283,10 @@ def test_proposed_qp_dump_is_the_one_step_problem(tmp_path):
 
 
 def test_periodic_qp_dump_holds_the_terminal_row(tmp_path):
-    # The dump is the problem the periodic baseline solves: its only
-    # constraint row is the terminal equality, met at the run-start energy.
-    from hessmpc.mpc import freeze_efficiencies
+    # The dump is the problem the periodic baseline solves: the steps of its
+    # plan, whose only constraint row is the terminal equality over all of
+    # them, met at the run-start energy.
+    from hessmpc.mpc import freeze_efficiencies, periodic_plan
 
     cfg = _config(days=1.0 / 24.0, controller="periodic_soc", debug_qp_dump=True,
                   out_dir=str(tmp_path))
@@ -293,17 +299,17 @@ def test_periodic_qp_dump_holds_the_terminal_row(tmp_path):
     }
     for name, spec in cfg.layer_specs().items():
         g, ineq_lower, ineq_upper = _dense(tmp_path / f"qp_{name}.txt").ineq_rows()
-        k_end = min(spec.horizon, max(1, round(cfg.baseline.soc_period_h / spec.dt_h)))
-        row = np.zeros((spec.horizon, len(patterns[name])))
-        row[:k_end] = np.array(patterns[name]) * spec.dt_h
-        row = row.ravel()
+        plan = periodic_plan(spec, cfg.baseline.soc_period_h)
+        row = np.tile(np.array(patterns[name]) * spec.dt_h, plan)
         assert g.shape == (1, row.size), name
         assert np.array_equal(g[0], row), name
         assert ineq_lower.tolist() == ineq_upper.tolist() == [0.0]
 
 
 #: sha256 of the dense-form ``qp_L*.txt`` files that the two pinned dump
-#: cases of report_digests.json wrote before the dump took the step form.
+#: cases of report_digests.json wrote before the dump took the step form;
+#: the periodic L1 entry is that of its 24-step plan, where the dense dump
+#: held the 240-step horizon.
 DENSE_DUMP_DIGESTS = {
     "proposed-qp-dump": {
         "qp_L1.txt": "9fc144cd85c70b52ffe9e28b9e267b3e9fc0a9d2e6da21844ff7b58f6ba7a5b0",
@@ -311,7 +317,7 @@ DENSE_DUMP_DIGESTS = {
         "qp_L3.txt": "0722ec5e512df6b3c7f408f645469a1d7991a12606d67e5ce9a0be20e8bb4d3b",
     },
     "periodic-qp-dump": {
-        "qp_L1.txt": "d3db20b0f425a93cd81e1a4c675f39746c37804caa59b24d0f40f9a8bd9178f9",
+        "qp_L1.txt": "1206a9be0017b4fc755c53cf21d794e954e7e1aca926d5832688ae9dc55489da",
         "qp_L2.txt": "d116c783d4dd8c89712113e2e5d5ded1df7b20f90fcaa53860d0834294057bf3",
         "qp_L3.txt": "b96650bfc5abe274a4611e24b07e3a287845aa4e6a6414a7dc8d79f3f0cdf73f",
     },

@@ -106,7 +106,7 @@ def test_simple_bounds_first_step_tightened():
     spec = _spec_simple()
     st = EssState(energy=21.0, envelope=(20.0, 180.0), power_cap=100.0,
                   eta_c=0.95, eta_d=0.95)
-    lo, hi = simple_bounds(spec, st)
+    lo, hi = simple_bounds(spec, st, spec.horizon)
     assert np.all(lo == 0.0)
     # One minute of discharge cannot draw below the floor.
     assert hi[0, 1] == pytest.approx(1.0 * 0.95 * 60.0)
@@ -153,7 +153,7 @@ def test_zero_forecast_stays_idle():
     spec = _spec_simple(cost=0.0)
     st = EssState(energy=100.0, envelope=(20.0, 180.0), power_cap=100.0,
                   eta_c=0.95, eta_d=0.95)
-    lo, hi = simple_bounds(spec, st)
+    lo, hi = simple_bounds(spec, st, spec.horizon)
     dec = receding_step(spec, np.zeros(spec.horizon), lo, hi)
     assert dec.solution.status == OPTIMAL
     assert np.allclose(dec.u_applied, 0.0)
@@ -163,7 +163,7 @@ def test_constant_forecast_tracked():
     spec = _spec_simple(q=1.0, cost=1e-4)
     st = EssState(energy=100.0, envelope=(20.0, 180.0), power_cap=100.0,
                   eta_c=0.95, eta_d=0.95)
-    lo, hi = simple_bounds(spec, st)
+    lo, hi = simple_bounds(spec, st, spec.horizon)
     dec = receding_step(spec, np.full(spec.horizon, 50.0), lo, hi)
     assert dec.u_applied[1] == pytest.approx(50.0, abs=1e-3)
     assert 50.0 - dec.output == pytest.approx(0.0, abs=1e-3)
@@ -389,7 +389,7 @@ def test_explicit_step_matches_stacked_receding_step():
         st = EssState(energy=energy, envelope=(lo_env, hi_env), power_cap=100.0,
                       eta_c=float(rng.uniform(0.8, 1.0)), eta_d=float(rng.uniform(0.8, 1.0)))
         fc = rng.normal(0.0, 60.0, horizon)
-        lo, hi = simple_bounds(spec, st)
+        lo, hi = simple_bounds(spec, st, spec.horizon)
         caps = first_step_caps(spec, st)
         assert _bits(caps) == _bits(hi[0])
         kind = kinds[i % 3]

@@ -235,9 +235,10 @@ def test_four_actuator_separable_matches_active_set():
 
 
 def test_coupling_row_matches_active_set():
-    # The terminal row binds the steps before k_end; the steps from k_end on
-    # solve apart from the dual. The objective of each block must match the
-    # dense oracle's, which solves the whole problem at once.
+    # A full-horizon row that binds the steps before k_end: the solver plans
+    # those steps with the row, and the steps from k_end on apart without
+    # it. The objective of each block must match the dense oracle's, which
+    # solves the whole problem at once.
     rng = np.random.default_rng(9)
     c_y = np.array([-1.0, 1.0])
     pattern = np.array([0.9, -1.0 / 0.9]) * 0.25
@@ -252,17 +253,21 @@ def test_coupling_row_matches_active_set():
         b_max = float((np.where(pattern > 0, caps[:k_end], 0.0) * pattern).sum())
         b = float(rng.uniform(-0.2, 0.4)) * b_max
         layer = _layer(q, c_y, cost * 0.25, rv, 0.0, caps)
-        s_fast = solve_qp(*layer, terminal=(pattern, k_end, b))
+        head, tail = oracles.split_steps(*layer, k_end)
+        s_head = solve_qp(*head, terminal=(pattern, b))
         s_ref = solve_dense(dense_problem(*layer, terminal=(pattern, k_end, b)))
         assert s_ref.status == OPTIMAL
-        assert s_fast.objective == pytest.approx(s_ref.objective, rel=1e-6, abs=1e-6), trial
-        u = s_fast.u_star.reshape(n, 2)
-        assert abs(float((u[:k_end] @ pattern).sum()) - b) < 1e-5
-        for steps in (slice(k_end), slice(k_end, None)):
-            part = layer[0].take(steps)
-            got = _objective_from_structure(part, u[steps])
-            want = _objective_from_structure(part, s_ref.u_star.reshape(n, 2)[steps])
-            assert got == pytest.approx(want, rel=1e-6, abs=1e-6), (trial, steps)
+        u_ref = s_ref.u_star.reshape(n, 2)
+        u_head = s_head.u_star.reshape(k_end, 2)
+        assert abs(float((u_head @ pattern).sum()) - b) < 1e-5
+        want = _objective_from_structure(head[0], u_ref[:k_end])
+        assert s_head.objective == pytest.approx(want, rel=1e-6, abs=1e-6), trial
+        if k_end < n:
+            s_tail = solve_qp(*tail)
+            want = _objective_from_structure(tail[0], u_ref[k_end:])
+            assert s_tail.objective == pytest.approx(want, rel=1e-6, abs=1e-6), trial
+            assert s_head.objective + s_tail.objective == \
+                pytest.approx(s_ref.objective, rel=1e-6, abs=1e-6), trial
         free_blocks += k_end < n
     assert free_blocks >= 15
 
@@ -270,7 +275,7 @@ def test_coupling_row_matches_active_set():
 def test_coupling_row_slack_reported():
     layer = _layer(1.0, [-1.0, 1.0], [0.1, 0.1], np.zeros(3), 0.0, 10.0)
     # Target beyond what the box can ever store.
-    s = solve_qp(*layer, terminal=(np.array([0.9, -1.0 / 0.9]), 3, 100.0))
+    s = solve_qp(*layer, terminal=(np.array([0.9, -1.0 / 0.9]), 100.0))
     assert s.coupling_slack > 0.0
 
 
@@ -280,7 +285,7 @@ def test_terminal_row_refuses_band_rows():
     layer = _layer(1.0, [-1.0, 1.0], [0.1, 0.1], np.zeros(3), 0.0, 10.0,
                    band_lo=[-1.0, -np.inf, -np.inf], band_hi=[1.0, np.inf, np.inf])
     with pytest.raises(ValueError, match="band rows"):
-        solve_qp(*layer, terminal=(np.array([0.9, -1.0 / 0.9]), 3, 1.0))
+        solve_qp(*layer, terminal=(np.array([0.9, -1.0 / 0.9]), 1.0))
 
 
 def test_min_norm_tiebreak_on_singular_hessian():
@@ -301,11 +306,11 @@ def test_validate_rejects_asymmetric():
         validate(p)
 
 
-@pytest.mark.parametrize("terminal", [None, (np.array([0.95, -1.0 / 0.9]), 2, -0.0)],
+@pytest.mark.parametrize("terminal", [None, (np.array([0.95, -1.0 / 0.9]), -0.0)],
                          ids=["no_terminal", "terminal"])
 def test_dump_problem_round_trips_bit_for_bit(tmp_path, terminal):
     # Every block reads back with its bits: signed zeros, infinite band
-    # edges, the integer fields and the terminal row.
+    # edges, the integer field and the terminal row.
     st, lo, hi = _layer(0.1 + 0.2, [-1.0, 1.0], [1.0 / 3.0, 0.0], [-0.0, 2.5e-300, 7.0],
                         [-0.0, 0.0], [50.0, 1e-7], band_lo=[-np.inf, -1.0, 0.0],
                         band_hi=[np.inf, 1.0 / 7.0, -0.0])
@@ -321,8 +326,8 @@ def test_dump_problem_round_trips_bit_for_bit(tmp_path, terminal):
         assert terminal2 is None
     else:
         assert terminal2[0].tobytes() == terminal[0].tobytes()
-        assert terminal2[1:] == terminal[1:]
-        assert math.copysign(1.0, terminal2[2]) == -1.0
+        assert terminal2[1] == terminal[1]
+        assert math.copysign(1.0, terminal2[1]) == -1.0
     dump_problem(tmp_path / "again.txt", st2, lo2, hi2, terminal2)
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
