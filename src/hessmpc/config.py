@@ -17,6 +17,7 @@ import dataclasses
 import json
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -105,7 +106,6 @@ class EngineConfig:
     c_l2: tuple[float, float] = (0.35, 0.35)
     c_l3: tuple[float, float] = (0.50, 0.50)
     c_l4: float = 0.80
-    l3_norm_power: int = 2
     # Receding-horizon measurement feedback: each layer de-biases its
     # forecast window by the previous step's observed error, decayed
     # geometrically over the horizon. 0 disables.
@@ -148,7 +148,6 @@ class EngineConfig:
                 cost_vec=np.array(self.c_l3),
                 output_row=np.array([-1.0, 1.0]),
                 u_max=np.array([self.bess.power_mw, self.bess.power_mw]),
-                norm_power=self.l3_norm_power,
             ),
         }
 
@@ -182,27 +181,45 @@ def run_length_error(days: float) -> str | None:
     return None
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def seed_error(seed: int) -> str | None:
+    """Why the integer ``seed`` is not a scenario seed; None if it is one."""
+    return None if seed >= 0 else f"must be a non-negative integer, got {seed}"
+
+
+def _is_finite(value) -> bool:
+    """True for a number, not a bool, that a float holds finitely."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
 
 
 def _shape_errors(config, default, prefix: str = "") -> list[Finding]:
-    """A finding for each number or tuple field of ``default`` whose value
-    in ``config`` is no number, or no sequence of as many numbers (of any
-    number of them where the default is empty); sections recurse."""
+    """A finding for each field of ``default`` whose value in ``config`` is
+    not of its default's kind: a section or a mapping is an object, a bool
+    a bool, an integer an integer, a number a finite number, a string a
+    string, and a tuple holds as many finite numbers (any number of them
+    where the default is empty); sections recurse."""
     out = []
     for f in dataclasses.fields(default):
         want, got = getattr(default, f.name), getattr(config, f.name)
+        path = prefix + f.name
         if dataclasses.is_dataclass(want) and dataclasses.is_dataclass(got):
-            out += _shape_errors(got, want, f"{prefix}{f.name}.")
+            out += _shape_errors(got, want, path + ".")
+        elif dataclasses.is_dataclass(want) or isinstance(want, dict) and not isinstance(got, dict):
+            out.append(Finding("error", path, f"must be an object, got {got!r}"))
         elif isinstance(want, tuple):
             count = f"{len(want)} " if want else ""
             if not isinstance(got, (tuple, list)) or (want and len(got) != len(want)):
-                out.append(Finding("error", prefix + f.name, f"must hold {count}values"))
-            elif not all(map(_is_number, got)):
-                out.append(Finding("error", prefix + f.name, f"must hold {count}numbers"))
-        elif _is_number(want) and not _is_number(got):
-            out.append(Finding("error", prefix + f.name, f"must be a number, got {got!r}"))
+                out.append(Finding("error", path, f"must hold {count}values"))
+            elif not all(map(_is_finite, got)):
+                out.append(Finding("error", path, f"must hold {count}finite numbers"))
+        elif isinstance(want, (bool, str)):
+            if type(got) is not type(want):
+                out.append(Finding("error", path, f"must be a {type(want).__name__}, got {got!r}"))
+        elif isinstance(want, numbers.Integral):
+            if not (_is_finite(got) and isinstance(got, numbers.Integral)):
+                out.append(Finding("error", path, f"must be an integer, got {got!r}"))
+        elif _is_finite(want) and not _is_finite(got):
+            out.append(Finding("error", path, f"must be a finite number, got {got!r}"))
     return out
 
 
@@ -245,41 +262,40 @@ def validate(config: EngineConfig) -> list[Finding]:
                  "meoh.rated_power", "turbine.rated", "fess.power_cap",
                  "battery_deg.rated_energy"):
         val = reduce(getattr, path.split("."), config)
-        if not 0.0 < val < np.inf:
-            err(path, f"must be positive and finite, got {val}")
+        if val <= 0.0:
+            err(path, f"must be positive, got {val}")
     for path, least in (("fess.lifetime_cycles", 1), ("fess.discount_rate", 0)):
         val = reduce(getattr, path.split("."), config)
-        if not least <= val < np.inf:
-            err(path, f"must be finite and at least {least}, got {val}")
+        if val < least:
+            err(path, f"must be at least {least}, got {val}")
     for i, q in enumerate(config.q_weights):
         if q <= 0.0:
             err(f"q_weights[{i}]", "tracking weights must be positive")
     for i, r in enumerate(config.r_weights):
         if r < 0.0:
             err(f"r_weights[{i}]", "cost weights must be non-negative")
+    seed_problem = seed_error(config.scenario.seed)
+    if seed_problem:
+        err("scenario.seed", seed_problem)
     for key in ("n1", "n2", "n3"):
         if getattr(config, key) < 1:
             err(key, "horizon must hold at least one step")
-    if config.l3_norm_power not in (2, 3):
-        err("l3_norm_power", "must be 2 or 3")
     if not 0.0 <= config.forecast_bias_decay < 1.0:
         err("forecast_bias_decay", "must lie in [0, 1)")
     if config.mtip.eps_db < 0.0:
         err("mtip.eps_db", "deadband must be non-negative")
     period = config.baseline.soc_period_h
-    if not 0.0 < period < np.inf:
-        err("baseline.soc_period_h", f"must be positive and finite, got {period}")
+    if period <= 0.0:
+        err("baseline.soc_period_h", f"must be positive, got {period}")
     try:  # a layer that cannot be built is reported by the checks above
         specs = config.layer_specs()
     except ValueError:
         specs = None
     if config.controller == "periodic_soc":
-        if config.l3_norm_power == 3:
-            err("l3_norm_power", "cubic penalty is not available with the periodic-SOC baseline")
         # The forecast runs n1 hours past the run end, so the last decision's
         # window holds its own step and at most the pad's steps after it;
         # the periodic law reads the steps it plans.
-        if specs is not None and 0.0 < period < np.inf:
+        if specs is not None and period > 0.0:
             for key, name, per_hour in (("n2", "L2", 4), ("n3", "L3", 60)):
                 most = per_hour * config.n1 + 1
                 if periodic_plan(specs[name], period) > most:
@@ -311,9 +327,9 @@ def validate(config: EngineConfig) -> list[Finding]:
             val = getattr(eff, name)
             if not 0.0 < val <= 1.0:
                 err(section, f"idle-point efficiency {name} must lie in (0, 1], got {val}")
-    if not -273.0 < config.ambient_temp_c < np.inf:
+    if config.ambient_temp_c <= -273.0:
         # The degradation model's stress factor divides by 273 + T.
-        err("ambient_temp_c", f"must be finite and above -273, got {config.ambient_temp_c}")
+        err("ambient_temp_c", f"must be above -273, got {config.ambient_temp_c}")
 
     if config.n2 * 0.25 < 1.0:
         warn("n2", "L2 horizon shorter than one L1 step")
@@ -328,19 +344,20 @@ def validate(config: EngineConfig) -> list[Finding]:
             err(f"scenario.forecast_accuracy.{layer}", "names no layer; the layers are L1, L2 and L3")
         elif not 0.0 < acc <= 1.0:
             err(f"scenario.forecast_accuracy.{layer}", f"must lie in (0, 1], got {acc}")
-    if config.csv_path is not None and not os.path.exists(config.csv_path):
-        err("csv_path", f"file '{config.csv_path}' does not exist")
+    csv = config.csv_path
+    if csv is not None and not (isinstance(csv, str) and os.path.exists(csv)):
+        err("csv_path", f"must be null or the path of an existing file, got {csv!r}")
     window = config.scenario.calm_window_days
     if window is not None:
         # No default shape to check it against: the default is None.
         if not (isinstance(window, (tuple, list)) and len(window) == 2
-                and all(map(_is_number, window))):
+                and all(map(_is_finite, window))):
             err("scenario.calm_window_days", "must be null or hold 2 numbers")
         elif not 0.0 <= window[0] < window[1] <= config.scenario.duration_days:
             err("scenario.calm_window_days", "window must lie inside the run")
     try:
         TariffConfig(config.tariff.tou_schedule, config.tariff.capacity_rate)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         err("tariff.tou_schedule", str(exc))
     c0, c1 = config.baseline.filter_cutoffs
     if not c0 > 0.5:
@@ -348,8 +365,8 @@ def validate(config: EngineConfig) -> list[Finding]:
         err("baseline.filter_cutoffs", f"the first corner must round to at least 1 s, got {c0}")
     if not c0 < c1:
         err("baseline.filter_cutoffs", "cutoffs must be strictly ordered")
-    if not c1 < config.baseline.trend_cutoff_s < np.inf:
-        err("baseline.trend_cutoff_s", "trend cutoff must be finite and exceed the second corner")
+    if not c1 < config.baseline.trend_cutoff_s:
+        err("baseline.trend_cutoff_s", "trend cutoff must exceed the second corner")
     return out
 
 
@@ -363,13 +380,6 @@ def require_valid(config: EngineConfig) -> None:
 # ----------------------------------------------------------------------
 # JSON round trip with includes
 # ----------------------------------------------------------------------
-
-_TUPLE_FIELDS = {
-    "envelope_frac", "energy_envelope", "rotor_inertias", "j_range",
-    "q_weights", "r_weights", "c_l1", "c_l2", "c_l3", "filter_cutoffs",
-    "calm_window_days",
-}
-
 
 def _undataclass(obj):
     if dataclasses.is_dataclass(obj):
@@ -410,16 +420,19 @@ def _unknown_keys(default, data: dict, prefix: str = "") -> list[str]:
     return out
 
 
-def _build(default, data: dict):
+def _build(default, data: dict, prefix: str = ""):
     """``default`` with the fields ``data`` names replaced; a nested object
-    overrides its section of ``default`` field by field."""
+    overrides its section of ``default`` field by field, and a list is a
+    tuple wherever the default is not a list."""
     kwargs = {}
     for f in dataclasses.fields(default):
         if f.name not in data:
             continue
         val = data[f.name]
         base = getattr(default, f.name)
-        if f.name == "tariff" and isinstance(val, dict):
+        if (dataclasses.is_dataclass(base) or isinstance(base, dict)) and not isinstance(val, dict):
+            raise ConfigError(f"{prefix}{f.name}: must be an object, got {val!r}")
+        if f.name == "tariff":
             if "tou_schedule" not in val:
                 raise ConfigError(
                     "tariff.tou_schedule: missing; a tariff object must give its "
@@ -428,11 +441,11 @@ def _build(default, data: dict):
             sched = [((a, b), p) for (a, b), p in
                      ((tuple(rng), p) for rng, p in val["tou_schedule"])]
             kwargs[f.name] = TariffConfig(sched, val.get("capacity_rate", base.capacity_rate))
-        elif dataclasses.is_dataclass(base) and isinstance(val, dict):
-            kwargs[f.name] = _build(base, val)
-        elif f.name in _TUPLE_FIELDS and isinstance(val, list):
+        elif dataclasses.is_dataclass(base):
+            kwargs[f.name] = _build(base, val, f"{prefix}{f.name}.")
+        elif isinstance(val, list) and not isinstance(base, list):
             kwargs[f.name] = tuple(val)
-        elif f.name == "forecast_accuracy" and isinstance(val, dict):
+        elif isinstance(base, dict):
             kwargs[f.name] = dict(val)
         else:
             kwargs[f.name] = val
@@ -459,11 +472,15 @@ def load_config(path: str) -> EngineConfig:
     the including file) merged in order before the file's own keys.
     """
     def load_raw(p: str) -> dict:
-        with open(p, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(p, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{p}: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"{p}: {exc.strerror}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{p}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{p}: must hold a JSON object, got {type(data).__name__}")
         includes = data.pop("include", [])
         merged: dict = {}
         for inc in includes:

@@ -44,7 +44,9 @@ class TariffConfig:
         spans = sorted(self.tou_schedule)
         covered = 0.0
         prev_end = 0.0
-        for (h0, h1), _ in spans:
+        for (h0, h1), price in spans:
+            if not all(map(math.isfinite, (h0, h1, price))):
+                raise ValueError("tou_schedule hours and prices must be finite")
             if h0 < prev_end - 1e-9:
                 raise ValueError("tou_schedule ranges overlap")
             if h0 > prev_end + 1e-9:

@@ -50,7 +50,7 @@ class LayerSpec:
     dt_h is the step in hours, horizon the number of steps, tracking_weight
     and cost_weight the Q/R pair, cost_vec the per-actuator price
     (currency/MWh), output_row the grid-output map, u_max rated actuator
-    powers (MW). norm_power keeps the flagged cubic-penalty switch.
+    powers (MW). The tracking penalty is quadratic in every layer.
     """
 
     layer_id: str
@@ -61,7 +61,6 @@ class LayerSpec:
     cost_vec: np.ndarray
     output_row: np.ndarray
     u_max: np.ndarray
-    norm_power: int = 2
 
     def __post_init__(self):
         self.cost_vec = np.asarray(self.cost_vec, dtype=np.float64)
@@ -71,8 +70,6 @@ class LayerSpec:
             raise ValueError("tracking weight must be positive")
         if self.horizon < 1:
             raise ValueError("horizon must hold at least one step")
-        if self.norm_power not in (2, 3):
-            raise ValueError("norm_power must be 2 or 3")
 
 
 @dataclass
@@ -311,7 +308,7 @@ def build_layer_problem(
     return StepStructure(
         c_y=spec.output_row, q=spec.tracking_weight, rhat=rhat,
         price=spec.cost_weight * spec.cost_vec * spec.dt_h,
-        band_lo=band_lo, band_hi=band_hi, norm_power=spec.norm_power,
+        band_lo=band_lo, band_hi=band_hi,
     )
 
 
@@ -395,7 +392,7 @@ def explicit_step(
     price = [spec.cost_weight * c * spec.dt_h for c in cost]
     if charge_discharge_form(c_y, price, any(lo0)):
         i_d = 0 if c_y[0] > 0 else 1
-        args = (spec.tracking_weight, spec.norm_power, price[i_d], price[1 - i_d],
+        args = (spec.tracking_weight, price[i_d], price[1 - i_d],
                 r0, float(hi0[i_d]), float(hi0[1 - i_d]))
 
         def solve(band_lo, band_hi):
@@ -420,7 +417,7 @@ def explicit_step(
         st = StepStructure(
             c_y=spec.output_row, q=spec.tracking_weight, rhat=np.array([r0]),
             price=np.array(price), band_lo=np.array([band_lo]),
-            band_hi=np.array([band_hi]), norm_power=spec.norm_power,
+            band_hi=np.array([band_hi]),
         )
         u, _, feasible = _solve_steps(st, lo_row, hi_row)
         return u[0] if feasible else None

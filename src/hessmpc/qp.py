@@ -1,7 +1,7 @@
 """The layer problems and their solvers.
 
 Every control layer solves the same shape of problem over its horizon
-(:class:`StepStructure`): a per-step tracking penalty
+(:class:`StepStructure`): a per-step quadratic tracking penalty
 ``q * (rhat_i - c_y . u_i)^2``, one linear price row shared by every step,
 per-step input boxes and optional residual-band rows. :func:`solve_qp`
 solves it on that step structure, with no dense form:
@@ -39,7 +39,6 @@ solutions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +61,7 @@ class StepStructure:
     forecast per step; price the linear price per input, shared by every
     step (already scaled by the cost weight and the step length);
     band_lo/band_hi bound the post-dispatch residual per step (+-inf where
-    absent). norm_power selects the tracking penalty exponent (2, or 3 for
-    the flagged literal-cubic variant).
+    absent); q weighs the quadratic tracking penalty.
     """
 
     c_y: np.ndarray
@@ -72,7 +70,6 @@ class StepStructure:
     price: np.ndarray         # (nu,)
     band_lo: np.ndarray       # (N,)
     band_hi: np.ndarray       # (N,)
-    norm_power: int = 2
 
     @property
     def n_steps(self) -> int:
@@ -117,7 +114,6 @@ def charge_discharge_form(c_y, price, has_floor: bool) -> bool:
 
 def charge_discharge_step(
     q: float,
-    norm_power: int,
     g_d: float,
     g_c: float,
     rhat: float,
@@ -135,30 +131,18 @@ def charge_discharge_step(
     the achievable output range. The output is returned as computed, not
     rebuilt from the two inputs, which would lose the sign of a zero.
     """
-    if norm_power == 2:
-        shift_d = g_d / (2.0 * q)
-        shift_c = g_c / (2.0 * q)
-    else:
-        shift_d = math.sqrt(g_d / (3.0 * q))
-        shift_c = math.sqrt(g_c / (3.0 * q))
     # Clips pick the second operand on ties, as np.maximum does (Python's
     # max picks the first); that decides the sign of a zero result.
-    y_up = rhat - shift_d
+    y_up = rhat - g_d / (2.0 * q)
     y_up = y_up if y_up > 0.0 else 0.0
     y_up = y_up if y_up < cap_d else cap_d
-    y_dn = rhat + shift_c
+    y_dn = rhat + g_c / (2.0 * q)
     y_dn = y_dn if y_dn < 0.0 else 0.0
     y_dn = y_dn if y_dn > -cap_c else -cap_c
     d_up = rhat - y_up
     d_dn = rhat - y_dn
-    if norm_power == 2:
-        f_up = q * d_up * d_up + g_d * y_up
-        f_dn = q * d_dn * d_dn - g_c * y_dn
-    else:
-        # An array power: numpy's pow kernel, as in the fill-order solve.
-        cubes = np.abs(np.array((d_up, d_dn))) ** 3
-        f_up = q * cubes[0] + g_d * y_up
-        f_dn = q * cubes[1] - g_c * y_dn
+    f_up = q * d_up * d_up + g_d * y_up
+    f_dn = q * d_dn * d_dn - g_c * y_dn
     y = y_up if f_up <= f_dn else y_dn
     # The objective is convex in y, so clipping the global argmin into the
     # band window yields the constrained argmin.
@@ -297,7 +281,7 @@ def _charge_discharge_steps(st: StepStructure, hi: np.ndarray,
     window misses its achievable output range."""
     i_d = 0 if st.c_y[0] > 0 else 1
     g_d, g_c = float(price[i_d]), float(price[1 - i_d])
-    moves = [charge_discharge_step(st.q, st.norm_power, g_d, g_c, *step)
+    moves = [charge_discharge_step(st.q, g_d, g_c, *step)
              for step in zip(st.rhat.tolist(), hi[:, i_d].tolist(), hi[:, 1 - i_d].tolist(),
                              st.band_lo.tolist(), st.band_hi.tolist())]
     if None in moves:
@@ -355,10 +339,7 @@ def _fill_solve(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
     # constant across the elements it clips. Both clips here take bounds as
     # large as the candidates, as the one-row clips of a per-candidate scan
     # do, so the zero signs of the results are the same.
-    if st.norm_power == 2:
-        toward = [g * r / (2.0 * q) for g, r in zip(plan.toward, rate)]
-    else:
-        toward = [g * math.sqrt(max(r, 0.0) / (3.0 * q)) for g, r in zip(plan.toward, rate)]
+    toward = [g * r / (2.0 * q) for g, r in zip(plan.toward, rate)]
     cand = np.empty((rows + 1, n))
     cand[0] = plan.cand0
     moved = cand[1:]
@@ -369,7 +350,7 @@ def _fill_solve(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
     # Objective of every candidate: tracking plus the fill-order cost, summed
     # one move at a time from zero.
     d = rhat - cand
-    obj = q * d * d if st.norm_power == 2 else q * np.abs(d) ** 3
+    obj = q * d * d
     beyond = np.maximum(cand * plan.sign - plan.y_signed, 0.0)   # past base, (S, R+1, N)
     fill = _clip(beyond[:, None] - plan.prev, 0.0, plan.caps)     # of each move, (S, m, R+1, N)
     spent = fill * np.array(rate).reshape(plan.du.shape + (1,))
@@ -402,11 +383,8 @@ def _solve_steps(st: StepStructure, lo: np.ndarray,
 
 
 def _objective_from_structure(st: StepStructure, u: np.ndarray) -> float:
-    y = u @ st.c_y
-    d = st.rhat - y
-    track = st.q * float((d * d).sum()) if st.norm_power == 2 else \
-        st.q * float((np.abs(d) ** 3).sum())
-    return track + float((st.price * u).sum())
+    d = st.rhat - u @ st.c_y
+    return st.q * float((d * d).sum()) + float((st.price * u).sum())
 
 
 # ----------------------------------------------------------------------
@@ -564,7 +542,7 @@ def dump_problem(path, st: StepStructure, lo, hi, terminal=None) -> None:
     row of :func:`solve_qp` if given, as ``# name rows cols`` blocks of
     ``repr`` values (debug interface): one row per step for rhat, the band
     and the boxes, one row for every other block."""
-    head = {"c_y": st.c_y, "q": st.q, "norm_power": st.norm_power, "price": st.price}
+    head = {"c_y": st.c_y, "q": st.q, "price": st.price}
     steps = {"rhat": st.rhat, "band_lo": st.band_lo, "band_hi": st.band_hi,
              "var_lower": lo, "var_upper": hi}
     tail = dict(zip(("pattern", "target"), terminal or ()))

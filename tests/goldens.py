@@ -318,7 +318,6 @@ def report_cases(work_dir: str):
 
     day = prepare_scenario(config(1.0, 3, "balanced"))
     yield "proposed-balanced-1d-s3", config(1.0, 3, "balanced"), day
-    yield "proposed-l3-cubic", config(1.0, 3, "balanced", l3_norm_power=3), day
     yield "proposed-qp-dump", config(1.0, 3, "balanced", debug_qp_dump=True), day
     quarter = prepare_scenario(config(0.25, 8, "oversupply"))
     for controller in ("periodic_soc", "filter"):

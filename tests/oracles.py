@@ -81,8 +81,6 @@ def dense_problem(st: StepStructure, lo, hi, terminal=None) -> QpProblem:
     standard form, ``H = 2 C' (I x Q) C``: band rows first, then, if given,
     the row of ``terminal = (pattern, k_end, target)`` as an equality:
     ``pattern . u_i`` summed over the steps before k_end equals target."""
-    if st.norm_power != 2:
-        raise ValueError("dense form only exists for the quadratic penalty")
     n, nu = st.n_steps, st.nu
     h = np.zeros((n * nu, n * nu))
     block = 2.0 * st.q * np.outer(st.c_y, st.c_y)
@@ -142,7 +140,7 @@ def read_dump(path) -> tuple[StepStructure, np.ndarray, np.ndarray, tuple | None
     st = StepStructure(
         c_y=blocks["c_y"][0], q=float(blocks["q"][0, 0]), rhat=blocks["rhat"].ravel(),
         price=blocks["price"][0], band_lo=blocks["band_lo"].ravel(),
-        band_hi=blocks["band_hi"].ravel(), norm_power=int(blocks["norm_power"][0, 0]),
+        band_hi=blocks["band_hi"].ravel(),
     )
     terminal = None
     if "pattern" in blocks:
@@ -549,7 +547,6 @@ def _fill_solve(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
     """The fill-order solve at the prices whose moves are ``moves``."""
     n = st.n_steps
     q = st.q
-    pw = st.norm_power
     rhat = st.rhat
     y_base, caps, prev = plan.y_base, plan.caps, plan.prev
     nm = len(moves)
@@ -567,10 +564,7 @@ def _fill_solve(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
     # have, so the zero signs of the results are the same.
     cand = np.empty((nm + 1, n))
     cand[0] = plan.cand0
-    if pw == 2:
-        shift = rates / (2.0 * q)
-    else:
-        shift = np.array([np.sqrt(max(r, 0.0) / (3.0 * q)) for r in rate]).reshape(2, m)
+    shift = rates / (2.0 * q)
     target = np.empty((2, m, n))
     np.subtract(rhat, shift[0][:, None], out=target[0])
     np.add(rhat, shift[1][:, None], out=target[1])
@@ -581,7 +575,7 @@ def _fill_solve(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
     # Objective of every candidate: tracking plus the fill-order cost, summed
     # one move at a time from zero.
     d = rhat - cand
-    obj = q * d * d if pw == 2 else q * np.abs(d) ** 3
+    obj = q * d * d
     dev = cand - y_base
     beyond = np.empty((2, nm + 1, 1, n))                   # past base, up and down
     np.maximum(dev, 0.0, out=beyond[0, :, 0])

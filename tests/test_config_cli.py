@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import math
+import numbers
 import os
+from functools import reduce
 
 import pytest
 
@@ -51,31 +54,19 @@ def test_horizon_below_one_step_is_a_config_error(tmp_path, capsys, key):
     assert f"{key}: horizon must hold at least one step" in capsys.readouterr().err
 
 
-def test_cubic_norm_flag():
-    cfg = EngineConfig()
-    cfg.l3_norm_power = 3
-    assert validate(cfg) == []
-    cfg.controller = "periodic_soc"
-    assert any(f.path == "l3_norm_power" for f in validate(cfg))
-    cfg.l3_norm_power = 4
-    cfg.controller = "proposed"
-    assert any(f.path == "l3_norm_power" for f in validate(cfg))
-
-
-def test_cubic_penalty_run_dumps_its_problem(tmp_path, capsys):
-    # The step form carries the penalty exponent, so the cubic L3 problem
-    # has a dump like any other.
+def test_cubic_norm_flag(tmp_path, capsys):
+    # Every layer tracks with the quadratic penalty; the knob of the cubic L3
+    # variant fails as a misspelled key does.
+    assert "l3_norm_power" not in to_dict(EngineConfig())
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "l3_norm_power": 3, "debug_qp_dump": True,
-        "scenario": {"duration_days": 1.0 / 24.0},
-    }))
-    assert main(["validate", "--config", str(cfg_path)]) == 0
+    cfg_path.write_text(json.dumps({"l3_norm_power": 3}))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert "unknown configuration keys: l3_norm_power" in capsys.readouterr().err
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    powers = {name: read_dump(out / f"qp_{name}.txt")[0].norm_power
-              for name in ("L1", "L2", "L3")}
-    assert powers == {"L1": 2, "L2": 2, "L3": 3}
+    assert main(["run", "--config", str(cfg_path), "--days", "0.041666666666666664",
+                 "--out", str(out)]) == 2
+    assert "unknown configuration keys: l3_norm_power" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_round_trip(tmp_path):
@@ -143,6 +134,12 @@ def test_cli_validate_unknown_keys(tmp_path, capsys):
 def test_from_dict_tuple_coercion():
     cfg = from_dict({"q_weights": [0.3, 0.2, 0.1]})
     assert cfg.q_weights == (0.3, 0.2, 0.1)
+    # A list reads back as a tuple wherever the default is one, in every
+    # section, and stays a list where the default is a list.
+    back = from_dict(to_dict(EngineConfig()))
+    for path, default in _fields(EngineConfig()):
+        if isinstance(default, (tuple, list)):
+            assert type(reduce(getattr, path.split("."), back)) is type(default), path
 
 
 def test_cli_validate_ok(capsys):
@@ -269,13 +266,13 @@ def test_band_traces_written(tmp_path):
             assert (out / f"band_{layer}_{comp}.csv").exists()
 
 
-def test_validate_reports_deadband_and_cubic_periodic_together():
+def test_validate_reports_deadband_and_periodic_pad_together():
     cfg = EngineConfig()
     cfg.mtip.eps_db = -1.0
-    cfg.l3_norm_power = 3
+    cfg.n1 = 1
     cfg.controller = "periodic_soc"
     paths = {f.path for f in validate(cfg) if f.severity == "error"}
-    assert {"mtip.eps_db", "l3_norm_power"} <= paths
+    assert {"mtip.eps_db", "n2"} <= paths
 
 
 def test_tariff_without_schedule_is_a_config_error(tmp_path, capsys):
@@ -286,6 +283,14 @@ def test_tariff_without_schedule_is_a_config_error(tmp_path, capsys):
     rc = main(["validate", "--config", str(path)])
     assert rc == 2
     assert "tariff.tou_schedule" in capsys.readouterr().err
+
+
+def test_non_finite_tariff_price_is_a_config_error():
+    # A NaN price ran and wrote NaN into metrics.json.
+    tariff = to_dict(EngineConfig())["tariff"]
+    tariff["tou_schedule"][0][1] = float("nan")
+    with pytest.raises(ConfigError, match="tou_schedule hours and prices must be finite"):
+        from_dict({"tariff": tariff})
 
 
 @pytest.mark.parametrize("override, path", [
@@ -401,6 +406,27 @@ def test_periodic_plan_inside_the_forecast_pad_runs(tmp_path, capsys):
     ({"fess": {"discount_rate": -1}}, "fess.discount_rate"),
     ({"fess": {"power_cap": -1}}, "fess.power_cap"),
     ({"baseline": {"soc_period_h": float("nan")}}, "baseline.soc_period_h"),
+    # Values of the wrong kind: a NaN or 1e400 (read as infinity) number or
+    # tuple entry, a fractional integer. They stopped the run with a NaN
+    # band, non-finite values or an envelope error, or with a TypeError
+    # (exit 1), with an unaligned series (exit 3), or ran and wrote NaN into
+    # metrics.json, which is no valid JSON.
+    ({"mtip": {"kappa": float("nan")}}, "mtip.kappa"),
+    ({"vic": {"k_pf": float("nan")}}, "vic.k_pf"),
+    ({"vic": {"baseline_mw": float("nan")}}, "vic.baseline_mw"),
+    ({"mtip": {"eps_db": 1e400}}, "mtip.eps_db"),
+    ({"meoh_init_mwh": 1e400}, "meoh_init_mwh"),
+    ({"scenario": {"balanced_surplus_mw": 1e400}}, "scenario.balanced_surplus_mw"),
+    ({"scenario": {"wind_capacity": float("nan")}}, "scenario.wind_capacity"),
+    ({"bess": {"energy_mwh": 1e400}}, "bess.energy_mwh"),
+    ({"c_l1": [0.6, float("nan"), 0.3, 0.9]}, "c_l1"),
+    ({"c_l4": 1e400}, "c_l4"),
+    ({"fess": {"decay_factor": float("nan")}}, "fess.decay_factor"),
+    ({"battery_deg": {"invest": float("nan")}}, "battery_deg.invest"),
+    ({"tariff": {**to_dict(EngineConfig())["tariff"], "capacity_rate": float("nan")}},
+     "tariff.capacity_rate"),
+    ({"scenario": {"seed": 1.5}}, "scenario.seed"),
+    ({"n1": 2.5}, "n1"),
 ])
 def test_values_that_crashed_the_run_are_config_errors(tmp_path, capsys, override, path):
     # Each used to pass validate and then stop the run with a traceback
@@ -504,3 +530,87 @@ def test_pemfc_hhv_is_an_unknown_key(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"pemfc": {"hhv": 40.0}}))
     assert main(["validate", "--config", str(cfg_path)]) == 2
     assert "unknown configuration keys: pemfc.hhv" in capsys.readouterr().err
+
+
+def _fields(obj, prefix=""):
+    """(dotted path, value) of every field of ``obj``, sections before the
+    fields they hold."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        yield prefix + f.name, value
+        if dataclasses.is_dataclass(value):
+            yield from _fields(value, f"{prefix}{f.name}.")
+
+
+def _wrong_kinds(default):
+    """Values of another kind than ``default``'s, which validate must name."""
+    if dataclasses.is_dataclass(default) or isinstance(default, dict):
+        return [5]
+    if isinstance(default, tuple):
+        return [tuple(bad if j == i else v for j, v in enumerate(default))
+                for i in range(len(default)) for bad in (math.nan, math.inf)]
+    if isinstance(default, (bool, str)):
+        return [1]
+    if isinstance(default, numbers.Integral):
+        return [math.nan, math.inf, 2.5]
+    if isinstance(default, numbers.Real):
+        return [math.nan, math.inf]
+    return []
+
+
+def test_validate_names_every_field_of_the_wrong_kind():
+    # Walks the default tree, so a new field is covered as it is added: a
+    # section or a mapping set to a number, a non-finite number or tuple
+    # entry, a fractional integer, a bool or a string set to a number.
+    checked = 0
+    for path, default in _fields(EngineConfig()):
+        *parents, name = path.split(".")
+        for bad in _wrong_kinds(default):
+            cfg = EngineConfig()
+            # Device sections are frozen; each EngineConfig() has its own.
+            object.__setattr__(reduce(getattr, parents, cfg), name, bad)
+            assert [f.path for f in validate(cfg)] == [path], (path, bad)
+            checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize("override, path", [
+    ({"scenario": 5}, "scenario"),
+    ({"scenario": {"forecast_accuracy": 5}}, "scenario.forecast_accuracy"),
+])
+def test_section_that_is_no_object_is_a_config_error(tmp_path, capsys, override, path):
+    # Each stopped with an AttributeError (exit 1); the first in validate
+    # itself.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(override))
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {path}: must be an object, got 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "compare", "synth"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    # numpy refuses a negative seed: the run stopped with a ValueError
+    # traceback (exit 1) after validate had passed it.
+    out = tmp_path / "out"
+    assert main([command, "--seed", "-1", "--days", "0.041666666666666664",
+                 "--out", str(out)]) == 2
+    assert "scenario.seed: must be a non-negative integer, got -1" in "".join(capsys.readouterr())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("files, named", [
+    ({}, "cfg.json"),
+    ({"cfg.json": '{"include": ["gone.json"]}'}, "gone.json"),
+    ({"cfg.json": "[1, 2]"}, "cfg.json"),
+], ids=["missing", "missing_include", "not_an_object"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, files, named):
+    # Each stopped every command with a traceback (exit 1).
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {tmp_path / named}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

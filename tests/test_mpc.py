@@ -371,17 +371,16 @@ def _random_band(rng, kind, r0, y_lo, y_hi):
 
 def test_explicit_step_matches_stacked_receding_step():
     rng = np.random.default_rng(20021)
-    seen = {"feasible": 0, "drop": 0, "zero_headroom": 0, "cubic": 0, "l1_floor": 0}
+    seen = {"feasible": 0, "drop": 0, "zero_headroom": 0, "l1_floor": 0}
     kinds = ("none", "feasible", "drop")
     for i in range(400):
         horizon = int(rng.integers(1, 13))
-        norm_power = 3 if i % 4 == 3 else 2
         spec = LayerSpec(
             layer_id="L3", dt_h=float(rng.choice([1.0 / 60.0, 0.25])),
             horizon=horizon, tracking_weight=float(rng.uniform(0.01, 2.0)),
             cost_weight=float(rng.uniform(0.0, 2.0)),
             cost_vec=rng.uniform(0.0, 5.0, 2), output_row=np.array([-1.0, 1.0]),
-            u_max=rng.uniform(1.0, 100.0, 2), norm_power=norm_power,
+            u_max=rng.uniform(1.0, 100.0, 2),
         )
         lo_env, hi_env = 20.0, 180.0
         edge = i % 5
@@ -403,7 +402,6 @@ def test_explicit_step_matches_stacked_receding_step():
         elif kind == "drop":
             seen["drop"] += law.band_dropped
         seen["zero_headroom"] += min(caps) == 0.0
-        seen["cubic"] += norm_power == 3
 
     for i in range(120):
         horizon = int(rng.integers(1, 25))

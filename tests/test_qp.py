@@ -310,17 +310,16 @@ def test_validate_rejects_asymmetric():
                          ids=["no_terminal", "terminal"])
 def test_dump_problem_round_trips_bit_for_bit(tmp_path, terminal):
     # Every block reads back with its bits: signed zeros, infinite band
-    # edges, the integer field and the terminal row.
+    # edges and the terminal row.
     st, lo, hi = _layer(0.1 + 0.2, [-1.0, 1.0], [1.0 / 3.0, 0.0], [-0.0, 2.5e-300, 7.0],
                         [-0.0, 0.0], [50.0, 1e-7], band_lo=[-np.inf, -1.0, 0.0],
                         band_hi=[np.inf, 1.0 / 7.0, -0.0])
-    st.norm_power = 3
     path = tmp_path / "dump.txt"
     dump_problem(path, st, lo, hi, terminal)
     st2, lo2, hi2, terminal2 = read_dump(path)
     for name in ("c_y", "rhat", "price", "band_lo", "band_hi"):
         assert getattr(st2, name).tobytes() == getattr(st, name).tobytes(), name
-    assert (st2.q, st2.norm_power) == (st.q, 3)
+    assert st2.q == st.q
     assert lo2.tobytes() == lo.tobytes() and hi2.tobytes() == hi.tobytes()
     if terminal is None:
         assert terminal2 is None
