@@ -12,9 +12,7 @@ import json
 import os
 import sys
 
-from .config import (
-    EngineConfig, load_config, run_length_error, save_config, seed_error, validate,
-)
+from .config import EngineConfig, load_config, require_valid, save_config, validate
 from .engine import prepare_scenario, run, write_report
 from .errors import ConfigError, HessError, LedgerClosureError, QpInfeasible
 from .scenario import synthesize
@@ -104,11 +102,7 @@ def cmd_compare(args) -> int:
 
 def cmd_synth(args) -> int:
     config = _load(args)
-    scenario = config.scenario
-    for path, error in (("scenario.duration_days", run_length_error(scenario.duration_days)),
-                        ("scenario.seed", seed_error(scenario.seed))):
-        if error:
-            raise ConfigError(f"{path}: {error}")
+    require_valid(config)
     ts = synthesize(config.scenario)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "netload.csv")

@@ -19,7 +19,6 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .errors import ConfigError
 from .metrics import TariffConfig
 from .mpc import LayerSpec, freeze_efficiencies, periodic_plan
 from .mtip import marginal_cost
-from .scenario import ScenarioConfig
+from .scenario import ARCHETYPES, ScenarioConfig
 from .vic import VicParams
 
 
@@ -170,34 +169,107 @@ class Finding:
     message: str
 
 
-def run_length_error(days: float) -> str | None:
-    """Why ``days`` is not a run length, a positive whole number of hours;
-    None if it is one."""
-    span_s = days * 86400.0
-    # round() refuses NaN and infinity; they count as no run at all.
-    run_s = round(span_s) if 0.0 < span_s < np.inf else 0
-    if run_s < 3600 or run_s % 3600:
-        return f"run length must be a positive whole number of hours, got {days} days"
-    return None
-
-
-def seed_error(seed: int) -> str | None:
-    """Why the integer ``seed`` is not a scenario seed; None if it is one."""
-    return None if seed >= 0 else f"must be a non-negative integer, got {seed}"
-
-
 def _is_finite(value) -> bool:
     """True for a number, not a bool, that a float holds finitely."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) \
         and abs(value) <= sys.float_info.max
 
 
+def _interval(text: str, message: str | None = None):
+    """The test and the message of an interval written as in mathematics,
+    such as ``"(0, 1]"`` or ``"[1, inf)"``. Without a message of its own, a
+    bounded interval reads "must lie in (0, 1]" and an upper-unbounded one
+    "must be positive", "non-negative", "above a" or "at least a"."""
+    lo, hi = (float(bound) for bound in text[1:-1].split(","))
+    lo_open, hi_open = text[0] == "(", text[-1] == ")"
+
+    def holds(val) -> bool:
+        return (lo < val if lo_open else lo <= val) and (val < hi if hi_open else val <= hi)
+
+    if message is None:
+        if hi < np.inf:
+            message = f"must lie in {text}"
+        elif lo == 0.0:
+            message = "must be positive" if lo_open else "must be non-negative"
+        else:
+            message = f"must be {'above' if lo_open else 'at least'} {lo:g}"
+    return holds, message
+
+
+#: The value rule of each single field, path -> (test, message): a path
+#: reads a tuple entry as ``name[i]`` and a mapping entry as ``name.key``.
+_RULES = {path: _interval(*rule) for path, *rule in (
+    *((f"{store}.{side}", "(0, 1]") for store in ("bess", "caes", "fess")
+      for side in ("eta_c", "eta_d")),
+    ("bess.init_frac", "[0, 1]"), ("caes.init_frac", "[0, 1]"),
+    ("fess_init_frac", "[0, 1]"), ("tank_init_frac", "[0, 1]"),
+    ("bess.self_discharge", "[0, 1)"), ("caes.self_discharge", "[0, 1)"),
+    ("forecast_bias_decay", "[0, 1)"),
+    *((f"scenario.forecast_accuracy.{layer}", "(0, 1]") for layer in ("L1", "L2", "L3")),
+    # Rated powers and energies cap the inputs and the flywheel's injection,
+    # and the costs divide by them; the flywheel's levelized cost sums over
+    # its cycle life at a discount rate that a negative one makes overflow.
+    *((path, "(0, inf)") for path in (
+        "bess.power_mw", "caes.power_mw", "h2_power_mw", "tank_cap_mwh",
+        "meoh.rated_power", "turbine.rated", "fess.power_cap", "battery_deg.rated_energy")),
+    ("fess.lifetime_cycles", "[1, inf)"), ("fess.discount_rate", "[0, inf)"),
+    ("meoh_init_mwh", "[0, inf)"),
+    *((f"q_weights[{i}]", "(0, inf)") for i in range(3)),
+    *((f"r_weights[{i}]", "[0, inf)") for i in range(3)),
+    *((key, "[1, inf)", "horizon must hold at least one step") for key in ("n1", "n2", "n3")),
+    ("scenario.seed", "[0, inf)", "must be a non-negative integer"),
+    ("mtip.eps_db", "[0, inf)"),
+    ("baseline.soc_period_h", "(0, inf)"),
+    # The degradation model's stress factor divides by 273 + T.
+    ("ambient_temp_c", "(-273, inf)"),
+    ("vic.k_pf", "(0, inf)"), ("vic.k_p", "(0, inf)"), ("vic.k_d", "(0, inf)"),
+    ("awe.area", "(0, inf)"), ("awe.n_cells", "[1, inf)"),
+)}
+
+
+def _value(config, path: str):
+    """The value at ``path`` (see :data:`_RULES`); None for an absent
+    mapping entry."""
+    name, _, index = path.partition("[")
+    val = config
+    for key in name.split("."):
+        val = val.get(key) if isinstance(val, dict) else getattr(val, key)
+    return val[int(index[:-1])] if index else val
+
+
+def _schedule_error(schedule) -> str | None:
+    """Why ``schedule`` is no time-of-use schedule, ((hour_start, hour_end),
+    price) entries whose half-open hour ranges cover 24 h without overlap;
+    None if it is one."""
+    pair = (tuple, list)
+    if not (isinstance(schedule, pair) and all(
+            isinstance(e, pair) and len(e) == 2 and isinstance(e[0], pair) and len(e[0]) == 2
+            for e in schedule)):
+        return f"must hold ((hour_start, hour_end), price) entries, got {schedule!r}"
+    spans = [(h0, h1, price) for (h0, h1), price in schedule]
+    if not all(_is_finite(v) for span in spans for v in span):
+        return "tou_schedule hours and prices must be finite"
+    covered = 0.0
+    prev_end = 0.0
+    for h0, h1, _ in sorted(spans):
+        if h0 < prev_end - 1e-9:
+            return "tou_schedule ranges overlap"
+        if h0 > prev_end + 1e-9:
+            return "tou_schedule leaves a gap"
+        covered += h1 - h0
+        prev_end = h1
+    if abs(covered - 24.0) > 1e-9:
+        return "tou_schedule must cover 24 h"
+    return None
+
+
 def _shape_errors(config, default, prefix: str = "") -> list[Finding]:
     """A finding for each field of ``default`` whose value in ``config`` is
-    not of its default's kind: a section or a mapping is an object, a bool
-    a bool, an integer an integer, a number a finite number, a string a
-    string, and a tuple holds as many finite numbers (any number of them
-    where the default is empty); sections recurse."""
+    not of its default's kind: a section or a mapping is an object, a
+    mapping's entries finite numbers, a bool a bool, an integer an integer,
+    a number a finite number, a string a string, and a tuple holds as many
+    finite numbers (any number of them where the default is empty);
+    sections recurse."""
     out = []
     for f in dataclasses.fields(default):
         want, got = getattr(default, f.name), getattr(config, f.name)
@@ -206,6 +278,9 @@ def _shape_errors(config, default, prefix: str = "") -> list[Finding]:
             out += _shape_errors(got, want, path + ".")
         elif dataclasses.is_dataclass(want) or isinstance(want, dict) and not isinstance(got, dict):
             out.append(Finding("error", path, f"must be an object, got {got!r}"))
+        elif isinstance(want, dict):
+            out += [Finding("error", f"{path}.{key}", f"must be a finite number, got {val!r}")
+                    for key, val in got.items() if not _is_finite(val)]
         elif isinstance(want, tuple):
             count = f"{len(want)} " if want else ""
             if not isinstance(got, (tuple, list)) or (want and len(got) != len(want)):
@@ -224,9 +299,10 @@ def _shape_errors(config, default, prefix: str = "") -> list[Finding]:
 
 
 def validate(config: EngineConfig) -> list[Finding]:
-    """Exhaustive cross-field checks; findings are the output, never raises.
-    A field of the wrong shape or type is reported alone: the other checks
-    compare the numbers and index the tuples."""
+    """Every value rule of the configuration, each finding at its field
+    path; findings are the output, never raises. The sections check nothing
+    themselves. A field of the wrong shape or type is reported alone: the
+    other checks compare the numbers and index the tuples."""
     out = _shape_errors(config, EngineConfig())
     if out:
         return out
@@ -237,56 +313,33 @@ def validate(config: EngineConfig) -> list[Finding]:
     def warn(path, msg):
         out.append(Finding("warning", path, msg))
 
-    for name, store in (("bess", config.bess), ("caes", config.caes)):
-        for side in ("eta_c", "eta_d"):
-            val = getattr(store, side)
-            if not 0.0 < val <= 1.0:
-                err(f"{name}.{side}", f"must lie in (0, 1], got {val}")
-        lo, hi = store.envelope_frac
+    for path, (holds, message) in _RULES.items():
+        val = _value(config, path)
+        if val is not None and not holds(val):
+            err(path, f"{message}, got {val}")
+    for name in ("bess", "caes"):
+        lo, hi = frac = getattr(config, name).envelope_frac
         if not 0.0 <= lo < hi <= 1.0:
-            err(f"{name}.envelope_frac", f"must satisfy 0 <= lo < hi <= 1, got {store.envelope_frac}")
-        if not 0.0 <= store.init_frac <= 1.0:
-            err(f"{name}.init_frac", "must lie in [0, 1]")
-        if not 0.0 <= store.self_discharge < 1.0:
-            err(f"{name}.self_discharge", "must lie in [0, 1)")
-    for side in ("eta_c", "eta_d"):
-        val = getattr(config.fess, side)
-        if not 0.0 < val <= 1.0:
-            err(f"fess.{side}", f"must lie in (0, 1], got {val}")
-    if not 0.0 <= config.fess_init_frac <= 1.0:
-        err("fess_init_frac", "must lie in [0, 1]")
-    # Rated powers and energies cap the inputs and the flywheel's injection,
-    # and the costs divide by them; the flywheel's levelized cost sums over
-    # its cycle life at a discount rate that a negative one makes overflow.
-    for path in ("bess.power_mw", "caes.power_mw", "h2_power_mw", "tank_cap_mwh",
-                 "meoh.rated_power", "turbine.rated", "fess.power_cap",
-                 "battery_deg.rated_energy"):
-        val = reduce(getattr, path.split("."), config)
-        if val <= 0.0:
-            err(path, f"must be positive, got {val}")
-    for path, least in (("fess.lifetime_cycles", 1), ("fess.discount_rate", 0)):
-        val = reduce(getattr, path.split("."), config)
-        if val < least:
-            err(path, f"must be at least {least}, got {val}")
-    for i, q in enumerate(config.q_weights):
-        if q <= 0.0:
-            err(f"q_weights[{i}]", "tracking weights must be positive")
-    for i, r in enumerate(config.r_weights):
-        if r < 0.0:
-            err(f"r_weights[{i}]", "cost weights must be non-negative")
-    seed_problem = seed_error(config.scenario.seed)
-    if seed_problem:
-        err("scenario.seed", seed_problem)
-    for key in ("n1", "n2", "n3"):
-        if getattr(config, key) < 1:
-            err(key, "horizon must hold at least one step")
-    if not 0.0 <= config.forecast_bias_decay < 1.0:
-        err("forecast_bias_decay", "must lie in [0, 1)")
-    if config.mtip.eps_db < 0.0:
-        err("mtip.eps_db", "deadband must be non-negative")
+            err(f"{name}.envelope_frac", f"must satisfy 0 <= lo < hi <= 1, got {frac}")
+    fess, meoh, deg = config.fess, config.meoh, config.battery_deg
+    lo, hi = fess.energy_envelope
+    if not lo < hi:
+        err("fess.energy_envelope", f"must satisfy lo < hi, got {fess.energy_envelope}")
+    if fess.decay_factor * fess.lifetime_cycles >= 1.0:
+        err("fess.decay_factor", "capacity would decay to zero within the cycle life: "
+            f"decay_factor * lifetime_cycles must be below 1, got "
+            f"{fess.decay_factor * fess.lifetime_cycles}")
+    if not 0.0 < meoh.rho_min <= meoh.rho_star <= 1.0:
+        err("meoh.rho_min", "must satisfy 0 < rho_min <= rho_star <= 1, got "
+            f"rho_min {meoh.rho_min} and rho_star {meoh.rho_star}")
+    for low, high in (("x_min", "x_max"), ("s_min", "s_max")):
+        if getattr(meoh, low) > getattr(meoh, high):
+            err(f"meoh.{low}", f"must not exceed {high}, got {getattr(meoh, low)} "
+                f"> {getattr(meoh, high)}")
+    if deg.alpha_sei + deg.alpha_sds >= 1.0:
+        err("battery_deg.alpha_sei", f"alpha_sei + alpha_sds must be below 1, got "
+            f"{deg.alpha_sei + deg.alpha_sds}")
     period = config.baseline.soc_period_h
-    if period <= 0.0:
-        err("baseline.soc_period_h", f"must be positive, got {period}")
     try:  # a layer that cannot be built is reported by the checks above
         specs = config.layer_specs()
     except ValueError:
@@ -313,10 +366,6 @@ def validate(config: EngineConfig) -> list[Finding]:
                         f"marginal cost of band child {child} must be positive, got {lam}")
         if config.c_l4 <= 0.0:
             err("c_l4", f"marginal cost of band child L4 must be positive, got {config.c_l4}")
-    if not 0.0 <= config.tank_init_frac <= 1.0:
-        err("tank_init_frac", "must lie in [0, 1]")
-    if config.meoh_init_mwh < 0.0:
-        err("meoh_init_mwh", "must be non-negative")
     try:  # the hydrogen chain's efficiencies before a load sets them
         eff = freeze_efficiencies(config.awe, config.pemfc, config.meoh, config.turbine)
     except (ArithmeticError, ValueError) as exc:
@@ -327,23 +376,25 @@ def validate(config: EngineConfig) -> list[Finding]:
             val = getattr(eff, name)
             if not 0.0 < val <= 1.0:
                 err(section, f"idle-point efficiency {name} must lie in (0, 1], got {val}")
-    if config.ambient_temp_c <= -273.0:
-        # The degradation model's stress factor divides by 273 + T.
-        err("ambient_temp_c", f"must be above -273, got {config.ambient_temp_c}")
 
     if config.n2 * 0.25 < 1.0:
         warn("n2", "L2 horizon shorter than one L1 step")
     if config.n3 * 1.0 < 15.0:
         warn("n3", "L3 horizon shorter than one L2 step")
 
-    length_error = run_length_error(config.scenario.duration_days)
-    if length_error:
-        err("scenario.duration_days", length_error)
-    for layer, acc in config.scenario.forecast_accuracy.items():
+    days = config.scenario.duration_days
+    span_s = days * 86400.0
+    # A span that overflows to infinity counts as no run at all.
+    run_s = round(span_s) if 0.0 < span_s < np.inf else 0
+    if run_s < 3600 or run_s % 3600:
+        err("scenario.duration_days",
+            f"run length must be a positive whole number of hours, got {days} days")
+    for layer in config.scenario.forecast_accuracy:
         if layer not in ("L1", "L2", "L3"):
             err(f"scenario.forecast_accuracy.{layer}", "names no layer; the layers are L1, L2 and L3")
-        elif not 0.0 < acc <= 1.0:
-            err(f"scenario.forecast_accuracy.{layer}", f"must lie in (0, 1], got {acc}")
+    if config.scenario.archetype not in ARCHETYPES:
+        err("scenario.archetype", f"unknown archetype '{config.scenario.archetype}'; "
+            f"the archetypes are {', '.join(ARCHETYPES)}")
     csv = config.csv_path
     if csv is not None and not (isinstance(csv, str) and os.path.exists(csv)):
         err("csv_path", f"must be null or the path of an existing file, got {csv!r}")
@@ -353,12 +404,11 @@ def validate(config: EngineConfig) -> list[Finding]:
         if not (isinstance(window, (tuple, list)) and len(window) == 2
                 and all(map(_is_finite, window))):
             err("scenario.calm_window_days", "must be null or hold 2 numbers")
-        elif not 0.0 <= window[0] < window[1] <= config.scenario.duration_days:
+        elif not 0.0 <= window[0] < window[1] <= days:
             err("scenario.calm_window_days", "window must lie inside the run")
-    try:
-        TariffConfig(config.tariff.tou_schedule, config.tariff.capacity_rate)
-    except (TypeError, ValueError) as exc:
-        err("tariff.tou_schedule", str(exc))
+    schedule_error = _schedule_error(config.tariff.tou_schedule)
+    if schedule_error:
+        err("tariff.tou_schedule", schedule_error)
     c0, c1 = config.baseline.filter_cutoffs
     if not c0 > 0.5:
         # The filter's first trailing mean spans round(c0) samples.
@@ -432,16 +482,7 @@ def _build(default, data: dict, prefix: str = ""):
         base = getattr(default, f.name)
         if (dataclasses.is_dataclass(base) or isinstance(base, dict)) and not isinstance(val, dict):
             raise ConfigError(f"{prefix}{f.name}: must be an object, got {val!r}")
-        if f.name == "tariff":
-            if "tou_schedule" not in val:
-                raise ConfigError(
-                    "tariff.tou_schedule: missing; a tariff object must give its "
-                    "time-of-use schedule"
-                )
-            sched = [((a, b), p) for (a, b), p in
-                     ((tuple(rng), p) for rng, p in val["tou_schedule"])]
-            kwargs[f.name] = TariffConfig(sched, val.get("capacity_rate", base.capacity_rate))
-        elif dataclasses.is_dataclass(base):
+        if dataclasses.is_dataclass(base):
             kwargs[f.name] = _build(base, val, f"{prefix}{f.name}.")
         elif isinstance(val, list) and not isinstance(base, list):
             kwargs[f.name] = tuple(val)
@@ -459,19 +500,17 @@ def from_dict(data: dict) -> EngineConfig:
     unknown = _unknown_keys(default, data)
     if unknown:
         raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
-    try:
-        return _build(default, data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad configuration: {exc}") from exc
+    return _build(default, data)
 
 
 def load_config(path: str) -> EngineConfig:
     """Load a JSON config file.
 
     A top-level ``include`` key lists other config files (paths relative to
-    the including file) merged in order before the file's own keys.
+    the including file) merged in order before the file's own keys. A file
+    that includes itself, directly or through others, is an error.
     """
-    def load_raw(p: str) -> dict:
+    def load_raw(p: str, chain: tuple[str, ...]) -> dict:
         try:
             with open(p, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -482,14 +521,18 @@ def load_config(path: str) -> EngineConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"{p}: must hold a JSON object, got {type(data).__name__}")
         includes = data.pop("include", [])
+        if not (isinstance(includes, list) and all(isinstance(i, str) for i in includes)):
+            raise ConfigError(f"{p}: include: must be a list of file names, got {includes!r}")
+        chain += (os.path.realpath(p),)
         merged: dict = {}
         for inc in includes:
-            inc_path = inc if os.path.isabs(inc) else \
-                os.path.join(os.path.dirname(os.path.abspath(p)), inc)
-            merged = _merge(merged, load_raw(inc_path))
+            inc_path = os.path.join(os.path.dirname(os.path.abspath(p)), inc)
+            if os.path.realpath(inc_path) in chain:
+                raise ConfigError(f"{p}: include: {inc!r} is already being loaded, a cycle")
+            merged = _merge(merged, load_raw(inc_path, chain))
         return _merge(merged, data)
 
-    return from_dict(load_raw(path))
+    return from_dict(load_raw(path, ()))
 
 
 def save_config(config: EngineConfig, path: str) -> None:

@@ -46,10 +46,6 @@ class BatteryDegParams:
     rated_energy: float = 200.0
     om_rate: float = 0.0
 
-    def __post_init__(self):
-        if self.alpha_sei + self.alpha_sds >= 1.0:
-            raise ValueError("alpha_sei + alpha_sds must be below 1")
-
 
 def battery_soh(d_sds: float, p: BatteryDegParams) -> float:
     """State of health for accumulated damage ``d_sds`` (clamped at 0).

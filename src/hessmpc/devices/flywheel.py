@@ -43,15 +43,6 @@ class FessParams:
     decay_factor: float = 1.0e-6
     discount_rate: float = 0.0
 
-    def __post_init__(self):
-        if not (0.0 < self.eta_c <= 1.0 and 0.0 < self.eta_d <= 1.0):
-            raise ValueError("efficiencies must lie in (0, 1]")
-        lo, hi = self.energy_envelope
-        if not lo < hi:
-            raise ValueError("energy envelope must satisfy lo < hi")
-        if self.decay_factor * self.lifetime_cycles >= 1.0:
-            raise ValueError("capacity would decay to zero within the cycle life")
-
 
 def fess_virtual_inertia(params: FessParams, delta_f: float, delta_omega_e: float) -> float:
     """Equivalent virtual inertia of the bank in kg*m^2.

@@ -56,12 +56,6 @@ class AweParams:
     j_nominal: float = 0.4
     j_range: tuple[float, float] = (0.1, 1.0)
 
-    def __post_init__(self):
-        if self.area <= 0.0:
-            raise ValueError("area must be positive")
-        if self.n_cells < 1:
-            raise ValueError("n_cells must be at least 1")
-
 
 def awe_cell_voltage(i: float, p: AweParams) -> float:
     """Cell terminal voltage in V at stack current ``i`` (A).

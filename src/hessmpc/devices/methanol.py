@@ -38,12 +38,6 @@ class MeohParams:
     molar_mass_meoh: float = 32.042e-3
     rated_power: float = 200.0
 
-    def __post_init__(self):
-        if not 0.0 < self.rho_min <= self.rho_star <= 1.0:
-            raise ValueError("require 0 < rho_min <= rho_star <= 1")
-        if self.x_min > self.x_max or self.s_min > self.s_max:
-            raise ValueError("bounds must be ordered")
-
 
 def meoh_conversion(rho: float, p: MeohParams) -> tuple[float, float, float]:
     """Conversion, selectivity and chemical efficiency at relative load ``rho``.

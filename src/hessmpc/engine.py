@@ -87,7 +87,8 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
     if config.csv_path is not None:
         raw = ingest_csv(config.csv_path)
         if raw.dt != 1.0:
-            raise ConfigError("ingested actuals must be sampled at 1 s")
+            raise ConfigError(f"csv_path: '{config.csv_path}' is sampled every {raw.dt:g} s; "
+                              "ingested actuals must be sampled at 1 s")
         vals = raw.values
         if vals.size < run_seconds:
             raise ConfigError(

@@ -40,22 +40,6 @@ class TariffConfig:
     )
     capacity_rate: float = 10000.0
 
-    def __post_init__(self):
-        spans = sorted(self.tou_schedule)
-        covered = 0.0
-        prev_end = 0.0
-        for (h0, h1), price in spans:
-            if not all(map(math.isfinite, (h0, h1, price))):
-                raise ValueError("tou_schedule hours and prices must be finite")
-            if h0 < prev_end - 1e-9:
-                raise ValueError("tou_schedule ranges overlap")
-            if h0 > prev_end + 1e-9:
-                raise ValueError("tou_schedule leaves a gap")
-            covered += h1 - h0
-            prev_end = h1
-        if abs(covered - 24.0) > 1e-9:
-            raise ValueError("tou_schedule must cover 24 h")
-
     def hourly_prices(self) -> np.ndarray:
         """Price per whole hour of day (currency/MWh)."""
         prices = np.zeros(24)

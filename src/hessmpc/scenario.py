@@ -50,13 +50,6 @@ class ScenarioConfig:
     # must fund those losses; zero starves the stores over a week.
     balanced_surplus_mw: float = 18.0
 
-    def __post_init__(self):
-        if self.archetype not in ARCHETYPES:
-            raise ValueError(f"unknown archetype '{self.archetype}'")
-        for layer, acc in self.forecast_accuracy.items():
-            if not 0.0 < acc <= 1.0:
-                raise ValueError(f"accuracy for {layer} must lie in (0, 1]")
-
 
 def _ar1(rng: np.random.Generator, n: int, phi: float) -> np.ndarray:
     """Unit-variance AR(1) series of length n."""

@@ -41,10 +41,6 @@ class VicParams:
     k_d: float = 25.0
     baseline_mw: float = 0.0
 
-    def __post_init__(self):
-        if self.k_pf <= 0.0 or self.k_p <= 0.0 or self.k_d <= 0.0:
-            raise ValueError("all gains must be positive")
-
 
 def close_residual(
     residual: list[float],

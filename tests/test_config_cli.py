@@ -104,10 +104,10 @@ def test_bad_json_raises_config_error(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(path))
+    # A value that breaks a rule loads; validate names it.
     path2 = tmp_path / "badfield.json"
     path2.write_text(json.dumps({"scenario": {"archetype": "bogus"}}))
-    with pytest.raises(ConfigError):
-        load_config(str(path2))
+    assert [f.path for f in validate(load_config(str(path2)))] == ["scenario.archetype"]
 
 
 def test_unknown_keys_named_by_path():
@@ -275,22 +275,24 @@ def test_validate_reports_deadband_and_periodic_pad_together():
     assert {"mtip.eps_db", "n2"} <= paths
 
 
-def test_tariff_without_schedule_is_a_config_error(tmp_path, capsys):
-    with pytest.raises(ConfigError, match="tariff.tou_schedule"):
-        from_dict({"tariff": {"capacity_rate": 5.0}})
+def test_tariff_without_schedule_keeps_the_default_schedule(tmp_path, capsys):
+    # The tariff section is built over its default like every other section.
+    cfg = from_dict({"tariff": {"capacity_rate": 5.0}})
+    want = to_dict(EngineConfig())
+    want["tariff"]["capacity_rate"] = 5.0
+    assert to_dict(cfg) == want
     path = tmp_path / "tariff.json"
     path.write_text(json.dumps({"tariff": {"capacity_rate": 5.0}}))
-    rc = main(["validate", "--config", str(path)])
-    assert rc == 2
-    assert "tariff.tou_schedule" in capsys.readouterr().err
+    assert main(["validate", "--config", str(path)]) == 0
+    assert "configuration valid" in capsys.readouterr().out
 
 
 def test_non_finite_tariff_price_is_a_config_error():
     # A NaN price ran and wrote NaN into metrics.json.
     tariff = to_dict(EngineConfig())["tariff"]
     tariff["tou_schedule"][0][1] = float("nan")
-    with pytest.raises(ConfigError, match="tou_schedule hours and prices must be finite"):
-        from_dict({"tariff": tariff})
+    assert validate(from_dict({"tariff": tariff})) == [Finding(
+        "error", "tariff.tou_schedule", "tou_schedule hours and prices must be finite")]
 
 
 @pytest.mark.parametrize("override, path", [
@@ -431,12 +433,75 @@ def test_periodic_plan_inside_the_forecast_pad_runs(tmp_path, capsys):
 def test_values_that_crashed_the_run_are_config_errors(tmp_path, capsys, override, path):
     # Each used to pass validate and then stop the run with a traceback
     # (exit 1) or an envelope violation (exit 3).
+    _assert_config_error(tmp_path, capsys, override, path)
+
+
+def _assert_config_error(tmp_path, capsys, override, path):
+    """validate and run both exit 2 on ``override`` naming ``path``, and run
+    writes no output directory."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(override))
     assert main(["validate", "--config", str(cfg_path)]) == 2
     assert f"error: {path}: " in capsys.readouterr().out
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--days", "0.041666666666666664",
+                 "--out", str(out)]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, path", [
+    ({"scenario": {"archetype": "bogus"}}, "scenario.archetype"),
+    ({"scenario": {"forecast_accuracy": {"L1": 1.5}}}, "scenario.forecast_accuracy.L1"),
+    ({"scenario": {"forecast_accuracy": {"L2": float("nan")}}}, "scenario.forecast_accuracy.L2"),
+    ({"scenario": {"forecast_accuracy": {"L3": None}}}, "scenario.forecast_accuracy.L3"),
+    ({"tariff": {"tou_schedule": [[[0, 24], float("nan")]]}}, "tariff.tou_schedule"),
+    ({"tariff": {"tou_schedule": [[[0, 13], 1], [[12, 24], 2]]}}, "tariff.tou_schedule"),
+    ({"tariff": {"tou_schedule": [[[0, 11], 1], [[12, 24], 2]]}}, "tariff.tou_schedule"),
+    ({"tariff": {"tou_schedule": [[[0, 12], 1]]}}, "tariff.tou_schedule"),
+    ({"tariff": {"tou_schedule": [[0, 24, 5]]}}, "tariff.tou_schedule"),
+    ({"tariff": {"tou_schedule": 5}}, "tariff.tou_schedule"),
+    ({"vic": {"k_pf": -1}}, "vic.k_pf"),
+    ({"vic": {"k_p": 0}}, "vic.k_p"),
+    ({"vic": {"k_d": -25}}, "vic.k_d"),
+    ({"fess": {"eta_c": 1.5}}, "fess.eta_c"),
+    ({"fess": {"energy_envelope": [1.9, 0.1]}}, "fess.energy_envelope"),
+    ({"fess": {"decay_factor": 1e-3, "lifetime_cycles": 2000}}, "fess.decay_factor"),
+    ({"awe": {"area": 0}}, "awe.area"),
+    ({"awe": {"n_cells": 0}}, "awe.n_cells"),
+    ({"meoh": {"rho_min": 0.9}}, "meoh.rho_min"),
+    ({"meoh": {"rho_star": 1.5}}, "meoh.rho_min"),
+    ({"meoh": {"x_min": 0.9}}, "meoh.x_min"),
+    ({"meoh": {"s_min": 0.99}}, "meoh.s_min"),
+    ({"battery_deg": {"alpha_sei": 0.9}}, "battery_deg.alpha_sei"),
+])
+def test_section_value_rules_are_config_errors_at_their_path(tmp_path, capsys, override, path):
+    # The sections checked these values themselves, inside from_dict: the
+    # error came without its path and hid every other finding.
+    _assert_config_error(tmp_path, capsys, override, path)
+
+
+def test_section_rules_are_reported_with_every_other_finding(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"vic": {"k_pf": -1}, "meoh": {"x_min": 0.9},
+                                    "bess": {"eta_c": 2}}))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    out = capsys.readouterr().out
+    for path in ("vic.k_pf", "meoh.x_min", "bess.eta_c"):
+        assert f"error: {path}: " in out, path
+
+
+@pytest.mark.parametrize("override, path", [
+    ({"scenario": {"seed": 1.5}}, "scenario.seed"),
+    ({"scenario": {"wind_capacity": float("nan")}}, "scenario.wind_capacity"),
+])
+def test_synth_checks_the_whole_config(tmp_path, capsys, override, path):
+    # synth checked only the run length and the seed's sign: these stopped
+    # it with a TypeError and a ValueError traceback (exit 1).
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(override))
+    out = tmp_path / "synth"
+    assert main(["synth", "--config", str(cfg_path), "--days", "0.125",
                  "--out", str(out)]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err
     assert not out.exists()
@@ -613,4 +678,23 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, files, named
         assert main([command, "--config", str(tmp_path / "cfg.json"),
                      "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {tmp_path / named}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("files, named", [
+    ({"cfg.json": '{"include": "x.json"}'}, "cfg.json"),
+    ({"cfg.json": '{"include": [5]}'}, "cfg.json"),
+    ({"cfg.json": '{"include": ["cfg.json"]}'}, "cfg.json"),
+    ({"cfg.json": '{"include": ["b.json"]}', "b.json": '{"include": ["cfg.json"]}'},
+     "b.json"),
+], ids=["string", "not_a_name", "self", "cycle"])
+def test_bad_include_is_a_config_error(tmp_path, capsys, files, named):
+    # A string was read one character at a time, a number stopped with a
+    # TypeError and a cycle with a RecursionError (both exit 1).
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {tmp_path / named}: include: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -76,5 +76,7 @@ def test_lcoe_single_cycle_discounted():
 
 
 def test_lcoe_rejects_decayed_out_life():
-    with pytest.raises(ValueError):
-        FessParams(decay_factor=1e-3, lifetime_cycles=2000)
+    # The flywheel section's value rules live in config.validate.
+    from hessmpc.config import EngineConfig, validate
+    cfg = EngineConfig(fess=FessParams(decay_factor=1e-3, lifetime_cycles=2000))
+    assert [f.path for f in validate(cfg)] == ["fess.decay_factor"]

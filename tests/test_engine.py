@@ -183,6 +183,21 @@ def test_csv_shorter_than_run_is_rejected(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+def test_csv_not_sampled_at_one_second_is_rejected_at_its_path(tmp_path, capsys):
+    # The step error named no field, unlike the short-CSV error.
+    from hessmpc.cli import main
+    from hessmpc.timeseries import TimeSeries, write_csv
+    path = tmp_path / "netload.csv"
+    write_csv({path: TimeSeries(0.0, 2.0, np.full(7200, 40.0))})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"csv_path": str(path)}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--days", str(1.0 / 24.0),
+                 "--out", str(out)]) == 2
+    assert f"config error: csv_path: '{path}' is sampled every 2 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_periodic_baseline_schema_and_events():
     cfg = _config(days=1.0, seed=5, archetype="deficit")
     data = prepare_scenario(cfg)

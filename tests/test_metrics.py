@@ -105,11 +105,14 @@ def test_round_trip_never_exceeds_best_device():
 
 
 def test_tariff_coverage_validation():
-    with pytest.raises(ValueError):
-        TariffConfig(tou_schedule=[((0.0, 12.0), 100.0)], capacity_rate=0.0)
-    with pytest.raises(ValueError):
-        TariffConfig(tou_schedule=[((0.0, 13.0), 100.0), ((12.0, 24.0), 200.0)],
-                     capacity_rate=0.0)
+    # The tariff's schedule rule lives in config.validate.
+    from hessmpc.config import EngineConfig, validate
+    for schedule, message in (([((0.0, 12.0), 100.0)], "tou_schedule must cover 24 h"),
+                              ([((0.0, 13.0), 100.0), ((12.0, 24.0), 200.0)],
+                               "tou_schedule ranges overlap")):
+        cfg = EngineConfig(tariff=TariffConfig(tou_schedule=schedule, capacity_rate=0.0))
+        assert [(f.path, f.message) for f in validate(cfg)] == [
+            ("tariff.tou_schedule", message)]
 
 
 def test_benefit_zero_when_nothing_changes():

@@ -106,10 +106,12 @@ def test_invalid_accuracy_rejected():
     ts = synthesize(ScenarioConfig(seed=0, duration_days=0.5))
     with pytest.raises(ValueError):
         make_forecast(ts, 60.0, 0.0, seed=1)
-    with pytest.raises(ValueError):
-        ScenarioConfig(forecast_accuracy={"L1": 1.2})
-    with pytest.raises(ValueError):
-        ScenarioConfig(archetype="bogus")
+    # The scenario section's value rules live in config.validate.
+    from hessmpc.config import EngineConfig, validate
+    for scenario, path in ((ScenarioConfig(forecast_accuracy={"L1": 1.2}),
+                            "scenario.forecast_accuracy.L1"),
+                           (ScenarioConfig(archetype="bogus"), "scenario.archetype")):
+        assert [f.path for f in validate(EngineConfig(scenario=scenario))] == [path]
 
 
 def test_scenario_digests_match_golden():

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -38,6 +40,22 @@ def test_tracer_wraps_existing_names():
     missing = [f"{module.__name__}.{attr}" for module, attr, _ in tracer._WRAPS
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_config_sections_leave_their_value_rules_to_validate():
+    # config.validate is the one home of the configuration's value rules: a
+    # section that checked itself would raise inside from_dict, before
+    # validate, with no field path and hiding every other finding.
+    from hessmpc.config import EngineConfig
+
+    sections = {type(v) for v in vars(EngineConfig()).values() if dataclasses.is_dataclass(v)}
+    assert {"ScenarioConfig", "TariffConfig", "VicParams", "FessParams", "AweParams",
+            "MeohParams", "BatteryDegParams"} <= {cls.__name__ for cls in sections}
+    for cls in sections:
+        tree = ast.parse(Path(inspect.getsourcefile(cls)).read_text())
+        (node,) = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls.__name__]
+        methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+        assert "__post_init__" not in methods, cls.__name__
 
 
 def test_write_report_writes_each_csv_in_one_engine_write_csv_call(tmp_path, monkeypatch):
