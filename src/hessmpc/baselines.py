@@ -4,8 +4,9 @@ The filter baseline splits the net load with cascaded trailing moving
 averages — fastest band to the flywheel, then battery, then compressed air,
 with the daily trend routed to the hydrogen chain — and applies plain device
 saturation with no optimization. It consumes the identical scenario object
-and emits the same report schema as the main engine, so metrics compare
-one-for-one.
+and builds its report with the engine's own assembly
+(:func:`~hessmpc.engine.assemble_report`), so the schema and the metrics
+compare one-for-one.
 
 The other reference, the periodic-SOC MPC, is ``engine.run`` with
 ``controller="periodic_soc"``: the full layer stack without the adaptive
@@ -20,16 +21,14 @@ import numpy as np
 
 from .config import EngineConfig
 from .devices.storage import EssState, saturate
+from .engine import SOC_STEP_S, assemble_report, prepare_scenario
 from .metrics import DeviceLedger, SimulationReport
+from .mpc import freeze_efficiencies
 from .scenario import window_mean
-from .timeseries import TimeSeries
 
 
 def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationReport:
     """Moving-average band split with device saturation, no optimization."""
-    from .engine import _SOC_STEP_S, _finalize_metrics, prepare_scenario
-    from .mpc import freeze_efficiencies
-
     if data is None:
         data = prepare_scenario(config)
     n_sec = data.run_seconds
@@ -55,18 +54,16 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
             eta_c=eff.eta_hc, eta_d=eff.eta_hd), bands[3]),
     )
 
-    # Ledgers in report order, which round_trip_efficiency sums in.
-    ledgers = dict.fromkeys(_SOC_STEP_S)
     e_m = config.meoh_init_mwh
-    ledgers["methanol"] = DeviceLedger(initial_energy=e_m, final_energy=e_m,
-                                       eta_c=eff.eta_hc * eff.eta_mc, eta_d=eff.eta_md)
+    ledgers = {"methanol": DeviceLedger(initial_energy=e_m, final_energy=e_m,
+                                        eta_c=eff.eta_hc * eff.eta_mc, eta_d=eff.eta_md)}
     soc = {"methanol": np.full(n_sec // 3600 + 1, e_m)}
     outputs = {}
     resid = np.zeros(n_sec)
     saturations = 0
     for layer, dev, st, band in stores:
         lo, hi, cap, ec, ed, keep, stb = st.saturate_args(dth)
-        step = _SOC_STEP_S[dev]
+        step = SOC_STEP_S[dev]
         trace = np.zeros(n_sec // step + 1)
         trace[0] = e = st.energy
         out = np.zeros(n_sec)
@@ -91,21 +88,6 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
             for layer, dev, prices in (("L1", "hydrogen", config.c_l1),
                                        ("L2", "caes", config.c_l2), ("L3", "bess", config.c_l3))}
     cost["L4"] = config.c_l4 * (ledgers["fess"].charged_mwh + ledgers["fess"].discharged_mwh)
-
-    t0 = data.actuals.start_epoch
-    report = SimulationReport(
-        controller="filter",
-        seed=config.scenario.seed,
-        original_netload=TimeSeries(t0, 1.0, x.copy()),
-        smoothed_netload=TimeSeries(t0, 1.0, resid),
-        layer_outputs={layer: TimeSeries(t0, 1.0, outputs[layer])
-                       for layer in ("L1", "L2", "L3", "L4")},
-        soc_traces={dev: TimeSeries(t0, float(step), soc[dev])
-                    for dev, step in _SOC_STEP_S.items()},
-        ledgers=ledgers,
-        dispatch_cost=cost,
-        solver_stats={},
-        events={"saturations": saturations},
-    )
-    _finalize_metrics(report, config, data)
-    return report
+    return assemble_report("filter", config, data, resid,
+                           {layer: (1, out) for layer, out in outputs.items()},
+                           soc, ledgers, cost, {}, {"saturations": saturations})

@@ -366,16 +366,19 @@ def validate(config: EngineConfig) -> list[Finding]:
                         f"marginal cost of band child {child} must be positive, got {lam}")
         if config.c_l4 <= 0.0:
             err("c_l4", f"marginal cost of band child L4 must be positive, got {config.c_l4}")
-    try:  # the hydrogen chain's efficiencies before a load sets them
-        eff = freeze_efficiencies(config.awe, config.pemfc, config.meoh, config.turbine)
-    except (ArithmeticError, ValueError) as exc:
-        err("awe, pemfc, meoh, turbine", f"device curves fail at the idle point: {exc}")
-    else:
-        for section, name in (("awe", "eta_hc"), ("pemfc", "eta_hd"), ("meoh", "eta_mc"),
-                              ("turbine", "eta_md")):
-            val = getattr(eff, name)
-            if not 0.0 < val <= 1.0:
-                err(section, f"idle-point efficiency {name} must lie in (0, 1], got {val}")
+    # The hydrogen chain's efficiencies before a load sets them; a chain
+    # value that already broke a rule would only fail here again.
+    chain = ("awe", "pemfc", "meoh", "turbine")
+    if not any(f.path.split(".")[0] in chain for f in out):
+        try:
+            eff = freeze_efficiencies(config.awe, config.pemfc, config.meoh, config.turbine)
+        except (ArithmeticError, ValueError) as exc:
+            err(", ".join(chain), f"device curves fail at the idle point: {exc}")
+        else:
+            for section, name in zip(chain, ("eta_hc", "eta_hd", "eta_mc", "eta_md")):
+                val = getattr(eff, name)
+                if not 0.0 < val <= 1.0:
+                    err(section, f"idle-point efficiency {name} must lie in (0, 1], got {val}")
 
     if config.n2 * 0.25 < 1.0:
         warn("n2", "L2 horizon shorter than one L1 step")

@@ -1,28 +1,32 @@
 """Four-clock simulation loop: hourly hydrogen/methanol, quarter-hourly
 compressed air, minute-level battery, second-level flywheel.
 
+Each MPC layer is one record: its store, the bounds rule of that store
+(which also gives the terminal pattern), the ledger rows its move books, the
+store advance and the pending move. L1's rule freezes the hydrogen chain's
+efficiencies at the previous move's loads and bounds the tank and the
+methanol store over four actuators; L2 and L3 bound one store each.
+
 The loop takes one pass per minute. It first advances the stores whose
-layer step just ended, then, on layer boundaries, computes each child's
-capability band from the current device states (compressed air for the
-hydrogen layer, battery for the compressed-air layer, flywheel for the
-battery layer) and lets the due layers decide in order L1, L2, L3. L1 has
-its own block (frozen efficiencies, tank and methanol bounds, four
-actuators); L2 and L3 share one single-store routine. The flywheel then
-closes the minute's 60 one-second residual samples with the law of
+layer step just ended (L3, L2, then L1), then lets the due layers decide in
+order L1, L2, L3, each through one routine: the band from its child's
+current device state (compressed air for the hydrogen layer, battery for the
+compressed-air layer, flywheel for the battery layer), the forecast window
+below the parents' held outputs, the bounds, then the step law. The flywheel
+then closes the minute's 60 one-second residual samples with the law of
 :func:`~hessmpc.vic.close_residual`.
 
-Each controller has one step law, picked before the loop, and each layer
-decision is one call of it: forecast window, then bounds, then the law. The
-proposed controller's law is the explicit step
-(:func:`~hessmpc.mpc.explicit_step`), which needs only the step-0 forecast,
-bounds and band, so its layers plan one step and their horizons only size
-the forecast pad. The periodic-SOC baseline drops the bands, and its law
+Each controller has one step law, picked before the loop. The proposed
+controller's law is the explicit step (:func:`~hessmpc.mpc.explicit_step`),
+which needs only the step-0 forecast, bounds and band, so its layers plan
+one step and their horizons only size the forecast pad. The periodic-SOC baseline drops the bands, and its law
 solves each layer's stacked QP over one SOC period, at most the horizon,
 with a terminal equality returning the store to its run-start energy by the
 period's end, with infeasibility relaxed to minimal slack and reported. Under
 ``debug_qp_dump`` each layer's first call of the law also writes the
 problem that law solves, in the step form it reads
-(:func:`~hessmpc.qp.dump_problem`).
+(:func:`~hessmpc.qp.dump_problem`). :func:`assemble_report` builds the
+report of every controller, the filter baseline's too, and its metrics.
 """
 
 from __future__ import annotations
@@ -31,11 +35,12 @@ import dataclasses
 import json
 import os
 import time
+from collections.abc import Callable
 
 import numpy as np
 
 from .config import EngineConfig, require_valid
-from .devices import ess_step
+from .devices import EssState, ess_step
 from .devices.battery import battery_damage, battery_soh, bess_cycle_cost
 from .devices.flywheel import fess_lcoe
 from .errors import ConfigError, LedgerClosureError, QpInfeasible
@@ -115,17 +120,10 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
     return ScenarioData(actuals=actuals, run_seconds=run_seconds, forecasts=forecasts)
 
 
-#: Step length in seconds of each MPC layer.
-_STEP_S = {"L1": 3600, "L2": 900, "L3": 60}
-
-#: Step length in seconds of each device's energy trace.
-_SOC_STEP_S = {"hydrogen": 3600, "methanol": 3600, "caes": 900, "bess": 60, "fess": 60}
-
-#: Device of each single-store layer.
-_STORE = {"L2": "caes", "L3": "bess"}
-
-#: Child layer of each layer, whose store and marginal cost set its band.
-_CHILD = {"L1": "L2", "L2": "L3", "L3": "L4"}
+#: Step length in seconds of each device's energy trace, in report order:
+#: the order round_trip_efficiency sums the ledgers in. A layer steps with
+#: the trace of its store.
+SOC_STEP_S = {"hydrogen": 3600, "methanol": 3600, "caes": 900, "bess": 60, "fess": 60}
 
 
 @dataclasses.dataclass
@@ -140,17 +138,33 @@ class _LayerStats:
 
 @dataclasses.dataclass
 class _Layer:
-    """Run state of one MPC layer.
+    """Run state of one MPC layer and the rules of its store.
 
     actual_mean holds the run's actuals averaged over each layer step, for
     the forecast de-bias; bias_pow is None when de-biasing is off. plan is
     the number of forecast steps the law reads per decision, and sizes its
-    bounds. mu_hint is the periodic baseline's warm-start dual. output and
-    band are the applied output and the (lower, upper, gamma) band per layer
-    step. dump_path is the QP dump still to write, if any.
+    bounds. output and band are the applied output and the (lower, upper,
+    gamma) band per layer step. dump_path is the QP dump still to write, if
+    any. mu_hint is the periodic baseline's warm-start dual.
+
+    device names the store whose energy the terminal row returns, held in
+    state. rule(layer, k, fc) gives the plan's (lo, hi) bounds, the terminal
+    pattern (the store's energy change per MWh moved through each input),
+    the store's energy and the forced-recharge demand. rows are the ledger
+    rows (device, charge input or None, discharge input) that the applied
+    move books. advance(layer, i) applies the pending move to the store at
+    the end of the step and records energy trace entry i. child is the layer
+    whose store sets the band (None: the flywheel), gamma its blend factor;
+    y is the output held until the next decision.
     """
 
     spec: LayerSpec
+    device: str
+    step_s: int
+    state: L1State | EssState
+    rule: Callable[..., tuple]
+    rows: tuple[tuple[str, int | None, int], ...]
+    advance: Callable[..., None]
     forecast: np.ndarray
     actual_mean: np.ndarray
     bias_pow: np.ndarray | None
@@ -158,6 +172,10 @@ class _Layer:
     output: np.ndarray
     band: np.ndarray
     dump_path: str | None
+    child: _Layer | None = None
+    gamma: float = 0.0
+    pending: np.ndarray | tuple[float, ...] | None = None
+    y: float = 0.0
     stats: _LayerStats = dataclasses.field(default_factory=_LayerStats)
     mu_hint: float | None = None
     cost: float = 0.0
@@ -192,14 +210,63 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     av = data.actuals.values
     n_sec = data.run_seconds
     n_min = n_sec // 60
+    tank_env = (0.0, config.tank_cap_mwh)
+    # The hydrogen chain's efficiencies, frozen for each L1 step.
+    eff = None
+
+    def hydrogen_rule(layer, k, fc):
+        """L1's bounds: freeze the efficiencies at the previous move's loads,
+        cap the conversion at the frozen rate, and bound the tank and the
+        methanol store. Its forced recharges are judged on the raw forecast."""
+        nonlocal eff
+        spec, u = layer.spec, layer.pending
+        loads = None if u is None else (
+            u[0] / spec.u_max[0] if u[0] > 0.01 * spec.u_max[0] else None,
+            u[1] / spec.u_max[1] if u[1] > 0.01 * spec.u_max[1] else None,
+            eff.eta_mc * u[2] / config.meoh.rated_power if u[2] > 0.01 * spec.u_max[2] else None,
+            u[3] / config.turbine.rated if u[3] > 0.01 * spec.u_max[3] else None,
+        )
+        eff = freeze_efficiencies(config.awe, config.pemfc, config.meoh, config.turbine, loads)
+        if eff.clamped:
+            events["eff_clamped"] += 1
+        conv_cap = config.meoh.rated_power / eff.eta_mc
+        lo, hi = l1_bounds(spec, layer.state, eff, tank_env, fc, conv_cap)
+        return lo, hi, (eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0), layer.state.e_h, \
+            layer.forecast[k]
+
+    def hydrogen_advance(layer, i):
+        # The advance precedes the next freeze, so eff is still the one the
+        # pending move was planned with.
+        layer.state =l1_dynamics(layer.state, layer.pending, layer.spec.dt_h, eff, tank_env)
+        soc_tr["hydrogen"][i] = layer.state.e_h
+        soc_tr["methanol"][i] = layer.state.e_m
+
+    def store_rule(layer, k, fc):
+        st = layer.state
+        return (*store_bounds(layer.spec, st, layer.plan), (st.eta_c, -1.0 / st.eta_d),
+                st.energy, fc[0])
+
+    def store_advance(layer, i):
+        c, d = layer.pending
+        layer.state = ess_step(layer.state, float(c), float(d), layer.spec.dt_h)
+        soc_tr[layer.device][i] = layer.state.energy
+
     specs = config.layer_specs()
     bias_decay = config.forecast_bias_decay
-    lay = {}
-    for name, step_s in _STEP_S.items():
+    layers = []
+    for name, dev, state, rule, rows, advance in (
+        ("L1", "hydrogen", L1State(e_h=config.tank_init_frac * config.tank_cap_mwh,
+                                   e_m=config.meoh_init_mwh),
+         hydrogen_rule, (("hydrogen", 0, 1), ("methanol", None, 3)), hydrogen_advance),
+        ("L2", "caes", config.caes.make_state(), store_rule, (("caes", 0, 1),), store_advance),
+        ("L3", "bess", config.bess.make_state(), store_rule, (("bess", 0, 1),), store_advance),
+    ):
         spec = specs[name]
+        step_s = SOC_STEP_S[dev]
         n = n_sec // step_s
-        lay[name] = _Layer(
-            spec=spec,
+        layers.append(_Layer(
+            spec=spec, device=dev, step_s=step_s, state=state, rule=rule, rows=rows,
+            advance=advance,
             forecast=data.forecasts[name].values,
             actual_mean=av[:n_sec].reshape(n, step_s).mean(axis=1),
             bias_pow=bias_decay ** np.arange(1, spec.horizon + 1)
@@ -209,179 +276,109 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             band=np.zeros((n, 3)),
             dump_path=os.path.join(config.out_dir, f"qp_{name}.txt")
             if config.debug_qp_dump else None,
-        )
-    l1 = lay["L1"]
-    spec1 = l1.spec
-
-    # Device states.
-    tank_env = (0.0, config.tank_cap_mwh)
-    l1_state = L1State(
-        e_h=config.tank_init_frac * config.tank_cap_mwh,
-        e_m=config.meoh_init_mwh,
-    )
-    stores = {"caes": config.caes.make_state(), "bess": config.bess.make_state()}
+        ))
+    l1, l2, l3 = layers
+    l1.child, l2.child = l2, l3
     fess0 = config.fess_state()
     e_fess = fess0.energy
-    e_init = {
-        "hydrogen": l1_state.e_h, "methanol": l1_state.e_m,
-        **{dev: st.energy for dev, st in stores.items()}, "fess": e_fess,
-    }
+    e_init = {"hydrogen": l1.state.e_h, "methanol": l1.state.e_m, "caes": l2.state.energy,
+              "bess": l3.state.energy, "fess": e_fess}
 
     # Marginal costs drive the band blending; the flywheel's uses its own
-    # dispatch price with a unit cost weight.
-    lam = {name: marginal_cost(lay[name].spec) for name in _STEP_S}
-    lam["L4"] = config.c_l4
+    # dispatch price with a unit cost weight. The periodic baseline drops
+    # bands.
     mtip_cfg = config.mtip
-    # The sigmoid's blend factor of each band layer; the periodic baseline
-    # drops bands.
-    gamma = {} if periodic else {
-        name: blend_gamma(lam[name], lam[child], mtip_cfg.kappa, mtip_cfg.chi_th)
-        for name, child in _CHILD.items()
-    }
+    if not periodic:
+        lam = [marginal_cost(layer.spec) for layer in layers] + [config.c_l4]
+        for layer, lam_layer, lam_child in zip(layers, lam, lam[1:]):
+            layer.gamma = blend_gamma(lam_layer, lam_child, mtip_cfg.kappa, mtip_cfg.chi_th)
 
     inject_tr = np.zeros(n_sec)
     resid_tr = np.zeros(n_sec)
     soc_tr = {}
     ledgers = {}
-    for dev, step_s in _SOC_STEP_S.items():
+    for dev, step_s in SOC_STEP_S.items():
         soc_tr[dev] = np.zeros(n_sec // step_s + 1)
         soc_tr[dev][0] = e_init[dev]
         ledgers[dev] = DeviceLedger(initial_energy=e_init[dev])
-    for dev, st in (*stores.items(), ("fess", fess0)):
+    for dev, st in (("caes", l2.state), ("bess", l3.state), ("fess", fess0)):
         ledgers[dev].eta_c, ledgers[dev].eta_d = st.eta_c, st.eta_d
     events = {
         "band_clamped": 0, "band_dropped": 0, "eff_clamped": 0,
         "forced_recharge": 0, "coupling_slack": 0, "simultaneous_netted": 0,
     }
-
     vic = config.vic
-    # (charge, discharge) move of each single-store layer, applied to its
-    # store at the end of the layer step.
-    pending = {"L2": (0.0, 0.0), "L3": (0.0, 0.0)}
 
-    def layer_band(name, k) -> MtipBounds | None:
-        """Band of layer ``name`` at step k: its child's physical band,
-        clipped to the child's power cap and blended by the cost sigmoid;
-        traced. None under the periodic baseline, which drops bands."""
+    def layer_band(layer, k) -> MtipBounds | None:
+        """Band of ``layer`` at step k: its child's physical band, clipped to
+        the child's power cap and blended by the cost sigmoid; traced. None
+        under the periodic baseline, which drops bands."""
         if periodic:
             return None
-        child = _CHILD[name]
-        if child == "L4":
+        child = layer.child
+        if child is None:
             # The flywheel's micro forecast holds the minute's forecast, so
             # its fluctuation is zero and the band has the flat form.
             phy = flat_bounds(e_fess, fess0.envelope, fess0.eta_c, fess0.eta_d, DT_H, 60)
             cap = fess0.power_cap
         else:
-            store = stores[_STORE[child]]
-            n = _STEP_S[name] // _STEP_S[child]
-            xi = lay[child].forecast[k * n : (k + 1) * n] - lay[name].forecast[k]
-            phy = physical_bounds(xi, store, lay[child].spec.dt_h)
-            cap = store.power_cap
+            n = layer.step_s // child.step_s
+            xi = child.forecast[k * n : (k + 1) * n] - layer.forecast[k]
+            phy = physical_bounds(xi, child.state, child.spec.dt_h)
+            cap = child.state.power_cap
         lo = max(phy[0], -cap)
         hi = min(phy[1], cap)
         if lo > hi:
             # A band the cap clip leaves crossed (it lies wholly beyond
             # the cap) collapses to its midpoint.
             lo = hi = 0.5 * (lo + hi)
-        b = adaptive_bounds((lo, hi), gamma[name], mtip_cfg.eps_db)
-        lay[name].band[k] = (b.r_lower, b.r_upper, b.gamma)
+        b = adaptive_bounds((lo, hi), layer.gamma, mtip_cfg.eps_db)
+        layer.band[k] = (b.r_lower, b.r_upper, b.gamma)
         return b
 
-    def store_layer(name, k, held, band) -> float:
-        """Decide step k of a single-store layer below the held parent
-        outputs: record the move for its store's next advance, book ledger,
-        cost and events, and return the layer's grid output."""
-        layer = lay[name]
-        spec = layer.spec
-        dev = _STORE[name]
-        state = stores[dev]
+    def decide(layer, k, held):
+        """Decide step k of ``layer`` below the held parent outputs: band,
+        forecast window, bounds, then the law. Record the move for the
+        store's next advance, and book output, ledger and cost."""
+        band = layer_band(layer, k)
         fc = layer.window(k, layer.plan, held)
-        lo, hi = store_bounds(spec, state, layer.plan)
-        terminal = ((state.eta_c, -1.0 / state.eta_d), e_init[dev] - state.energy, fc[0]) \
-            if periodic else None
+        lo, hi, pattern, energy, demand = layer.rule(layer, k, fc)
+        terminal = (pattern, e_init[layer.device] - energy, demand) if periodic else None
         dec = law(layer, fc, lo, hi, band, terminal, events)
-        move = (float(dec.u_applied[0]), float(dec.u_applied[1]))
-        pending[name] = move
-        layer.output[k] = dec.output
-        ledgers[dev].charged_mwh += move[0] * spec.dt_h
-        ledgers[dev].discharged_mwh += move[1] * spec.dt_h
-        layer.cost += dec.cost * spec.dt_h
-        return dec.output
+        u = layer.pending = dec.u_applied
+        dt_h = layer.spec.dt_h
+        layer.output[k] = layer.y = dec.output
+        for dev, charge, discharge in layer.rows:
+            if charge is not None:
+                ledgers[dev].charged_mwh += u[charge] * dt_h
+            ledgers[dev].discharged_mwh += u[discharge] * dt_h
+        layer.cost += dec.cost * dt_h
 
-    pending_l1: tuple[np.ndarray, object] | None = None
-    y1 = y2 = 0.0
     df_prev = None
-    eff = None
-
     wall_start = time.perf_counter()
     # One pass per minute, plus a last pass that only closes out the state
     # advances of the final intervals.
     for m in range(n_min + 1):
         t0 = m * 60
 
-        # State advances for the intervals just completed.
+        # Store advances for the steps just completed: L3, L2, then L1.
         if m > 0:
-            for name in ("L3", "L2"):
-                step_s = _STEP_S[name]
-                if t0 % step_s == 0:
-                    dev = _STORE[name]
-                    stores[dev] = ess_step(stores[dev], *pending[name], lay[name].spec.dt_h)
-                    soc_tr[dev][t0 // step_s] = stores[dev].energy
-            if t0 % 3600 == 0:
-                u_prev, eff_prev = pending_l1
-                l1_state = l1_dynamics(l1_state, u_prev, spec1.dt_h, eff_prev, tank_env)
-                soc_tr["hydrogen"][t0 // 3600] = l1_state.e_h
-                soc_tr["methanol"][t0 // 3600] = l1_state.e_m
+            for layer in reversed(layers):
+                if t0 % layer.step_s == 0:
+                    layer.advance(layer, t0 // layer.step_s)
         soc_tr["fess"][m] = e_fess
         if m == n_min:
             break
 
-        # Hourly layer.
-        if t0 % 3600 == 0:
-            h = t0 // 3600
-            band1 = layer_band("L1", h)
-            loads = None
-            if pending_l1 is not None:
-                usc, prev_eff = pending_l1
-                loads = (
-                    usc[0] / spec1.u_max[0] if usc[0] > 0.01 * spec1.u_max[0] else None,
-                    usc[1] / spec1.u_max[1] if usc[1] > 0.01 * spec1.u_max[1] else None,
-                    prev_eff.eta_mc * usc[2] / config.meoh.rated_power
-                    if usc[2] > 0.01 * spec1.u_max[2] else None,
-                    usc[3] / config.turbine.rated if usc[3] > 0.01 * spec1.u_max[3] else None,
-                )
-            eff = freeze_efficiencies(
-                config.awe, config.pemfc, config.meoh, config.turbine, loads
-            )
-            if eff.clamped:
-                events["eff_clamped"] += 1
-            conv_cap = config.meoh.rated_power / eff.eta_mc
-            fc1 = l1.window(h, l1.plan, ())
-            lo1, hi1 = l1_bounds(spec1, l1_state, eff, tank_env, fc1, conv_cap)
-            # Forced recharges are judged on the raw forecast here.
-            terminal = ((eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0),
-                        e_init["hydrogen"] - l1_state.e_h, l1.forecast[h]) \
-                if periodic else None
-            dec1 = law(l1, fc1, lo1, hi1, band1, terminal, events)
-            y1 = dec1.output
-            u1 = dec1.u_applied
-            pending_l1 = (u1, eff)
-            l1.output[h] = y1
-            ledgers["hydrogen"].charged_mwh += u1[0] * spec1.dt_h
-            ledgers["hydrogen"].discharged_mwh += u1[1] * spec1.dt_h
-            ledgers["methanol"].discharged_mwh += u1[3] * spec1.dt_h
-            l1.cost += dec1.cost * spec1.dt_h
-
-        # Quarter-hourly layer.
-        if t0 % 900 == 0:
-            k2 = t0 // 900
-            y2 = store_layer("L2", k2, (y1,), layer_band("L2", k2))
-
-        # Minute layer.
-        y3 = store_layer("L3", m, (y1, y2), layer_band("L3", m))
+        # The due layers decide, top down, each below its parents' outputs.
+        held = []
+        for layer in layers:
+            if t0 % layer.step_s == 0:
+                decide(layer, t0 // layer.step_s, held)
+            held.append(layer.y)
 
         # Second-scale flywheel closure.
-        r_arr = av[t0 : t0 + 60] - (y1 + y2 + y3)
+        r_arr = av[t0 : t0 + 60] - (l1.y + l2.y + l3.y)
         inject, e_fess, df_prev = close_residual(r_arr.tolist(), e_fess, df_prev, vic, fess0)
         inject_tr[t0 : t0 + 60] = inject
         resid_tr[t0 : t0 + 60] = r_arr - inject_tr[t0 : t0 + 60]
@@ -391,8 +388,8 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     inj_neg = inject_tr[inject_tr < 0.0]
     ledgers["fess"].discharged_mwh = float(inj_pos.sum()) * DT_H
     ledgers["fess"].charged_mwh = float(-inj_neg.sum()) * DT_H
-    jcost = {name: lay[name].cost for name in _STEP_S}
-    jcost["L4"] = lam["L4"] * float(np.abs(inject_tr).sum()) * DT_H
+    jcost = {layer.spec.layer_id: layer.cost for layer in layers}
+    jcost["L4"] = config.c_l4 * float(np.abs(inject_tr).sum()) * DT_H
 
     for dev, arr in soc_tr.items():
         ledgers[dev].final_energy = float(arr[-1])
@@ -406,38 +403,54 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
 
     # Ledger closure: reconstruct the residual from the held traces.
     recon = av[:n_sec]
-    for name, step_s in _STEP_S.items():
-        recon = recon - np.repeat(lay[name].output, step_s)
+    for layer in layers:
+        recon = recon - np.repeat(layer.output, layer.step_s)
     recon = recon - inject_tr
     closure = float(np.abs(recon - resid_tr).max()) if n_sec else 0.0
     if closure > 1e-9:
         raise LedgerClosureError(f"residual ledger mismatch {closure} MW")
 
-    t_start = data.actuals.start_epoch
-    report = SimulationReport(
-        controller=config.controller,
-        seed=config.scenario.seed,
-        original_netload=TimeSeries(t_start, 1.0, av[:n_sec].copy()),
-        smoothed_netload=TimeSeries(t_start, 1.0, resid_tr),
-        layer_outputs={
-            **{name: TimeSeries(t_start, float(step_s), lay[name].output)
-               for name, step_s in _STEP_S.items()},
-            "L4": TimeSeries(t_start, 1.0, inject_tr),
-        },
-        soc_traces={dev: TimeSeries(t_start, float(_SOC_STEP_S[dev]), arr)
-                    for dev, arr in soc_tr.items()},
-        ledgers=ledgers,
-        dispatch_cost=jcost,
-        solver_stats={name: dataclasses.asdict(lay[name].stats) for name in _STEP_S},
-        events=dict(events),
+    report = assemble_report(
+        config.controller, config, data, resid_tr,
+        {**{layer.spec.layer_id: (layer.step_s, layer.output) for layer in layers},
+         "L4": (1, inject_tr)},
+        soc_tr, ledgers, jcost,
+        {layer.spec.layer_id: dataclasses.asdict(layer.stats) for layer in layers}, events,
     )
     report.solver_stats["wall_seconds"] = {"total": wall}
     if not periodic:
-        for name, step_s in _STEP_S.items():
+        t_start = data.actuals.start_epoch
+        for layer in layers:
             for col, part in enumerate(("lower", "upper", "gamma")):
-                report.band_traces[f"{name}_{part}"] = TimeSeries(
-                    t_start, float(step_s), lay[name].band[:, col]
+                report.band_traces[f"{layer.spec.layer_id}_{part}"] = TimeSeries(
+                    t_start, float(layer.step_s), layer.band[:, col]
                 )
+    return report
+
+
+def assemble_report(controller: str, config: EngineConfig, data: ScenarioData, smoothed,
+                    outputs, soc, ledgers, cost, stats, events) -> SimulationReport:
+    """The report of one run over the scenario's actuals, with its metrics.
+
+    smoothed is the net load left after every layer. outputs maps each layer
+    to its (step in seconds, output per step); soc and ledgers map each
+    device to its energy trace, one entry per :data:`SOC_STEP_S` step, and
+    its ledger. Layers and devices are taken in report order.
+    """
+    t0 = data.actuals.start_epoch
+    report = SimulationReport(
+        controller=controller,
+        seed=config.scenario.seed,
+        original_netload=TimeSeries(t0, 1.0, data.actuals.values[: data.run_seconds].copy()),
+        smoothed_netload=TimeSeries(t0, 1.0, smoothed),
+        layer_outputs={name: TimeSeries(t0, float(step), out)
+                       for name, (step, out) in sorted(outputs.items())},
+        soc_traces={dev: TimeSeries(t0, float(step), soc[dev]) for dev, step in SOC_STEP_S.items()},
+        ledgers={dev: ledgers[dev] for dev in SOC_STEP_S},
+        dispatch_cost=cost,
+        solver_stats=stats,
+        events=events,
+    )
     _finalize_metrics(report, config, data)
     return report
 
@@ -506,7 +519,7 @@ def _coupled_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDeci
     c_tot = float(u0[chg].sum())
     d_tot = float(u0[dis].sum())
     delta = min(c_tot, d_tot)
-    if delta > 1e-9:
+    if delta > 0.0:
         events["simultaneous_netted"] += 1
         u0[chg] *= (c_tot - delta) / c_tot
         u0[dis] *= (d_tot - delta) / d_tot

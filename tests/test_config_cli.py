@@ -571,6 +571,37 @@ def test_non_physical_hydrogen_efficiencies_are_findings():
     assert "current density 0.6" in failing[0].message
 
 
+@pytest.mark.parametrize("override, path", [
+    ({"awe": {"area": 0}}, "awe.area"),
+    ({"meoh": {"rho_min": 0}}, "meoh.rho_min"),
+])
+def test_bad_chain_value_is_one_finding(override, path):
+    # The idle-point check used to run on the broken value too and add a
+    # second, less clear finding ("current must be positive", "float
+    # division by zero").
+    findings = validate(from_dict(override))
+    assert [(f.severity, f.path) for f in findings] == [("error", path)]
+
+
+def test_periodic_run_nets_a_vanishing_simultaneous_move(tmp_path, capsys):
+    # With a battery discharge efficiency of 0.001, the relaxed terminal row
+    # asked for 100 MW of charge beside 3e-18 MW of discharge. The periodic
+    # law netted only pairs above 1e-9, so the store step refused the move
+    # and the run exited 3.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "controller": "periodic_soc", "n1": 30, "tank_init_frac": 0.01,
+        "bess": {"eta_d": 0.001},
+        "scenario": {"archetype": "extreme_calm", "seed": 12,
+                     "duration_days": 2.0 / 24.0},
+    }))
+    assert main(["validate", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["events"]["simultaneous_netted"] > 0
+
+
 @pytest.mark.parametrize("controller", ["proposed", "periodic_soc", "filter"])
 def test_non_physical_hydrogen_efficiency_is_a_config_error(tmp_path, capsys, controller):
     # With an electrolyzer that makes more hydrogen energy than it takes in,

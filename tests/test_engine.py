@@ -223,6 +223,20 @@ def test_filter_baseline_reconstruction():
     assert rep.controller == "filter"
 
 
+def test_controllers_share_one_report_schema():
+    # engine.run and the filter baseline build their reports in one helper;
+    # round_trip_efficiency sums the ledgers in their key order, so the order
+    # is part of the schema.
+    data = prepare_scenario(_config(days=1.0 / 24.0))
+    reports = [run(_config(days=1.0 / 24.0, controller=controller), data)
+               for controller in ("proposed", "periodic_soc", "filter")]
+    schemas = [(list(rep.ledgers), [(dev, ts.dt) for dev, ts in rep.soc_traces.items()],
+                list(rep.layer_outputs), list(rep.dispatch_cost)) for rep in reports]
+    assert schemas[0] == schemas[1] == schemas[2]
+    assert schemas[0][0] == ["hydrogen", "methanol", "caes", "bess", "fess"]
+    assert schemas[0][2] == schemas[0][3] == ["L1", "L2", "L3", "L4"]
+
+
 def test_filter_routes_fast_band_to_flywheel():
     # A pure fast sinusoid (20 s period) above the first corner lands in the
     # flywheel band almost entirely.
