@@ -170,7 +170,10 @@ class Finding:
 
 
 def _is_finite(value) -> bool:
-    """True for a number, not a bool, that a float holds finitely."""
+    """True for a number, not a bool, that a float holds finitely. A plain
+    int or float skips the ABC check; bools and numpy scalars take it."""
+    if type(value) in (int, float):
+        return abs(value) <= sys.float_info.max
     return isinstance(value, numbers.Real) and not isinstance(value, bool) \
         and abs(value) <= sys.float_info.max
 
@@ -208,11 +211,12 @@ _RULES = {path: _interval(*rule) for path, *rule in (
     *((f"scenario.forecast_accuracy.{layer}", "(0, 1]") for layer in ("L1", "L2", "L3")),
     # Rated powers and energies cap the inputs and the flywheel's injection,
     # and the costs divide by them; the flywheel's levelized cost sums over
-    # its cycle life at a discount rate that a negative one makes overflow.
+    # its cycle life, one float per cycle, at a discount rate that a
+    # negative one makes overflow.
     *((path, "(0, inf)") for path in (
         "bess.power_mw", "caes.power_mw", "h2_power_mw", "tank_cap_mwh",
         "meoh.rated_power", "turbine.rated", "fess.power_cap", "battery_deg.rated_energy")),
-    ("fess.lifetime_cycles", "[1, inf)"), ("fess.discount_rate", "[0, inf)"),
+    ("fess.lifetime_cycles", "[1, 1e7]"), ("fess.discount_rate", "[0, inf)"),
     ("meoh_init_mwh", "[0, inf)"),
     *((f"q_weights[{i}]", "(0, inf)") for i in range(3)),
     *((f"r_weights[{i}]", "[0, inf)") for i in range(3)),

@@ -83,7 +83,9 @@ def fess_lcoe(params: FessParams) -> float:
     r = params.discount_rate
     hi = params.energy_envelope[1]
     n = np.arange(1, n_life + 1, dtype=np.float64)
-    disc = (1.0 + r) ** n
+    # A term that overflows to inf discounts its cycle to 0, as it should.
+    with np.errstate(over="ignore"):
+        disc = (1.0 + r) ** n
     cost = params.invest + float((params.om_cost_per_cycle / disc).sum())
     energy = float((hi * (1.0 - n * params.decay_factor) / disc).sum())
     if energy <= 0.0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlignmentError
-from .timeseries import TimeSeries, resample
+from .timeseries import BLOCK, TimeSeries, resample
 
 
 @dataclass
@@ -145,6 +145,14 @@ def round_trip_efficiency(ledgers: dict[str, DeviceLedger]) -> float:
     return delivered / absorbed
 
 
+def _hour_of_day(ts: TimeSeries, lo: int, hi: int) -> np.ndarray:
+    """Whole hour of day of samples lo to hi of ``ts``, as indices."""
+    t = ts.start_epoch + ts.dt * np.arange(lo, hi)
+    t %= 86400.0
+    t //= 3600.0
+    return t.astype(np.intp)
+
+
 def economic_benefit(
     original: TimeSeries,
     smoothed: TimeSeries,
@@ -158,12 +166,13 @@ def economic_benefit(
     """
     _check_aligned(original, smoothed)
     prices = tariff.hourly_prices()
-    t = original.start_epoch + original.dt * np.arange(len(original))
-    hour_idx = ((t % 86400.0) // 3600.0).astype(np.intp)
-    dt_h = original.dt / 3600.0
-    tou = float(
-        (prices[hour_idx] * (original.values - smoothed.values)).sum() * dt_h
-    )
+    # (original - smoothed) * price of the sample's hour in one buffer, the
+    # hour index built per block; the sum runs over the whole buffer.
+    gain = original.values - smoothed.values
+    for lo in range(0, gain.size, BLOCK):
+        hi = min(lo + BLOCK, gain.size)
+        gain[lo:hi] *= prices[_hour_of_day(original, lo, hi)]
+    tou = float(gain.sum() * (original.dt / 3600.0))
     capacity = tariff.capacity_rate * (
         float(original.values.max()) - float(smoothed.values.max())
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .timeseries import TimeSeries, resample
+from .timeseries import BLOCK, TimeSeries, resample
 
 ARCHETYPES = ("oversupply", "extreme_calm", "balanced", "deficit")
 
@@ -52,16 +52,31 @@ class ScenarioConfig:
 
 
 def _ar1(rng: np.random.Generator, n: int, phi: float) -> np.ndarray:
-    """Unit-variance AR(1) series of length n."""
-    white = rng.standard_normal(n)
-    white *= np.sqrt(1.0 - phi * phi)
-    return _recurrence(white, phi)
+    """Unit-variance AR(1) series of length n: the recurrence of n standard
+    normals times ``sqrt(1 - phi**2)``. A long series draws its normals
+    straight into the lockstep's layout, ``_DRAW_CHUNKS`` chunks per call;
+    the generator's stream does not depend on how the draw is split, so the
+    normals are those of one call."""
+    scale = np.sqrt(1.0 - phi * phi)
+    if n < _LOCKSTEP_MIN:
+        return _recurrence(rng.standard_normal(n) * scale, phi)
+    xt, full, rest = _chunk_layout(n)
+    length = xt.shape[0]
+    for lo in range(0, full, _DRAW_CHUNKS):
+        hi = min(lo + _DRAW_CHUNKS, full)
+        xt.T[lo:hi] = rng.standard_normal((hi - lo, length)) * scale
+    if rest:
+        xt[:rest, full] = rng.standard_normal(rest) * scale
+    return _lockstep(xt, n, phi)
 
 
 #: Series shorter than this run the sequential loop itself: below it the
 #: loop beats the lockstep passes at every phi the synthesizer uses (they
 #: meet near here at phi 0.7; at 0.97 the loop is still 7x faster).
 _LOCKSTEP_MIN = 4096
+
+#: Chunks of the lockstep layout that _ar1 draws per generator call.
+_DRAW_CHUNKS = 64
 
 
 def _recurrence(x: np.ndarray, phi: float) -> np.ndarray:
@@ -71,22 +86,9 @@ def _recurrence(x: np.ndarray, phi: float) -> np.ndarray:
     ``-0.0`` inputs with a negative ``phi``, and where ``phi * y[k-1]``
     underflows to zero).
 
-    A series shorter than ``_LOCKSTEP_MIN`` runs that loop on Python floats.
-    A longer one is cut into about ``isqrt(n)`` chunks, zero-padded at the
-    end and transposed, so that one step of every chunk is one contiguous
-    row: all chunks advance in lockstep with separate IEEE multiply and add
-    (no fused multiply-add). Each chunk starts from its predecessor's end
-    value of the previous pass, and passes repeat until every start equals
-    that end bit for bit. By induction from chunk 0, which starts from the
-    true zero, every chunk has then run from its true start, so the result
-    is the sequential recurrence. The worst case takes one pass per chunk;
-    with ``phi < 1`` a start error decays as ``phi**chunk_len``, and a series
-    of a million samples converges in two. A pass after the first stops at
-    the first row that repeats the previous pass's bit for bit (row 128 to
-    417 of 1,019 on the synthesizer's million-sample draws), where the
-    start check is already met. ``x`` is not written; the result
-    of a long series is a view of the transposed input's buffer, so at most
-    two arrays of its length besides ``x`` are alive at once.
+    A series shorter than ``_LOCKSTEP_MIN`` runs that loop on Python floats;
+    a longer one is copied into the layout of :func:`_chunk_layout` and runs
+    :func:`_lockstep`. ``x`` is not written.
     """
     n = x.size
     if n < _LOCKSTEP_MIN:
@@ -96,13 +98,41 @@ def _recurrence(x: np.ndarray, phi: float) -> np.ndarray:
             acc = v + phi * acc
             y.append(acc)
         return np.array(y, dtype=np.float64)
-    length = -(-n // math.isqrt(n))
-    full, rest = divmod(n, length)
-    # Row k holds step k of every chunk; the last chunk is zero-padded.
-    xt = np.zeros((length, full + (rest > 0)))
+    xt, full, rest = _chunk_layout(n)
+    length = xt.shape[0]
     xt.T[:full] = x[: full * length].reshape(full, length)
     if rest:
         xt[:rest, full] = x[full * length :]
+    return _lockstep(xt, n, phi)
+
+
+def _chunk_layout(n: int) -> tuple[np.ndarray, int, int]:
+    """Zeros in the lockstep's layout for a series of length n: about
+    ``isqrt(n)`` chunks, transposed so that row k holds step k of every
+    chunk. Returns the array, the number of full chunks, and the length of
+    the last, zero-padded chunk (0 when every chunk is full)."""
+    length = -(-n // math.isqrt(n))
+    full, rest = divmod(n, length)
+    return np.zeros((length, full + (rest > 0))), full, rest
+
+
+def _lockstep(xt: np.ndarray, n: int, phi: float) -> np.ndarray:
+    """The recurrence of the first n values of the chunk-major series that
+    ``xt`` (the layout of :func:`_chunk_layout`) holds.
+
+    All chunks advance in lockstep with separate IEEE multiply and add (no
+    fused multiply-add). Each chunk starts from its predecessor's end value
+    of the previous pass, and passes repeat until every start equals that
+    end bit for bit. By induction from chunk 0, which starts from the true
+    zero, every chunk has then run from its true start, so the result is the
+    sequential recurrence. The worst case takes one pass per chunk; with
+    ``phi < 1`` a start error decays as ``phi**chunk_len``, and a series of
+    a million samples converges in two. A pass after the first stops at the
+    first row that repeats the previous pass's bit for bit (row 128 to 417
+    of 1,019 on the synthesizer's million-sample draws), where the start
+    check is already met. The result is a view of ``xt``'s buffer, which it
+    overwrites, so at most two arrays of the series' length are alive.
+    """
     yt = np.empty_like(xt)
     tmp = np.empty(xt.shape[1])
     starts = np.zeros(xt.shape[1])
@@ -217,28 +247,23 @@ def ndtr(a: float) -> float:
     return 1.0 - y if x > 0.0 else y
 
 
-#: Samples per block of the one-second passes that would otherwise build
-#: full-length temporaries (grids, index arrays).
-_BLOCK = 65536
-
-
-def _interp_to_seconds(coarse: np.ndarray, step_s: float, n_seconds: int) -> np.ndarray:
+def _interp_blocks(coarse: np.ndarray, step_s: float, n_seconds: int):
     """``coarse``, one value per ``step_s`` from t = 0, linearly interpolated
-    at every second. np.interp works point by point, so the blocks give the
-    bits of one call on the whole grid."""
+    at every second, as ``(lo, hi, values)`` blocks of ``BLOCK`` seconds.
+    np.interp works point by point, so the blocks give the bits of one call
+    on the whole grid."""
     t_coarse = np.arange(coarse.size) * step_s
-    out = np.empty(n_seconds)
-    for start in range(0, n_seconds, _BLOCK):
-        stop = min(start + _BLOCK, n_seconds)
-        out[start:stop] = np.interp(np.arange(start, stop, dtype=np.float64), t_coarse, coarse)
-    return out
+    for lo in range(0, n_seconds, BLOCK):
+        hi = min(lo + BLOCK, n_seconds)
+        yield lo, hi, np.interp(np.arange(lo, hi, dtype=np.float64), t_coarse, coarse)
 
 
 # The component generators keep their one-second arrays few: each draws its
-# one-second AR noise before it builds the parts that need no draw, and then
-# works in place. Each product and sum keeps the operands and the
-# left-to-right grouping of its formula (IEEE * and + commute, but do not
-# associate), so the bits are those of the formula.
+# one-second AR noise first and then works on it in place, and every factor
+# that needs no draw is applied in blocks or per day. Each product and sum
+# keeps the operands and the left-to-right grouping of its formula (IEEE *
+# and + commute, but do not associate), so the bits are those of the
+# formula.
 
 def _wind_power(rng: np.random.Generator, n_seconds: int, capacity: float) -> np.ndarray:
     n_hours = n_seconds // 3600 + 2
@@ -250,7 +275,8 @@ def _wind_power(rng: np.random.Generator, n_seconds: int, capacity: float) -> np
     v = _ar1(rng, n_seconds, phi=0.9)
     v *= 0.06
     v += 1.0
-    v *= _interp_to_seconds(speeds, 3600.0, n_seconds)
+    for lo, hi, speed in _interp_blocks(speeds, 3600.0, n_seconds):
+        v[lo:hi] *= speed
     np.clip(v, 0.0, None, out=v)
     v_in, v_rated, v_out = 3.0, 12.0, 25.0
     cut_out = v > v_out
@@ -272,16 +298,19 @@ def _pv_power(rng: np.random.Generator, n_seconds: int, capacity: float) -> np.n
     sky = _ar1(rng, n_seconds, phi=0.7)
     sky *= 0.04
     sky += 1.0
-    sky *= _interp_to_seconds(transmission, 600.0, n_seconds)
+    for lo, hi, trans in _interp_blocks(transmission, 600.0, n_seconds):
+        sky[lo:hi] *= trans
     np.clip(sky, 0.0, 1.0, out=sky)
     # The envelope repeats daily: t % 86400 is exact, so one day tiles it.
     day_frac = np.arange(min(n_seconds, 86400), dtype=np.float64) / 86400.0
     daylight = np.clip(np.sin(np.pi * (day_frac - 0.25) / 0.5), 0.0, None)
-    # (capacity * clear_sky) * sky
-    pv = np.resize(daylight**1.3, n_seconds)
-    pv *= capacity
-    pv *= sky
-    return pv
+    # (capacity * clear_sky) * sky, one day at a time.
+    clear = daylight**1.3
+    clear *= capacity
+    for lo in range(0, n_seconds, 86400):
+        day = sky[lo : lo + 86400]
+        day *= clear[: day.size]
+    return sky
 
 
 def _load_power(rng: np.random.Generator, n_seconds: int, peak: float) -> np.ndarray:
@@ -289,19 +318,20 @@ def _load_power(rng: np.random.Generator, n_seconds: int, peak: float) -> np.nda
     fast = _ar1(rng, n_seconds, phi=0.8)
     fast *= 0.01
     fast += 1.0
-    slow = _interp_to_seconds(z, 3600.0, n_seconds)
-    slow *= 0.05
-    slow += 1.0
     # Shift and weekday factors are constant within each hour, so they are
-    # evaluated hourly and held: load = (hourly * slow) * fast.
+    # evaluated hourly and held: load = (hourly * slow) * fast, where slow is
+    # 1 + 0.05 * z interpolated to each second, folded into fast per block.
     t = np.arange(-(-n_seconds // 3600), dtype=np.float64) * 3600.0
     hour = (t % 86400.0) / 3600.0
     day = np.floor(t / 86400.0)
     shift = np.where(hour < 6.0, 0.72, np.where(hour < 14.0, 1.0, np.where(hour < 22.0, 0.9, 0.72)))
     weekly = np.where((day % 7) >= 5, 0.85, 1.0)
-    hourly = np.repeat(peak * 0.9 * shift * weekly, 3600)[:n_seconds]
-    hourly *= slow
-    fast *= hourly
+    hourly = peak * 0.9 * shift * weekly
+    for lo, hi, slow in _interp_blocks(z, 3600.0, n_seconds):
+        slow *= 0.05
+        slow += 1.0
+        slow *= hourly[np.arange(lo, hi) // 3600]
+        fast[lo:hi] *= slow
     return fast
 
 
@@ -350,8 +380,8 @@ def window_mean(x: np.ndarray, before: int, after: int) -> np.ndarray:
     c[0] = 0.0
     np.cumsum(x, out=c[1:])
     out = np.empty(n)
-    for start in range(0, n, _BLOCK):
-        k = np.arange(start, min(start + _BLOCK, n))
+    for start in range(0, n, BLOCK):
+        k = np.arange(start, min(start + BLOCK, n))
         left = np.clip(k - before, 0, n)
         right = np.clip(k + after + 1, 0, n)
         out[start : start + k.size] = (c[right] - c[left]) / (right - left)

@@ -18,8 +18,13 @@ import numpy as np
 from .errors import AlignmentError, GapError, ParseError
 
 CSV_HEADER = "epoch_s,power_mw"
+#: Samples per block of the passes over one-second series that would
+#: otherwise build full-length temporaries (grids, index arrays, products).
+BLOCK = 65536
 # Rows per write in write_csv: bounds the text held in memory on long traces.
-CSV_BLOCK_ROWS = 65536
+# A block's prefixes, value strings and text take about 200 bytes a row on a
+# three-file grid.
+CSV_BLOCK_ROWS = 16384
 
 
 @dataclass

@@ -429,6 +429,9 @@ def test_periodic_plan_inside_the_forecast_pad_runs(tmp_path, capsys):
      "tariff.capacity_rate"),
     ({"scenario": {"seed": 1.5}}, "scenario.seed"),
     ({"n1": 2.5}, "n1"),
+    # The flywheel's levelized cost builds one float per cycle of life: a
+    # hundred billion cycles asked for terabytes.
+    ({"fess": {"lifetime_cycles": 10**11, "decay_factor": 0}}, "fess.lifetime_cycles"),
 ])
 def test_values_that_crashed_the_run_are_config_errors(tmp_path, capsys, override, path):
     # Each used to pass validate and then stop the run with a traceback

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -73,6 +74,19 @@ def test_lcoe_single_cycle_discounted():
                    energy_envelope=(0.0, 4.0))
     # cost = 0 + 2/2 = 1; energy = 4/2 = 2
     assert fess_lcoe(p) == pytest.approx(0.5)
+
+
+def test_lcoe_overflowed_discount_is_silent():
+    # (1 + r) ** n overflows to inf past about 1,000 cycles at r = 1: those
+    # cycles discount to 0, without a warning on a valid config.
+    p = FessParams(invest=1000.0, om_cost_per_cycle=2.0, lifetime_cycles=2000,
+                   decay_factor=0.0, discount_rate=1.0, energy_envelope=(0.0, 4.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fess_lcoe(p)
+    # Both sums are geometric series that reach their limits in floats:
+    # cost 1000 + 2 * 1 and energy 4 * 1.
+    assert got == pytest.approx(1002.0 / 4.0)
 
 
 def test_lcoe_rejects_decayed_out_life():

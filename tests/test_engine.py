@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 import goldens
 from hessmpc import EngineConfig, run
 from hessmpc.baselines import run_filter_decomposition
-from hessmpc.engine import prepare_scenario
+from hessmpc.config import from_dict
+from hessmpc.engine import prepare_scenario, write_report
 from hessmpc.errors import ConfigError
 from oracles import dense_problem, read_dump, write_dense
 
@@ -122,7 +124,6 @@ def test_csv_ingestion_path(tmp_path):
 def test_csv_start_epoch_carries_into_report_and_tariff(tmp_path, controller):
     # A trace that starts at noon: every report series starts there too, and
     # the TOU hours follow it rather than midnight.
-    from hessmpc.engine import write_report
     from hessmpc.metrics import economic_benefit
     from hessmpc.timeseries import TimeSeries, write_csv
     rng = np.random.default_rng(4)
@@ -235,6 +236,43 @@ def test_controllers_share_one_report_schema():
     assert schemas[0] == schemas[1] == schemas[2]
     assert schemas[0][0] == ["hydrogen", "methanol", "caes", "bess", "fess"]
     assert schemas[0][2] == schemas[0][3] == ["L1", "L2", "L3", "L4"]
+
+
+def test_runs_never_write_into_the_scenario(tmp_path):
+    # A report's original net load is a view of the scenario's actuals, and
+    # one prepared scenario serves every controller of a comparison.
+    data = prepare_scenario(_config(days=1.0 / 24.0))
+    before = [data.actuals.values.tobytes()] + [
+        data.forecasts[layer].values.tobytes() for layer in ("L1", "L2", "L3")]
+    for controller in ("proposed", "periodic_soc", "filter"):
+        rep = run(_config(days=1.0 / 24.0, controller=controller), data)
+        write_report(rep, str(tmp_path / controller))
+        assert np.shares_memory(rep.original_netload.values, data.actuals.values)
+        after = [data.actuals.values.tobytes()] + [
+            data.forecasts[layer].values.tobytes() for layer in ("L1", "L2", "L3")]
+        assert after == before, controller
+
+
+def test_run_peak_memory_budget():
+    # engine.run's traced peak above the prepared scenario: the residual and
+    # injection traces the report keeps, plus one one-second array at a time
+    # (a metric's operand, the tariff gain), and blocks. n1 = 1 keeps the
+    # forecast pad (read by the accuracy metrics) small, and a 1,000-cycle
+    # flywheel life keeps fess_lcoe's per-cycle arrays (four of 200,000
+    # floats by default, a size set by the config, not by the run) out of
+    # the count.
+    cfg = from_dict({"n1": 1, "scenario": {"duration_days": 3.0, "seed": 1},
+                     "fess": {"lifetime_cycles": 1000}})
+    data = prepare_scenario(cfg)
+    n = data.run_seconds
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(cfg, data)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n, f"peak {peak / (8 * n):.2f} arrays"
 
 
 def test_filter_routes_fast_band_to_flywheel():

@@ -10,10 +10,10 @@ from scipy.special import ndtr as scipy_ndtr
 
 import goldens
 from hessmpc.scenario import (
-    _BLOCK, _LOCKSTEP_MIN, ARCHETYPES, ScenarioConfig, _recurrence, make_forecast, ndtr,
-    realized_accuracy, synthesize, window_mean,
+    _DRAW_CHUNKS, _LOCKSTEP_MIN, ARCHETYPES, ScenarioConfig, _ar1, _recurrence, make_forecast,
+    ndtr, realized_accuracy, synthesize, window_mean,
 )
-from hessmpc.timeseries import resample
+from hessmpc.timeseries import BLOCK, resample
 
 
 def test_determinism():
@@ -177,12 +177,48 @@ def test_recurrence_leaves_input_unchanged(n):
         assert not np.shares_memory(x, y)
 
 
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    # The cutover to the lockstep, chunk-edge lengths (k*k - 1 and k*k fill
+    # every chunk, k*k + 1 leaves a partial last one), and chunk counts
+    # below, at and past one draw group.
+    n=st.one_of(
+        st.sampled_from([_LOCKSTEP_MIN - 1, _LOCKSTEP_MIN, _LOCKSTEP_MIN + 1]),
+        st.integers(56, 140).flatmap(lambda k: st.sampled_from([k * k - 1, k * k, k * k + 1])),
+        st.integers(_LOCKSTEP_MIN, 40_000)),
+    phi=st.sampled_from(_PHIS[1:]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ar1_draws_the_normals_of_one_call(n, phi, seed):
+    # _ar1 draws a long series' normals group by group straight into the
+    # lockstep's layout; the series is that of one draw, scaled and run
+    # through the recurrence, and the generator ends in the same state.
+    rng = np.random.default_rng(seed)
+    got = _ar1(rng, n, phi)
+    ref = np.random.default_rng(seed)
+    want = _recurrence(ref.standard_normal(n) * np.sqrt(1.0 - phi * phi), phi)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+    assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+
+
+def test_ar1_long_draw_spans_many_draw_groups():
+    # The synthesizer's one-second draws: a 12-day series is 1,019 chunks,
+    # 16 draw groups, the last one partial.
+    n = 12 * 86400
+    assert n // math.isqrt(n) > 15 * _DRAW_CHUNKS
+    for phi in (0.7, 0.8, 0.9):
+        got = _ar1(np.random.default_rng(7), n, phi)
+        white = np.random.default_rng(7).standard_normal(n) * np.sqrt(1.0 - phi * phi)
+        assert got.tobytes() == _recurrence(white, phi).tobytes()
+
+
 #: Full-length float64 arrays that synthesize may hold at once. Its peak is
-#: the load's one-second AR draw: wind and PV, the draw's normals and the
-#: lockstep's transposed input and output, five arrays; the sixth is margin
-#: for the block temporaries and the hourly series. Whole-array
-#: expressions on the one-second series take 8 (9 for balanced).
-_SYNTH_ARRAY_BUDGET = 6
+#: the load's one-second AR draw: wind and PV, and the lockstep's transposed
+#: input, into which the normals are drawn, and output, four arrays; the
+#: fifth is margin for the block temporaries. Whole-array expressions on the
+#: one-second series take 8 (9 for balanced).
+_SYNTH_ARRAY_BUDGET = 5
 
 
 @pytest.mark.parametrize("archetype", ARCHETYPES)
@@ -253,8 +289,8 @@ def _centered_mean_reference(x, window):
     return (c[right] - c[left]) / (right - left)
 
 
-@pytest.mark.parametrize("n", [1, 7, 3600, 3 * _BLOCK + 17])
-@pytest.mark.parametrize("window", [1, 60, 901, 4 * _BLOCK])
+@pytest.mark.parametrize("n", [1, 7, 3600, 3 * BLOCK + 17])
+@pytest.mark.parametrize("window", [1, 60, 901, 4 * BLOCK])
 def test_window_mean_matches_the_formulas_it_replaced(n, window):
     # The filter's trailing means and the balanced archetype's de-meaning
     # call window_mean as below; their reports stay the same only if it

@@ -234,6 +234,35 @@ def test_filter_run_calls_the_names_the_tracer_wraps(monkeypatch):
     assert [name for name, n in calls.items() if n == 0] == []
 
 
+def test_finalize_calls_the_names_the_tracer_wraps(monkeypatch):
+    # The tracer's metrics.finalize.* metrics time calls of these names in
+    # engine's namespace; a metric that _finalize_metrics reached any other
+    # way (inlined, split into blocks under another name, or bound at
+    # import) would read 0 there.
+    from hessmpc import engine
+    from hessmpc.config import EngineConfig
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    cfg = EngineConfig()
+    cfg.scenario.duration_days = 1.0 / 24.0
+    data = engine.prepare_scenario(cfg)
+    report = engine.run(cfg, data)
+    calls = dict.fromkeys(tracer._FINALIZE, 0)
+    for fn in tracer._FINALIZE:
+        def counting(*args, _fn=getattr(engine, fn), _name=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine, fn, counting)
+    engine._finalize_metrics(report, cfg, data)
+    # One call per metric; realized_accuracy once per layer, battery_soh for
+    # the run's end and for a fresh battery.
+    assert calls == {**dict.fromkeys(tracer._FINALIZE, 1), "realized_accuracy": 3,
+                     "battery_soh": 2}
+
+
 def test_engine_run_decides_every_layer_at_one_call_site():
     # L1, L2 and L3 decide through one routine: one call of the step law in
     # engine.run, and no L1-only pending move beside the layer records. The
