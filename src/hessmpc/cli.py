@@ -30,24 +30,26 @@ def _load(args) -> EngineConfig:
         config.scenario.seed = args.seed
     if args.days is not None:
         config.scenario.duration_days = args.days
-    if args.accuracy is not None:
+    if getattr(args, "accuracy", None) is not None:
         config.scenario.forecast_accuracy = {
             k: args.accuracy for k in ("L1", "L2", "L3")
         }
-    if args.controller is not None:
+    if getattr(args, "controller", None) is not None:
         config.controller = args.controller
     if args.out is not None:
         config.out_dir = args.out
     return config
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file (supports 'include')")
-    p.add_argument("--seed", type=int, help="scenario seed override")
-    p.add_argument("--days", type=float, help="run length in days")
-    p.add_argument("--accuracy", type=float, help="forecast accuracy for all layers")
-    p.add_argument("--controller", choices=["proposed", "periodic_soc", "filter"])
-    p.add_argument("--out", help="output directory")
+#: Each command-line flag and its argparse settings.
+_FLAGS = {
+    "config": {"help": "JSON config file (supports 'include')"},
+    "seed": {"type": int, "help": "scenario seed override"},
+    "days": {"type": float, "help": "run length in days"},
+    "accuracy": {"type": float, "help": "forecast accuracy for all layers"},
+    "controller": {"choices": ["proposed", "periodic_soc", "filter"]},
+    "out": {"help": "output directory"},
+}
 
 
 def cmd_run(args) -> int:
@@ -124,15 +126,19 @@ def main(argv=None) -> int:
         description="Hierarchical multi-timescale storage dispatch simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("run", cmd_run),
-        ("validate", cmd_validate),
-        ("compare", cmd_compare),
-        ("synth", cmd_synth),
-        ("default-config", cmd_default_config),
+    # Each command takes the flags it reads; validate takes every flag of
+    # run, so any run command line can be checked.
+    every = tuple(_FLAGS)
+    for name, fn, flags in (
+        ("run", cmd_run, every),
+        ("validate", cmd_validate, every),
+        ("compare", cmd_compare, ("config", "seed", "days", "accuracy", "out")),
+        ("synth", cmd_synth, ("config", "seed", "days", "out")),
+        ("default-config", cmd_default_config, ("out",)),
     ):
         p = sub.add_parser(name)
-        _add_common(p)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:

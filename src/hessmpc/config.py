@@ -243,8 +243,8 @@ def _value(config, path: str):
 
 def _schedule_error(schedule) -> str | None:
     """Why ``schedule`` is no time-of-use schedule, ((hour_start, hour_end),
-    price) entries whose half-open hour ranges cover 24 h without overlap;
-    None if it is one."""
+    price) entries whose half-open ranges of whole hours cover 24 h without
+    overlap; None if it is one. Prices are per whole hour of day."""
     pair = (tuple, list)
     if not (isinstance(schedule, pair) and all(
             isinstance(e, pair) and len(e) == 2 and isinstance(e[0], pair) and len(e[0]) == 2
@@ -253,16 +253,18 @@ def _schedule_error(schedule) -> str | None:
     spans = [(h0, h1, price) for (h0, h1), price in schedule]
     if not all(_is_finite(v) for span in spans for v in span):
         return "tou_schedule hours and prices must be finite"
+    if not all(float(h).is_integer() for h0, h1, _ in spans for h in (h0, h1)):
+        return "tou_schedule hours must be whole"
     covered = 0.0
     prev_end = 0.0
     for h0, h1, _ in sorted(spans):
-        if h0 < prev_end - 1e-9:
+        if h0 < prev_end:
             return "tou_schedule ranges overlap"
-        if h0 > prev_end + 1e-9:
+        if h0 > prev_end:
             return "tou_schedule leaves a gap"
         covered += h1 - h0
         prev_end = h1
-    if abs(covered - 24.0) > 1e-9:
+    if covered != 24.0:
         return "tou_schedule must cover 24 h"
     return None
 
@@ -272,8 +274,7 @@ def _shape_errors(config, default, prefix: str = "") -> list[Finding]:
     not of its default's kind: a section or a mapping is an object, a
     mapping's entries finite numbers, a bool a bool, an integer an integer,
     a number a finite number, a string a string, and a tuple holds as many
-    finite numbers (any number of them where the default is empty);
-    sections recurse."""
+    finite numbers; sections recurse."""
     out = []
     for f in dataclasses.fields(default):
         want, got = getattr(default, f.name), getattr(config, f.name)
@@ -286,11 +287,10 @@ def _shape_errors(config, default, prefix: str = "") -> list[Finding]:
             out += [Finding("error", f"{path}.{key}", f"must be a finite number, got {val!r}")
                     for key, val in got.items() if not _is_finite(val)]
         elif isinstance(want, tuple):
-            count = f"{len(want)} " if want else ""
-            if not isinstance(got, (tuple, list)) or (want and len(got) != len(want)):
-                out.append(Finding("error", path, f"must hold {count}values"))
+            if not isinstance(got, (tuple, list)) or len(got) != len(want):
+                out.append(Finding("error", path, f"must hold {len(want)} values"))
             elif not all(map(_is_finite, got)):
-                out.append(Finding("error", path, f"must hold {count}finite numbers"))
+                out.append(Finding("error", path, f"must hold {len(want)} finite numbers"))
         elif isinstance(want, (bool, str)):
             if type(got) is not type(want):
                 out.append(Finding("error", path, f"must be a {type(want).__name__}, got {got!r}"))

@@ -1,7 +1,7 @@
 """Physical and cost models for the five storage technologies."""
 
 from .storage import EssState, ess_step, saturate
-from .flywheel import FessParams, fess_virtual_inertia, fess_standby_loss, fess_lcoe
+from .flywheel import FessParams, fess_standby_loss, fess_lcoe
 from .battery import (
     BatteryDegParams,
     battery_soh,
@@ -32,7 +32,6 @@ __all__ = [
     "ess_step",
     "saturate",
     "FessParams",
-    "fess_virtual_inertia",
     "fess_standby_loss",
     "fess_lcoe",
     "BatteryDegParams",

@@ -123,7 +123,6 @@ class PemfcParams:
     r_c: float = 1.0e-6
     b: float = 0.016
     j_max: float = 1.5
-    n_cells: int = 500
     area: float = 5000.0
     delta_g: float = 237200.0
     delta_s: float = 164.025

@@ -94,6 +94,10 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
         if raw.dt != 1.0:
             raise ConfigError(f"csv_path: '{config.csv_path}' is sampled every {raw.dt:g} s; "
                               "ingested actuals must be sampled at 1 s")
+        if not raw.start_epoch.is_integer():
+            # The report CSVs write whole-second epochs.
+            raise ConfigError(f"csv_path: '{config.csv_path}' starts at epoch "
+                              f"{float(raw.start_epoch)}, off the whole second")
         vals = raw.values
         if vals.size < run_seconds:
             raise ConfigError(
@@ -141,11 +145,12 @@ class _Layer:
     """Run state of one MPC layer and the rules of its store.
 
     actual_mean holds the run's actuals averaged over each layer step, for
-    the forecast de-bias; bias_pow is None when de-biasing is off. plan is
-    the number of forecast steps the law reads per decision, and sizes its
-    bounds. output and band are the applied output and the (lower, upper,
-    gamma) band per layer step. dump_path is the QP dump still to write, if
-    any. mu_hint is the periodic baseline's warm-start dual.
+    the forecast de-bias, and bias_pow the weight of the observed error at
+    each horizon step (all zero when de-biasing is off). plan is the number
+    of forecast steps the law reads per decision, and sizes its bounds.
+    output and band are the applied output and the (lower, upper, gamma)
+    band per layer step. dump_path is the QP dump still to write, if any.
+    mu_hint is the periodic baseline's warm-start dual.
 
     device names the store whose energy the terminal row returns, held in
     state. rule(layer, k, fc) gives the plan's (lo, hi) bounds, the terminal
@@ -167,7 +172,7 @@ class _Layer:
     advance: Callable[..., None]
     forecast: np.ndarray
     actual_mean: np.ndarray
-    bias_pow: np.ndarray | None
+    bias_pow: np.ndarray
     plan: int
     output: np.ndarray
     band: np.ndarray
@@ -186,7 +191,7 @@ class _Layer:
         fc = self.forecast[k : k + n]
         for y in held:
             fc = fc - y
-        if self.bias_pow is not None and k > 0:
+        if k > 0:
             err = self.actual_mean[k - 1] - self.forecast[k - 1]
             fc = fc + err * self.bias_pow[:n]
         return fc
@@ -252,7 +257,6 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         soc_tr[layer.device][i] = layer.state.energy
 
     specs = config.layer_specs()
-    bias_decay = config.forecast_bias_decay
     layers = []
     for name, dev, state, rule, rows, advance in (
         ("L1", "hydrogen", L1State(e_h=config.tank_init_frac * config.tank_cap_mwh,
@@ -269,8 +273,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             advance=advance,
             forecast=data.forecasts[name].values,
             actual_mean=av[:n_sec].reshape(n, step_s).mean(axis=1),
-            bias_pow=bias_decay ** np.arange(1, spec.horizon + 1)
-            if bias_decay > 0.0 else None,
+            bias_pow=config.forecast_bias_decay ** np.arange(1, spec.horizon + 1),
             plan=periodic_plan(spec, config.baseline.soc_period_h) if periodic else 1,
             output=np.zeros(n),
             band=np.zeros((n, 3)),

@@ -11,7 +11,6 @@ accumulated dispatch cost.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +24,8 @@ class TariffConfig:
     """Two-part tariff: time-of-use schedule plus a capacity charge.
 
     tou_schedule entries are ((hour_start, hour_end), price) with half-open
-    hour ranges covering 24 h without overlap; prices in currency/MWh and
-    capacity_rate in currency/MW.
+    ranges of whole hours covering 24 h without overlap; prices in
+    currency/MWh and capacity_rate in currency/MW.
     """
 
     tou_schedule: list[tuple[tuple[float, float], float]] = field(
@@ -44,7 +43,7 @@ class TariffConfig:
         """Price per whole hour of day (currency/MWh)."""
         prices = np.zeros(24)
         for (h0, h1), price in self.tou_schedule:
-            prices[int(h0) : int(math.ceil(h1))] = price
+            prices[int(h0) : int(h1)] = price
         return prices
 
 

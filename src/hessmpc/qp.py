@@ -517,9 +517,11 @@ def solve_qp(st: StepStructure, lo: np.ndarray, hi: np.ndarray, terminal=None,
     Without ``terminal`` the steps separate and each is solved in closed
     form. terminal = (pattern, target) adds the equality
     ``sum(pattern . u_i over all steps) == target`` (no band rows allowed),
-    met through its scalar dual warm started from ``mu_hint``, which never
-    changes the solution; a target beyond the box's reach is met at the
-    nearest boundary and the gap reported as ``coupling_slack``.
+    met through its scalar dual warm started from ``mu_hint``. The start
+    changes the solution only within the row's tolerance, 1e-7 times the
+    larger magnitude of the row's reachable extremes (at least 1), so
+    another hint can change its bits. A target beyond the box's reach is
+    met at the nearest boundary and the gap reported as ``coupling_slack``.
     """
     if terminal is None:
         u, _, feasible = _solve_steps(st, lo, hi)

@@ -32,14 +32,12 @@ class VicParams:
     """Gains of the flywheel layer, which ticks once per second.
 
     k_pf is the aggregate power-frequency coefficient (MW/Hz); k_p the droop
-    gain (MW/Hz); k_d the inertia gain (MW*s/Hz). baseline_mw is the
-    exchange setpoint.
+    gain (MW/Hz); k_d the inertia gain (MW*s/Hz).
     """
 
     k_pf: float = 15.0
     k_p: float = 120.0
     k_d: float = 25.0
-    baseline_mw: float = 0.0
 
 
 def close_residual(
@@ -62,14 +60,13 @@ def close_residual(
     beta = params.k_p + params.k_d
     denom = k_pf + beta
     kpf_kd = k_pf * params.k_d
-    p0 = params.baseline_mw
     lo, hi, cap, eta_c, eta_d, keep, standby_e = store.saturate_args(DT_H)
     if df_prev is None:
         df_prev = residual[0] / (k_pf + params.k_p)
     out = []
     for r in residual:
         p, energy = saturate(
-            energy, (beta * r - kpf_kd * df_prev) / denom - p0,
+            energy, (beta * r - kpf_kd * df_prev) / denom,
             lo, hi, cap, eta_c, eta_d, keep, standby_e, DT_H,
         )
         df_prev = (r - p) / k_pf

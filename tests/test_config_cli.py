@@ -110,16 +110,28 @@ def test_bad_json_raises_config_error(tmp_path):
     assert [f.path for f in validate(load_config(str(path2)))] == ["scenario.archetype"]
 
 
-def test_unknown_keys_named_by_path():
+def test_unknown_keys_named_by_path(tmp_path, capsys):
     with pytest.raises(ConfigError) as info:
         from_dict({"q_weigths": [0.3, 0.2, 0.1], "mtip": {"kapa": 3},
                    "scenario": {"duration_dayz": 2}})
     msg = str(info.value)
     for path in ("q_weigths", "mtip.kapa", "scenario.duration_dayz"):
         assert path in msg
-    # Knobs that no longer exist are unknown keys too.
-    with pytest.raises(ConfigError, match="vic.dt_s"):
-        from_dict({"vic": {"dt_s": 2.0}})
+    # Knobs that no longer exist are unknown keys too: validate and run exit
+    # 2 naming the key, and run writes nothing. The last four were read by
+    # nothing, or only by a function nothing called.
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    for section, key, value in (("vic", "dt_s", 2.0), ("pemfc", "n_cells", 500),
+                                ("fess", "rotor_inertias", [1.0, 2.0]),
+                                ("fess", "initial_elec_speed", 1500.0),
+                                ("vic", "baseline_mw", 0.0)):
+        cfg_path.write_text(json.dumps({section: {key: value}}))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert f"config error: unknown configuration keys: {section}.{key}\n" \
+                in capsys.readouterr().err, (command, key)
+        assert not out.exists()
 
 
 def test_cli_validate_unknown_keys(tmp_path, capsys):
@@ -216,6 +228,23 @@ def test_cli_default_config(tmp_path):
     cfg = load_config(str(path))
     assert validate(cfg) == []
     assert to_dict(cfg) == to_dict(EngineConfig())
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--controller", "filter"],
+    ["synth", "--accuracy", "0.8"],
+    ["synth", "--controller", "filter"],
+    ["default-config", "--seed", "3"],
+])
+def test_commands_refuse_flags_they_do_not_read(tmp_path, capsys, argv):
+    # compare ran all three controllers whatever --controller said, and the
+    # others dropped these flags without a word.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(out)])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_end_to_end_determinism(tmp_path):
@@ -397,7 +426,8 @@ def test_periodic_plan_inside_the_forecast_pad_runs(tmp_path, capsys):
     # These two stopped validate itself with a traceback.
     ({"q_weights": ["a", 0.15, 0.1]}, "q_weights"),
     ({"scenario": {"calm_window_days": [0.01]}}, "scenario.calm_window_days"),
-    ({"fess": {"rotor_inertias": ["a"]}}, "fess.rotor_inertias"),
+    # A non-number inside a section's tuple.
+    ({"fess": {"energy_envelope": ["a", 1.9]}}, "fess.energy_envelope"),
     # Device values that stopped the run with a traceback, or wrote NaN or
     # ran a flywheel that charged when asked to discharge.
     ({"h2_power_mw": -5}, "h2_power_mw"),
@@ -415,7 +445,7 @@ def test_periodic_plan_inside_the_forecast_pad_runs(tmp_path, capsys):
     # metrics.json, which is no valid JSON.
     ({"mtip": {"kappa": float("nan")}}, "mtip.kappa"),
     ({"vic": {"k_pf": float("nan")}}, "vic.k_pf"),
-    ({"vic": {"baseline_mw": float("nan")}}, "vic.baseline_mw"),
+    ({"forecast_bias_decay": float("nan")}, "forecast_bias_decay"),
     ({"mtip": {"eps_db": 1e400}}, "mtip.eps_db"),
     ({"meoh_init_mwh": 1e400}, "meoh_init_mwh"),
     ({"scenario": {"balanced_surplus_mw": 1e400}}, "scenario.balanced_surplus_mw"),
@@ -477,6 +507,8 @@ def _assert_config_error(tmp_path, capsys, override, path):
     ({"meoh": {"x_min": 0.9}}, "meoh.x_min"),
     ({"meoh": {"s_min": 0.99}}, "meoh.s_min"),
     ({"battery_deg": {"alpha_sei": 0.9}}, "battery_deg.alpha_sei"),
+    # Prices are per whole hour: hour 6 was priced at 900 in full.
+    ({"tariff": {"tou_schedule": [[[0, 6.5], 100], [[6.5, 24], 900]]}}, "tariff.tou_schedule"),
 ])
 def test_section_value_rules_are_config_errors_at_their_path(tmp_path, capsys, override, path):
     # The sections checked these values themselves, inside from_dict: the
@@ -529,16 +561,6 @@ def test_leaky_store_runs_under_every_controller(tmp_path, leak_free_filter_metr
         assert main(["run", "--config", str(cfg_path), "--days", "0.25", "--controller",
                      controller, "--out", str(tmp_path / controller)]) == 0, controller
     assert (tmp_path / "filter" / "metrics.json").read_bytes() != leak_free_filter_metrics
-
-
-def test_rotor_inertias_take_any_number_of_rotors(tmp_path, capsys):
-    # The default rotor list is empty, so its length is no rule for others.
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"fess": {"rotor_inertias": [1.0, 2.0]}}))
-    assert main(["validate", "--config", str(cfg_path)]) == 0
-    assert main(["run", "--config", str(cfg_path), "--days", "0.041666666666666664",
-                 "--out", str(tmp_path / "out")]) == 0
-    assert "error" not in capsys.readouterr().out
 
 
 def test_forecast_accuracy_keys_name_layers():

@@ -1,38 +1,8 @@
-import math
 import warnings
 
 import pytest
 
-from hessmpc.devices import FessParams, fess_lcoe, fess_standby_loss, fess_virtual_inertia
-
-
-def test_virtual_inertia_unity_ratios():
-    p = FessParams(rotor_inertias=(100.0,), rated_speed=1000.0, initial_elec_speed=1000.0)
-    df = 1.0
-    j = fess_virtual_inertia(p, df, 2.0 * math.pi * df)
-    assert j == pytest.approx(100.0)
-
-
-def test_virtual_inertia_scaled():
-    p = FessParams(rotor_inertias=(50.0, 50.0), rated_speed=1000.0, initial_elec_speed=800.0)
-    df = 0.5
-    j = fess_virtual_inertia(p, df, 2.0 * 2.0 * math.pi * df)
-    assert j == pytest.approx(100.0 * 0.8 * 2.0)
-    assert j == pytest.approx(160.0)
-
-
-def test_virtual_inertia_empty_rotor_list():
-    p = FessParams(rotor_inertias=(), rated_speed=1000.0)
-    assert fess_virtual_inertia(p, 0.5, 1.0) == 0.0
-
-
-def test_virtual_inertia_domain_errors():
-    p = FessParams(rotor_inertias=(100.0,), rated_speed=1000.0)
-    with pytest.raises(ValueError):
-        fess_virtual_inertia(p, 0.0, 1.0)
-    slow = FessParams(rotor_inertias=(100.0,), rated_speed=10.0)
-    with pytest.raises(ValueError):
-        fess_virtual_inertia(slow, 1.0, 1.0)
+from hessmpc.devices import FessParams, fess_lcoe, fess_standby_loss
 
 
 def test_standby_zero_coefficients():

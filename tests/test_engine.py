@@ -199,6 +199,22 @@ def test_csv_not_sampled_at_one_second_is_rejected_at_its_path(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_csv_start_off_the_whole_second_is_rejected_at_its_path(tmp_path, capsys):
+    # The report CSVs write whole-second epochs: a trace from 1000.5 ran and
+    # wrote 1000, 1002, 1002, ..., a file ingest_csv itself rejects.
+    from hessmpc.cli import main
+    path = tmp_path / "netload.csv"
+    path.write_text("epoch_s,power_mw\n" + "".join(f"{1000.5 + i},40.0\n" for i in range(3600)))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"csv_path": str(path)}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--days", str(1.0 / 24.0),
+                 "--out", str(out)]) == 2
+    assert f"config error: csv_path: '{path}' starts at epoch 1000.5, off the whole second" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_periodic_baseline_schema_and_events():
     cfg = _config(days=1.0, seed=5, archetype="deficit")
     data = prepare_scenario(cfg)

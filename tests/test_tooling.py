@@ -301,3 +301,63 @@ def test_package_has_no_dense_form():
             found += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
                       for name in names if name in dense]
     assert found == []
+
+
+def _nudges(value):
+    """Values 5% off ``value`` (0.05 for a zero, one more for a small
+    integer), one per entry of a tuple; none for an empty tuple."""
+    if isinstance(value, tuple):
+        return [value[:i] + (v,) + value[i + 1:]
+                for i, entry in enumerate(value) for v in _nudges(entry)]
+    if isinstance(value, int):
+        return [value + max(1, value // 20)]
+    return [value * 1.05 if value else 0.05]
+
+
+def _device_outputs(cfg):
+    """The device models' outputs at one operating point: the hydrogen
+    chain at its idle, mid and clamped low loads, the electrolyzer's
+    hydrogen rate and the L1 input caps, battery health, stress and cycle
+    cost at an ambient temperature off T_ref, the flywheel's state, standby
+    drain and levelized cost, and its law's answer to a residual step."""
+    from hessmpc.devices import (awe_hydrogen, battery_soh, bess_cycle_cost, fess_lcoe,
+                                 stress_factors)
+    from hessmpc.mpc import freeze_efficiencies
+    from hessmpc.vic import close_residual
+
+    out = []
+    for loads in (None, (0.6,) * 4, (0.01,) * 4):
+        out += dataclasses.astuple(freeze_efficiencies(cfg.awe, cfg.pemfc, cfg.meoh,
+                                                       cfg.turbine, loads))
+    out.append(awe_hydrogen(cfg.awe.j_nominal * cfg.awe.area, cfg.awe)[0])
+    out += cfg.layer_specs()["L1"].u_max.tolist()
+    deg = cfg.battery_deg
+    out += [battery_soh(0.1, deg), *stress_factors(cfg.ambient_temp_c, 3600.0, 0.6, 0.3, deg),
+            bess_cycle_cost(1e-4, deg)]
+    fess = cfg.fess_state()
+    out += [*dataclasses.astuple(fess), fess_lcoe(cfg.fess)]
+    out += close_residual([0.0, 5.0, 5.0, -3.0], fess.energy, None, cfg.vic, fess)[0]
+    return out
+
+
+def test_every_device_field_moves_a_model_output():
+    # A field no model reads is a setting no run can use. The operating
+    # point has nonzero flywheel losses, so the rated speed sets the
+    # standby drain, and an ambient temperature off T_ref, so the battery's
+    # temperature stress reads its coefficient.
+    from hessmpc.config import EngineConfig
+    from hessmpc.devices import FessParams
+
+    base = EngineConfig(fess=FessParams(windage_coeff=1e-9, bearing_coeff=1.0, bop_power=1e3,
+                                        lifetime_cycles=1000), ambient_temp_c=35.0)
+    want = _device_outputs(base)
+    dead = []
+    for section in ("awe", "pemfc", "meoh", "turbine", "battery_deg", "fess", "vic"):
+        params = getattr(base, section)
+        for f in dataclasses.fields(params):
+            moved = [_device_outputs(dataclasses.replace(base, **{
+                section: dataclasses.replace(params, **{f.name: v})})) != want
+                for v in _nudges(getattr(params, f.name))]
+            if not any(moved):
+                dead.append(f"{section}.{f.name}")
+    assert dead == []

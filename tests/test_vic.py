@@ -59,9 +59,6 @@ def _close(rs, params=P, energy=1.0):
 def test_command_baseline_at_zero_residual():
     inject, e, df = _close([0.0] * 5)
     assert inject == [0.0] * 5 and df == 0.0
-    # A positive exchange setpoint shifts the first request into charging.
-    inject, _, _ = _close([0.0], VicParams(baseline_mw=5.0))
-    assert inject == [-5.0]
 
 
 def test_command_droop_term():
