@@ -7,17 +7,3 @@ from .scenario import ScenarioConfig, synthesize
 from .timeseries import TimeSeries
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EngineConfig",
-    "ScenarioConfig",
-    "SimulationReport",
-    "TimeSeries",
-    "load_config",
-    "prepare_scenario",
-    "run",
-    "synthesize",
-    "validate",
-    "write_report",
-    "__version__",
-]

@@ -21,10 +21,12 @@ import numpy as np
 
 from .config import EngineConfig
 from .devices.storage import EssState, saturate
-from .engine import SOC_STEP_S, assemble_report, prepare_scenario
+from .engine import assemble_report, prepare_scenario, soc_step_s
 from .metrics import DeviceLedger, SimulationReport
-from .mpc import freeze_efficiencies
+from .mpc import LAYERS, freeze_efficiencies
 from .scenario import window_mean
+from .timeseries import BLOCK
+from .vic import DT_H
 
 
 def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationReport:
@@ -32,61 +34,66 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
     if data is None:
         data = prepare_scenario(config)
     n_sec = data.run_seconds
-    x = data.actuals.values[:n_sec]
-    dth = 1.0 / 3600.0
-
-    # Cascaded trailing means: each band is the step between two of them,
-    # fastest first, and the last mean is the trend.
-    means = [x]
-    for cutoff in (*config.baseline.filter_cutoffs, config.baseline.trend_cutoff_s):
-        means.append(window_mean(means[-1], int(round(cutoff)) - 1, 0))
-    bands = [a - b for a, b in zip(means, means[1:])] + [means[-1]]
+    steps = soc_step_s()
 
     eff = freeze_efficiencies(config.awe, config.pemfc, config.meoh, config.turbine)
-    # (layer, device, store, band), fastest band first.
+    # (layer, device, store), fastest band first.
     stores = (
-        ("L4", "fess", config.fess_state(), bands[0]),
-        ("L3", "bess", config.bess.make_state(), bands[1]),
-        ("L2", "caes", config.caes.make_state(), bands[2]),
+        ("L4", "fess", config.fess_state()),
+        ("L3", "bess", config.bess.make_state()),
+        ("L2", "caes", config.caes.make_state()),
         ("L1", "hydrogen", EssState(
             energy=config.tank_init_frac * config.tank_cap_mwh,
             envelope=(0.0, config.tank_cap_mwh), power_cap=config.h2_power_mw,
-            eta_c=eff.eta_hc, eta_d=eff.eta_hd), bands[3]),
+            eta_c=eff.eta_hc, eta_d=eff.eta_hd)),
     )
+    cutoffs = (*config.baseline.filter_cutoffs, config.baseline.trend_cutoff_s)
 
     e_m = config.meoh_init_mwh
     ledgers = {"methanol": DeviceLedger(initial_energy=e_m, final_energy=e_m,
                                         eta_c=eff.eta_hc * eff.eta_mc, eta_d=eff.eta_md)}
-    soc = {"methanol": np.full(n_sec // 3600 + 1, e_m)}
+    soc = {"methanol": np.full(n_sec // steps["methanol"] + 1, e_m)}
     outputs = {}
     resid = np.zeros(n_sec)
     saturations = 0
-    for layer, dev, st, band in stores:
-        lo, hi, cap, ec, ed, keep, stb = st.saturate_args(dth)
-        step = SOC_STEP_S[dev]
+    # Cascaded trailing means, taken one at a time: each store's band is the
+    # step from one mean to the next, fastest first, and the last mean, the
+    # trend, is the last store's band. Bands are formed and saturated in
+    # blocks.
+    mean = data.actuals.values[:n_sec]
+    for i, (layer, dev, st) in enumerate(stores):
+        nxt = window_mean(mean, int(round(cutoffs[i])) - 1, 0) if i < len(cutoffs) else None
+        lo, hi, cap, ec, ed, keep, stb = st.saturate_args(DT_H)
+        step = steps[dev]
         trace = np.zeros(n_sec // step + 1)
         trace[0] = e = st.energy
-        out = np.zeros(n_sec)
+        out = np.empty(n_sec)
         charged = discharged = 0.0
-        for s, want in enumerate(band.tolist()):
-            p, e = saturate(e, want, lo, hi, cap, ec, ed, keep, stb, dth)
-            if want >= 0.0:
-                discharged += p
-            else:
-                charged += -p
-            if p != want:
-                saturations += 1
-            out[s] = p
-            if (s + 1) % step == 0:
-                trace[(s + 1) // step] = e
-        ledgers[dev] = DeviceLedger(charged * dth, discharged * dth, st.energy, e, ec, ed)
+        for b0 in range(0, n_sec, BLOCK):
+            b1 = min(b0 + BLOCK, n_sec)
+            band = mean[b0:b1] if nxt is None else mean[b0:b1] - nxt[b0:b1]
+            for s, want in enumerate(band.tolist(), b0):
+                p, e = saturate(e, want, lo, hi, cap, ec, ed, keep, stb, DT_H)
+                if want >= 0.0:
+                    discharged += p
+                else:
+                    charged += -p
+                if p != want:
+                    saturations += 1
+                out[s] = p
+                if (s + 1) % step == 0:
+                    trace[(s + 1) // step] = e
+            resid[b0:b1] += band - out[b0:b1]
+        ledgers[dev] = DeviceLedger(charged * DT_H, discharged * DT_H, st.energy, e, ec, ed)
         soc[dev] = trace
         outputs[layer] = out
-        resid += band - out
+        # Free the mean just used; the trend's last band block is a view of it.
+        mean = band = nxt
 
-    cost = {layer: ledgers[dev].charged_mwh * prices[0] + ledgers[dev].discharged_mwh * prices[1]
-            for layer, dev, prices in (("L1", "hydrogen", config.c_l1),
-                                       ("L2", "caes", config.c_l2), ("L3", "bess", config.c_l3))}
+    cost = {}
+    for row in LAYERS:
+        ledger, prices = ledgers[row.device], getattr(config, row.price_key)
+        cost[row.layer_id] = ledger.charged_mwh * prices[0] + ledger.discharged_mwh * prices[1]
     cost["L4"] = config.c_l4 * (ledgers["fess"].charged_mwh + ledgers["fess"].discharged_mwh)
     return assemble_report("filter", config, data, resid,
                            {layer: (1, out) for layer, out in outputs.items()},

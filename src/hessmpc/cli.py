@@ -15,7 +15,8 @@ import sys
 from .config import EngineConfig, load_config, require_valid, save_config, validate
 from .engine import prepare_scenario, run, write_report
 from .errors import ConfigError, HessError, LedgerClosureError, QpInfeasible
-from .scenario import synthesize
+from .mpc import LAYERS
+from .scenario import ScenarioConfig, synthesize
 from .timeseries import write_csv
 
 EXIT_OK = 0
@@ -24,16 +25,19 @@ EXIT_RUNTIME = 3
 EXIT_SOLVER = 4
 
 
-def _load(args) -> EngineConfig:
-    config = load_config(args.config) if args.config else EngineConfig()
-    if args.seed is not None:
-        config.scenario.seed = args.seed
-    if args.days is not None:
-        config.scenario.duration_days = args.days
-    if getattr(args, "accuracy", None) is not None:
-        config.scenario.forecast_accuracy = {
-            k: args.accuracy for k in ("L1", "L2", "L3")
-        }
+def _load(args, unknown: list[str] | None = None) -> EngineConfig:
+    """The configuration of the command line; ``unknown`` as in
+    :func:`~hessmpc.config.from_dict`. A scenario section of the wrong kind
+    takes no flag; validate reports it."""
+    config = load_config(args.config, unknown) if args.config else EngineConfig()
+    scenario = config.scenario
+    if isinstance(scenario, ScenarioConfig):
+        if args.seed is not None:
+            scenario.seed = args.seed
+        if args.days is not None:
+            scenario.duration_days = args.days
+        if getattr(args, "accuracy", None) is not None:
+            scenario.forecast_accuracy = {row.layer_id: args.accuracy for row in LAYERS}
     if getattr(args, "controller", None) is not None:
         config.controller = args.controller
     if args.out is not None:
@@ -64,13 +68,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = _load(args)
+    # Unknown keys are reported with every finding of the known ones.
+    unknown = []
+    config = _load(args, unknown)
+    if unknown:
+        print(f"config error: unknown configuration keys: {', '.join(unknown)}",
+              file=sys.stderr)
     findings = validate(config)
     for f in findings:
         print(f"{f.severity}: {f.path}: {f.message}")
-    if not findings:
+    if not findings and not unknown:
         print("configuration valid")
-    return EXIT_CONFIG if any(f.severity == "error" for f in findings) else EXIT_OK
+    return EXIT_CONFIG if unknown or any(f.severity == "error" for f in findings) else EXIT_OK
 
 
 def cmd_compare(args) -> int:

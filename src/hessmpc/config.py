@@ -28,7 +28,7 @@ from .devices import (
 )
 from .errors import ConfigError
 from .metrics import TariffConfig
-from .mpc import LayerSpec, freeze_efficiencies, periodic_plan
+from .mpc import LAYERS, LayerSpec, freeze_efficiencies, periodic_plan
 from .mtip import marginal_cost
 from .scenario import ARCHETYPES, ScenarioConfig
 from .vic import VicParams
@@ -121,34 +121,27 @@ class EngineConfig:
     debug_qp_dump: bool = False
 
     def layer_specs(self) -> dict[str, LayerSpec]:
-        """Build the three layer descriptions from the configured weights."""
-        conv_cap = self.meoh.rated_power / 0.75
-        return {
-            "L1": LayerSpec(
-                layer_id="L1", dt_h=1.0, horizon=self.n1,
-                tracking_weight=self.q_weights[0], cost_weight=self.r_weights[0],
-                cost_vec=np.array(self.c_l1),
-                output_row=np.array([-1.0, 1.0, 0.0, 1.0]),
-                u_max=np.array([
-                    self.h2_power_mw, self.h2_power_mw,
-                    conv_cap, self.turbine.rated,
-                ]),
-            ),
-            "L2": LayerSpec(
-                layer_id="L2", dt_h=0.25, horizon=self.n2,
-                tracking_weight=self.q_weights[1], cost_weight=self.r_weights[1],
-                cost_vec=np.array(self.c_l2),
-                output_row=np.array([-1.0, 1.0]),
-                u_max=np.array([self.caes.power_mw, self.caes.power_mw]),
-            ),
-            "L3": LayerSpec(
-                layer_id="L3", dt_h=1.0 / 60.0, horizon=self.n3,
-                tracking_weight=self.q_weights[2], cost_weight=self.r_weights[2],
-                cost_vec=np.array(self.c_l3),
-                output_row=np.array([-1.0, 1.0]),
-                u_max=np.array([self.bess.power_mw, self.bess.power_mw]),
-            ),
-        }
+        """Build the layer descriptions of :data:`~hessmpc.mpc.LAYERS` from
+        the configured weights: L1 moves the hydrogen chain's four inputs
+        (electrolysis, fuel cell, methanol conversion, turbine), each other
+        layer its store's charge and discharge."""
+        specs = {}
+        for i, row in enumerate(LAYERS):
+            if row.device == "hydrogen":
+                output_row = [-1.0, 1.0, 0.0, 1.0]
+                u_max = [self.h2_power_mw, self.h2_power_mw,
+                         self.meoh.rated_power / 0.75, self.turbine.rated]
+            else:
+                output_row = [-1.0, 1.0]
+                u_max = [getattr(self, row.device).power_mw] * 2
+            specs[row.layer_id] = LayerSpec(
+                layer_id=row.layer_id, dt_h=row.step_s / 3600,
+                horizon=getattr(self, row.horizon_key),
+                tracking_weight=self.q_weights[i], cost_weight=self.r_weights[i],
+                cost_vec=np.array(getattr(self, row.price_key)),
+                output_row=np.array(output_row), u_max=np.array(u_max),
+            )
+        return specs
 
     def fess_state(self) -> EssState:
         lo, hi = self.fess.energy_envelope
@@ -199,24 +192,30 @@ def _interval(text: str, message: str | None = None):
     return holds, message
 
 
-#: The value rule of each single field, path -> (test, message): a path
-#: reads a tuple entry as ``name[i]`` and a mapping entry as ``name.key``.
-_RULES = {path: _interval(*rule) for path, *rule in (
-    *((f"{store}.{side}", "(0, 1]") for store in ("bess", "caes", "fess")
+#: The value rule of each single field, path -> (interval, test, message):
+#: a path reads a tuple entry as ``name[i]`` and a mapping entry as
+#: ``name.key``.
+_RULES = {path: (rule[0], *_interval(*rule)) for path, *rule in (
+    # A store's moves and its room divide by its efficiencies and multiply
+    # them by the step: one far below any device's loses every digit.
+    *((f"{store}.{side}", "[1e-6, 1]") for store in ("bess", "caes", "fess")
       for side in ("eta_c", "eta_d")),
     ("bess.init_frac", "[0, 1]"), ("caes.init_frac", "[0, 1]"),
     ("fess_init_frac", "[0, 1]"), ("tank_init_frac", "[0, 1]"),
     ("bess.self_discharge", "[0, 1)"), ("caes.self_discharge", "[0, 1)"),
     ("forecast_bias_decay", "[0, 1)"),
-    *((f"scenario.forecast_accuracy.{layer}", "(0, 1]") for layer in ("L1", "L2", "L3")),
+    *((f"scenario.forecast_accuracy.{row.layer_id}", "(0, 1]") for row in LAYERS),
     # Rated powers and energies cap the inputs and the flywheel's injection,
     # and the costs divide by them; the flywheel's levelized cost sums over
     # its cycle life, one float per cycle, at a discount rate that a
     # negative one makes overflow.
     *((path, "(0, inf)") for path in (
         "bess.power_mw", "caes.power_mw", "h2_power_mw", "tank_cap_mwh",
-        "meoh.rated_power", "turbine.rated", "fess.power_cap", "battery_deg.rated_energy")),
+        "meoh.rated_power", "turbine.rated", "fess.power_cap", "bess.energy_mwh")),
     ("fess.lifetime_cycles", "[1, 1e7]"), ("fess.discount_rate", "[0, inf)"),
+    # The standby drain's terms; a negative one would cancel the others.
+    *((f"fess.{name}", "[0, inf)")
+      for name in ("windage_coeff", "bearing_coeff", "bop_power", "rated_speed")),
     ("meoh_init_mwh", "[0, inf)"),
     *((f"q_weights[{i}]", "(0, inf)") for i in range(3)),
     *((f"r_weights[{i}]", "[0, inf)") for i in range(3)),
@@ -317,7 +316,7 @@ def validate(config: EngineConfig) -> list[Finding]:
     def warn(path, msg):
         out.append(Finding("warning", path, msg))
 
-    for path, (holds, message) in _RULES.items():
+    for path, (_, holds, message) in _RULES.items():
         val = _value(config, path)
         if val is not None and not holds(val):
             err(path, f"{message}, got {val}")
@@ -353,21 +352,22 @@ def validate(config: EngineConfig) -> list[Finding]:
         # window holds its own step and at most the pad's steps after it;
         # the periodic law reads the steps it plans.
         if specs is not None and period > 0.0:
-            for key, name, per_hour in (("n2", "L2", 4), ("n3", "L3", 60)):
-                most = per_hour * config.n1 + 1
-                if periodic_plan(specs[name], period) > most:
-                    err(key, f"periodic-SOC horizon outruns the forecast, which ends "
-                             f"n1 = {config.n1} h after the run: at most {most} steps")
+            for row in LAYERS[1:]:
+                most = LAYERS[0].step_s // row.step_s * config.n1 + 1
+                if periodic_plan(specs[row.layer_id], period) > most:
+                    err(row.horizon_key, f"periodic-SOC horizon outruns the forecast, which "
+                        f"ends n1 = {config.n1} h after the run: at most {most} steps")
     if config.controller not in ("proposed", "periodic_soc", "filter"):
         err("controller", f"unknown controller '{config.controller}'")
     if config.controller == "proposed":
         # The band blend divides by the marginal cost of each band child.
         if specs is not None:
-            for i, child, prices in ((1, "L2", "c_l2"), (2, "L3", "c_l3")):
-                lam = marginal_cost(specs[child])
+            for i, row in enumerate(LAYERS[1:], 1):
+                lam = marginal_cost(specs[row.layer_id])
                 if lam <= 0.0:
-                    err(f"r_weights[{i}]" if config.r_weights[i] <= 0.0 else prices,
-                        f"marginal cost of band child {child} must be positive, got {lam}")
+                    err(f"r_weights[{i}]" if config.r_weights[i] <= 0.0 else row.price_key,
+                        f"marginal cost of band child {row.layer_id} must be positive, "
+                        f"got {lam}")
         if config.c_l4 <= 0.0:
             err("c_l4", f"marginal cost of band child L4 must be positive, got {config.c_l4}")
     # The hydrogen chain's efficiencies before a load sets them; a chain
@@ -384,20 +384,20 @@ def validate(config: EngineConfig) -> list[Finding]:
                 if not 0.0 < val <= 1.0:
                     err(section, f"idle-point efficiency {name} must lie in (0, 1], got {val}")
 
-    if config.n2 * 0.25 < 1.0:
-        warn("n2", "L2 horizon shorter than one L1 step")
-    if config.n3 * 1.0 < 15.0:
-        warn("n3", "L3 horizon shorter than one L2 step")
+    for parent, row in zip(LAYERS, LAYERS[1:]):
+        if getattr(config, row.horizon_key) * row.step_s < parent.step_s:
+            warn(row.horizon_key, f"{row.layer_id} horizon shorter than one "
+                 f"{parent.layer_id} step")
 
     days = config.scenario.duration_days
     span_s = days * 86400.0
     # A span that overflows to infinity counts as no run at all.
     run_s = round(span_s) if 0.0 < span_s < np.inf else 0
-    if run_s < 3600 or run_s % 3600:
+    if run_s < LAYERS[0].step_s or run_s % LAYERS[0].step_s:
         err("scenario.duration_days",
             f"run length must be a positive whole number of hours, got {days} days")
     for layer in config.scenario.forecast_accuracy:
-        if layer not in ("L1", "L2", "L3"):
+        if layer not in [row.layer_id for row in LAYERS]:
             err(f"scenario.forecast_accuracy.{layer}", "names no layer; the layers are L1, L2 and L3")
     if config.scenario.archetype not in ARCHETYPES:
         err("scenario.archetype", f"unknown archetype '{config.scenario.archetype}'; "
@@ -477,41 +477,43 @@ def _unknown_keys(default, data: dict, prefix: str = "") -> list[str]:
     return out
 
 
-def _build(default, data: dict, prefix: str = ""):
+def _build(default, data: dict):
     """``default`` with the fields ``data`` names replaced; a nested object
     overrides its section of ``default`` field by field, and a list is a
-    tuple wherever the default is not a list."""
+    tuple wherever the default is a tuple or None. A value of the wrong
+    kind is kept for :func:`validate` to report."""
     kwargs = {}
     for f in dataclasses.fields(default):
         if f.name not in data:
             continue
         val = data[f.name]
         base = getattr(default, f.name)
-        if (dataclasses.is_dataclass(base) or isinstance(base, dict)) and not isinstance(val, dict):
-            raise ConfigError(f"{prefix}{f.name}: must be an object, got {val!r}")
-        if dataclasses.is_dataclass(base):
-            kwargs[f.name] = _build(base, val, f"{prefix}{f.name}.")
-        elif isinstance(val, list) and not isinstance(base, list):
-            kwargs[f.name] = tuple(val)
-        elif isinstance(base, dict):
-            kwargs[f.name] = dict(val)
-        else:
-            kwargs[f.name] = val
+        if dataclasses.is_dataclass(base) and isinstance(val, dict):
+            val = _build(base, val)
+        elif isinstance(val, dict):
+            val = dict(val)
+        elif isinstance(val, list) and (base is None or isinstance(base, tuple)):
+            val = tuple(val)
+        kwargs[f.name] = val
     return dataclasses.replace(default, **kwargs)
 
 
-def from_dict(data: dict) -> EngineConfig:
-    """Build a configuration from its JSON form; a key that names no
-    configuration field is an error, reported with its dotted path."""
+def from_dict(data: dict, unknown: list[str] | None = None) -> EngineConfig:
+    """Build a configuration from its JSON form. A key that names no
+    configuration field is an error, reported with its dotted path; given a
+    list ``unknown``, the paths are appended to it instead, and the rest is
+    built."""
     default = EngineConfig()
-    unknown = _unknown_keys(default, data)
-    if unknown:
-        raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
+    keys = _unknown_keys(default, data)
+    if unknown is None and keys:
+        raise ConfigError("unknown configuration keys: " + ", ".join(keys))
+    if unknown is not None:
+        unknown += keys
     return _build(default, data)
 
 
-def load_config(path: str) -> EngineConfig:
-    """Load a JSON config file.
+def load_config(path: str, unknown: list[str] | None = None) -> EngineConfig:
+    """Load a JSON config file; ``unknown`` as in :func:`from_dict`.
 
     A top-level ``include`` key lists other config files (paths relative to
     the including file) merged in order before the file's own keys. A file
@@ -539,7 +541,7 @@ def load_config(path: str) -> EngineConfig:
             merged = _merge(merged, load_raw(inc_path, chain))
         return _merge(merged, data)
 
-    return from_dict(load_raw(path, ()))
+    return from_dict(load_raw(path, ()), unknown)
 
 
 def save_config(config: EngineConfig, path: str) -> None:

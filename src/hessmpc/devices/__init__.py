@@ -26,35 +26,3 @@ from .hydrogen import (
     HHV_VOLTAGE,
 )
 from .methanol import MeohParams, meoh_conversion, TurbineParams, turbine_efficiency
-
-__all__ = [
-    "EssState",
-    "ess_step",
-    "saturate",
-    "FessParams",
-    "fess_standby_loss",
-    "fess_lcoe",
-    "BatteryDegParams",
-    "battery_soh",
-    "stress_factors",
-    "rainflow_cycles",
-    "battery_damage",
-    "bess_cycle_cost",
-    "AweParams",
-    "PemfcParams",
-    "awe_cell_voltage",
-    "faradaic_efficiency",
-    "awe_hydrogen",
-    "pemfc_voltage",
-    "pemfc_discharge_efficiency",
-    "MeohParams",
-    "meoh_conversion",
-    "TurbineParams",
-    "turbine_efficiency",
-    "FARADAY",
-    "MOLAR_MASS_H2",
-    "LHV_H2",
-    "HHV_H2",
-    "LHV_VOLTAGE",
-    "HHV_VOLTAGE",
-]

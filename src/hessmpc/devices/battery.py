@@ -26,7 +26,7 @@ class BatteryDegParams:
 
     All stress coefficients are dimensionless except k_t (per second) and
     T_ref (degC). alpha_sds is tuned so SOH(0) stays within one knee_kappa of
-    unity. invest is currency, rated_energy MWh, om_rate currency/MWh.
+    unity. invest is currency, om_rate currency/MWh.
     """
 
     alpha_sei: float = 0.0575
@@ -43,7 +43,6 @@ class BatteryDegParams:
     T_ref: float = 25.0
     tau_ref: float = 0.5
     invest: float = 8.0e7
-    rated_energy: float = 200.0
     om_rate: float = 0.0
 
 
@@ -180,12 +179,13 @@ def battery_damage(
     return damage
 
 
-def bess_cycle_cost(delta_Lc: float, p: BatteryDegParams) -> float:
+def bess_cycle_cost(delta_Lc: float, p: BatteryDegParams, energy_mwh: float) -> float:
     """Marginal cost of one full cycle decaying SOH by ``delta_Lc``, currency/MWh.
 
     The investment is amortized over the 80 % usable SOH window and the
-    cycle's round-trip throughput (twice the rated energy).
+    cycle's round-trip throughput (twice the bank's rated energy,
+    ``energy_mwh``).
     """
     if delta_Lc < 0.0:
         raise ValueError("delta_Lc must be non-negative")
-    return (p.invest / 0.8) * delta_Lc / (2.0 * p.rated_energy) + p.om_rate
+    return (p.invest / 0.8) * delta_Lc / (2.0 * energy_mwh) + p.om_rate

@@ -13,7 +13,7 @@ order L1, L2, L3, each through one routine: the band from its child's
 current device state (compressed air for the hydrogen layer, battery for the
 compressed-air layer, flywheel for the battery layer), the forecast window
 below the parents' held outputs, the bounds, then the step law. The flywheel
-then closes the minute's 60 one-second residual samples with the law of
+then closes the minute's one-second residual samples with the law of
 :func:`~hessmpc.vic.close_residual`.
 
 Each controller has one step law, picked before the loop. The proposed
@@ -52,7 +52,7 @@ from .metrics import (
 # receding_step is imported only so that benchmarks/tracer.py can wrap it by
 # its name in this module.
 from .mpc import (  # noqa: F401
-    L1State, LayerDecision, LayerSpec, build_layer_problem, explicit_step,
+    LAYERS, L1State, LayerDecision, LayerSpec, build_layer_problem, explicit_step,
     first_step_caps, freeze_efficiencies, l1_bounds, l1_dynamics,
     periodic_plan, receding_step, simple_bounds,
 )
@@ -87,8 +87,7 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
     """
     require_valid(config)
     run_seconds = int(round(config.scenario.duration_days * 86400.0))
-    pad_seconds = config.n1 * 3600
-    total = run_seconds + pad_seconds
+    total = run_seconds + getattr(config, LAYERS[0].horizon_key) * LAYERS[0].step_s
     if config.csv_path is not None:
         raw = ingest_csv(config.csv_path)
         if raw.dt != 1.0:
@@ -117,17 +116,20 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
     acc = config.scenario.forecast_accuracy
     seed = config.scenario.seed
     forecasts = {
-        "L1": make_forecast(actuals, 3600.0, acc.get("L1", 0.9), seed * 1000 + 1),
-        "L2": make_forecast(actuals, 900.0, acc.get("L2", 0.9), seed * 1000 + 2),
-        "L3": make_forecast(actuals, 60.0, acc.get("L3", 0.9), seed * 1000 + 3),
+        row.layer_id: make_forecast(actuals, float(row.step_s), acc.get(row.layer_id, 0.9),
+                                    seed * 1000 + i)
+        for i, row in enumerate(LAYERS, 1)
     }
     return ScenarioData(actuals=actuals, run_seconds=run_seconds, forecasts=forecasts)
 
 
-#: Step length in seconds of each device's energy trace, in report order:
-#: the order round_trip_efficiency sums the ledgers in. A layer steps with
-#: the trace of its store.
-SOC_STEP_S = {"hydrogen": 3600, "methanol": 3600, "caes": 900, "bess": 60, "fess": 60}
+def soc_step_s() -> dict[str, int]:
+    """Step length in seconds of each device's energy trace, in report
+    order (the order round_trip_efficiency sums the ledgers in): a layer's
+    store and methanol at their layer's step, the flywheel at the last's."""
+    l1, l2, l3 = LAYERS
+    return {l1.device: l1.step_s, "methanol": l1.step_s, l2.device: l2.step_s,
+            l3.device: l3.step_s, "fess": l3.step_s}
 
 
 @dataclasses.dataclass
@@ -214,7 +216,11 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         data = prepare_scenario(config)
     av = data.actuals.values
     n_sec = data.run_seconds
-    n_min = n_sec // 60
+    soc_steps = soc_step_s()
+    # The minute loop steps at the last layer's step, and the flywheel
+    # closes its seconds.
+    minute = LAYERS[-1].step_s
+    n_min = n_sec // minute
     tank_env = (0.0, config.tank_cap_mwh)
     # The hydrogen chain's efficiencies, frozen for each L1 step.
     eff = None
@@ -258,26 +264,28 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
 
     specs = config.layer_specs()
     layers = []
-    for name, dev, state, rule, rows, advance in (
-        ("L1", "hydrogen", L1State(e_h=config.tank_init_frac * config.tank_cap_mwh,
-                                   e_m=config.meoh_init_mwh),
-         hydrogen_rule, (("hydrogen", 0, 1), ("methanol", None, 3)), hydrogen_advance),
-        ("L2", "caes", config.caes.make_state(), store_rule, (("caes", 0, 1),), store_advance),
-        ("L3", "bess", config.bess.make_state(), store_rule, (("bess", 0, 1),), store_advance),
-    ):
-        spec = specs[name]
-        step_s = SOC_STEP_S[dev]
+    for row in LAYERS:
+        dev, step_s = row.device, row.step_s
+        if dev == "hydrogen":
+            state = L1State(e_h=config.tank_init_frac * config.tank_cap_mwh,
+                            e_m=config.meoh_init_mwh)
+            rule, advance = hydrogen_rule, hydrogen_advance
+            rows = ((dev, 0, 1), ("methanol", None, 3))
+        else:
+            state = getattr(config, dev).make_state()
+            rule, rows, advance = store_rule, ((dev, 0, 1),), store_advance
+        spec = specs[row.layer_id]
         n = n_sec // step_s
         layers.append(_Layer(
             spec=spec, device=dev, step_s=step_s, state=state, rule=rule, rows=rows,
             advance=advance,
-            forecast=data.forecasts[name].values,
+            forecast=data.forecasts[row.layer_id].values,
             actual_mean=av[:n_sec].reshape(n, step_s).mean(axis=1),
             bias_pow=config.forecast_bias_decay ** np.arange(1, spec.horizon + 1),
             plan=periodic_plan(spec, config.baseline.soc_period_h) if periodic else 1,
             output=np.zeros(n),
             band=np.zeros((n, 3)),
-            dump_path=os.path.join(config.out_dir, f"qp_{name}.txt")
+            dump_path=os.path.join(config.out_dir, f"qp_{row.layer_id}.txt")
             if config.debug_qp_dump else None,
         ))
     l1, l2, l3 = layers
@@ -300,7 +308,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     resid_tr = np.zeros(n_sec)
     soc_tr = {}
     ledgers = {}
-    for dev, step_s in SOC_STEP_S.items():
+    for dev, step_s in soc_steps.items():
         soc_tr[dev] = np.zeros(n_sec // step_s + 1)
         soc_tr[dev][0] = e_init[dev]
         ledgers[dev] = DeviceLedger(initial_energy=e_init[dev])
@@ -322,7 +330,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         if child is None:
             # The flywheel's micro forecast holds the minute's forecast, so
             # its fluctuation is zero and the band has the flat form.
-            phy = flat_bounds(e_fess, fess0.envelope, fess0.eta_c, fess0.eta_d, DT_H, 60)
+            phy = flat_bounds(e_fess, fess0.envelope, fess0.eta_c, fess0.eta_d, DT_H, minute)
             cap = fess0.power_cap
         else:
             n = layer.step_s // child.step_s
@@ -362,7 +370,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     # One pass per minute, plus a last pass that only closes out the state
     # advances of the final intervals.
     for m in range(n_min + 1):
-        t0 = m * 60
+        t0 = m * minute
 
         # Store advances for the steps just completed: L3, L2, then L1.
         if m > 0:
@@ -381,10 +389,11 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             held.append(layer.y)
 
         # Second-scale flywheel closure.
-        r_arr = av[t0 : t0 + 60] - (l1.y + l2.y + l3.y)
+        t1 = t0 + minute
+        r_arr = av[t0:t1] - (l1.y + l2.y + l3.y)
         inject, e_fess, df_prev = close_residual(r_arr.tolist(), e_fess, df_prev, vic, fess0)
-        inject_tr[t0 : t0 + 60] = inject
-        resid_tr[t0 : t0 + 60] = r_arr - inject_tr[t0 : t0 + 60]
+        inject_tr[t0:t1] = inject
+        resid_tr[t0:t1] = r_arr - inject_tr[t0:t1]
     wall = time.perf_counter() - wall_start
 
     # Each side's samples are gathered, summed and freed before the other's.
@@ -431,10 +440,11 @@ def assemble_report(controller: str, config: EngineConfig, data: ScenarioData, s
 
     smoothed is the net load left after every layer. outputs maps each layer
     to its (step in seconds, output per step); soc and ledgers map each
-    device to its energy trace, one entry per :data:`SOC_STEP_S` step, and
+    device to its energy trace, one entry per :func:`soc_step_s` step, and
     its ledger. Layers and devices are taken in report order.
     """
     t0 = data.actuals.start_epoch
+    soc_steps = soc_step_s()
     report = SimulationReport(
         controller=controller,
         seed=config.scenario.seed,
@@ -442,8 +452,8 @@ def assemble_report(controller: str, config: EngineConfig, data: ScenarioData, s
         smoothed_netload=TimeSeries(t0, 1.0, smoothed),
         layer_outputs={name: TimeSeries(t0, float(step), out)
                        for name, (step, out) in sorted(outputs.items())},
-        soc_traces={dev: TimeSeries(t0, float(step), soc[dev]) for dev, step in SOC_STEP_S.items()},
-        ledgers={dev: ledgers[dev] for dev in SOC_STEP_S},
+        soc_traces={dev: TimeSeries(t0, float(step), soc[dev]) for dev, step in soc_steps.items()},
+        ledgers={dev: ledgers[dev] for dev in soc_steps},
         dispatch_cost=cost,
         solver_stats=stats,
         events=events,
@@ -455,11 +465,12 @@ def assemble_report(controller: str, config: EngineConfig, data: ScenarioData, s
 def _closure_gap(av, layers, inject_tr, resid_tr) -> float:
     """Largest |actuals less every layer's held output and the flywheel's
     injection, less the residual trace| over the run (0.0 for an empty
-    run): the ledger closure, reconstructed in blocks of whole hours (the
-    run is whole hours). max is exact, so the blocks' maxima give the bits
-    of the whole run's."""
+    run): the ledger closure, reconstructed in blocks of whole L1 steps
+    (the run is whole L1 steps, and each layer's step divides L1's). max is
+    exact, so the blocks' maxima give the bits of the whole run's."""
     n = resid_tr.size
-    block = BLOCK // 3600 * 3600
+    step = LAYERS[0].step_s
+    block = BLOCK // step * step
     gaps = [0.0]
     for lo in range(0, n, block):
         hi = min(lo + block, n)
@@ -563,9 +574,8 @@ def _finalize_metrics(report: SimulationReport, config: EngineConfig, data: Scen
         "smoothing_rate_rms": rms_smoothing_rate(original, smoothed),
         "minute_fluctuation_reduction": minute_fluctuation_reduction(original, smoothed),
         "round_trip_efficiency": round_trip_efficiency(report.ledgers),
-        "forecast_accuracy_L1": realized_accuracy(data.actuals, data.forecasts["L1"]),
-        "forecast_accuracy_L2": realized_accuracy(data.actuals, data.forecasts["L2"]),
-        "forecast_accuracy_L3": realized_accuracy(data.actuals, data.forecasts["L3"]),
+        **{f"forecast_accuracy_{layer}": realized_accuracy(data.actuals, fc)
+           for layer, fc in data.forecasts.items()},
     }
     total_cost = sum(report.dispatch_cost.values())
     report.economics = economic_benefit(original, smoothed, total_cost, config.tariff)
@@ -579,7 +589,8 @@ def _finalize_metrics(report: SimulationReport, config: EngineConfig, data: Scen
     delta_lc = battery_soh(0.0, config.battery_deg) - soh
     report.economics["bess_damage"] = damage
     report.economics["bess_soh"] = soh
-    report.economics["bess_cycle_cost"] = bess_cycle_cost(delta_lc, config.battery_deg)
+    report.economics["bess_cycle_cost"] = bess_cycle_cost(
+        delta_lc, config.battery_deg, config.bess.energy_mwh)
 
 
 def write_report(report: SimulationReport, out_dir: str) -> None:

@@ -25,6 +25,7 @@ failed, since its output window lies inside the offered one's.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,20 @@ class LayerSpec:
             raise ValueError("tracking weight must be positive")
         if self.horizon < 1:
             raise ValueError("horizon must hold at least one step")
+
+
+#: One MPC layer's fixed part: its id, the store it moves, its step in
+#: seconds, and the configuration keys of its horizon and its prices.
+LayerRow = namedtuple("LayerRow", "layer_id device step_s horizon_key price_key")
+
+#: The MPC layers, slowest first. Each step is a whole multiple of the next
+#: layer's, and the last layer's step is the minute loop's, whose seconds
+#: the flywheel closes.
+LAYERS = (
+    LayerRow("L1", "hydrogen", 3600, "n1", "c_l1"),
+    LayerRow("L2", "caes", 900, "n2", "c_l2"),
+    LayerRow("L3", "bess", 60, "n3", "c_l3"),
+)
 
 
 @dataclass

@@ -433,7 +433,7 @@ def test_periodic_plan_inside_the_forecast_pad_runs(tmp_path, capsys):
     ({"h2_power_mw": -5}, "h2_power_mw"),
     ({"turbine": {"rated": -1}}, "turbine.rated"),
     ({"meoh": {"rated_power": -1}}, "meoh.rated_power"),
-    ({"battery_deg": {"rated_energy": 0}}, "battery_deg.rated_energy"),
+    ({"bess": {"energy_mwh": 0}}, "bess.energy_mwh"),
     ({"fess": {"lifetime_cycles": 0}}, "fess.lifetime_cycles"),
     ({"fess": {"discount_rate": -1}}, "fess.discount_rate"),
     ({"fess": {"power_cap": -1}}, "fess.power_cap"),
@@ -509,6 +509,17 @@ def _assert_config_error(tmp_path, capsys, override, path):
     ({"battery_deg": {"alpha_sei": 0.9}}, "battery_deg.alpha_sei"),
     # Prices are per whole hour: hour 6 was priced at 900 in full.
     ({"tariff": {"tou_schedule": [[[0, 6.5], 100], [[6.5, 24], 900]]}}, "tariff.tou_schedule"),
+    # A negative flywheel loss term was dropped in silence, or cancelled
+    # part of the others.
+    ({"fess": {"bop_power": -1e5, "windage_coeff": -1}}, "fess.windage_coeff"),
+    ({"fess": {"bop_power": -1e5}}, "fess.bop_power"),
+    ({"fess": {"bearing_coeff": -1}}, "fess.bearing_coeff"),
+    ({"fess": {"rated_speed": -1500}}, "fess.rated_speed"),
+    # Efficiencies in (0, 1] but far below any device's (found by the
+    # config fuzz test): the first stopped the run with a ZeroDivisionError
+    # (exit 1), the second with an envelope violation (exit 3).
+    ({"fess": {"eta_c": 5e-324}}, "fess.eta_c"),
+    ({"bess": {"eta_d": 5e-324}, "scenario": {"seed": 1}}, "bess.eta_d"),
 ])
 def test_section_value_rules_are_config_errors_at_their_path(tmp_path, capsys, override, path):
     # The sections checked these values themselves, inside from_dict: the
@@ -701,13 +712,43 @@ def test_validate_names_every_field_of_the_wrong_kind():
 ])
 def test_section_that_is_no_object_is_a_config_error(tmp_path, capsys, override, path):
     # Each stopped with an AttributeError (exit 1); the first in validate
-    # itself.
+    # itself. validate prints it as a finding, run stops on it.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(override))
-    for command in ("validate", "run"):
-        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-        assert f"config error: {path}: must be an object, got 5" in capsys.readouterr().err
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert f"error: {path}: must be an object, got 5" in capsys.readouterr().out
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {path}: must be an object, got 5" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_flags_leave_a_section_of_the_wrong_kind_to_validate(tmp_path, capsys):
+    # The scenario flags set fields of the scenario section; on a section
+    # that is no object they are not applied, and the section is reported.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": 5}))
+    out = tmp_path / "out"
+    for command in ("validate", "run", "compare", "synth"):
+        assert main([command, "--config", str(cfg_path), "--seed", "1", "--days", "0.125",
+                     "--out", str(out)]) == 2, command
+        assert "error: scenario: must be an object, got 5" in "".join(capsys.readouterr())
+    assert not out.exists()
+
+
+def test_validate_reports_unknown_keys_with_every_other_finding(tmp_path, capsys):
+    # validate stopped at the unknown key and said nothing of vic.k_pf.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pemfc": {"n_cells": 1}, "vic": {"k_pf": -1},
+                                    "mtip": {"kapa": 3}}))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert "config error: unknown configuration keys: pemfc.n_cells, mtip.kapa\n" in err
+    assert "error: vic.k_pf: must be positive, got -1" in out
+    assert "configuration valid" not in out
+    # Unknown keys alone still fail validation.
+    cfg_path.write_text(json.dumps({"pemfc": {"n_cells": 1}}))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "compare", "synth"])

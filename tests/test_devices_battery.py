@@ -110,12 +110,15 @@ def test_damage_stacked_cycles_linear():
 
 
 def test_cycle_cost_examples():
-    p = BatteryDegParams(invest=8e7, rated_energy=200.0, om_rate=0.0)
-    assert bess_cycle_cost(0.0, p) == 0.0
-    assert bess_cycle_cost(1e-4, p) == pytest.approx(25.0)
-    assert bess_cycle_cost(2e-4, p) == pytest.approx(50.0)
-    with_om = BatteryDegParams(invest=8e7, rated_energy=200.0, om_rate=3.5)
-    assert bess_cycle_cost(0.0, with_om) == pytest.approx(3.5)
+    p = BatteryDegParams(invest=8e7, om_rate=0.0)
+    assert bess_cycle_cost(0.0, p, 200.0) == 0.0
+    assert bess_cycle_cost(1e-4, p, 200.0) == pytest.approx(25.0)
+    assert bess_cycle_cost(2e-4, p, 200.0) == pytest.approx(50.0)
+    # Cycles are priced against the bank's energy: twice the bank, half
+    # the cost per MWh.
+    assert bess_cycle_cost(1e-4, p, 400.0) == pytest.approx(12.5)
+    with_om = BatteryDegParams(invest=8e7, om_rate=3.5)
+    assert bess_cycle_cost(0.0, with_om, 200.0) == pytest.approx(3.5)
 
 
 def test_damage_alignment_errors():

@@ -56,6 +56,39 @@ def test_residual_identity_every_second(day_run):
     assert np.abs(recon - rep.smoothed_netload.values).max() <= 1e-9
 
 
+def test_layer_table_sets_each_layer_clock(monkeypatch):
+    # The layer table is the one place a layer's step is written: with L2
+    # stepping every 1800 s there, the forecasts, the outputs and the
+    # compressed-air trace of both MPC controllers take that grid, and
+    # the ledger closes.
+    import sys
+
+    from hessmpc import mpc
+
+    table = mpc.LAYERS
+    rows = tuple(row._replace(step_s=1800) if row.layer_id == "L2" else row for row in table)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("hessmpc") \
+                and getattr(module, "LAYERS", None) is table:
+            monkeypatch.setattr(module, "LAYERS", rows)
+    for controller in ("proposed", "periodic_soc"):
+        cfg = from_dict({"controller": controller, "n1": 2, "baseline": {"soc_period_h": 2},
+                         "scenario": {"duration_days": 2 / 24, "seed": 3}})
+        data = prepare_scenario(cfg)
+        fc = data.forecasts["L2"]
+        assert (fc.dt, len(fc)) == (1800.0, (2 + 2) * 2)
+        rep = run(cfg, data)
+        out, soc = rep.layer_outputs["L2"], rep.soc_traces["caes"]
+        assert (out.dt, len(out)) == (1800.0, 4)
+        assert (soc.dt, len(soc)) == (1800.0, 5)
+        assert rep.solver_stats["L2"]["solves"] == 4
+        recon = data.actuals.values[: data.run_seconds] - rep.layer_outputs["L4"].values
+        for layer in ("L1", "L2", "L3"):
+            ts = rep.layer_outputs[layer]
+            recon = recon - np.repeat(ts.values, int(ts.dt))
+        assert np.abs(recon - rep.smoothed_netload.values).max() <= 1e-9
+
+
 def test_soc_traces_inside_envelopes(day_run):
     cfg, _, rep = day_run
     checks = {
@@ -289,6 +322,27 @@ def test_run_peak_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 8 * n, f"peak {peak / (8 * n):.2f} arrays"
+
+
+def test_filter_run_peak_memory_budget():
+    # The filter baseline's traced peak above the prepared scenario: the
+    # four outputs and the residual the report keeps, the mean a band is
+    # taken from and the next one (with the prefix sum and the index blocks
+    # it is built from), and blocks of the band. It held every mean and
+    # band of the cascade at once, 15 arrays.
+    cfg = from_dict({"controller": "filter", "n1": 1,
+                     "scenario": {"duration_days": 1.0, "seed": 1},
+                     "fess": {"lifetime_cycles": 1000}})
+    data = prepare_scenario(cfg)
+    n = data.run_seconds
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(cfg, data)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 8 * n, f"peak {peak / (8 * n):.2f} arrays"
 
 
 def test_filter_routes_fast_band_to_flywheel():

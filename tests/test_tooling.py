@@ -333,7 +333,7 @@ def _device_outputs(cfg):
     out += cfg.layer_specs()["L1"].u_max.tolist()
     deg = cfg.battery_deg
     out += [battery_soh(0.1, deg), *stress_factors(cfg.ambient_temp_c, 3600.0, 0.6, 0.3, deg),
-            bess_cycle_cost(1e-4, deg)]
+            bess_cycle_cost(1e-4, deg, cfg.bess.energy_mwh)]
     fess = cfg.fess_state()
     out += [*dataclasses.astuple(fess), fess_lcoe(cfg.fess)]
     out += close_residual([0.0, 5.0, 5.0, -3.0], fess.energy, None, cfg.vic, fess)[0]
