@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .config import EngineConfig, load_config, require_valid, save_config, validate
+from .config import CONTROLLERS, EngineConfig, load_config, require_valid, save_config, validate
 from .engine import prepare_scenario, run, write_report
 from .errors import ConfigError, HessError, LedgerClosureError, QpInfeasible
 from .mpc import LAYERS
@@ -51,7 +51,7 @@ _FLAGS = {
     "seed": {"type": int, "help": "scenario seed override"},
     "days": {"type": float, "help": "run length in days"},
     "accuracy": {"type": float, "help": "forecast accuracy for all layers"},
-    "controller": {"choices": ["proposed", "periodic_soc", "filter"]},
+    "controller": {"choices": CONTROLLERS},
     "out": {"help": "output directory"},
 }
 
@@ -86,8 +86,8 @@ def cmd_compare(args) -> int:
     config = _load(args)
     data = prepare_scenario(config)
     rows = []
-    for controller in ("proposed", "periodic_soc", "filter"):
-        # Each controller's report, and QP dump if any, in its own directory.
+    for controller in CONTROLLERS:
+        # Each controller's report, and solve trace if any, in its own directory.
         cfg = dataclasses.replace(config, controller=controller,
                                   out_dir=os.path.join(config.out_dir, controller))
         report = run(cfg, data)

@@ -34,6 +34,10 @@ from .scenario import ARCHETYPES, ScenarioConfig
 from .vic import VicParams
 
 
+#: The controllers, in the order ``hessmpc compare`` runs and prints them.
+CONTROLLERS = ("proposed", "periodic_soc", "filter")
+
+
 @dataclass
 class StoreConfig:
     """One simple storage device (battery or compressed air);
@@ -115,10 +119,10 @@ class EngineConfig:
     tariff: TariffConfig = field(default_factory=TariffConfig)
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
 
-    controller: str = "proposed"     # proposed | periodic_soc | filter
+    controller: str = "proposed"     # one of CONTROLLERS
     ambient_temp_c: float = 25.0
     out_dir: str = "out"
-    debug_qp_dump: bool = False
+    inspect: bool = False
 
     def layer_specs(self) -> dict[str, LayerSpec]:
         """Build the layer descriptions of :data:`~hessmpc.mpc.LAYERS` from
@@ -217,6 +221,10 @@ _RULES = {path: (rule[0], *_interval(*rule)) for path, *rule in (
     *((f"fess.{name}", "[0, inf)")
       for name in ("windage_coeff", "bearing_coeff", "bop_power", "rated_speed")),
     ("meoh_init_mwh", "[0, inf)"),
+    # A negative price starts its input at the cap in the fill-order base,
+    # so a store priced negative on both sides charges and discharges at once.
+    *((f"{row.price_key}[{i}]", "[0, inf)") for row in LAYERS
+      for i in range(len(getattr(EngineConfig, row.price_key)))),
     *((f"q_weights[{i}]", "(0, inf)") for i in range(3)),
     *((f"r_weights[{i}]", "[0, inf)") for i in range(3)),
     *((key, "[1, inf)", "horizon must hold at least one step") for key in ("n1", "n2", "n3")),
@@ -357,12 +365,15 @@ def validate(config: EngineConfig) -> list[Finding]:
                 if periodic_plan(specs[row.layer_id], period) > most:
                     err(row.horizon_key, f"periodic-SOC horizon outruns the forecast, which "
                         f"ends n1 = {config.n1} h after the run: at most {most} steps")
-    if config.controller not in ("proposed", "periodic_soc", "filter"):
+    if config.controller not in CONTROLLERS:
         err("controller", f"unknown controller '{config.controller}'")
     if config.controller == "proposed":
-        # The band blend divides by the marginal cost of each band child.
+        # The band blend divides by the marginal cost of each band child;
+        # a child whose prices broke their rule is reported there alone.
         if specs is not None:
             for i, row in enumerate(LAYERS[1:], 1):
+                if any(f.path.startswith(row.price_key + "[") for f in out):
+                    continue
                 lam = marginal_cost(specs[row.layer_id])
                 if lam <= 0.0:
                     err(f"r_weights[{i}]" if config.r_weights[i] <= 0.0 else row.price_key,

@@ -23,14 +23,15 @@ one step and their horizons only size the forecast pad. The periodic-SOC baselin
 solves each layer's stacked QP over one SOC period, at most the horizon,
 with a terminal equality returning the store to its run-start energy by the
 period's end, with infeasibility relaxed to minimal slack and reported. Under
-``debug_qp_dump`` each layer's first call of the law also writes the
-problem that law solves, in the step form it reads
-(:func:`~hessmpc.qp.dump_problem`). :func:`assemble_report` builds the
-report of every controller, the filter baseline's too, and its metrics.
+``inspect`` each decision also writes one line of ``solves.jsonl`` in the
+output directory: the problem the law solved, in the step form it reads,
+and the applied move. :func:`assemble_report` builds the report of every
+controller, the filter baseline's too, and its metrics.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -59,7 +60,7 @@ from .mpc import (  # noqa: F401
 from .mtip import (
     MtipBounds, adaptive_bounds, blend_gamma, flat_bounds, marginal_cost, physical_bounds,
 )
-from .qp import OPTIMAL, dump_problem, solve_qp
+from .qp import OPTIMAL, solve_qp
 from .timeseries import BLOCK, TimeSeries, ingest_csv, write_csv
 from .scenario import calm_window, make_forecast, realized_accuracy, synthesize
 from .vic import DT_H, close_residual
@@ -151,8 +152,7 @@ class _Layer:
     each horizon step (all zero when de-biasing is off). plan is the number
     of forecast steps the law reads per decision, and sizes its bounds.
     output and band are the applied output and the (lower, upper, gamma)
-    band per layer step. dump_path is the QP dump still to write, if any.
-    mu_hint is the periodic baseline's warm-start dual.
+    band per layer step. mu_hint is the periodic baseline's warm-start dual.
 
     device names the store whose energy the terminal row returns, held in
     state. rule(layer, k, fc) gives the plan's (lo, hi) bounds, the terminal
@@ -178,7 +178,6 @@ class _Layer:
     plan: int
     output: np.ndarray
     band: np.ndarray
-    dump_path: str | None
     child: _Layer | None = None
     gamma: float = 0.0
     pending: np.ndarray | tuple[float, ...] | None = None
@@ -209,12 +208,11 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     # The step law, and the single-store bounds it reads, of the controller.
     law, store_bounds = (_coupled_law, simple_bounds) if periodic else \
         (_explicit_law, _first_step_rows)
-    if config.debug_qp_dump:
-        os.makedirs(config.out_dir, exist_ok=True)
 
     if data is None:
         data = prepare_scenario(config)
     av = data.actuals.values
+    t_start = data.actuals.start_epoch
     n_sec = data.run_seconds
     soc_steps = soc_step_s()
     # The minute loop steps at the last layer's step, and the flywheel
@@ -285,8 +283,6 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             plan=periodic_plan(spec, config.baseline.soc_period_h) if periodic else 1,
             output=np.zeros(n),
             band=np.zeros((n, 3)),
-            dump_path=os.path.join(config.out_dir, f"qp_{row.layer_id}.txt")
-            if config.debug_qp_dump else None,
         ))
     l1, l2, l3 = layers
     l1.child, l2.child = l2, l3
@@ -350,12 +346,17 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     def decide(layer, k, held):
         """Decide step k of ``layer`` below the held parent outputs: band,
         forecast window, bounds, then the law. Record the move for the
-        store's next advance, and book output, ledger and cost."""
+        store's next advance, book output, ledger and cost, and under
+        ``inspect`` write the decision's line of the solve trace."""
         band = layer_band(layer, k)
         fc = layer.window(k, layer.plan, held)
         lo, hi, pattern, energy, demand = layer.rule(layer, k, fc)
-        terminal = (pattern, e_init[layer.device] - energy, demand) if periodic else None
+        terminal = (np.array(pattern) * layer.spec.dt_h, e_init[layer.device] - energy,
+                    demand) if periodic else None
         dec = law(layer, fc, lo, hi, band, terminal, events)
+        if trace is not None:
+            trace.write(_solve_line(layer.spec, t_start + k * layer.step_s, fc, lo, hi,
+                                    band, terminal, dec))
         u = layer.pending = dec.u_applied
         dt_h = layer.spec.dt_h
         layer.output[k] = layer.y = dec.output
@@ -366,34 +367,40 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         layer.cost += dec.cost * dt_h
 
     df_prev = None
+    sink = contextlib.nullcontext()
+    if config.inspect:
+        os.makedirs(config.out_dir, exist_ok=True)
+        sink = open(os.path.join(config.out_dir, "solves.jsonl"), "w", encoding="utf-8")
     wall_start = time.perf_counter()
-    # One pass per minute, plus a last pass that only closes out the state
-    # advances of the final intervals.
-    for m in range(n_min + 1):
-        t0 = m * minute
+    with sink as trace:
+        # One pass per minute, plus a last pass that only closes out the
+        # state advances of the final intervals.
+        for m in range(n_min + 1):
+            t0 = m * minute
 
-        # Store advances for the steps just completed: L3, L2, then L1.
-        if m > 0:
-            for layer in reversed(layers):
+            # Store advances for the steps just completed: L3, L2, then L1.
+            if m > 0:
+                for layer in reversed(layers):
+                    if t0 % layer.step_s == 0:
+                        layer.advance(layer, t0 // layer.step_s)
+            soc_tr["fess"][m] = e_fess
+            if m == n_min:
+                break
+
+            # The due layers decide, top down, each below its parents' outputs.
+            held = []
+            for layer in layers:
                 if t0 % layer.step_s == 0:
-                    layer.advance(layer, t0 // layer.step_s)
-        soc_tr["fess"][m] = e_fess
-        if m == n_min:
-            break
+                    decide(layer, t0 // layer.step_s, held)
+                held.append(layer.y)
 
-        # The due layers decide, top down, each below its parents' outputs.
-        held = []
-        for layer in layers:
-            if t0 % layer.step_s == 0:
-                decide(layer, t0 // layer.step_s, held)
-            held.append(layer.y)
-
-        # Second-scale flywheel closure.
-        t1 = t0 + minute
-        r_arr = av[t0:t1] - (l1.y + l2.y + l3.y)
-        inject, e_fess, df_prev = close_residual(r_arr.tolist(), e_fess, df_prev, vic, fess0)
-        inject_tr[t0:t1] = inject
-        resid_tr[t0:t1] = r_arr - inject_tr[t0:t1]
+            # Second-scale flywheel closure.
+            t1 = t0 + minute
+            r_arr = av[t0:t1] - (l1.y + l2.y + l3.y)
+            inject, e_fess, df_prev = close_residual(r_arr.tolist(), e_fess, df_prev, vic,
+                                                     fess0)
+            inject_tr[t0:t1] = inject
+            resid_tr[t0:t1] = r_arr - inject_tr[t0:t1]
     wall = time.perf_counter() - wall_start
 
     # Each side's samples are gathered, summed and freed before the other's.
@@ -425,7 +432,6 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     )
     report.solver_stats["wall_seconds"] = {"total": wall}
     if not periodic:
-        t_start = data.actuals.start_epoch
         for layer in layers:
             for col, part in enumerate(("lower", "upper", "gamma")):
                 report.band_traces[f"{layer.spec.layer_id}_{part}"] = TimeSeries(
@@ -497,8 +503,6 @@ def _explicit_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDec
     could not apply as offered), ``band_dropped`` and the layer's
     infeasible solves."""
     spec = layer.spec
-    if layer.dump_path is not None:
-        _dump(layer, build_layer_problem(spec, fc, band), lo, hi)
     dec = explicit_step(spec, fc[0], lo[0], hi[0], band)
     # Booked as the stacked closed form reported itself: one iteration per
     # horizon step, no residual.
@@ -516,8 +520,8 @@ def _coupled_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDeci
     terminal equality and apply the first move.
 
     terminal is (pattern, target, demand). pattern is the store's energy
-    change per MWh moved through each input; the terminal row asks the
-    planned steps to change the store's energy by ``target`` MWh. A
+    change over one step per MW through each input; the terminal row asks
+    the planned steps to change the store's energy by ``target`` MWh. A
     charging move while the forecast residual ``demand`` asks for discharge
     is a forced recharge. A solve that stops short of optimal raises
     QpInfeasible.
@@ -525,10 +529,7 @@ def _coupled_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDeci
     spec = layer.spec
     pattern, target, demand = terminal
     st = build_layer_problem(spec, fc, band)
-    row = (np.array(pattern) * spec.dt_h, target)
-    if layer.dump_path is not None:
-        _dump(layer, st, lo, hi, row)
-    sol = solve_qp(st, lo, hi, terminal=row, mu_hint=layer.mu_hint)
+    sol = solve_qp(st, lo, hi, terminal=(pattern, target), mu_hint=layer.mu_hint)
     if sol.status != OPTIMAL:
         raise QpInfeasible(
             f"{spec.layer_id} terminal-row solve ended {sol.status} "
@@ -561,9 +562,25 @@ def _coupled_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDeci
                          cost=float(spec.cost_vec @ u0), solution=sol)
 
 
-def _dump(layer: _Layer, st, lo, hi, terminal=None):
-    dump_problem(layer.dump_path, st, lo, hi, terminal)
-    layer.dump_path = None
+def _solve_line(spec: LayerSpec, t, fc, lo, hi, band, terminal, dec: LayerDecision) -> str:
+    """One line of ``solves.jsonl``: the decision of a layer at epoch t.
+
+    It holds the step form of the problem the law solved on the window fc
+    (the blocks of :class:`~hessmpc.qp.StepStructure` but the band rows),
+    the input boxes lo/hi with one row per planned step, the band
+    ``[lower, upper]`` as offered (null when none was), the terminal row
+    ``[pattern, target]`` (null without one), whether the band was dropped,
+    and the applied move u. Standard JSON: a non-finite value raises."""
+    st = build_layer_problem(spec, fc, band)
+    rows = (st.n_steps, -1)
+    return json.dumps({
+        "layer": spec.layer_id, "t": t, "c_y": st.c_y.tolist(), "q": float(st.q),
+        "price": st.price.tolist(), "rhat": st.rhat.tolist(),
+        "var_lower": np.reshape(lo, rows).tolist(), "var_upper": np.reshape(hi, rows).tolist(),
+        "band": None if band is None else [band.r_lower, band.r_upper],
+        "terminal": None if terminal is None else [terminal[0].tolist(), terminal[1]],
+        "dropped": dec.band_dropped, "u": np.asarray(dec.u_applied, dtype=float).tolist(),
+    }, allow_nan=False) + "\n"
 
 
 def _finalize_metrics(report: SimulationReport, config: EngineConfig, data: ScenarioData):

@@ -28,9 +28,7 @@ move rates: one target row per move, the candidates clipped to their
 segments and the window, their tracking plus fill costs, the first best per
 step, and the inputs of the fills at that candidate.
 
-:func:`dump_problem` writes a problem in the form the solvers read, for
-``debug_qp_dump``: the step structure, the per-step boxes and the terminal
-row. The dense standard form, and the tests' dense oracle for it, live in
+The dense standard form, and the tests' dense oracle for it, live in
 ``tests/oracles.py``.
 
 All paths are deterministic: identical problems yield bit-identical
@@ -538,20 +536,3 @@ def solve_qp(st: StepStructure, lo: np.ndarray, hi: np.ndarray, terminal=None,
     return _solve_with_terminal(st, lo, hi, np.asarray(pattern, dtype=np.float64),
                                 target, mu_hint)
 
-
-def dump_problem(path, st: StepStructure, lo, hi, terminal=None) -> None:
-    """Write ``st`` within the per-step boxes lo/hi, and the ``terminal``
-    row of :func:`solve_qp` if given, as ``# name rows cols`` blocks of
-    ``repr`` values (debug interface): one row per step for rhat, the band
-    and the boxes, one row for every other block."""
-    head = {"c_y": st.c_y, "q": st.q, "price": st.price}
-    steps = {"rhat": st.rhat, "band_lo": st.band_lo, "band_hi": st.band_hi,
-             "var_lower": lo, "var_upper": hi}
-    tail = dict(zip(("pattern", "target"), terminal or ()))
-    with open(path, "w", encoding="utf-8") as fh:
-        for count, blocks in ((1, head), (st.n_steps, steps), (1, tail)):
-            for name, values in blocks.items():
-                values = np.asarray(values).reshape(count, -1)
-                fh.write(f"# {name} {values.shape[0]} {values.shape[1]}\n")
-                for row in values.tolist():
-                    fh.write(" ".join(map(repr, row)) + "\n")

@@ -2,9 +2,8 @@
 
 A ``TimeSeries`` is the single carrier for net-load actuals and layer
 forecasts: a start epoch, a fixed step, and a float64 value array in MW.
-Downsampling is an energy-preserving block mean; upsampling is a zero-order
-hold, so a down/up round trip of a constant series is the identity and the
-energy integral is preserved exactly up to float rounding.
+Resampling only coarsens: a block mean, which preserves the energy integral
+up to float rounding.
 """
 
 from __future__ import annotations
@@ -61,45 +60,25 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    def energy_mwh(self) -> float:
-        """Signed energy integral of the series in MWh."""
-        return float(self.values.sum()) * self.dt / 3600.0
-
 
 def resample(ts: TimeSeries, new_dt: float) -> TimeSeries:
-    """Resample to ``new_dt`` seconds.
-
-    Downsampling requires ``new_dt`` to be an integer multiple of ``ts.dt``
-    and the length to divide evenly; values are block means, which preserves
-    the energy integral. Upsampling requires ``ts.dt`` to be an integer
-    multiple of ``new_dt`` and repeats samples (zero-order hold).
+    """Downsample to ``new_dt`` seconds, a whole multiple of ``ts.dt``
+    (one included) into which the length divides evenly: the block means,
+    which preserve the energy integral. A finer step raises AlignmentError.
     """
     if new_dt <= 0:
         raise ValueError("new_dt must be positive")
-    if new_dt == ts.dt:
-        return TimeSeries(ts.start_epoch, ts.dt, ts.values.copy())
-
-    if new_dt > ts.dt:
-        ratio = new_dt / ts.dt
-        factor = int(round(ratio))
-        if abs(ratio - factor) > 1e-9:
-            raise AlignmentError(
-                f"new_dt {new_dt} is not an integer multiple of dt {ts.dt}"
-            )
-        if ts.values.size % factor:
-            raise AlignmentError(
-                f"series length {ts.values.size} not divisible by {factor}"
-            )
-        vals = ts.values.reshape(-1, factor).mean(axis=1)
-        return TimeSeries(ts.start_epoch, new_dt, vals)
-
-    ratio = ts.dt / new_dt
+    ratio = new_dt / ts.dt
     factor = int(round(ratio))
-    if abs(ratio - factor) > 1e-9:
+    if factor < 1 or abs(ratio - factor) > 1e-9:
         raise AlignmentError(
-            f"dt {ts.dt} is not an integer multiple of new_dt {new_dt}"
+            f"new_dt {new_dt} is not a whole multiple of dt {ts.dt}"
         )
-    vals = np.repeat(ts.values, factor)
+    if ts.values.size % factor:
+        raise AlignmentError(
+            f"series length {ts.values.size} not divisible by {factor}"
+        )
+    vals = ts.values.reshape(-1, factor).mean(axis=1)
     return TimeSeries(ts.start_epoch, new_dt, vals)
 
 

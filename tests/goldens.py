@@ -318,13 +318,13 @@ def report_cases(work_dir: str):
 
     day = prepare_scenario(config(1.0, 3, "balanced"))
     yield "proposed-balanced-1d-s3", config(1.0, 3, "balanced"), day
-    yield "proposed-qp-dump", config(1.0, 3, "balanced", debug_qp_dump=True), day
+    yield "proposed-inspect", config(1.0, 3, "balanced", inspect=True), day
     quarter = prepare_scenario(config(0.25, 8, "oversupply"))
     for controller in ("periodic_soc", "filter"):
         yield (f"{controller}-oversupply-0.25d-s8",
                config(0.25, 8, "oversupply", controller=controller), quarter)
-    yield "periodic-qp-dump", config(0.25, 8, "oversupply", controller="periodic_soc",
-                                     debug_qp_dump=True), quarter
+    yield "periodic-inspect", config(0.25, 8, "oversupply", controller="periodic_soc",
+                                     inspect=True), quarter
     # A second archetype for the coupled solve: the four-input L1 row, and
     # trial duals that turn a store's shifted price negative.
     yield ("periodic_soc-balanced-0.25d-s3",
@@ -336,7 +336,7 @@ def report_cases(work_dir: str):
 
 def compute_report_digests(work_dir: str) -> dict:
     """sha256 of every file each report case leaves in its output
-    directory: the files ``write_report`` writes plus any QP dump."""
+    directory: the files ``write_report`` writes plus any solve trace."""
     import hashlib
 
     from hessmpc import run

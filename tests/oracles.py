@@ -5,7 +5,7 @@ Nothing in the package calls them, and only they need scipy.
 * :class:`QpProblem`, the dense standard form, which :func:`dense_problem`
   builds from a layer problem's step structure, :func:`write_dense` writes
   as text matrices and :func:`validate` checks the Hessian of;
-  :func:`read_dump` reads back what :func:`hessmpc.qp.dump_problem` wrote;
+  :func:`read_solve` reads back the problem of one ``solves.jsonl`` line;
 * :func:`split_steps`, which cuts a full-horizon problem at the step its
   terminal row stops binding, so that the solver plans only the steps
   before it, as the periodic-SOC baseline does;
@@ -23,6 +23,7 @@ Nothing in the package calls them, and only they need scipy.
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,25 +128,26 @@ def write_dense(p: QpProblem, path) -> None:
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def read_dump(path) -> tuple[StepStructure, np.ndarray, np.ndarray, tuple | None]:
-    """The problem a :func:`hessmpc.qp.dump_problem` file holds, as
-    ``(st, lo, hi, terminal)``; terminal is None without a terminal row."""
-    blocks = {}
-    with open(path, encoding="utf-8") as fh:
-        lines = iter(fh.read().splitlines())
-    for header in lines:
-        _, name, n_rows, n_cols = header.split()
-        values = [float(v) for _ in range(int(n_rows)) for v in next(lines).split()]
-        blocks[name] = np.array(values).reshape(int(n_rows), int(n_cols))
+def read_solve(line: str) -> tuple[StepStructure, np.ndarray, np.ndarray, tuple | None]:
+    """The problem one ``solves.jsonl`` line holds, as ``(st, lo, hi,
+    terminal)``: the band, when one was offered, binds the first step, and
+    terminal is None without a terminal row."""
+    rec = json.loads(line)
+    rhat = np.array(rec["rhat"], dtype=np.float64)
+    band_lo = np.full(rhat.size, -np.inf)
+    band_hi = np.full(rhat.size, np.inf)
+    if rec["band"] is not None:
+        band_lo[0], band_hi[0] = rec["band"]
     st = StepStructure(
-        c_y=blocks["c_y"][0], q=float(blocks["q"][0, 0]), rhat=blocks["rhat"].ravel(),
-        price=blocks["price"][0], band_lo=blocks["band_lo"].ravel(),
-        band_hi=blocks["band_hi"].ravel(),
+        c_y=np.array(rec["c_y"], dtype=np.float64), q=rec["q"], rhat=rhat,
+        price=np.array(rec["price"], dtype=np.float64), band_lo=band_lo, band_hi=band_hi,
     )
     terminal = None
-    if "pattern" in blocks:
-        terminal = (blocks["pattern"][0], float(blocks["target"][0, 0]))
-    return st, blocks["var_lower"], blocks["var_upper"], terminal
+    if rec["terminal"] is not None:
+        pattern, target = rec["terminal"]
+        terminal = (np.array(pattern, dtype=np.float64), target)
+    lo, hi = (np.array(rec[key], dtype=np.float64) for key in ("var_lower", "var_upper"))
+    return st, lo, hi, terminal
 
 
 def split_steps(st: StepStructure, lo, hi, k: int) -> tuple[tuple, tuple]:

@@ -12,7 +12,7 @@ from hessmpc.config import (
     EngineConfig, Finding, from_dict, load_config, save_config, to_dict, validate,
 )
 from hessmpc.errors import ConfigError
-from oracles import read_dump
+from oracles import read_solve
 
 
 def test_default_config_has_no_findings():
@@ -118,18 +118,21 @@ def test_unknown_keys_named_by_path(tmp_path, capsys):
     for path in ("q_weigths", "mtip.kapa", "scenario.duration_dayz"):
         assert path in msg
     # Knobs that no longer exist are unknown keys too: validate and run exit
-    # 2 naming the key, and run writes nothing. The last four were read by
-    # nothing, or only by a function nothing called.
+    # 2 naming the key, and run writes nothing. The middle four were read by
+    # nothing, or only by a function nothing called; the solve trace of
+    # ``inspect`` replaced the QP dump.
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "out"
     for section, key, value in (("vic", "dt_s", 2.0), ("pemfc", "n_cells", 500),
                                 ("fess", "rotor_inertias", [1.0, 2.0]),
                                 ("fess", "initial_elec_speed", 1500.0),
-                                ("vic", "baseline_mw", 0.0)):
-        cfg_path.write_text(json.dumps({section: {key: value}}))
+                                ("vic", "baseline_mw", 0.0), (None, "debug_qp_dump", True)):
+        path = key if section is None else f"{section}.{key}"
+        cfg_path.write_text(json.dumps({key: value} if section is None
+                                       else {section: {key: value}}))
         for command in ("validate", "run"):
             assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
-            assert f"config error: unknown configuration keys: {section}.{key}\n" \
+            assert f"config error: unknown configuration keys: {path}\n" \
                 in capsys.readouterr().err, (command, key)
         assert not out.exists()
 
@@ -272,17 +275,18 @@ def test_cli_compare(tmp_path):
 
 def test_cli_compare_dumps_each_controller_in_its_directory(tmp_path):
     # Every controller used to dump into the compare root, the later over
-    # the earlier; the filter controller dumps nothing.
+    # the earlier; the filter controller traces nothing.
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"debug_qp_dump": True}))
+    cfg_path.write_text(json.dumps({"inspect": True}))
     out = tmp_path / "cmp"
     assert main(["compare", "--config", str(cfg_path), "--days", "0.041666666666666664",
                  "--out", str(out)]) == 0
-    dumps = sorted(str(p.relative_to(out)) for p in out.rglob("qp_*.txt"))
-    assert dumps == [f"{sub}/qp_L{i}.txt" for sub in ("periodic_soc", "proposed")
-                     for i in (1, 2, 3)]
-    terminal = read_dump(out / "periodic_soc" / "qp_L3.txt")[3]
-    assert terminal is not None and read_dump(out / "proposed" / "qp_L3.txt")[3] is None
+    traces = sorted(str(p.relative_to(out)) for p in out.rglob("solves.jsonl"))
+    assert traces == ["periodic_soc/solves.jsonl", "proposed/solves.jsonl"]
+    last = {sub: (out / sub / "solves.jsonl").read_text().splitlines()[-1]
+            for sub in ("periodic_soc", "proposed")}
+    terminal = read_solve(last["periodic_soc"])[3]
+    assert terminal is not None and read_solve(last["proposed"])[3] is None
 
 
 def test_band_traces_written(tmp_path):
@@ -636,6 +640,30 @@ def test_periodic_run_nets_a_vanishing_simultaneous_move(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["events"]["simultaneous_netted"] > 0
+
+
+def test_negative_l1_prices_are_config_errors(tmp_path, capsys):
+    # Both inputs priced negative start at their caps in the fill-order
+    # base: validate passed, and the proposed run stopped with "simultaneous
+    # charge and discharge in an applied L1 move" (exit 3).
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"c_l1": [-5, -5, 0.3, 0.9], "n1": 2,
+                                    "scenario": {"duration_days": 1.0 / 24.0}}))
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().out == ("error: c_l1[0]: must be non-negative, got -5\n"
+                                       "error: c_l1[1]: must be non-negative, got -5\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config error: c_l1[0]: must be non-negative, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_price_is_one_finding_per_entry():
+    # A band child whose prices broke their rule takes no marginal-cost
+    # finding beside them.
+    findings = validate(from_dict({"c_l2": [-1.0, -1.0]}))
+    assert [f.path for f in findings] == ["c_l2[0]", "c_l2[1]"]
+    assert [f.path for f in validate(from_dict({"c_l3": [0.0, 0.0]}))] == ["c_l3"]
 
 
 @pytest.mark.parametrize("controller", ["proposed", "periodic_soc", "filter"])

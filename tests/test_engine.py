@@ -13,7 +13,7 @@ from hessmpc.baselines import run_filter_decomposition
 from hessmpc.config import from_dict
 from hessmpc.engine import prepare_scenario, write_report
 from hessmpc.errors import ConfigError
-from oracles import dense_problem, read_dump, write_dense
+from oracles import dense_problem, read_solve, write_dense
 
 
 def _config(days=1.0, seed=3, archetype="balanced", **kw):
@@ -371,19 +371,56 @@ def test_controller_dispatch_by_kind():
     assert rep.solver_stats == {}
 
 
-def test_debug_qp_dump(tmp_path):
-    cfg = _config(days=1.0 / 24.0)
-    cfg.debug_qp_dump = True
-    cfg.out_dir = str(tmp_path)
-    run(cfg)
-    for name in ("qp_L1.txt", "qp_L2.txt", "qp_L3.txt"):
-        assert (tmp_path / name).exists()
+def _first_lines(out_dir) -> dict:
+    """Each layer's first line of the solve trace in ``out_dir``."""
+    first = {}
+    with open(out_dir / "solves.jsonl", encoding="utf-8") as fh:
+        for line in fh:
+            first.setdefault(json.loads(line)["layer"], line)
+    return first
 
 
-def _dense(path):
-    """The dense standard form of the problem a QP dump holds; its terminal
-    row binds every step."""
-    st, lo, hi, terminal = read_dump(path)
+def _reject_constant(name):
+    raise ValueError(f"{name} is no standard JSON")
+
+
+def test_inspect_traces_every_decision(tmp_path):
+    # Under inspect each L1-L3 decision writes one standard JSON line, in
+    # decision order, and the report directory gains only solves.jsonl;
+    # the filter baseline decides through no law and traces nothing.
+    for controller in ("proposed", "periodic_soc", "filter"):
+        dirs = {}
+        for inspect in (False, True, True):
+            out = tmp_path / f"{controller}-{inspect}-{len(dirs)}"
+            cfg = _config(days=1.0 / 24.0, controller=controller, inspect=inspect,
+                          out_dir=str(out))
+            rep = run(cfg)
+            write_report(rep, str(out))
+            dirs[out] = {p.name: p.read_bytes() for p in out.iterdir()}
+        off, on, again = dirs.values()
+        assert on == again, controller
+        trace = on.pop("solves.jsonl", None)
+        assert on == off, controller
+        if controller == "filter":
+            assert trace is None
+            continue
+        records = [json.loads(line, parse_constant=_reject_constant)
+                   for line in trace.decode().splitlines()]
+        order = [(r["t"], r["layer"]) for r in records]
+        assert order == sorted(order), controller
+        for layer, stats in rep.solver_stats.items():
+            if layer != "wall_seconds":
+                assert sum(r["layer"] == layer for r in records) == stats["solves"]
+        # The applied moves are the booked outputs.
+        l3 = [r for r in records if r["layer"] == "L3"]
+        assert [np.dot(r["c_y"], r["u"]) for r in l3] == \
+            pytest.approx(rep.layer_outputs["L3"].values.tolist(), abs=1e-12)
+
+
+def _dense(line):
+    """The dense standard form of the problem a solve trace line holds;
+    its terminal row binds every step."""
+    st, lo, hi, terminal = read_solve(line)
     if terminal is not None:
         pattern, target = terminal
         terminal = (pattern, st.n_steps, target)
@@ -395,11 +432,12 @@ def test_proposed_qp_dump_is_the_one_step_problem(tmp_path):
     # parent outputs, the step-0 caps and the band row it was offered.
     from hessmpc.mpc import first_step_caps
 
-    cfg = _config(days=1.0 / 24.0, debug_qp_dump=True, out_dir=str(tmp_path))
+    cfg = _config(days=1.0 / 24.0, inspect=True, out_dir=str(tmp_path))
     data = prepare_scenario(cfg)
     rep = run(cfg, data)
+    first = _first_lines(tmp_path)
     spec = cfg.layer_specs()["L3"]
-    p = _dense(tmp_path / "qp_L3.txt")
+    p = _dense(first["L3"])
     g, ineq_lower, ineq_upper = p.ineq_rows()
     r0 = (data.forecasts["L3"].values[0] - rep.layer_outputs["L1"].values[0]
           - rep.layer_outputs["L2"].values[0])
@@ -414,20 +452,21 @@ def test_proposed_qp_dump_is_the_one_step_problem(tmp_path):
     assert ineq_lower.tolist() == [r0 - upper]
     assert ineq_upper.tolist() == [r0 - lower]
     for name, nu in (("L1", 4), ("L2", 2)):
-        one_step = _dense(tmp_path / f"qp_{name}.txt")
+        one_step = _dense(first[name])
         assert one_step.hessian.shape == (nu, nu), name
         assert one_step.ineq_rows()[0].shape == (1, nu), name
 
 
 def test_periodic_qp_dump_holds_the_terminal_row(tmp_path):
-    # The dump is the problem the periodic baseline solves: the steps of its
-    # plan, whose only constraint row is the terminal equality over all of
-    # them, met at the run-start energy.
+    # The trace holds the problem the periodic baseline solves: the steps of
+    # its plan, whose only constraint row is the terminal equality over all
+    # of them, met at the run-start energy.
     from hessmpc.mpc import freeze_efficiencies, periodic_plan
 
-    cfg = _config(days=1.0 / 24.0, controller="periodic_soc", debug_qp_dump=True,
+    cfg = _config(days=1.0 / 24.0, controller="periodic_soc", inspect=True,
                   out_dir=str(tmp_path))
     run(cfg)
+    first = _first_lines(tmp_path)
     eff = freeze_efficiencies(cfg.awe, cfg.pemfc, cfg.meoh, cfg.turbine)
     patterns = {
         "L1": [eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0],
@@ -435,7 +474,7 @@ def test_periodic_qp_dump_holds_the_terminal_row(tmp_path):
         "L3": [cfg.bess.eta_c, -1.0 / cfg.bess.eta_d],
     }
     for name, spec in cfg.layer_specs().items():
-        g, ineq_lower, ineq_upper = _dense(tmp_path / f"qp_{name}.txt").ineq_rows()
+        g, ineq_lower, ineq_upper = _dense(first[name]).ineq_rows()
         plan = periodic_plan(spec, cfg.baseline.soc_period_h)
         row = np.tile(np.array(patterns[name]) * spec.dt_h, plan)
         assert g.shape == (1, row.size), name
@@ -443,17 +482,17 @@ def test_periodic_qp_dump_holds_the_terminal_row(tmp_path):
         assert ineq_lower.tolist() == ineq_upper.tolist() == [0.0]
 
 
-#: sha256 of the dense-form ``qp_L*.txt`` files that the two pinned dump
-#: cases of report_digests.json wrote before the dump took the step form;
-#: the periodic L1 entry is that of its 24-step plan, where the dense dump
-#: held the 240-step horizon.
+#: sha256 of the dense-form ``qp_L*.txt`` files that the two pinned
+#: inspection cases of report_digests.json wrote as QP dump cases, before
+#: the dump took the step form; the periodic L1 entry is that of its
+#: 24-step plan, where the dense dump held the 240-step horizon.
 DENSE_DUMP_DIGESTS = {
-    "proposed-qp-dump": {
+    "proposed-inspect": {
         "qp_L1.txt": "9fc144cd85c70b52ffe9e28b9e267b3e9fc0a9d2e6da21844ff7b58f6ba7a5b0",
         "qp_L2.txt": "9b6a44b7acf376c4adfbe53db98068ed377108723cae9aa3746b40c148350c1f",
         "qp_L3.txt": "0722ec5e512df6b3c7f408f645469a1d7991a12606d67e5ce9a0be20e8bb4d3b",
     },
-    "periodic-qp-dump": {
+    "periodic-inspect": {
         "qp_L1.txt": "1206a9be0017b4fc755c53cf21d794e954e7e1aca926d5832688ae9dc55489da",
         "qp_L2.txt": "d116c783d4dd8c89712113e2e5d5ded1df7b20f90fcaa53860d0834294057bf3",
         "qp_L3.txt": "b96650bfc5abe274a4611e24b07e3a287845aa4e6a6414a7dc8d79f3f0cdf73f",
@@ -462,8 +501,8 @@ DENSE_DUMP_DIGESTS = {
 
 
 def test_step_form_dumps_rebuild_the_dense_dumps(tmp_path):
-    # The step form loses nothing: the dense problem rebuilt from each
-    # step-form dump writes the bytes the dense dump wrote.
+    # The trace loses nothing: the dense problem rebuilt from each layer's
+    # first line writes the bytes the dense dump of its first decision wrote.
     got = {}
     for name, cfg, data in goldens.report_cases(str(tmp_path)):
         if name not in DENSE_DUMP_DIGESTS:
@@ -471,9 +510,9 @@ def test_step_form_dumps_rebuild_the_dense_dumps(tmp_path):
         cfg.out_dir = str(tmp_path / name)
         run(cfg, data)
         got[name] = {}
-        for layer in ("L1", "L2", "L3"):
+        for layer, line in sorted(_first_lines(tmp_path / name).items()):
             dense = tmp_path / name / f"dense_{layer}.txt"
-            write_dense(_dense(tmp_path / name / f"qp_{layer}.txt"), dense)
+            write_dense(_dense(line), dense)
             got[name][f"qp_{layer}.txt"] = hashlib.sha256(dense.read_bytes()).hexdigest()
         if got.keys() == DENSE_DUMP_DIGESTS.keys():
             break

@@ -11,9 +11,9 @@ import oracles
 from hessmpc.mpc import LayerSpec, build_layer_problem
 from hessmpc.qp import (
     INFEASIBLE, OPTIMAL, StepStructure, _objective_from_structure, _solve_priced,
-    _solve_steps, dump_problem, solve_qp,
+    _solve_steps, solve_qp,
 )
-from oracles import QpProblem, dense_problem, read_dump, solve_dense, validate
+from oracles import QpProblem, dense_problem, read_solve, solve_dense, validate
 
 
 def projected_gradient_box(h, f, lo, hi, tol=1e-8, max_iter=200_000):
@@ -308,15 +308,26 @@ def test_validate_rejects_asymmetric():
 
 @pytest.mark.parametrize("terminal", [None, (np.array([0.95, -1.0 / 0.9]), -0.0)],
                          ids=["no_terminal", "terminal"])
-def test_dump_problem_round_trips_bit_for_bit(tmp_path, terminal):
-    # Every block reads back with its bits: signed zeros, infinite band
-    # edges and the terminal row.
-    st, lo, hi = _layer(0.1 + 0.2, [-1.0, 1.0], [1.0 / 3.0, 0.0], [-0.0, 2.5e-300, 7.0],
-                        [-0.0, 0.0], [50.0, 1e-7], band_lo=[-np.inf, -1.0, 0.0],
-                        band_hi=[np.inf, 1.0 / 7.0, -0.0])
-    path = tmp_path / "dump.txt"
-    dump_problem(path, st, lo, hi, terminal)
-    st2, lo2, hi2, terminal2 = read_dump(path)
+def test_dump_problem_round_trips_bit_for_bit(terminal):
+    # Every block of a solve trace line reads back with its bits: signed
+    # zeros, subnormal-scale values, the band on the first step and the
+    # terminal row; written again, it gives the same line. A non-finite
+    # value is no standard JSON and raises.
+    from hessmpc.engine import _solve_line
+    from hessmpc.mpc import LayerDecision
+    from hessmpc.mtip import MtipBounds
+
+    spec = LayerSpec(layer_id="L3", dt_h=1.0 / 60.0, horizon=3, tracking_weight=0.1 + 0.2,
+                     cost_weight=1.0, cost_vec=np.array([1.0 / 3.0, 0.0]),
+                     output_row=np.array([-1.0, 1.0]), u_max=np.array([50.0, 50.0]))
+    fc = np.array([-0.0, 2.5e-300, 7.0])
+    band = MtipBounds(-1.0, -0.0, 0.5)
+    lo = np.array([[-0.0, 0.0]] * 3)
+    hi = np.array([[50.0, 1e-7]] * 3)
+    dec = LayerDecision(u_applied=(0.0, 1.0 / 7.0), output=1.0 / 7.0, cost=0.0, solution=None)
+    line = _solve_line(spec, 60.0, fc, lo, hi, band, terminal, dec)
+    st2, lo2, hi2, terminal2 = read_solve(line)
+    st = build_layer_problem(spec, fc, band)
     for name in ("c_y", "rhat", "price", "band_lo", "band_hi"):
         assert getattr(st2, name).tobytes() == getattr(st, name).tobytes(), name
     assert st2.q == st.q
@@ -327,8 +338,10 @@ def test_dump_problem_round_trips_bit_for_bit(tmp_path, terminal):
         assert terminal2[0].tobytes() == terminal[0].tobytes()
         assert terminal2[1] == terminal[1]
         assert math.copysign(1.0, terminal2[1]) == -1.0
-    dump_problem(tmp_path / "again.txt", st2, lo2, hi2, terminal2)
-    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+    band2 = MtipBounds(st2.band_lo[0], st2.band_hi[0], band.gamma)
+    assert _solve_line(spec, 60.0, st2.rhat, lo2, hi2, band2, terminal2, dec) == line
+    with pytest.raises(ValueError):
+        _solve_line(spec, 60.0, fc, lo, np.full((3, 2), np.inf), band, terminal, dec)
 
 
 def test_fill_order_solve_matches_golden():

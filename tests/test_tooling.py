@@ -266,14 +266,22 @@ def test_finalize_calls_the_names_the_tracer_wraps(monkeypatch):
 def test_engine_run_decides_every_layer_at_one_call_site():
     # L1, L2 and L3 decide through one routine: one call of the step law in
     # engine.run, and no L1-only pending move beside the layer records. The
-    # filter baseline builds its report through the engine's public helper.
+    # solve trace is written at one site too, in that routine. The filter
+    # baseline builds its report through the engine's public helper.
     src = ROOT / "src" / "hessmpc"
     tree = ast.parse((src / "engine.py").read_text(encoding="utf-8"))
     body = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "run")
     nodes = list(ast.walk(body))
-    assert len([node for node in nodes if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name) and node.func.id == "law"]) == 1
+    decide = next(node for node in nodes
+                  if isinstance(node, ast.FunctionDef) and node.name == "decide")
+    in_decide = list(ast.walk(decide))
+    laws = [node for node in nodes if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "law"]
+    writes = [node for node in nodes if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute) and node.func.attr == "write"]
+    assert len(laws) == len(writes) == 1
+    assert laws[0] in in_decide and writes[0] in in_decide
     assert not [node for node in nodes if isinstance(node, ast.Name) and node.id == "pending_l1"]
     tree = ast.parse((src / "baselines.py").read_text(encoding="utf-8"))
     private = [f"{node.lineno}: {alias.name}" for node in ast.walk(tree)
@@ -283,7 +291,7 @@ def test_engine_run_decides_every_layer_at_one_call_site():
 
 
 def test_package_has_no_dense_form():
-    # Every layer problem is solved, and dumped, on its step structure; the
+    # Every layer problem is solved, and traced, on its step structure; the
     # dense standard form is the tests' oracle, in tests/oracles.py.
     dense = {"QpProblem", "dense_problem"}
     found = []
