@@ -215,12 +215,16 @@ _RULES = {path: (rule[0], *_interval(*rule)) for path, *rule in (
     # negative one makes overflow.
     *((path, "(0, inf)") for path in (
         "bess.power_mw", "caes.power_mw", "h2_power_mw", "tank_cap_mwh",
-        "meoh.rated_power", "turbine.rated", "fess.power_cap", "bess.energy_mwh")),
+        "meoh.rated_power", "turbine.rated", "fess.power_cap", "bess.energy_mwh",
+        "caes.energy_mwh")),
     ("fess.lifetime_cycles", "[1, 1e7]"), ("fess.discount_rate", "[0, inf)"),
     # The standby drain's terms; a negative one would cancel the others.
     *((f"fess.{name}", "[0, inf)")
       for name in ("windage_coeff", "bearing_coeff", "bop_power", "rated_speed")),
     ("meoh_init_mwh", "[0, inf)"),
+    # A negative capacity turns the renewables into load, a negative peak
+    # the load into generation.
+    *((f"scenario.{name}", "[0, inf)") for name in ("wind_capacity", "pv_capacity", "load_peak")),
     # A negative price starts its input at the cap in the fill-order base,
     # so a store priced negative on both sides charges and discharges at once.
     *((f"{row.price_key}[{i}]", "[0, inf)") for row in LAYERS
@@ -239,12 +243,11 @@ _RULES = {path: (rule[0], *_interval(*rule)) for path, *rule in (
 
 
 def _value(config, path: str):
-    """The value at ``path`` (see :data:`_RULES`); None for an absent
-    mapping entry."""
+    """The value at ``path`` (see :data:`_RULES`)."""
     name, _, index = path.partition("[")
     val = config
     for key in name.split("."):
-        val = val.get(key) if isinstance(val, dict) else getattr(val, key)
+        val = val[key] if isinstance(val, dict) else getattr(val, key)
     return val[int(index[:-1])] if index else val
 
 
@@ -279,9 +282,9 @@ def _schedule_error(schedule) -> str | None:
 def _shape_errors(config, default, prefix: str = "") -> list[Finding]:
     """A finding for each field of ``default`` whose value in ``config`` is
     not of its default's kind: a section or a mapping is an object, a
-    mapping's entries finite numbers, a bool a bool, an integer an integer,
-    a number a finite number, a string a string, and a tuple holds as many
-    finite numbers; sections recurse."""
+    mapping holds its default's keys and its entries are finite numbers, a
+    bool a bool, an integer an integer, a number a finite number, a string a
+    string, and a tuple holds as many finite numbers; sections recurse."""
     out = []
     for f in dataclasses.fields(default):
         want, got = getattr(default, f.name), getattr(config, f.name)
@@ -291,6 +294,10 @@ def _shape_errors(config, default, prefix: str = "") -> list[Finding]:
         elif dataclasses.is_dataclass(want) or isinstance(want, dict) and not isinstance(got, dict):
             out.append(Finding("error", path, f"must be an object, got {got!r}"))
         elif isinstance(want, dict):
+            missing = [key for key in want if key not in got]
+            if missing:
+                out.append(Finding("error", path, f"must hold an entry for each of "
+                                   f"{', '.join(want)}, missing {', '.join(missing)}"))
             out += [Finding("error", f"{path}.{key}", f"must be a finite number, got {val!r}")
                     for key, val in got.items() if not _is_finite(val)]
         elif isinstance(want, tuple):
@@ -326,7 +333,7 @@ def validate(config: EngineConfig) -> list[Finding]:
 
     for path, (_, holds, message) in _RULES.items():
         val = _value(config, path)
-        if val is not None and not holds(val):
+        if not holds(val):
             err(path, f"{message}, got {val}")
     for name in ("bess", "caes"):
         lo, hi = frac = getattr(config, name).envelope_frac
@@ -351,15 +358,13 @@ def validate(config: EngineConfig) -> list[Finding]:
         err("battery_deg.alpha_sei", f"alpha_sei + alpha_sds must be below 1, got "
             f"{deg.alpha_sei + deg.alpha_sds}")
     period = config.baseline.soc_period_h
-    try:  # a layer that cannot be built is reported by the checks above
-        specs = config.layer_specs()
-    except ValueError:
-        specs = None
+    specs = config.layer_specs()
     if config.controller == "periodic_soc":
         # The forecast runs n1 hours past the run end, so the last decision's
         # window holds its own step and at most the pad's steps after it;
-        # the periodic law reads the steps it plans.
-        if specs is not None and period > 0.0:
+        # the periodic law reads the steps it plans. A pad that broke its
+        # rule is reported there alone.
+        if period > 0.0 and config.n1 >= 1:
             for row in LAYERS[1:]:
                 most = LAYERS[0].step_s // row.step_s * config.n1 + 1
                 if periodic_plan(specs[row.layer_id], period) > most:
@@ -370,15 +375,13 @@ def validate(config: EngineConfig) -> list[Finding]:
     if config.controller == "proposed":
         # The band blend divides by the marginal cost of each band child;
         # a child whose prices broke their rule is reported there alone.
-        if specs is not None:
-            for i, row in enumerate(LAYERS[1:], 1):
-                if any(f.path.startswith(row.price_key + "[") for f in out):
-                    continue
-                lam = marginal_cost(specs[row.layer_id])
-                if lam <= 0.0:
-                    err(f"r_weights[{i}]" if config.r_weights[i] <= 0.0 else row.price_key,
-                        f"marginal cost of band child {row.layer_id} must be positive, "
-                        f"got {lam}")
+        for i, row in enumerate(LAYERS[1:], 1):
+            if any(f.path.startswith(row.price_key + "[") for f in out):
+                continue
+            lam = marginal_cost(specs[row.layer_id])
+            if lam <= 0.0:
+                err(f"r_weights[{i}]" if config.r_weights[i] <= 0.0 else row.price_key,
+                    f"marginal cost of band child {row.layer_id} must be positive, got {lam}")
         if config.c_l4 <= 0.0:
             err("c_l4", f"marginal cost of band child L4 must be positive, got {config.c_l4}")
     # The hydrogen chain's efficiencies before a load sets them; a chain
@@ -466,71 +469,60 @@ def to_dict(config: EngineConfig) -> dict:
     return _undataclass(config)
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
-    return out
-
-
-def _unknown_keys(default, data: dict, prefix: str = "") -> list[str]:
-    """Dotted paths of the keys in ``data`` that name no field of ``default``."""
-    fields = {f.name for f in dataclasses.fields(default)}
-    out = []
-    for key, val in data.items():
-        if key not in fields:
-            out.append(prefix + key)
-        elif dataclasses.is_dataclass(getattr(default, key)) and isinstance(val, dict):
-            out += _unknown_keys(getattr(default, key), val, f"{prefix}{key}.")
-    return out
-
-
-def _build(default, data: dict):
-    """``default`` with the fields ``data`` names replaced; a nested object
-    overrides its section of ``default`` field by field, and a list is a
-    tuple wherever the default is a tuple or None. A value of the wrong
-    kind is kept for :func:`validate` to report."""
+def _build(default, data: dict, unknown: list[str], prefix: str = ""):
+    """``default`` with the fields ``data`` names replaced: a nested object
+    overrides its section or its mapping of ``default`` key by key, and a
+    list is a tuple wherever the default is a tuple or None. The dotted path
+    of each key that names no field is appended to ``unknown``. A value of
+    the wrong kind is kept for :func:`validate` to report."""
+    names = {f.name for f in dataclasses.fields(default)}
     kwargs = {}
-    for f in dataclasses.fields(default):
-        if f.name not in data:
+    for key, val in data.items():
+        if key not in names:
+            unknown.append(prefix + key)
             continue
-        val = data[f.name]
-        base = getattr(default, f.name)
+        base = getattr(default, key)
         if dataclasses.is_dataclass(base) and isinstance(val, dict):
-            val = _build(base, val)
+            val = _build(base, val, unknown, f"{prefix}{key}.")
         elif isinstance(val, dict):
-            val = dict(val)
+            val = {**base, **val} if isinstance(base, dict) else dict(val)
         elif isinstance(val, list) and (base is None or isinstance(base, tuple)):
             val = tuple(val)
-        kwargs[f.name] = val
+        kwargs[key] = val
     return dataclasses.replace(default, **kwargs)
 
 
-def from_dict(data: dict, unknown: list[str] | None = None) -> EngineConfig:
-    """Build a configuration from its JSON form. A key that names no
-    configuration field is an error, reported with its dotted path; given a
-    list ``unknown``, the paths are appended to it instead, and the rest is
-    built."""
-    default = EngineConfig()
-    keys = _unknown_keys(default, data)
+def _known(config: EngineConfig, keys: list[str], unknown: list[str] | None) -> EngineConfig:
+    """``config``, once each path of ``keys`` is reported once, in order: as
+    a ConfigError, or appended to a list ``unknown``."""
+    keys = list(dict.fromkeys(keys))
     if unknown is None and keys:
         raise ConfigError("unknown configuration keys: " + ", ".join(keys))
     if unknown is not None:
         unknown += keys
-    return _build(default, data)
+    return config
+
+
+def from_dict(data: dict, unknown: list[str] | None = None) -> EngineConfig:
+    """Build a configuration from its JSON form over the defaults. A key
+    that names no configuration field is an error, reported with its dotted
+    path; given a list ``unknown``, the paths are appended to it instead,
+    and the rest is built."""
+    keys: list[str] = []
+    return _known(_build(EngineConfig(), data, keys), keys, unknown)
 
 
 def load_config(path: str, unknown: list[str] | None = None) -> EngineConfig:
     """Load a JSON config file; ``unknown`` as in :func:`from_dict`.
 
     A top-level ``include`` key lists other config files (paths relative to
-    the including file) merged in order before the file's own keys. A file
-    that includes itself, directly or through others, is an error.
+    the including file). Each file applies over the configuration built so
+    far, its includes in order first, by the rule of :func:`from_dict`. A
+    file that includes itself, directly or through others, is an error.
     """
-    def load_raw(p: str, chain: tuple[str, ...]) -> dict:
+    keys: list[str] = []
+
+    def load(p: str, config: EngineConfig, chain: tuple[str, ...]) -> EngineConfig:
         try:
             with open(p, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -544,15 +536,14 @@ def load_config(path: str, unknown: list[str] | None = None) -> EngineConfig:
         if not (isinstance(includes, list) and all(isinstance(i, str) for i in includes)):
             raise ConfigError(f"{p}: include: must be a list of file names, got {includes!r}")
         chain += (os.path.realpath(p),)
-        merged: dict = {}
         for inc in includes:
             inc_path = os.path.join(os.path.dirname(os.path.abspath(p)), inc)
             if os.path.realpath(inc_path) in chain:
                 raise ConfigError(f"{p}: include: {inc!r} is already being loaded, a cycle")
-            merged = _merge(merged, load_raw(inc_path, chain))
-        return _merge(merged, data)
+            config = load(inc_path, config, chain)
+        return _build(config, data, keys)
 
-    return from_dict(load_raw(path, ()), unknown)
+    return _known(load(path, EngineConfig(), ()), keys, unknown)
 
 
 def save_config(config: EngineConfig, path: str) -> None:

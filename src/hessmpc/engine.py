@@ -53,7 +53,7 @@ from .metrics import (
 # receding_step is imported only so that benchmarks/tracer.py can wrap it by
 # its name in this module.
 from .mpc import (  # noqa: F401
-    LAYERS, L1State, LayerDecision, LayerSpec, build_layer_problem, explicit_step,
+    LAYERS, L1State, LayerDecision, LayerSpec, b_matrix, build_layer_problem, explicit_step,
     first_step_caps, freeze_efficiencies, l1_bounds, l1_dynamics,
     periodic_plan, receding_step, simple_bounds,
 )
@@ -117,8 +117,7 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
     acc = config.scenario.forecast_accuracy
     seed = config.scenario.seed
     forecasts = {
-        row.layer_id: make_forecast(actuals, float(row.step_s), acc.get(row.layer_id, 0.9),
-                                    seed * 1000 + i)
+        row.layer_id: make_forecast(actuals, float(row.step_s), acc[row.layer_id], seed * 1000 + i)
         for i, row in enumerate(LAYERS, 1)
     }
     return ScenarioData(actuals=actuals, run_seconds=run_seconds, forecasts=forecasts)
@@ -240,13 +239,12 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             events["eff_clamped"] += 1
         conv_cap = config.meoh.rated_power / eff.eta_mc
         lo, hi = l1_bounds(spec, layer.state, eff, tank_env, fc, conv_cap)
-        return lo, hi, (eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0), layer.state.e_h, \
-            layer.forecast[k]
+        return lo, hi, b_matrix(eff)[0], layer.state.e_h, layer.forecast[k]
 
     def hydrogen_advance(layer, i):
         # The advance precedes the next freeze, so eff is still the one the
         # pending move was planned with.
-        layer.state =l1_dynamics(layer.state, layer.pending, layer.spec.dt_h, eff, tank_env)
+        layer.state = l1_dynamics(layer.state, layer.pending, layer.spec.dt_h, eff, tank_env)
         soc_tr["hydrogen"][i] = layer.state.e_h
         soc_tr["methanol"][i] = layer.state.e_m
 
@@ -411,13 +409,11 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
 
     for dev, arr in soc_tr.items():
         ledgers[dev].final_energy = float(arr[-1])
-    eff_final = eff if eff is not None else freeze_efficiencies(
-        config.awe, config.pemfc, config.meoh, config.turbine
-    )
-    ledgers["hydrogen"].eta_c = eff_final.eta_hc
-    ledgers["hydrogen"].eta_d = eff_final.eta_hd
-    ledgers["methanol"].eta_c = eff_final.eta_hc * eff_final.eta_mc
-    ledgers["methanol"].eta_d = eff_final.eta_md
+    # L1 decides at t = 0 of every valid run, so eff holds its last freeze.
+    ledgers["hydrogen"].eta_c = eff.eta_hc
+    ledgers["hydrogen"].eta_d = eff.eta_hd
+    ledgers["methanol"].eta_c = eff.eta_hc * eff.eta_mc
+    ledgers["methanol"].eta_d = eff.eta_md
 
     closure = _closure_gap(av, layers, inject_tr, resid_tr)
     if closure > 1e-9:

@@ -67,10 +67,6 @@ class LayerSpec:
         self.cost_vec = np.asarray(self.cost_vec, dtype=np.float64)
         self.output_row = np.asarray(self.output_row, dtype=np.float64)
         self.u_max = np.asarray(self.u_max, dtype=np.float64)
-        if self.tracking_weight <= 0.0:
-            raise ValueError("tracking weight must be positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must hold at least one step")
 
 
 #: One MPC layer's fixed part: its id, the store it moves, its step in
@@ -260,10 +256,10 @@ def l1_bounds(
         state.e_h, env_hi, forecast, eff,
         spec.u_max[0], spec.u_max[1], conv_cap, dt,
     )
-    lo[:, 2] = np.minimum(floors, hi[:, 2])
+    lo[:, 2] = floors
 
     drain_total = max(0.0, (state.e_h - env_lo) / dt)
-    floor3 = min(lo[0, 2], conv_cap, drain_total)
+    floor3 = min(lo[0, 2], drain_total)
     remaining = drain_total - floor3
     hi[0, 1] = min(spec.u_max[1], remaining * eff.eta_hd)
     hi[0, 2] = min(conv_cap, floor3 + max(0.0, remaining - hi[0, 1] / eff.eta_hd))

@@ -11,6 +11,7 @@ from hessmpc.cli import main
 from hessmpc.config import (
     EngineConfig, Finding, from_dict, load_config, save_config, to_dict, validate,
 )
+from hessmpc.engine import run
 from hessmpc.errors import ConfigError
 from oracles import read_solve
 
@@ -97,6 +98,59 @@ def test_include_mechanism(tmp_path):
     assert cfg.bess.power_mw == 80.0
     assert cfg.bess.eta_c == 0.92      # own keys override includes
     assert cfg.scenario.seed == 5
+
+
+def test_partial_mapping_loads_alike_direct_and_included(tmp_path):
+    # A mapping merges key by key over the configuration built so far, as a
+    # section does, whether a file holds it or an include reaches it; a file
+    # over the defaults used to replace the whole mapping.
+    partial = {"scenario": {"forecast_accuracy": {"L3": 0.6}}}
+    (tmp_path / "direct.json").write_text(json.dumps(partial))
+    (tmp_path / "part.json").write_text(json.dumps(partial))
+    (tmp_path / "top.json").write_text(json.dumps({"include": ["part.json"]}))
+    direct = load_config(str(tmp_path / "direct.json"))
+    assert direct == load_config(str(tmp_path / "top.json")) == from_dict(partial)
+    assert direct.scenario.forecast_accuracy == {"L1": 0.9, "L2": 0.9, "L3": 0.6}
+    (tmp_path / "base.json").write_text(json.dumps(
+        {"scenario": {"forecast_accuracy": {"L1": 0.8, "L2": 0.7}}}))
+    (tmp_path / "over.json").write_text(json.dumps({"include": ["base.json"], **partial}))
+    assert load_config(str(tmp_path / "over.json")).scenario.forecast_accuracy == {
+        "L1": 0.8, "L2": 0.7, "L3": 0.6}
+
+
+def test_unknown_key_of_a_chain_is_reported_once(tmp_path, capsys):
+    (tmp_path / "base.json").write_text(json.dumps({"foo": 1, "mtip": {"kapa": 1}}))
+    (tmp_path / "top.json").write_text(json.dumps(
+        {"include": ["base.json"], "foo": 2, "mtip": {"kapa": 2}, "bar": 3}))
+    unknown = []
+    load_config(str(tmp_path / "top.json"), unknown)
+    assert unknown == ["foo", "mtip.kapa", "bar"]
+    with pytest.raises(ConfigError, match="^unknown configuration keys: foo, mtip.kapa, bar$"):
+        load_config(str(tmp_path / "top.json"))
+    assert main(["validate", "--config", str(tmp_path / "top.json")]) == 2
+    assert capsys.readouterr().err == \
+        "config error: unknown configuration keys: foo, mtip.kapa, bar\n"
+
+
+def test_section_an_include_broke_stays_a_finding(tmp_path):
+    # An object in a later file builds over the include's value; over a
+    # non-object it cannot build a section, and the later object used to
+    # win in silence.
+    (tmp_path / "base.json").write_text(json.dumps({"mtip": 5}))
+    (tmp_path / "top.json").write_text(json.dumps({"include": ["base.json"],
+                                                   "mtip": {"kappa": 3.0}}))
+    assert [f.path for f in validate(load_config(str(tmp_path / "top.json")))] == ["mtip"]
+
+
+def test_accuracy_mapping_missing_a_layer_is_a_finding():
+    # The engine filled a missing layer with its own 0.9 in silence.
+    cfg = EngineConfig()
+    cfg.scenario.forecast_accuracy = {"L1": 0.8}
+    assert validate(cfg) == [Finding(
+        "error", "scenario.forecast_accuracy",
+        "must hold an entry for each of L1, L2, L3, missing L2, L3")]
+    with pytest.raises(ConfigError, match="^scenario.forecast_accuracy: "):
+        run(cfg)
 
 
 def test_bad_json_raises_config_error(tmp_path):
@@ -466,6 +520,9 @@ def test_periodic_plan_inside_the_forecast_pad_runs(tmp_path, capsys):
     # The flywheel's levelized cost builds one float per cycle of life: a
     # hundred billion cycles asked for terabytes.
     ({"fess": {"lifetime_cycles": 10**11, "decay_factor": 0}}, "fess.lifetime_cycles"),
+    # A compressed-air store with no energy stopped the run with an
+    # envelope error (lo < hi).
+    ({"caes": {"energy_mwh": 0}}, "caes.energy_mwh"),
 ])
 def test_values_that_crashed_the_run_are_config_errors(tmp_path, capsys, override, path):
     # Each used to pass validate and then stop the run with a traceback
@@ -555,6 +612,14 @@ def test_synth_checks_the_whole_config(tmp_path, capsys, override, path):
                  "--out", str(out)]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("wind_capacity", -425), ("pv_capacity", -1), ("load_peak", -200)])
+def test_negative_scenario_capacities_are_config_errors(tmp_path, capsys, name, value):
+    # A negative capacity ran in silence: the renewables turned into load,
+    # or the load into generation.
+    _assert_config_error(tmp_path, capsys, {"scenario": {name: value}}, f"scenario.{name}")
 
 
 @pytest.fixture(scope="module")

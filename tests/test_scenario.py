@@ -106,9 +106,10 @@ def test_invalid_accuracy_rejected():
     ts = synthesize(ScenarioConfig(seed=0, duration_days=0.5))
     with pytest.raises(ValueError):
         make_forecast(ts, 60.0, 0.0, seed=1)
-    # The scenario section's value rules live in config.validate.
+    # The scenario section's value rules live in config.validate; the
+    # accuracy mapping names every layer.
     from hessmpc.config import EngineConfig, validate
-    for scenario, path in ((ScenarioConfig(forecast_accuracy={"L1": 1.2}),
+    for scenario, path in ((ScenarioConfig(forecast_accuracy={"L1": 1.2, "L2": 0.9, "L3": 0.9}),
                             "scenario.forecast_accuracy.L1"),
                            (ScenarioConfig(archetype="bogus"), "scenario.archetype")):
         assert [f.path for f in validate(EngineConfig(scenario=scenario))] == [path]
