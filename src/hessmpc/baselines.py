@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import EngineConfig
-from .devices.storage import EssState, saturate
+from .devices.storage import EssState, saturate_block
 from .engine import assemble_report, prepare_scenario, soc_step_s
 from .metrics import DeviceLedger, SimulationReport
 from .mpc import LAYERS, freeze_efficiencies
@@ -58,12 +58,13 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
     saturations = 0
     # Cascaded trailing means, taken one at a time: each store's band is the
     # step from one mean to the next, fastest first, and the last mean, the
-    # trend, is the last store's band. Bands are formed and saturated in
-    # blocks.
+    # trend, is the last store's band. Bands are formed in blocks and
+    # saturated one energy-trace step at a time, so each call's end energy
+    # is a trace entry.
     mean = data.actuals.values[:n_sec]
     for i, (layer, dev, st) in enumerate(stores):
         nxt = window_mean(mean, int(round(cutoffs[i])) - 1, 0) if i < len(cutoffs) else None
-        lo, hi, cap, ec, ed, keep, stb = st.saturate_args(DT_H)
+        clip = st.saturate_args(DT_H)
         step = steps[dev]
         trace = np.zeros(n_sec // step + 1)
         trace[0] = e = st.energy
@@ -72,19 +73,24 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
         for b0 in range(0, n_sec, BLOCK):
             b1 = min(b0 + BLOCK, n_sec)
             band = mean[b0:b1] if nxt is None else mean[b0:b1] - nxt[b0:b1]
-            for s, want in enumerate(band.tolist(), b0):
-                p, e = saturate(e, want, lo, hi, cap, ec, ed, keep, stb, DT_H)
-                if want >= 0.0:
-                    discharged += p
-                else:
-                    charged += -p
-                if p != want:
-                    saturations += 1
-                out[s] = p
-                if (s + 1) % step == 0:
-                    trace[(s + 1) // step] = e
+            s = b0
+            while s < b1:
+                s_end = min(s - s % step + step, b1)
+                wanted = band[s - b0 : s_end - b0].tolist()
+                got, e, _ = saturate_block(wanted, e, *clip, DT_H)
+                for want, p in zip(wanted, got):
+                    if want >= 0.0:
+                        discharged += p
+                    else:
+                        charged += -p
+                out[s:s_end] = got
+                if s_end % step == 0:
+                    trace[s_end // step] = e
+                s = s_end
+            saturations += int(np.count_nonzero(out[b0:b1] != band))
             resid[b0:b1] += band - out[b0:b1]
-        ledgers[dev] = DeviceLedger(charged * DT_H, discharged * DT_H, st.energy, e, ec, ed)
+        ledgers[dev] = DeviceLedger(charged * DT_H, discharged * DT_H, st.energy, e, st.eta_c,
+                                    st.eta_d)
         soc[dev] = trace
         outputs[layer] = out
         # Free the mean just used; the trend's last band block is a view of it.

@@ -374,9 +374,10 @@ def validate(config: EngineConfig) -> list[Finding]:
         err("controller", f"unknown controller '{config.controller}'")
     if config.controller == "proposed":
         # The band blend divides by the marginal cost of each band child;
-        # a child whose prices broke their rule is reported there alone.
+        # a child whose prices or cost weight broke their rule is reported
+        # there alone.
         for i, row in enumerate(LAYERS[1:], 1):
-            if any(f.path.startswith(row.price_key + "[") for f in out):
+            if any(f.path.startswith((row.price_key + "[", f"r_weights[{i}]")) for f in out):
                 continue
             lam = marginal_cost(specs[row.layer_id])
             if lam <= 0.0:

@@ -1,6 +1,6 @@
 """Physical and cost models for the five storage technologies."""
 
-from .storage import EssState, ess_step, saturate
+from .storage import EssState, ess_step, saturate_block
 from .flywheel import FessParams, fess_standby_loss, fess_lcoe
 from .battery import (
     BatteryDegParams,

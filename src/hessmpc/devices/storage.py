@@ -6,13 +6,16 @@ hydrogen tank) advances through the same ledger rule: the losses of
 and discharge scaled by 1/eta_d. Charge and discharge are mutually exclusive
 within a step. :func:`ess_step` applies a move the MPC layers planned, so an
 update that would leave the envelope is an error, never a silent clamp.
-:func:`saturate` is the one clipping form of the rule, for the controllers
-that have no planner behind them (the flywheel loop and the filter
-baseline): it cuts a request down to the power cap and the envelope.
+:func:`saturate_block` is the one clipping form of the rule, for the
+controllers that have no planner behind them (the flywheel loop and the
+filter baseline): it cuts each request of a block down to the power cap and
+the envelope, one step after another, in one loop, so a caller pays one
+call per block rather than one per step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import EnvelopeViolation, ExclusivityViolation
@@ -57,7 +60,7 @@ class EssState:
         return (1.0 - self.self_discharge) ** dt_h, self.standby_loss * dt_h
 
     def saturate_args(self, dt_h: float) -> tuple[float, ...]:
-        """The (lo, hi, cap, eta_c, eta_d, keep, standby_e) of :func:`saturate`."""
+        """The (lo, hi, cap, eta_c, eta_d, keep, standby_e) of :func:`saturate_block`."""
         return (*self.envelope, self.power_cap, self.eta_c, self.eta_d, *self.losses(dt_h))
 
 
@@ -71,9 +74,9 @@ def lose(e: float, lo: float, keep: float, standby_e: float) -> float:
     return e
 
 
-def saturate(
+def saturate_block(
+    requests: list[float],
     e: float,
-    p: float,
     lo: float,
     hi: float,
     cap: float,
@@ -82,32 +85,65 @@ def saturate(
     keep: float,
     standby_e: float,
     dt_h: float,
-) -> tuple[float, float]:
-    """Clip a discharge-positive power request to what the store can deliver.
+    feedback: tuple[float, float, float, float, float] | None = None,
+) -> tuple[list[float], float, float | None]:
+    """Clip a block of discharge-positive power requests, one dt_h step
+    each, to what the store can deliver, starting from the energy e (MWh).
 
-    The losses of :func:`lose` (the leak's keep fraction and the standby
-    drain of standby_e MWh) come first, then the power cap, then the
-    envelope: a discharge may not draw the store below lo within the dt_h
-    step, a charge may not lift it above hi. Returns the realized power in
-    MW (discharge-positive) and the energy after the step in MWh.
-    Saturation is silent; callers compare the result with the request.
+    Each step takes the losses of :func:`lose` (the leak's keep fraction
+    and the standby drain of standby_e MWh) first, then the power cap, then
+    the envelope: a discharge may not draw the store below lo within the
+    step, a charge may not lift it above hi. Saturation is silent; callers
+    compare the result with the request.
+
+    Without feedback each request is clipped as given, a -0.0 included.
+    feedback = (a, b, c, k, d) makes the requests a law of the samples r
+    instead: the request of r is (a * r - b * d) / c, and d then becomes
+    (r - p) / k with p the realized power (the flywheel's droop/inertia
+    law, d its frequency deviation). Returns the realized powers in MW
+    (discharge-positive), the energy after the last step and the final d
+    (None without feedback).
     """
-    # Runs once per simulated second: skip the call for a lossless store.
-    if keep < 1.0 or standby_e > 0.0:
-        e = lose(e, lo, keep, standby_e)
-    if p >= 0.0:
-        avail = (e - lo) * eta_d / dt_h
-        if p > cap:
-            p = cap
-        if p > avail:
-            p = avail
-        return p, e - p * dt_h / eta_d
-    room = (hi - e) / (eta_c * dt_h)
-    if p < -cap:
-        p = -cap
-    if p < -room:
-        p = -room
-    return p, e + (-p) * eta_c * dt_h
+    lossy = keep < 1.0 or standby_e > 0.0
+    # The envelope can bind only within one step at the cap of its edge:
+    # from e_dis up the discharge room (e - lo) * eta_d / dt_h is at least
+    # cap, and from e_chg down the charge room is. Each rounding step is
+    # monotone, so the clip skips those terms there with the same result.
+    e_dis = lo + cap * dt_h / eta_d
+    while (e_dis - lo) * eta_d / dt_h < cap:
+        e_dis = math.nextafter(e_dis, math.inf)
+    e_chg = hi - cap * eta_c * dt_h
+    while (hi - e_chg) / (eta_c * dt_h) < cap:
+        e_chg = math.nextafter(e_chg, -math.inf)
+    d = None
+    if feedback is not None:
+        a, b, c, k, d = feedback
+    out = []
+    push = out.append
+    for r in requests:
+        p = r if d is None else (a * r - b * d) / c
+        if lossy:
+            e = lose(e, lo, keep, standby_e)
+        if p >= 0.0:
+            if p > cap:
+                p = cap
+            if e < e_dis:
+                avail = (e - lo) * eta_d / dt_h
+                if p > avail:
+                    p = avail
+            e = e - p * dt_h / eta_d
+        else:
+            if p < -cap:
+                p = -cap
+            if e > e_chg:
+                room = (hi - e) / (eta_c * dt_h)
+                if p < -room:
+                    p = -room
+            e = e + (-p) * eta_c * dt_h
+        if d is not None:
+            d = (r - p) / k
+        push(p)
+    return out, e, d
 
 
 def ess_step(state: EssState, p_charge: float, p_discharge: float, dt_h: float) -> EssState:

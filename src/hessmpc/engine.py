@@ -185,15 +185,20 @@ class _Layer:
     mu_hint: float | None = None
     cost: float = 0.0
 
-    def window(self, k: int, n: int, held) -> np.ndarray:
+    def window(self, k: int, n: int, held) -> list[float]:
         """n forecast steps from step k, less the held parent outputs, plus
-        the previous step's observed error decayed over the window."""
-        fc = self.forecast[k : k + n]
-        for y in held:
-            fc = fc - y
+        the previous step's observed error decayed over the window, as
+        Python floats (each one rounded as the array expression rounds it)."""
+        fc = self.forecast[k : k + n].tolist()
         if k > 0:
-            err = self.actual_mean[k - 1] - self.forecast[k - 1]
-            fc = fc + err * self.bias_pow[:n]
+            err = self.actual_mean.item(k - 1) - self.forecast.item(k - 1)
+            bias = self.bias_pow[:n].tolist()
+        for i, f in enumerate(fc):
+            for y in held:
+                f -= y
+            if k > 0:
+                f += err * bias[i]
+            fc[i] = f
         return fc
 
 
@@ -392,13 +397,13 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
                     decide(layer, t0 // layer.step_s, held)
                 held.append(layer.y)
 
-            # Second-scale flywheel closure.
+            # Second-scale flywheel closure, one kernel call per minute.
             t1 = t0 + minute
             r_arr = av[t0:t1] - (l1.y + l2.y + l3.y)
             inject, e_fess, df_prev = close_residual(r_arr.tolist(), e_fess, df_prev, vic,
                                                      fess0)
             inject_tr[t0:t1] = inject
-            resid_tr[t0:t1] = r_arr - inject_tr[t0:t1]
+            np.subtract(r_arr, inject_tr[t0:t1], out=resid_tr[t0:t1])
     wall = time.perf_counter() - wall_start
 
     # Each side's samples are gathered, summed and freed before the other's.

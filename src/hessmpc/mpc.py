@@ -44,7 +44,11 @@ from .qp import (
 TURBINE_LOAD_FLOOR = 0.2
 
 
-@dataclass
+#: Python-float copies of a layer's rows, read per decision.
+FloatRows = namedtuple("FloatRows", "c_y cost price u_max")
+
+
+@dataclass(frozen=True)
 class LayerSpec:
     """Static description of one MPC layer.
 
@@ -52,6 +56,11 @@ class LayerSpec:
     and cost_weight the Q/R pair, cost_vec the per-actuator price
     (currency/MWh), output_row the grid-output map, u_max rated actuator
     powers (MW). The tracking penalty is quadratic in every layer.
+
+    float_rows holds Python-float copies of what the explicit step reads
+    per decision: the output row, the prices, the step prices (rounded as
+    :func:`build_layer_problem` rounds them) and the rated powers. The spec
+    is frozen and its arrays read-only, so the copies cannot go stale.
     """
 
     layer_id: str
@@ -64,9 +73,14 @@ class LayerSpec:
     u_max: np.ndarray
 
     def __post_init__(self):
-        self.cost_vec = np.asarray(self.cost_vec, dtype=np.float64)
-        self.output_row = np.asarray(self.output_row, dtype=np.float64)
-        self.u_max = np.asarray(self.u_max, dtype=np.float64)
+        for name in ("cost_vec", "output_row", "u_max"):
+            row = np.array(getattr(self, name), dtype=np.float64)
+            row.flags.writeable = False
+            object.__setattr__(self, name, row)
+        cost = self.cost_vec.tolist()
+        object.__setattr__(self, "float_rows", FloatRows(
+            self.output_row.tolist(), cost, [self.cost_weight * c * self.dt_h for c in cost],
+            self.u_max.tolist()))
 
 
 #: One MPC layer's fixed part: its id, the store it moves, its step in
@@ -232,7 +246,7 @@ def l1_bounds(
     state: L1State,
     eff: FrozenEff,
     tank_envelope: tuple[float, float],
-    forecast: np.ndarray,
+    forecast: np.ndarray | list[float],
     conv_cap: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step input bounds for the hydrogen/methanol layer, one row per
@@ -245,6 +259,7 @@ def l1_bounds(
     ceiling takes what discharge left, and the charge cap accounts for the
     floor's concurrent drain.
     """
+    forecast = np.asarray(forecast, dtype=np.float64)
     n = forecast.size
     dt = spec.dt_h
     lo = np.zeros((n, 4))
@@ -273,7 +288,7 @@ def first_step_caps(spec: LayerSpec, state: EssState) -> tuple[float, float]:
     """(charge, discharge) caps of a single-store layer's applied first step:
     the rated powers, tightened so one step after its losses stays inside."""
     dt = spec.dt_h
-    u_max = spec.u_max.tolist()
+    u_max = spec.float_rows.u_max
     lo, hi = state.envelope
     e = lose(state.energy, lo, *state.losses(dt))
     return (
@@ -398,9 +413,7 @@ def explicit_step(
     horizon does not enter.
     """
     r0 = float(r0)
-    c_y = spec.output_row.tolist()
-    cost = spec.cost_vec.tolist()
-    price = [spec.cost_weight * c * spec.dt_h for c in cost]
+    c_y, cost, price, _ = spec.float_rows
     if charge_discharge_form(c_y, price, any(lo0)):
         i_d = 0 if c_y[0] > 0 else 1
         args = (spec.tracking_weight, price[i_d], price[1 - i_d],

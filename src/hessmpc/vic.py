@@ -13,15 +13,17 @@ flywheel and the grid (8:1 with the shipped gains).
 
 Powers are discharge-positive (grid injection): a positive residual
 (unserved load) discharges the flywheel. Each request saturates against
-rated power and the energy envelope through
-:func:`~hessmpc.devices.storage.saturate`, never by raising.
+rated power and the energy envelope, never by raising: the law is the
+feedback term of :func:`~hessmpc.devices.storage.saturate_block`, which
+runs a whole block of samples (the engine's minute) through the store's
+loss, cap and envelope clip in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .devices.storage import EssState, saturate
+from .devices.storage import EssState, saturate_block
 
 #: The flywheel tick, one second, in hours.
 DT_H = 1.0 / 3600.0
@@ -57,18 +59,8 @@ def close_residual(
     the energy after the last sample and the deviation after it.
     """
     k_pf = params.k_pf
-    beta = params.k_p + params.k_d
-    denom = k_pf + beta
-    kpf_kd = k_pf * params.k_d
-    lo, hi, cap, eta_c, eta_d, keep, standby_e = store.saturate_args(DT_H)
     if df_prev is None:
         df_prev = residual[0] / (k_pf + params.k_p)
-    out = []
-    for r in residual:
-        p, energy = saturate(
-            energy, (beta * r - kpf_kd * df_prev) / denom,
-            lo, hi, cap, eta_c, eta_d, keep, standby_e, DT_H,
-        )
-        df_prev = (r - p) / k_pf
-        out.append(p)
-    return out, energy, df_prev
+    beta = params.k_p + params.k_d
+    law = (beta, k_pf * params.k_d, k_pf + beta, k_pf, df_prev)
+    return saturate_block(residual, energy, *store.saturate_args(DT_H), DT_H, law)

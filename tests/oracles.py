@@ -17,7 +17,11 @@ Nothing in the package calls them, and only they need scipy.
   :func:`hessmpc.mtip.physical_bounds`;
 * :func:`solve_priced`, a reference fill-order solve that scans every move
   with ``np.clip``, which :func:`hessmpc.qp._solve_priced` must match byte
-  for byte.
+  for byte;
+* :func:`saturate`, the clip of one power request by a store, and
+  :func:`close_residual`, the flywheel law run one :func:`saturate` call per
+  sample, which :func:`hessmpc.devices.storage.saturate_block` must match
+  byte for byte.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hessmpc.devices.storage import EssState
+from hessmpc.devices.storage import EssState, lose
 from hessmpc.qp import (
     INFEASIBLE, MAX_ITER, OPTIMAL, QpSolution, StepStructure,
     _charge_discharge_steps, charge_discharge_form,
 )
+from hessmpc.vic import DT_H, VicParams
 
 _DROP_TOL = 1e-12
 
@@ -602,3 +607,81 @@ def _fill_solve(st: StepStructure, lo: np.ndarray, hi: np.ndarray,
         u[:, k] += amt[j]
     np.clip(u, lo, hi, out=u)
     return u, best_y, True
+
+
+# ----------------------------------------------------------------------
+# Per-sample store clip
+# ----------------------------------------------------------------------
+
+def saturate(
+    e: float,
+    p: float,
+    lo: float,
+    hi: float,
+    cap: float,
+    eta_c: float,
+    eta_d: float,
+    keep: float,
+    standby_e: float,
+    dt_h: float,
+) -> tuple[float, float]:
+    """Clip a discharge-positive power request to what the store can deliver.
+
+    The losses of :func:`lose` (the leak's keep fraction and the standby
+    drain of standby_e MWh) come first, then the power cap, then the
+    envelope: a discharge may not draw the store below lo within the dt_h
+    step, a charge may not lift it above hi. Returns the realized power in
+    MW (discharge-positive) and the energy after the step in MWh.
+    Saturation is silent; callers compare the result with the request.
+    """
+    # Runs once per simulated second: skip the call for a lossless store.
+    if keep < 1.0 or standby_e > 0.0:
+        e = lose(e, lo, keep, standby_e)
+    if p >= 0.0:
+        avail = (e - lo) * eta_d / dt_h
+        if p > cap:
+            p = cap
+        if p > avail:
+            p = avail
+        return p, e - p * dt_h / eta_d
+    room = (hi - e) / (eta_c * dt_h)
+    if p < -cap:
+        p = -cap
+    if p < -room:
+        p = -room
+    return p, e + (-p) * eta_c * dt_h
+
+
+def close_residual(
+    residual: list[float],
+    energy: float,
+    df_prev: float | None,
+    params: VicParams,
+    store: EssState,
+) -> tuple[list[float], float, float]:
+    """Run the flywheel law over one-second residual samples (MW), one
+    :func:`saturate` call per sample.
+
+    energy is the flywheel energy (MWh) before the first sample and df_prev
+    the equivalent frequency deviation (Hz) after the previous sample; None
+    starts the law at the steady-state deviation r / (k_pf + k_p) of the
+    first sample. store supplies the envelope, power cap, efficiencies and
+    losses. Returns the realized injections (MW, discharge-positive),
+    the energy after the last sample and the deviation after it.
+    """
+    k_pf = params.k_pf
+    beta = params.k_p + params.k_d
+    denom = k_pf + beta
+    kpf_kd = k_pf * params.k_d
+    lo, hi, cap, eta_c, eta_d, keep, standby_e = store.saturate_args(DT_H)
+    if df_prev is None:
+        df_prev = residual[0] / (k_pf + params.k_p)
+    out = []
+    for r in residual:
+        p, energy = saturate(
+            energy, (beta * r - kpf_kd * df_prev) / denom,
+            lo, hi, cap, eta_c, eta_d, keep, standby_e, DT_H,
+        )
+        df_prev = (r - p) / k_pf
+        out.append(p)
+    return out, energy, df_prev

@@ -402,6 +402,21 @@ def test_zero_band_child_cost_is_a_config_error(tmp_path, capsys, override, path
     assert main(["validate", "--config", str(cfg_path), "--controller", "filter"]) == 0
 
 
+@pytest.mark.parametrize("weights, path", [
+    ([1.0, -0.001, 1.0], "r_weights[1]"),
+    ([1.0, 1.0, -1.0], "r_weights[2]"),
+    ([1.0, 0.0, 1.0], "r_weights[1]"),
+])
+def test_band_child_weight_is_one_finding(weights, path):
+    # A negative weight breaks its own rule, which is the one message at its
+    # path; the marginal-cost check skips it. A zero weight breaks no rule,
+    # so it gets the marginal-cost message.
+    found = validate(from_dict({"r_weights": weights}))
+    assert [(f.severity, f.path) for f in found] == [("error", path)]
+    want = "must be non-negative" if min(weights) < 0.0 else "marginal cost of band child"
+    assert found[0].message.startswith(want)
+
+
 def test_vic_target_is_an_unknown_key(tmp_path, capsys):
     # The flywheel layer has no target-trajectory knob; naming one stops the
     # run as a config error before anything is simulated.

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hessmpc.devices import EssState, ess_step, saturate
+from hessmpc.devices import EssState, ess_step, saturate_block
 from hessmpc.errors import EnvelopeViolation, ExclusivityViolation
 
 
@@ -114,8 +114,8 @@ def test_saturate_loses_what_ess_step_loses(energy):
     # The clipping form and the planned step apply the same losses.
     st = _state(energy=energy, envelope=(20.0, 180.0), self_discharge=0.3, standby_loss=2.0)
     for dt_h in (1.0 / 3600.0, 1.0 / 60.0, 0.25):
-        assert saturate(energy, 0.0, *st.saturate_args(dt_h), dt_h) == \
-            (0.0, ess_step(st, 0.0, 0.0, dt_h).energy)
+        assert saturate_block([0.0], energy, *st.saturate_args(dt_h), dt_h) == \
+            ([0.0], ess_step(st, 0.0, 0.0, dt_h).energy, None)
 
 
 def test_step_keeps_every_static_field():

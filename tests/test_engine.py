@@ -6,12 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldens
 from hessmpc import EngineConfig, run
 from hessmpc.baselines import run_filter_decomposition
 from hessmpc.config import from_dict
-from hessmpc.engine import prepare_scenario, write_report
+from hessmpc.engine import _Layer, prepare_scenario, write_report
+from hessmpc.mpc import periodic_plan
 from hessmpc.errors import ConfigError
 from oracles import dense_problem, read_solve, write_dense
 
@@ -562,3 +565,41 @@ def test_default_calm_window_lies_in_the_run():
     assert calm.size > 0.5 * 1.2 * 86400
     assert calm.min() >= 0.75 * 86400
     assert calm.max() < 1.95 * 86400
+
+
+# Plan lengths the window serves: the proposed law's one step and each
+# layer's periodic-SOC plan under the default configuration.
+_PLANS = sorted({1, *(periodic_plan(spec, EngineConfig().baseline.soc_period_h)
+                      for spec in EngineConfig().layer_specs().values())})
+_EDGES = [0.0, -0.0, 5e-324, -5e-324]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from(_PLANS), k=st.one_of(st.just(0), st.integers(1, 5)),
+       held=st.lists(st.one_of(st.sampled_from(_EDGES), st.floats(-300.0, 300.0)), max_size=2),
+       decay=st.sampled_from([0.0, 0.5, 0.97, 1.0]), seed=st.integers(0, 2**32 - 1),
+       edges=st.lists(st.tuples(st.integers(0, 200), st.sampled_from(_EDGES)), max_size=6))
+def test_window_on_floats_matches_the_array_expression(n, k, held, decay, seed, edges):
+    # The layer window is built on Python floats; every entry must carry
+    # the bits of the array expression ((fc - y1) - y2) + err * bias_pow[:n].
+    # Forecasts and means are random (so most sums round), with signed
+    # zeros and subnormals at drawn places.
+    rng = np.random.default_rng(seed)
+    forecast, actual_mean = rng.normal(0.0, 100.0, (2, k + n))
+    for i, v in edges:
+        forecast[i % (k + n)] = v
+        actual_mean[(i // 2) % (k + n)] = v
+    held = [y * rng.uniform(0.5, 1.5) if y not in (0.0, 5e-324, -5e-324) else y for y in held]
+    bias_pow = decay ** np.arange(1, max(_PLANS) + 1)
+    layer = _Layer(spec=None, device="bess", step_s=60, state=None, rule=None, rows=(),
+                   advance=None, forecast=forecast, actual_mean=actual_mean,
+                   bias_pow=bias_pow, plan=n, output=None, band=None)
+    want = forecast[k : k + n]
+    for y in held:
+        want = want - y
+    if k > 0:
+        err = actual_mean[k - 1] - forecast[k - 1]
+        want = want + err * bias_pow[:n]
+    got = layer.window(k, n, held)
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == want.tobytes()

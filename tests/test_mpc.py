@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -429,8 +431,7 @@ def test_explicit_step_matches_stacked_receding_step():
 def test_applied_move_exclusivity_is_an_error():
     # Negative charge and discharge prices make both inputs worth saturating;
     # the applied move must be refused by a check that survives python -O.
-    spec = _spec_l1(horizon=3)
-    spec.cost_vec = np.array([-5.0, -5.0, 0.3, 0.9])
+    spec = dataclasses.replace(_spec_l1(horizon=3), cost_vec=np.array([-5.0, -5.0, 0.3, 0.9]))
     lo = np.zeros((3, 4))
     hi = np.full((3, 4), 50.0)
     fc = np.zeros(3)

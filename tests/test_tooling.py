@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -203,6 +204,60 @@ def test_store_losses_are_read_in_one_module():
                     if isinstance(node, ast.FunctionDef) and node.name == fn)
         assert any(isinstance(node, ast.Attribute) and node.attr == "saturate_args"
                    for node in ast.walk(body)), fn
+
+
+def _power_clips(path):
+    """Names of the functions in ``path`` that clip one value to a bound
+    from both sides, ``if p > cap: p = cap`` and ``if p < -cap: p = -cap``:
+    the store's power clip."""
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        clamps = {f"{ast.unparse(node.test)}: {ast.unparse(node.body[0])}"
+                  for node in ast.walk(fn) if isinstance(node, ast.If) and len(node.body) == 1}
+        upper = [re.fullmatch(r"(\w+) > (\w+): \1 = \2", clamp) for clamp in clamps]
+        if any(m and "{0} < -{1}: {0} = -{1}".format(*m.groups()) in clamps for m in upper):
+            found.append(fn.name)
+    return found
+
+
+def test_store_clip_is_written_once():
+    # The loss, cap and envelope clip of a store has one implementation,
+    # the block kernel; the flywheel law and the filter baseline call it.
+    found = [f"{path.relative_to(ROOT)}: {name}"
+             for path in sorted((ROOT / "src" / "hessmpc").rglob("*.py"))
+             for name in _power_clips(path)]
+    assert found == ["src/hessmpc/devices/storage.py: saturate_block"]
+
+
+@pytest.mark.parametrize("controller, module, calls", [
+    ("proposed", "vic", [60] * 60),
+    # Flywheel and battery bands close per minute, compressed air per
+    # quarter-hour and hydrogen per hour: one call per energy-trace step.
+    ("filter", "baselines", [60] * 120 + [900] * 4 + [3600]),
+])
+def test_runs_call_the_clip_kernel_per_block(monkeypatch, controller, module, calls):
+    # A 1-hour run calls the clip kernel once per minute (the flywheel) or
+    # per energy-trace step (the filter baseline), never once per second.
+    import importlib
+
+    from hessmpc import engine
+    from hessmpc.config import EngineConfig
+
+    mod = importlib.import_module(f"hessmpc.{module}")
+    seen = []
+    kernel = mod.saturate_block
+
+    def counting(requests, *args):
+        seen.append(len(requests))
+        return kernel(requests, *args)
+
+    monkeypatch.setattr(mod, "saturate_block", counting)
+    cfg = EngineConfig(controller=controller)
+    cfg.scenario.duration_days = 1.0 / 24.0
+    engine.run(cfg)
+    assert seen == calls
 
 
 def test_filter_run_calls_the_names_the_tracer_wraps(monkeypatch):

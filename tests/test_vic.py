@@ -1,7 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hessmpc.devices import EssState, saturate
+import oracles
+from hessmpc.devices import EssState, saturate_block
 from hessmpc.vic import DT_H, VicParams, close_residual
 
 P = VicParams(k_pf=15.0, k_p=120.0, k_d=25.0)
@@ -13,7 +18,9 @@ def _fess(energy=1.0, standby=0.0):
 
 
 def _saturate(p, st):
-    return saturate(st.energy, p, *st.saturate_args(DT_H), DT_H)
+    """One request as a one-sample block: (realized power, energy after)."""
+    (got,), e, _ = saturate_block([p], st.energy, *st.saturate_args(DT_H), DT_H)
+    return got, e
 
 
 def test_saturate_within_limits():
@@ -113,3 +120,57 @@ def test_close_residual_continues_from_state():
     b, e, df = close_residual(rs[3:], e, df, P, _fess(standby=0.05))
     assert (a + b, e, df) == whole
     assert whole[0][-1] == 60.0          # saturated at the power cap
+
+
+# Values at the edges of float64: signed zeros, the smallest subnormal and
+# the smallest normal, each signed.
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308]
+
+
+def _bits(*values):
+    return struct.pack(f"{len(values)}d", *values)
+
+
+@st.composite
+def _blocks(draw):
+    """A store, a block of requests (or residual samples) reaching both
+    power caps and both envelope edges, and the law's state."""
+    lo = draw(st.sampled_from([0.0, 0.1, 5.0]))
+    hi = lo + draw(st.sampled_from([1e-6, 0.01, 1.8, 50.0]))
+    cap = draw(st.sampled_from([0.0, 5e-324, 0.5, 60.0]))
+    store = EssState(
+        energy=draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))),
+        envelope=(lo, hi), power_cap=cap,
+        eta_c=draw(st.sampled_from([1.0, 0.95, 0.6])),
+        eta_d=draw(st.sampled_from([1.0, 0.9, 0.6])),
+        self_discharge=draw(st.sampled_from([0.0, 5e-324, 1e-3, 0.3])),
+        standby_loss=draw(st.sampled_from([0.0, 5e-324, 0.05, 50.0])),
+    )
+    sample = st.one_of(st.sampled_from(_TINY + [cap, -cap]), st.floats(-1e-300, 1e-300),
+                       st.floats(-200.0, 200.0), st.floats(-200.0, 200.0).map(lambda x: x / 3.0))
+    values = draw(st.lists(sample, min_size=1, max_size=70))
+    df_prev = draw(st.one_of(st.none(), st.sampled_from(_TINY), st.floats(-10.0, 10.0)))
+    params = VicParams(k_pf=draw(st.floats(1.0, 50.0)), k_p=draw(st.floats(1.0, 200.0)),
+                       k_d=draw(st.sampled_from([0.0, 25.0])))
+    return store, values, df_prev, params
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_blocks())
+def test_block_kernel_matches_per_sample_oracle(case):
+    # The block kernel is the per-sample clip in one loop: the flywheel law
+    # and plain (filter) requests give the oracle's bytes, outputs, end
+    # energy and deviation alike, signed zeros included.
+    store, values, df_prev, params = case
+    got, e, df = close_residual(values, store.energy, df_prev, params, store)
+    want, e_want, df_want = oracles.close_residual(values, store.energy, df_prev, params, store)
+    assert _bits(*got, e, df) == _bits(*want, e_want, df_want)
+
+    got, e, df = saturate_block(values, store.energy, *store.saturate_args(DT_H), DT_H)
+    e_want = store.energy
+    want = []
+    for p in values:
+        p, e_want = oracles.saturate(e_want, p, *store.saturate_args(DT_H), DT_H)
+        want.append(p)
+    assert df is None
+    assert _bits(*got, e) == _bits(*want, e_want)
