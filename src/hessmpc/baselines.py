@@ -37,22 +37,19 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
     steps = soc_step_s()
 
     eff = freeze_efficiencies(config.awe, config.pemfc, config.meoh, config.turbine)
-    # (layer, device, store), fastest band first.
+    tank = EssState(envelope=(0.0, config.tank_cap_mwh), power_cap=config.h2_power_mw,
+                    eta_c=eff.eta_hc, eta_d=eff.eta_hd)
+    # (layer, device, store, run-start energy), fastest band first.
     stores = (
-        ("L4", "fess", config.fess_state()),
-        ("L3", "bess", config.bess.make_state()),
-        ("L2", "caes", config.caes.make_state()),
-        ("L1", "hydrogen", EssState(
-            energy=config.tank_init_frac * config.tank_cap_mwh,
-            envelope=(0.0, config.tank_cap_mwh), power_cap=config.h2_power_mw,
-            eta_c=eff.eta_hc, eta_d=eff.eta_hd)),
+        ("L4", "fess", *config.fess_state()),
+        ("L3", "bess", *config.bess.make_state()),
+        ("L2", "caes", *config.caes.make_state()),
+        ("L1", "hydrogen", tank, tank.energy_at(config.tank_init_frac)),
     )
     cutoffs = (*config.baseline.filter_cutoffs, config.baseline.trend_cutoff_s)
 
-    e_m = config.meoh_init_mwh
-    ledgers = {"methanol": DeviceLedger(initial_energy=e_m, final_energy=e_m,
-                                        eta_c=eff.eta_hc * eff.eta_mc, eta_d=eff.eta_md)}
-    soc = {"methanol": np.full(n_sec // steps["methanol"] + 1, e_m)}
+    ledgers = {"methanol": DeviceLedger(eta_c=eff.eta_hc * eff.eta_mc, eta_d=eff.eta_md)}
+    soc = {"methanol": np.full(n_sec // steps["methanol"] + 1, config.meoh_init_mwh)}
     outputs = {}
     resid = np.zeros(n_sec)
     saturations = 0
@@ -62,12 +59,11 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
     # saturated one energy-trace step at a time, so each call's end energy
     # is a trace entry.
     mean = data.actuals.values[:n_sec]
-    for i, (layer, dev, st) in enumerate(stores):
+    for i, (layer, dev, st, e) in enumerate(stores):
         nxt = window_mean(mean, int(round(cutoffs[i])) - 1, 0) if i < len(cutoffs) else None
         clip = st.saturate_args(DT_H)
         step = steps[dev]
-        trace = np.zeros(n_sec // step + 1)
-        trace[0] = e = st.energy
+        trace = np.full(n_sec // step + 1, e)
         out = np.empty(n_sec)
         charged = discharged = 0.0
         for b0 in range(0, n_sec, BLOCK):
@@ -89,8 +85,8 @@ def run_filter_decomposition(config: EngineConfig, data=None) -> SimulationRepor
                 s = s_end
             saturations += int(np.count_nonzero(out[b0:b1] != band))
             resid[b0:b1] += band - out[b0:b1]
-        ledgers[dev] = DeviceLedger(charged * DT_H, discharged * DT_H, st.energy, e, st.eta_c,
-                                    st.eta_d)
+        ledgers[dev] = DeviceLedger(charged * DT_H, discharged * DT_H, eta_c=st.eta_c,
+                                    eta_d=st.eta_d)
         soc[dev] = trace
         outputs[layer] = out
         # Free the mean just used; the trend's last band block is a view of it.

@@ -51,12 +51,13 @@ class StoreConfig:
     self_discharge: float = 0.0
     init_frac: float = 0.5
 
-    def make_state(self) -> EssState:
-        lo = self.envelope_frac[0] * self.energy_mwh
-        hi = self.envelope_frac[1] * self.energy_mwh
-        return EssState(energy=lo + self.init_frac * (hi - lo), envelope=(lo, hi),
-                        power_cap=self.power_mw, eta_c=self.eta_c, eta_d=self.eta_d,
-                        self_discharge=self.self_discharge)
+    def make_state(self) -> tuple[EssState, float]:
+        """The store's limits and its run-start energy (MWh)."""
+        store = EssState(envelope=(self.envelope_frac[0] * self.energy_mwh,
+                                   self.envelope_frac[1] * self.energy_mwh),
+                         power_cap=self.power_mw, eta_c=self.eta_c, eta_d=self.eta_d,
+                         self_discharge=self.self_discharge)
+        return store, store.energy_at(self.init_frac)
 
 
 @dataclass
@@ -147,16 +148,12 @@ class EngineConfig:
             )
         return specs
 
-    def fess_state(self) -> EssState:
-        lo, hi = self.fess.energy_envelope
-        return EssState(
-            energy=lo + self.fess_init_frac * (hi - lo),
-            envelope=(lo, hi),
-            power_cap=self.fess.power_cap,
-            eta_c=self.fess.eta_c,
-            eta_d=self.fess.eta_d,
-            standby_loss=fess_standby_loss(self.fess),
-        )
+    def fess_state(self) -> tuple[EssState, float]:
+        """The flywheel's limits and its run-start energy (MWh)."""
+        fess = self.fess
+        store = EssState(envelope=tuple(fess.energy_envelope), power_cap=fess.power_cap,
+                         eta_c=fess.eta_c, eta_d=fess.eta_d, standby_loss=fess_standby_loss(fess))
+        return store, store.energy_at(self.fess_init_frac)
 
 
 @dataclass

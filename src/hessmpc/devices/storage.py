@@ -1,4 +1,4 @@
-"""Generic storage energy state and the single-step dispatch update.
+"""Generic storage limits and the single-step dispatch update.
 
 Every technology in the portfolio (flywheel, battery, compressed air,
 hydrogen tank) advances through the same ledger rule: the losses of
@@ -10,7 +10,9 @@ update that would leave the envelope is an error, never a silent clamp.
 controllers that have no planner behind them (the flywheel loop and the
 filter baseline): it cuts each request of a block down to the power cap and
 the envelope, one step after another, in one loop, so a caller pays one
-call per block rather than one per step.
+call per block rather than one per step. An :class:`EssState` holds only a
+store's fixed limits and is built once per run; callers carry the store's
+energy (MWh) as a float beside it.
 """
 
 from __future__ import annotations
@@ -27,16 +29,16 @@ _EDGE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EssState:
-    """Energy content plus the static limits of one storage device.
+    """The static limits of one storage device, built once per run.
 
-    energy and the envelope are MWh, power_cap is MW. self_discharge is the
-    leak, the fraction of the stored energy lost per hour (the battery and
+    The envelope is MWh, power_cap is MW. self_discharge is the leak, the
+    fraction of the stored energy lost per hour (the battery and
     compressed-air config sections carry the key); standby_loss is MW drawn
     while the device is above its lower envelope (the flywheel's). Both
-    losses stop at the lower envelope.
+    losses stop at the lower envelope. The energy is not a field: callers
+    carry it as a float.
     """
 
-    energy: float
     envelope: tuple[float, float]
     power_cap: float
     eta_c: float
@@ -50,10 +52,17 @@ class EssState:
             raise ValueError(f"envelope must satisfy lo < hi, got {self.envelope}")
         if not (0.0 < self.eta_c <= 1.0 and 0.0 < self.eta_d <= 1.0):
             raise ValueError("efficiencies must lie in (0, 1]")
-        if not lo - _EDGE_TOL * max(1.0, hi) <= self.energy <= hi + _EDGE_TOL * max(1.0, hi):
-            raise ValueError(
-                f"energy {self.energy} outside envelope [{lo}, {hi}]"
-            )
+
+    def energy_at(self, frac: float) -> float:
+        """The energy (MWh) at the fraction frac of the envelope,
+        lo + frac * (hi - lo): a run-start energy. One outside the envelope,
+        beyond float slack, is a ValueError."""
+        lo, hi = self.envelope
+        energy = lo + frac * (hi - lo)
+        tol = _EDGE_TOL * max(1.0, hi)
+        if not lo - tol <= energy <= hi + tol:
+            raise ValueError(f"energy {energy} outside envelope [{lo}, {hi}]")
+        return energy
 
     def losses(self, dt_h: float) -> tuple[float, float]:
         """The (keep, standby_e) of :func:`lose` for a dt_h step."""
@@ -146,24 +155,15 @@ def saturate_block(
     return out, e, d
 
 
-def ess_step(state: EssState, p_charge: float, p_discharge: float, dt_h: float) -> EssState:
-    """Advance one dispatch step and return the new state.
+def ess_step(store: EssState, energy: float, p_charge: float, p_discharge: float,
+             dt_h: float) -> float:
+    """Advance the store one dispatch step from energy (MWh) and return the
+    new energy.
 
-    Parameters
-    ----------
-    state : EssState
-    p_charge, p_discharge : float
-        Non-negative powers in MW; at most one may be positive and both must
-        respect the power cap.
-    dt_h : float
-        Step length in hours.
-
-    Raises
-    ------
-    ExclusivityViolation
-        If both powers are positive.
-    EnvelopeViolation
-        If the updated energy leaves the envelope. The state is not modified.
+    p_charge and p_discharge are non-negative powers in MW and dt_h is the
+    step length in hours. Both powers positive is an ExclusivityViolation;
+    a power over the cap, or an energy that leaves the envelope, is an
+    EnvelopeViolation.
     """
     if p_charge < 0.0 or p_discharge < 0.0:
         raise ValueError("powers must be non-negative")
@@ -171,23 +171,17 @@ def ess_step(state: EssState, p_charge: float, p_discharge: float, dt_h: float) 
         raise ExclusivityViolation(
             f"simultaneous charge {p_charge} MW and discharge {p_discharge} MW"
         )
-    cap = state.power_cap * (1.0 + _EDGE_TOL)
+    cap = store.power_cap * (1.0 + _EDGE_TOL)
     if p_charge > cap or p_discharge > cap:
         raise EnvelopeViolation(
-            f"power {max(p_charge, p_discharge)} MW exceeds cap {state.power_cap} MW"
+            f"power {max(p_charge, p_discharge)} MW exceeds cap {store.power_cap} MW"
         )
-    lo, hi = state.envelope
-    e = lose(state.energy, lo, *state.losses(dt_h))
-    e_next = e + p_charge * state.eta_c * dt_h - (p_discharge / state.eta_d) * dt_h
+    lo, hi = store.envelope
+    e = lose(energy, lo, *store.losses(dt_h))
+    e_next = e + p_charge * store.eta_c * dt_h - (p_discharge / store.eta_d) * dt_h
     tol = _EDGE_TOL * max(1.0, abs(hi))
     if e_next < lo - tol or e_next > hi + tol:
         raise EnvelopeViolation(
             f"energy {e_next:.9f} MWh outside envelope [{lo}, {hi}]"
         )
-    # Built field by field (dataclasses.replace costs twice as much per
-    # call); __post_init__ still checks the new state.
-    return EssState(
-        energy=min(max(e_next, lo), hi), envelope=state.envelope,
-        power_cap=state.power_cap, eta_c=state.eta_c, eta_d=state.eta_d,
-        self_discharge=state.self_discharge, standby_loss=state.standby_loss,
-    )
+    return min(max(e_next, lo), hi)

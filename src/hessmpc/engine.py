@@ -1,11 +1,12 @@
 """Four-clock simulation loop: hourly hydrogen/methanol, quarter-hourly
 compressed air, minute-level battery, second-level flywheel.
 
-Each MPC layer is one record: its store, the bounds rule of that store
-(which also gives the terminal pattern), the ledger rows its move books, the
-store advance and the pending move. L1's rule freezes the hydrogen chain's
-efficiencies at the previous move's loads and bounds the tank and the
-methanol store over four actuators; L2 and L3 bound one store each.
+Each MPC layer is one record: its store (limits built once per run), the
+store's energy as a float, the bounds rule of that store (which also gives
+the terminal pattern), the ledger rows its move books, the store advance and
+the pending move. L1's rule freezes the hydrogen chain's efficiencies at the
+previous move's loads and bounds the tank and the methanol store over four
+actuators; L2 and L3 bound one store each.
 
 The loop takes one pass per minute. It first advances the stores whose
 layer step just ended (L3, L2, then L1), then lets the due layers decide in
@@ -153,8 +154,11 @@ class _Layer:
     output and band are the applied output and the (lower, upper, gamma)
     band per layer step. mu_hint is the periodic baseline's warm-start dual.
 
-    device names the store whose energy the terminal row returns, held in
-    state. rule(layer, k, fc) gives the plan's (lo, hi) bounds, the terminal
+    device names the store whose energy the terminal row returns; store
+    holds its limits, an EssState built once per run, and energy its energy
+    in MWh. L1's store is the L1State of tank and methanol energies, rebuilt
+    at each advance, and its energy is None.
+    rule(layer, k, fc) gives the plan's (lo, hi) bounds, the terminal
     pattern (the store's energy change per MWh moved through each input),
     the store's energy and the forced-recharge demand. rows are the ledger
     rows (device, charge input or None, discharge input) that the applied
@@ -167,7 +171,8 @@ class _Layer:
     spec: LayerSpec
     device: str
     step_s: int
-    state: L1State | EssState
+    store: L1State | EssState
+    energy: float | None
     rule: Callable[..., tuple]
     rows: tuple[tuple[str, int | None, int], ...]
     advance: Callable[..., None]
@@ -243,43 +248,43 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         if eff.clamped:
             events["eff_clamped"] += 1
         conv_cap = config.meoh.rated_power / eff.eta_mc
-        lo, hi = l1_bounds(spec, layer.state, eff, tank_env, fc, conv_cap)
-        return lo, hi, b_matrix(eff)[0], layer.state.e_h, layer.forecast[k]
+        lo, hi = l1_bounds(spec, layer.store, eff, tank_env, fc, conv_cap)
+        return lo, hi, b_matrix(eff)[0], layer.store.e_h, layer.forecast[k]
 
     def hydrogen_advance(layer, i):
         # The advance precedes the next freeze, so eff is still the one the
         # pending move was planned with.
-        layer.state = l1_dynamics(layer.state, layer.pending, layer.spec.dt_h, eff, tank_env)
-        soc_tr["hydrogen"][i] = layer.state.e_h
-        soc_tr["methanol"][i] = layer.state.e_m
+        layer.store = l1_dynamics(layer.store, layer.pending, layer.spec.dt_h, eff, tank_env)
+        soc_tr["hydrogen"][i] = layer.store.e_h
+        soc_tr["methanol"][i] = layer.store.e_m
 
     def store_rule(layer, k, fc):
-        st = layer.state
-        return (*store_bounds(layer.spec, st, layer.plan), (st.eta_c, -1.0 / st.eta_d),
-                st.energy, fc[0])
+        st, e = layer.store, layer.energy
+        return (*store_bounds(layer.spec, st, e, layer.plan), (st.eta_c, -1.0 / st.eta_d),
+                e, fc[0])
 
     def store_advance(layer, i):
         c, d = layer.pending
-        layer.state = ess_step(layer.state, float(c), float(d), layer.spec.dt_h)
-        soc_tr[layer.device][i] = layer.state.energy
+        layer.energy = ess_step(layer.store, layer.energy, float(c), float(d), layer.spec.dt_h)
+        soc_tr[layer.device][i] = layer.energy
 
     specs = config.layer_specs()
     layers = []
     for row in LAYERS:
         dev, step_s = row.device, row.step_s
         if dev == "hydrogen":
-            state = L1State(e_h=config.tank_init_frac * config.tank_cap_mwh,
-                            e_m=config.meoh_init_mwh)
+            store, energy = L1State(e_h=config.tank_init_frac * config.tank_cap_mwh,
+                                    e_m=config.meoh_init_mwh), None
             rule, advance = hydrogen_rule, hydrogen_advance
             rows = ((dev, 0, 1), ("methanol", None, 3))
         else:
-            state = getattr(config, dev).make_state()
+            store, energy = getattr(config, dev).make_state()
             rule, rows, advance = store_rule, ((dev, 0, 1),), store_advance
         spec = specs[row.layer_id]
         n = n_sec // step_s
         layers.append(_Layer(
-            spec=spec, device=dev, step_s=step_s, state=state, rule=rule, rows=rows,
-            advance=advance,
+            spec=spec, device=dev, step_s=step_s, store=store, energy=energy, rule=rule,
+            rows=rows, advance=advance,
             forecast=data.forecasts[row.layer_id].values,
             actual_mean=av[:n_sec].reshape(n, step_s).mean(axis=1),
             bias_pow=config.forecast_bias_decay ** np.arange(1, spec.horizon + 1),
@@ -289,10 +294,9 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         ))
     l1, l2, l3 = layers
     l1.child, l2.child = l2, l3
-    fess0 = config.fess_state()
-    e_fess = fess0.energy
-    e_init = {"hydrogen": l1.state.e_h, "methanol": l1.state.e_m, "caes": l2.state.energy,
-              "bess": l3.state.energy, "fess": e_fess}
+    fess, e_fess = config.fess_state()
+    e_init = {"hydrogen": l1.store.e_h, "methanol": l1.store.e_m, "caes": l2.energy,
+              "bess": l3.energy, "fess": e_fess}
 
     # Marginal costs drive the band blending; the flywheel's uses its own
     # dispatch price with a unit cost weight. The periodic baseline drops
@@ -305,13 +309,10 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
 
     inject_tr = np.zeros(n_sec)
     resid_tr = np.zeros(n_sec)
-    soc_tr = {}
-    ledgers = {}
-    for dev, step_s in soc_steps.items():
-        soc_tr[dev] = np.zeros(n_sec // step_s + 1)
-        soc_tr[dev][0] = e_init[dev]
-        ledgers[dev] = DeviceLedger(initial_energy=e_init[dev])
-    for dev, st in (("caes", l2.state), ("bess", l3.state), ("fess", fess0)):
+    # Entry 0 is the run-start energy; the advances write every later one.
+    soc_tr = {dev: np.full(n_sec // step + 1, e_init[dev]) for dev, step in soc_steps.items()}
+    ledgers = {dev: DeviceLedger() for dev in soc_steps}
+    for dev, st in (("caes", l2.store), ("bess", l3.store), ("fess", fess)):
         ledgers[dev].eta_c, ledgers[dev].eta_d = st.eta_c, st.eta_d
     events = {
         "band_clamped": 0, "band_dropped": 0, "eff_clamped": 0,
@@ -329,13 +330,13 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
         if child is None:
             # The flywheel's micro forecast holds the minute's forecast, so
             # its fluctuation is zero and the band has the flat form.
-            phy = flat_bounds(e_fess, fess0.envelope, fess0.eta_c, fess0.eta_d, DT_H, minute)
-            cap = fess0.power_cap
+            phy = flat_bounds(fess, e_fess, DT_H, minute)
+            cap = fess.power_cap
         else:
             n = layer.step_s // child.step_s
             xi = child.forecast[k * n : (k + 1) * n] - layer.forecast[k]
-            phy = physical_bounds(xi, child.state, child.spec.dt_h)
-            cap = child.state.power_cap
+            phy = physical_bounds(xi, child.store, child.energy, child.spec.dt_h)
+            cap = child.store.power_cap
         lo = max(phy[0], -cap)
         hi = min(phy[1], cap)
         if lo > hi:
@@ -400,8 +401,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             # Second-scale flywheel closure, one kernel call per minute.
             t1 = t0 + minute
             r_arr = av[t0:t1] - (l1.y + l2.y + l3.y)
-            inject, e_fess, df_prev = close_residual(r_arr.tolist(), e_fess, df_prev, vic,
-                                                     fess0)
+            inject, e_fess, df_prev = close_residual(r_arr.tolist(), e_fess, df_prev, vic, fess)
             inject_tr[t0:t1] = inject
             np.subtract(r_arr, inject_tr[t0:t1], out=resid_tr[t0:t1])
     wall = time.perf_counter() - wall_start
@@ -412,8 +412,6 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
     jcost = {layer.spec.layer_id: layer.cost for layer in layers}
     jcost["L4"] = config.c_l4 * float(np.abs(inject_tr).sum()) * DT_H
 
-    for dev, arr in soc_tr.items():
-        ledgers[dev].final_energy = float(arr[-1])
     # L1 decides at t = 0 of every valid run, so eff holds its last freeze.
     ledgers["hydrogen"].eta_c = eff.eta_hc
     ledgers["hydrogen"].eta_d = eff.eta_hd
@@ -448,10 +446,14 @@ def assemble_report(controller: str, config: EngineConfig, data: ScenarioData, s
     smoothed is the net load left after every layer. outputs maps each layer
     to its (step in seconds, output per step); soc and ledgers map each
     device to its energy trace, one entry per :func:`soc_step_s` step, and
-    its ledger. Layers and devices are taken in report order.
+    its ledger, whose initial and final energies are set from the trace's
+    ends. Layers and devices are taken in report order.
     """
     t0 = data.actuals.start_epoch
     soc_steps = soc_step_s()
+    for dev in soc_steps:
+        ledgers[dev].initial_energy = float(soc[dev][0])
+        ledgers[dev].final_energy = float(soc[dev][-1])
     report = SimulationReport(
         controller=controller,
         seed=config.scenario.seed,
@@ -491,10 +493,11 @@ def _closure_gap(av, layers, inject_tr, resid_tr) -> float:
     return float(np.max(gaps))
 
 
-def _first_step_rows(spec: LayerSpec, state, n: int) -> tuple[tuple, tuple]:
-    """Step-0 (charge, discharge) floor and cap rows of a single-store layer,
-    whose plan n is one step."""
-    return ((0.0, 0.0),), (first_step_caps(spec, state),)
+def _first_step_rows(spec: LayerSpec, store: EssState, energy: float,
+                     n: int) -> tuple[tuple, tuple]:
+    """Step-0 (charge, discharge) floor and cap rows of a single-store layer
+    at the energy (MWh), whose plan n is one step."""
+    return ((0.0, 0.0),), (first_step_caps(spec, store, energy),)
 
 
 def _explicit_law(layer: _Layer, fc, lo, hi, band, terminal, events) -> LayerDecision:

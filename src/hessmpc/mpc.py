@@ -284,16 +284,17 @@ def l1_bounds(
     return lo, hi
 
 
-def first_step_caps(spec: LayerSpec, state: EssState) -> tuple[float, float]:
-    """(charge, discharge) caps of a single-store layer's applied first step:
-    the rated powers, tightened so one step after its losses stays inside."""
+def first_step_caps(spec: LayerSpec, store: EssState, energy: float) -> tuple[float, float]:
+    """(charge, discharge) caps of a single-store layer's applied first step
+    from the energy (MWh): the rated powers, tightened so one step after its
+    losses stays inside."""
     dt = spec.dt_h
     u_max = spec.float_rows.u_max
-    lo, hi = state.envelope
-    e = lose(state.energy, lo, *state.losses(dt))
+    lo, hi = store.envelope
+    e = lose(energy, lo, *store.losses(dt))
     return (
-        min(u_max[0], max(0.0, hi - e) / (state.eta_c * dt)),
-        min(u_max[1], max(0.0, e - lo) * state.eta_d / dt),
+        min(u_max[0], max(0.0, hi - e) / (store.eta_c * dt)),
+        min(u_max[1], max(0.0, e - lo) * store.eta_d / dt),
     )
 
 
@@ -303,12 +304,13 @@ def periodic_plan(spec: LayerSpec, soc_period_h: float) -> int:
     return min(spec.horizon, max(1, round(soc_period_h / spec.dt_h)))
 
 
-def simple_bounds(spec: LayerSpec, state: EssState, n: int) -> tuple[np.ndarray, np.ndarray]:
+def simple_bounds(spec: LayerSpec, store: EssState, energy: float,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """(charge, discharge) bounds of n steps of a single-store layer; only
-    the applied first step is tightened against the current energy."""
+    the applied first step is tightened against the current energy (MWh)."""
     lo = np.zeros((n, 2))
     hi = np.tile(spec.u_max, (n, 1))
-    hi[0] = first_step_caps(spec, state)
+    hi[0] = first_step_caps(spec, store, energy)
     return lo, hi
 
 

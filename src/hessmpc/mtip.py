@@ -14,7 +14,8 @@ effect that lets a nearly full (or empty) child still accept throughput.
 The band functions take plain arrays: ``xi`` is the fluctuation of the
 child-granularity forecast across the parent step about the parent-step
 value (one entry per micro step), ``store`` the child's
-:class:`~hessmpc.devices.EssState` and ``dt_h`` its micro step in hours.
+:class:`~hessmpc.devices.EssState` (its limits), ``energy`` the child's
+energy in MWh and ``dt_h`` its micro step in hours.
 
 The physical band is then blended with a minimal deadband through a sigmoid
 of the layer marginal-cost ratio, so a cheap child widens the band and an
@@ -72,7 +73,8 @@ def _invert_prefix_flow(bs: list, gs: list, eta_c: float, eta_d: float, target: 
     return bs[k - 1] + (target - gs[k - 1]) / slope
 
 
-def physical_bounds(xi: np.ndarray, store: EssState, dt_h: float) -> tuple[float, float]:
+def physical_bounds(xi: np.ndarray, store: EssState, energy: float,
+                    dt_h: float) -> tuple[float, float]:
     """Exact admissible baseline interval (r_lower_phy, r_upper_phy) in MW.
 
     A constant baseline r keeps the child inside its envelope iff every
@@ -90,10 +92,10 @@ def physical_bounds(xi: np.ndarray, store: EssState, dt_h: float) -> tuple[float
     """
     eta_c, eta_d = store.eta_c, store.eta_d
     if not np.any(xi):
-        return flat_bounds(store.energy, store.envelope, eta_c, eta_d, dt_h, xi.size)
+        return flat_bounds(store, energy, dt_h, xi.size)
     lo_env, hi_env = store.envelope
-    k_floor = (store.energy - lo_env) / dt_h   # max total outflow, MW-steps
-    k_ceil = (store.energy - hi_env) / dt_h    # min total outflow (negative)
+    k_floor = (energy - lo_env) / dt_h   # max total outflow, MW-steps
+    k_ceil = (energy - hi_env) / dt_h    # min total outflow (negative)
     breaks = -xi
     flow = psi(breaks[:, None] + xi[None, :], eta_c, eta_d)
     order = np.argsort(breaks, kind="stable").tolist()
@@ -110,18 +112,17 @@ def physical_bounds(xi: np.ndarray, store: EssState, dt_h: float) -> tuple[float
     return float(r_lo), float(r_hi)
 
 
-def flat_bounds(
-    energy: float, envelope: tuple[float, float], eta_c: float, eta_d: float, dt_h: float, n: int
-) -> tuple[float, float]:
+def flat_bounds(store: EssState, energy: float, dt_h: float, n: int) -> tuple[float, float]:
     """:func:`physical_bounds` for a micro forecast without fluctuation.
 
     With xi identically zero every prefix flow is n equal steps, so the band
     is the corrected flow that spends the whole envelope room over the n
     micro steps of length dt_h, inverted to grid-side power.
     """
-    lo_env, hi_env = envelope
+    lo_env, hi_env = store.envelope
     k_floor = (energy - lo_env) / dt_h   # max total outflow, MW-steps
     k_ceil = (energy - hi_env) / dt_h    # min total outflow (negative)
+    eta_c, eta_d = store.eta_c, store.eta_d
     return psi_inverse(k_ceil / n, eta_c, eta_d), psi_inverse(k_floor / n, eta_c, eta_d)
 
 

@@ -86,24 +86,30 @@ def ingest_csv(path) -> TimeSeries:
     """Load a ``epoch_s,power_mw`` CSV into a TimeSeries.
 
     The contract is strict: UTF-8, LF endings, the exact header, uniform dt
-    inferred from the first two rows, strictly monotone timestamps. A step
-    mismatch raises :class:`GapError` with the offending timestamp; malformed
-    rows, including a ``nan`` or ``inf`` field, raise :class:`ParseError`
-    with the line number.
+    inferred from the first two rows, strictly monotone timestamps. A CR, a
+    blank row, a padded field, a ``nan`` or ``inf`` field or another
+    malformed row raises :class:`ParseError` with the line number. A step
+    off dt by more than 1e-6 * max(dt, 1) s (a decimal step such as 0.1 s
+    does not subtract exactly) raises :class:`GapError` with the offending
+    timestamp. Sample k lies at ``start + k * dt``, start the first epoch.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n")
-        if header.rstrip("\r") != CSV_HEADER:
-            raise ParseError(f"expected header '{CSV_HEADER}', got '{header}'", line=1)
+        header = fh.readline().removesuffix("\n")
+        if header != CSV_HEADER:
+            raise ParseError(f"expected header '{CSV_HEADER}', got {header!r}", line=1)
         epochs: list[float] = []
         powers: list[float] = []
         for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
+            line = raw.removesuffix("\n")
+            if "\r" in line:
+                raise ParseError("CR in row; rows end with LF alone", line=lineno)
             if not line:
-                continue
+                raise ParseError("blank row", line=lineno)
             parts = line.split(",")
             if len(parts) != 2:
                 raise ParseError(f"expected 2 fields, got {len(parts)}", line=lineno)
+            if any(part != part.strip() for part in parts):
+                raise ParseError(f"padded field in {line!r}", line=lineno)
             try:
                 epoch, power = float(parts[0]), float(parts[1])
             except ValueError as exc:

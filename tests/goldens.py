@@ -100,7 +100,6 @@ def coupled_cases():
     import numpy as np
 
     from hessmpc import EngineConfig
-    from hessmpc.devices import EssState
     from hessmpc.mpc import (
         L1State, build_layer_problem, freeze_efficiencies, l1_bounds,
         simple_bounds,
@@ -127,12 +126,8 @@ def coupled_cases():
             pattern = np.array([eff.eta_hc, -1.0 / eff.eta_hd, -1.0, 0.0])
         else:
             store = config.caes if layer == "L2" else config.bess
-            st = store.make_state()
-            e_lo, e_hi = st.envelope
-            st = EssState(energy=e_lo + float(rng.uniform(0.0, 1.0)) * (e_hi - e_lo),
-                          envelope=st.envelope, power_cap=st.power_cap,
-                          eta_c=st.eta_c, eta_d=st.eta_d)
-            lo, hi = simple_bounds(spec, st, n)
+            st, _ = store.make_state()
+            lo, hi = simple_bounds(spec, st, st.energy_at(float(rng.uniform(0.0, 1.0))), n)
             pattern = np.array([st.eta_c, -1.0 / st.eta_d])
         # The reach of the row is summed over the whole horizon, zero rows
         # after k_end included, as the targets were first drawn.

@@ -409,7 +409,9 @@ def fluctuation_potentials(
     return np.cumsum(phi_plus) * dt_h, np.cumsum(phi_minus) * dt_h
 
 
-def paper_form_bounds(xi: np.ndarray, store: EssState, dt_h: float) -> tuple[float, float]:
+def paper_form_bounds(
+    xi: np.ndarray, store: EssState, energy: float, dt_h: float
+) -> tuple[float, float]:
     """Closed-form band estimate built from the fluctuation potentials.
 
     Exact whenever the corrected flow keeps one sign inside every prefix and
@@ -420,28 +422,28 @@ def paper_form_bounds(xi: np.ndarray, store: EssState, dt_h: float) -> tuple[flo
     lo_env, hi_env = store.envelope
     phi_plus, phi_minus = fluctuation_potentials(xi, store.eta_c, store.eta_d, dt_h)
     j = np.arange(1, xi.size + 1) * dt_h
-    r_hi = float(np.min(((store.energy - lo_env) * store.eta_d - phi_plus) / j))
-    r_lo = float(np.max(((store.energy - hi_env) / store.eta_c - phi_minus) / j))
+    r_hi = float(np.min(((energy - lo_env) * store.eta_d - phi_plus) / j))
+    r_lo = float(np.max(((energy - hi_env) / store.eta_c - phi_minus) / j))
     return r_lo, r_hi
 
 
 def brute_force_band_oracle(
-    xi: np.ndarray, store: EssState, dt_h: float, r_candidate: float
+    xi: np.ndarray, store: EssState, energy: float, dt_h: float, r_candidate: float
 ) -> bool:
-    """Simulate the child trajectory under a constant baseline; True if the
-    envelope holds at every micro step. Keeps its own flow expression, so it
+    """Simulate the child trajectory from energy (MWh) under a constant
+    baseline; True if the envelope holds at every micro step. Keeps its own flow expression, so it
     stays independent of :func:`psi`."""
     flows = np.where(
         r_candidate + xi >= 0.0,
         (r_candidate + xi) / store.eta_d,
         (r_candidate + xi) * store.eta_c,
     )
-    traj = store.energy - np.cumsum(flows) * dt_h
+    traj = energy - np.cumsum(flows) * dt_h
     lo, hi = store.envelope
     # Guard only against accumulated float rounding; anything larger is a
     # genuine violation (the bound inversion is checked against this oracle
     # at the 1e-6 MW level).
-    tol = 1e-12 * max(1.0, abs(hi), abs(lo), abs(store.energy))
+    tol = 1e-12 * max(1.0, abs(hi), abs(lo), abs(energy))
     return bool(np.all(traj >= lo - tol) and np.all(traj <= hi + tol))
 
 

@@ -73,9 +73,8 @@ def test_criterion_1_mtip_oracle_equivalence():
         xi = rng.normal(0.0, rng.uniform(0.1, 30.0), j)
         if rng.random() < 0.25:
             xi = np.zeros(j)
-        st = EssState(energy=e0, envelope=(0.0, cap), power_cap=1e9,
-                      eta_c=eta_c, eta_d=eta_d)
-        gap = oracle_gap(xi, st, dt)
+        st = EssState(envelope=(0.0, cap), power_cap=1e9, eta_c=eta_c, eta_d=eta_d)
+        gap = oracle_gap(xi, st, e0, dt)
         if gap is not None:
             checked += 1
             worst = max(worst, gap)

@@ -34,6 +34,18 @@ def day_run():
     return cfg, data, run(cfg, data)
 
 
+@pytest.mark.parametrize("controller", ["proposed", "periodic_soc", "filter"])
+def test_ledger_energies_are_the_energy_trace_ends(controller):
+    # Every ledger's initial and final energy is the first and last entry
+    # of its device's energy trace (soc_<device>), bit for bit.
+    rep = run(_config(days=2.0 / 24.0, controller=controller))
+    assert list(rep.ledgers) == list(rep.soc_traces)
+    for dev, led in rep.ledgers.items():
+        trace = rep.soc_traces[dev].values
+        got = np.array([led.initial_energy, led.final_energy])
+        assert got.tobytes() == trace[[0, -1]].tobytes(), dev
+
+
 def test_report_fields_populated(day_run):
     _, _, rep = day_run
     for key in ("smoothing_rate", "smoothing_rate_rms",
@@ -448,7 +460,7 @@ def test_proposed_qp_dump_is_the_one_step_problem(tmp_path):
     assert np.array_equal(p.hessian, 2.0 * spec.tracking_weight * np.outer(c_y, c_y))
     assert np.array_equal(p.f, -2.0 * spec.tracking_weight * r0 * c_y + spec.cost_vec * spec.dt_h)
     assert p.var_lower.tolist() == [0.0, 0.0]
-    assert p.var_upper.tolist() == list(first_step_caps(spec, cfg.bess.make_state()))
+    assert p.var_upper.tolist() == list(first_step_caps(spec, *cfg.bess.make_state()))
     assert g.tolist() == [c_y.tolist()]
     lower = rep.band_traces["L3_lower"].values[0]
     upper = rep.band_traces["L3_upper"].values[0]
@@ -591,8 +603,8 @@ def test_window_on_floats_matches_the_array_expression(n, k, held, decay, seed, 
         actual_mean[(i // 2) % (k + n)] = v
     held = [y * rng.uniform(0.5, 1.5) if y not in (0.0, 5e-324, -5e-324) else y for y in held]
     bias_pow = decay ** np.arange(1, max(_PLANS) + 1)
-    layer = _Layer(spec=None, device="bess", step_s=60, state=None, rule=None, rows=(),
-                   advance=None, forecast=forecast, actual_mean=actual_mean,
+    layer = _Layer(spec=None, device="bess", step_s=60, store=None, energy=None, rule=None,
+                   rows=(), advance=None, forecast=forecast, actual_mean=actual_mean,
                    bias_pow=bias_pow, plan=n, output=None, band=None)
     want = forecast[k : k + n]
     for y in held:

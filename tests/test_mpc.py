@@ -106,9 +106,8 @@ def test_freeze_idle_entries_fall_back():
 
 def test_simple_bounds_first_step_tightened():
     spec = _spec_simple()
-    st = EssState(energy=21.0, envelope=(20.0, 180.0), power_cap=100.0,
-                  eta_c=0.95, eta_d=0.95)
-    lo, hi = simple_bounds(spec, st, spec.horizon)
+    st = EssState(envelope=(20.0, 180.0), power_cap=100.0, eta_c=0.95, eta_d=0.95)
+    lo, hi = simple_bounds(spec, st, 21.0, spec.horizon)
     assert np.all(lo == 0.0)
     # One minute of discharge cannot draw below the floor.
     assert hi[0, 1] == pytest.approx(1.0 * 0.95 * 60.0)
@@ -124,7 +123,7 @@ def _leaky_moves(draw):
     hi = lo + draw(st.floats(1.0, 1000.0))
     energy = draw(st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi)))
     store = EssState(
-        energy=energy, envelope=(lo, hi), power_cap=draw(st.floats(0.1, 500.0)),
+        envelope=(lo, hi), power_cap=draw(st.floats(0.1, 500.0)),
         eta_c=draw(st.floats(0.5, 1.0)), eta_d=draw(st.floats(0.5, 1.0)),
         self_discharge=draw(st.floats(0.0, 0.5)),
         standby_loss=draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0))),
@@ -132,7 +131,7 @@ def _leaky_moves(draw):
     dt_h = draw(st.sampled_from([1.0 / 60.0, 0.25]))
     side = draw(st.sampled_from([0, 1]))
     frac = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
-    return store, dt_h, side, frac
+    return store, energy, dt_h, side, frac
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -140,22 +139,21 @@ def _leaky_moves(draw):
 def test_moves_inside_first_step_caps_keep_a_leaky_store_inside(case):
     # The caps are sized from the energy the step's losses leave, so no
     # move inside them can take ess_step out of the envelope.
-    store, dt_h, side, frac = case
+    store, energy, dt_h, side, frac = case
     spec = LayerSpec(
         layer_id="L3", dt_h=dt_h, horizon=1, tracking_weight=1.0, cost_weight=1.0,
         cost_vec=np.zeros(2), output_row=np.array([-1.0, 1.0]),
         u_max=np.full(2, store.power_cap),
     )
     move = [0.0, 0.0]
-    move[side] = frac * first_step_caps(spec, store)[side]
-    ess_step(store, *move, dt_h)
+    move[side] = frac * first_step_caps(spec, store, energy)[side]
+    ess_step(store, energy, *move, dt_h)
 
 
 def test_zero_forecast_stays_idle():
     spec = _spec_simple(cost=0.0)
-    st = EssState(energy=100.0, envelope=(20.0, 180.0), power_cap=100.0,
-                  eta_c=0.95, eta_d=0.95)
-    lo, hi = simple_bounds(spec, st, spec.horizon)
+    st = EssState(envelope=(20.0, 180.0), power_cap=100.0, eta_c=0.95, eta_d=0.95)
+    lo, hi = simple_bounds(spec, st, 100.0, spec.horizon)
     dec = receding_step(spec, np.zeros(spec.horizon), lo, hi)
     assert dec.solution.status == OPTIMAL
     assert np.allclose(dec.u_applied, 0.0)
@@ -163,9 +161,8 @@ def test_zero_forecast_stays_idle():
 
 def test_constant_forecast_tracked():
     spec = _spec_simple(q=1.0, cost=1e-4)
-    st = EssState(energy=100.0, envelope=(20.0, 180.0), power_cap=100.0,
-                  eta_c=0.95, eta_d=0.95)
-    lo, hi = simple_bounds(spec, st, spec.horizon)
+    st = EssState(envelope=(20.0, 180.0), power_cap=100.0, eta_c=0.95, eta_d=0.95)
+    lo, hi = simple_bounds(spec, st, 100.0, spec.horizon)
     dec = receding_step(spec, np.full(spec.horizon, 50.0), lo, hi)
     assert dec.u_applied[1] == pytest.approx(50.0, abs=1e-3)
     assert 50.0 - dec.output == pytest.approx(0.0, abs=1e-3)
@@ -387,11 +384,11 @@ def test_explicit_step_matches_stacked_receding_step():
         lo_env, hi_env = 20.0, 180.0
         edge = i % 5
         energy = {0: lo_env, 1: hi_env}.get(edge, rng.uniform(lo_env, hi_env))
-        st = EssState(energy=energy, envelope=(lo_env, hi_env), power_cap=100.0,
+        st = EssState(envelope=(lo_env, hi_env), power_cap=100.0,
                       eta_c=float(rng.uniform(0.8, 1.0)), eta_d=float(rng.uniform(0.8, 1.0)))
         fc = rng.normal(0.0, 60.0, horizon)
-        lo, hi = simple_bounds(spec, st, spec.horizon)
-        caps = first_step_caps(spec, st)
+        lo, hi = simple_bounds(spec, st, energy, spec.horizon)
+        caps = first_step_caps(spec, st, energy)
         assert _bits(caps) == _bits(hi[0])
         kind = kinds[i % 3]
         band = _random_band(rng, kind, fc[0], -caps[0], caps[1])

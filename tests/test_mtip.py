@@ -15,10 +15,10 @@ from oracles import brute_force_band_oracle, fluctuation_potentials, paper_form_
 
 def _band(xi, energy=500.0, envelope=(0.0, 1000.0), eta_c=1.0, eta_d=1.0,
           dt_child_h=0.25):
-    """(xi, child store, micro step) arguments of the band functions."""
-    store = EssState(energy=energy, envelope=envelope, power_cap=1e9,
-                     eta_c=eta_c, eta_d=eta_d)
-    return np.asarray(xi, dtype=np.float64), store, dt_child_h
+    """(xi, child store, child energy, micro step) arguments of the band
+    functions."""
+    store = EssState(envelope=envelope, power_cap=1e9, eta_c=eta_c, eta_d=eta_d)
+    return np.asarray(xi, dtype=np.float64), store, energy, dt_child_h
 
 
 def test_psi_examples():
@@ -84,15 +84,15 @@ def test_virtual_capacity_at_ceiling():
     assert not brute_force_band_oracle(*args, lo - 1.0)
 
 
-def oracle_gap(xi, store, dt_h):
+def oracle_gap(xi, store, energy, dt_h):
     """Largest distance (MW) between the edges of ``physical_bounds`` and
     the oracle's admissible set, found by 70-step bisection outward from
     the band midpoint; None for a crossed band, whose midpoint the oracle
     must refuse."""
-    lo, hi = physical_bounds(xi, store, dt_h)
+    lo, hi = physical_bounds(xi, store, energy, dt_h)
 
     def admissible(r):
-        return brute_force_band_oracle(xi, store, dt_h, r)
+        return brute_force_band_oracle(xi, store, energy, dt_h, r)
 
     if lo > hi:
         assert not admissible(0.5 * (lo + hi))
@@ -169,13 +169,13 @@ def test_property_cases_reach_edges_and_crossed_bands():
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_band_cases())
     def record(args):
-        xi, store, dt_h = args
-        lo, hi = physical_bounds(xi, store, dt_h)
+        xi, store, energy, dt_h = args
+        lo, hi = physical_bounds(xi, store, energy, dt_h)
         seen.add("crossed" if lo > hi else "banded")
         seen.add("zero" if not xi.any() else "fluctuating")
-        if store.energy == store.envelope[0]:
+        if energy == store.envelope[0]:
             seen.add("floor")
-        if store.energy == store.envelope[1]:
+        if energy == store.envelope[1]:
             seen.add("ceiling")
 
     record()
@@ -193,16 +193,16 @@ def _reference_invert(bs, gs, eta_c, eta_d, target):
     return float(bs[k - 1] + (target - gs[k - 1]) / slope)
 
 
-def _reference_physical_bounds(xi, store, dt_h):
+def _reference_physical_bounds(xi, store, energy, dt_h):
     """physical_bounds with its own j x j flow matrix and stable argsort for
     every prefix j: the per-prefix form the shared flow matrix must match
     bit for bit."""
     eta_c, eta_d = store.eta_c, store.eta_d
     if not np.any(xi):
-        return flat_bounds(store.energy, store.envelope, eta_c, eta_d, dt_h, xi.size)
+        return flat_bounds(store, energy, dt_h, xi.size)
     lo_env, hi_env = store.envelope
-    k_floor = (store.energy - lo_env) / dt_h
-    k_ceil = (store.energy - hi_env) / dt_h
+    k_floor = (energy - lo_env) / dt_h
+    k_ceil = (energy - hi_env) / dt_h
     r_hi = np.inf
     r_lo = -np.inf
     for jj in range(1, xi.size + 1):

@@ -189,6 +189,48 @@ def test_csv_bad_row_reports_line(tmp_path):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("epoch_s,power_mw\r\n0,1.0\n", 1, "expected header"),
+    ("epoch_s,power_mw\n0,1.0\r\n1,2.0\r\n", 2, "CR in row"),
+    ("epoch_s,power_mw\n0,1.0\n1,2.0\r", 3, "CR in row"),
+])
+def test_csv_cr_reports_line(tmp_path, text, line, message):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError, match=message) as exc:
+        ingest_csv(path)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("rows, line", [("\n0,1.0\n", 2), ("0,1.0\n\n1,2.0\n", 3),
+                                        ("0,1.0\n1,2.0\n\n", 4)])
+def test_csv_blank_row_reports_line(tmp_path, rows, line):
+    path = tmp_path / "blank.csv"
+    path.write_text("epoch_s,power_mw\n" + rows)
+    with pytest.raises(ParseError, match="blank row") as exc:
+        ingest_csv(path)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("row", ["  1 , 3.5 ", "1, 3.5", "1,3.5 ", " 1,3.5", "1\t,3.5"])
+def test_csv_padded_field_reports_line(tmp_path, row):
+    path = tmp_path / "padded.csv"
+    path.write_text(f"epoch_s,power_mw\n0,1.0\n{row}\n2,2.0\n")
+    with pytest.raises(ParseError, match="padded field") as exc:
+        ingest_csv(path)
+    assert exc.value.line == 3
+
+
+def test_csv_decimal_step_within_tolerance(tmp_path):
+    # 0.1 s steps do not subtract exactly; the 1e-6 * max(dt, 1) s
+    # tolerance accepts them, and sample k lies at start + k * dt.
+    path = tmp_path / "decimal.csv"
+    path.write_text("epoch_s,power_mw\n" + "".join(f"{0.1 * k!r},{k}.0\n" for k in range(50)))
+    ts = ingest_csv(path)
+    assert (ts.start_epoch, ts.dt, len(ts)) == (0.0, 0.1, 50)
+    assert ts.values.tolist() == [float(k) for k in range(50)]
+
+
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         TimeSeries(0.0, 1.0, np.array([1.0, np.nan]))

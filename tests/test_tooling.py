@@ -128,6 +128,31 @@ def test_proposed_run_calls_engine_band_and_store_step_by_name(monkeypatch):
     assert len(calls["ess_step"]) == 64
 
 
+@pytest.mark.parametrize("controller, stores", [
+    ("proposed", 3), ("periodic_soc", 3), ("filter", 4),
+])
+def test_store_limits_are_built_once_per_run(monkeypatch, controller, stores):
+    # An EssState holds a store's fixed limits only, and callers carry the
+    # energy as a float: a run builds one per store (compressed air,
+    # battery, flywheel; the filter's hydrogen tank too), none per advance.
+    from hessmpc import engine
+    from hessmpc.config import EngineConfig
+    from hessmpc.devices import EssState
+
+    built = []
+    post_init = EssState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(EssState, "__post_init__", counting)
+    cfg = EngineConfig(controller=controller)
+    cfg.scenario.duration_days = 1.0 / 24.0
+    engine.run(cfg)
+    assert len(built) == stores
+
+
 def test_runs_load_no_scipy():
     # Importing scipy.signal was most of the CLI's start-up; a run needs none
     # of scipy (the dense QP oracle imports scipy.linalg when it is called).
@@ -397,9 +422,9 @@ def _device_outputs(cfg):
     deg = cfg.battery_deg
     out += [battery_soh(0.1, deg), *stress_factors(cfg.ambient_temp_c, 3600.0, 0.6, 0.3, deg),
             bess_cycle_cost(1e-4, deg, cfg.bess.energy_mwh)]
-    fess = cfg.fess_state()
-    out += [*dataclasses.astuple(fess), fess_lcoe(cfg.fess)]
-    out += close_residual([0.0, 5.0, 5.0, -3.0], fess.energy, None, cfg.vic, fess)[0]
+    fess, energy = cfg.fess_state()
+    out += [*dataclasses.astuple(fess), energy, fess_lcoe(cfg.fess)]
+    out += close_residual([0.0, 5.0, 5.0, -3.0], energy, None, cfg.vic, fess)[0]
     return out
 
 

@@ -12,50 +12,51 @@ from hessmpc.vic import DT_H, VicParams, close_residual
 P = VicParams(k_pf=15.0, k_p=120.0, k_d=25.0)
 
 
-def _fess(energy=1.0, standby=0.0):
-    return EssState(energy=energy, envelope=(0.1, 1.9), power_cap=60.0,
-                    eta_c=0.95, eta_d=0.95, standby_loss=standby)
+def _fess(standby=0.0):
+    return EssState(envelope=(0.1, 1.9), power_cap=60.0, eta_c=0.95, eta_d=0.95,
+                    standby_loss=standby)
 
 
-def _saturate(p, st):
-    """One request as a one-sample block: (realized power, energy after)."""
-    (got,), e, _ = saturate_block([p], st.energy, *st.saturate_args(DT_H), DT_H)
+def _saturate(p, energy=1.0, standby=0.0):
+    """One request as a one-sample block from energy (MWh): (realized power,
+    energy after)."""
+    (got,), e, _ = saturate_block([p], energy, *_fess(standby).saturate_args(DT_H), DT_H)
     return got, e
 
 
 def test_saturate_within_limits():
-    p, e = _saturate(-10.0, _fess())
+    p, e = _saturate(-10.0)
     assert p == -10.0
     assert e == pytest.approx(1.0 + 10.0 * 0.95 * DT_H)
-    p, e = _saturate(10.0, _fess())
+    p, e = _saturate(10.0)
     assert p == 10.0
     assert e == pytest.approx(1.0 - 10.0 * DT_H / 0.95)
 
 
 def test_saturate_power_cap():
-    assert _saturate(-200.0, _fess())[0] == -60.0
-    assert _saturate(200.0, _fess())[0] == 60.0
+    assert _saturate(-200.0)[0] == -60.0
+    assert _saturate(200.0)[0] == 60.0
 
 
 def test_saturate_empty_discharge_is_zero():
-    p, e = _saturate(30.0, _fess(energy=0.1))
+    p, e = _saturate(30.0, energy=0.1)
     assert p == 0.0
     assert e == 0.1
 
 
 def test_saturate_envelope_rate_limit():
     # Nearly full: one second of max charge would overflow.
-    p, e = _saturate(-60.0, _fess(energy=1.8999999))
+    p, e = _saturate(-60.0, energy=1.8999999)
     assert -60.0 < p < 0.0
     assert e == pytest.approx(1.9, abs=1e-12)
 
 
 def test_saturate_standby_applies_at_zero_request():
-    p, e = _saturate(0.0, _fess(energy=1.0, standby=0.05))
+    p, e = _saturate(0.0, energy=1.0, standby=0.05)
     assert p == 0.0
     assert e == pytest.approx(1.0 - 0.05 / 3600.0)
     # The drain stops at the lower envelope.
-    p, e = _saturate(0.0, _fess(energy=0.1, standby=0.05))
+    p, e = _saturate(0.0, energy=0.1, standby=0.05)
     assert e == 0.1
 
 
@@ -138,8 +139,8 @@ def _blocks(draw):
     lo = draw(st.sampled_from([0.0, 0.1, 5.0]))
     hi = lo + draw(st.sampled_from([1e-6, 0.01, 1.8, 50.0]))
     cap = draw(st.sampled_from([0.0, 5e-324, 0.5, 60.0]))
+    energy = draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)))
     store = EssState(
-        energy=draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))),
         envelope=(lo, hi), power_cap=cap,
         eta_c=draw(st.sampled_from([1.0, 0.95, 0.6])),
         eta_d=draw(st.sampled_from([1.0, 0.9, 0.6])),
@@ -152,7 +153,7 @@ def _blocks(draw):
     df_prev = draw(st.one_of(st.none(), st.sampled_from(_TINY), st.floats(-10.0, 10.0)))
     params = VicParams(k_pf=draw(st.floats(1.0, 50.0)), k_p=draw(st.floats(1.0, 200.0)),
                        k_d=draw(st.sampled_from([0.0, 25.0])))
-    return store, values, df_prev, params
+    return store, energy, values, df_prev, params
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -161,13 +162,13 @@ def test_block_kernel_matches_per_sample_oracle(case):
     # The block kernel is the per-sample clip in one loop: the flywheel law
     # and plain (filter) requests give the oracle's bytes, outputs, end
     # energy and deviation alike, signed zeros included.
-    store, values, df_prev, params = case
-    got, e, df = close_residual(values, store.energy, df_prev, params, store)
-    want, e_want, df_want = oracles.close_residual(values, store.energy, df_prev, params, store)
+    store, energy, values, df_prev, params = case
+    got, e, df = close_residual(values, energy, df_prev, params, store)
+    want, e_want, df_want = oracles.close_residual(values, energy, df_prev, params, store)
     assert _bits(*got, e, df) == _bits(*want, e_want, df_want)
 
-    got, e, df = saturate_block(values, store.energy, *store.saturate_args(DT_H), DT_H)
-    e_want = store.energy
+    got, e, df = saturate_block(values, energy, *store.saturate_args(DT_H), DT_H)
+    e_want = energy
     want = []
     for p in values:
         p, e_want = oracles.saturate(e_want, p, *store.saturate_args(DT_H), DT_H)
