@@ -96,18 +96,22 @@ def rainflow_cycles(values: np.ndarray) -> list[tuple[float, float, float, int, 
     1.0 for closed cycles and 0.5 for residual half cycles, depth the SOC
     swing, mean the midpoint of the swing and the indices locate the swing in
     the original series (used for per-cycle temperature averaging).
+    The walk runs on Python floats, whose IEEE operations are numpy's.
     """
-    x = np.asarray(values, dtype=np.float64)
-    if x.size < 2:
+    x = np.asarray(values, dtype=np.float64).tolist()
+    if len(x) < 2:
         return []
 
     # Turning points, keeping original indices.
     idx = [0]
-    for i in range(1, x.size - 1):
-        if (x[i] - x[idx[-1]]) != 0.0 and (x[i] - x[idx[-1]]) * (x[i + 1] - x[i]) <= 0.0:
+    last = x[0]
+    for i in range(1, len(x) - 1):
+        rise = x[i] - last
+        if rise != 0.0 and rise * (x[i + 1] - x[i]) <= 0.0:
             idx.append(i)
-    if x[x.size - 1] != x[idx[-1]]:
-        idx.append(x.size - 1)
+            last = x[i]
+    if x[-1] != last:
+        idx.append(len(x) - 1)
     elif len(idx) == 1:
         return []
 

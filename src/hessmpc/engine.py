@@ -63,17 +63,24 @@ from .mtip import (
 )
 from .qp import OPTIMAL, solve_qp
 from .timeseries import BLOCK, TimeSeries, ingest_csv, write_csv
-from .scenario import calm_window, make_forecast, realized_accuracy, synthesize
+from .scenario import block_means, calm_window, make_forecast, realized_accuracy, synthesize
 from .vic import DT_H, close_residual
 
 
 @dataclasses.dataclass
 class ScenarioData:
-    """Actuals plus per-layer forecasts covering the run and the L1 horizon."""
+    """Actuals plus per-layer forecasts covering the run and the L1 horizon.
+
+    means holds, per layer, the actuals' means over the layer's steps across
+    the same span: what its forecast was calibrated on, what the run's
+    forecast de-bias reads (the first rows) and what the realized accuracy
+    is measured against.
+    """
 
     actuals: TimeSeries
     run_seconds: int
     forecasts: dict[str, TimeSeries]
+    means: dict[str, TimeSeries]
 
 
 def prepare_scenario(config: EngineConfig) -> ScenarioData:
@@ -117,11 +124,14 @@ def prepare_scenario(config: EngineConfig) -> ScenarioData:
         actuals = synthesize(ext)
     acc = config.scenario.forecast_accuracy
     seed = config.scenario.seed
+    means = {row.layer_id: block_means(actuals, float(row.step_s)) for row in LAYERS}
     forecasts = {
-        row.layer_id: make_forecast(actuals, float(row.step_s), acc[row.layer_id], seed * 1000 + i)
+        row.layer_id: make_forecast(means[row.layer_id], float(row.step_s), acc[row.layer_id],
+                                    seed * 1000 + i)
         for i, row in enumerate(LAYERS, 1)
     }
-    return ScenarioData(actuals=actuals, run_seconds=run_seconds, forecasts=forecasts)
+    return ScenarioData(actuals=actuals, run_seconds=run_seconds, forecasts=forecasts,
+                        means=means)
 
 
 def soc_step_s() -> dict[str, int]:
@@ -147,9 +157,10 @@ class _LayerStats:
 class _Layer:
     """Run state of one MPC layer and the rules of its store.
 
-    actual_mean holds the run's actuals averaged over each layer step, for
-    the forecast de-bias, and bias_pow the weight of the observed error at
-    each horizon step (all zero when de-biasing is off). plan is the number
+    actual_mean holds the run's actuals averaged over each layer step (the
+    first rows of the scenario's means), for the forecast de-bias, and
+    bias_pow the weight of the observed error at each horizon step (all
+    zero when de-biasing is off). plan is the number
     of forecast steps the law reads per decision, and sizes its bounds.
     output and band are the applied output and the (lower, upper, gamma)
     band per layer step. mu_hint is the periodic baseline's warm-start dual.
@@ -286,7 +297,7 @@ def run(config: EngineConfig, data: ScenarioData | None = None) -> SimulationRep
             spec=spec, device=dev, step_s=step_s, store=store, energy=energy, rule=rule,
             rows=rows, advance=advance,
             forecast=data.forecasts[row.layer_id].values,
-            actual_mean=av[:n_sec].reshape(n, step_s).mean(axis=1),
+            actual_mean=data.means[row.layer_id].values[:n],
             bias_pow=config.forecast_bias_decay ** np.arange(1, spec.horizon + 1),
             plan=periodic_plan(spec, config.baseline.soc_period_h) if periodic else 1,
             output=np.zeros(n),
@@ -595,7 +606,7 @@ def _finalize_metrics(report: SimulationReport, config: EngineConfig, data: Scen
         "smoothing_rate_rms": rms_smoothing_rate(original, smoothed),
         "minute_fluctuation_reduction": minute_fluctuation_reduction(original, smoothed),
         "round_trip_efficiency": round_trip_efficiency(report.ledgers),
-        **{f"forecast_accuracy_{layer}": realized_accuracy(data.actuals, fc)
+        **{f"forecast_accuracy_{layer}": realized_accuracy(data.means[layer], fc)
            for layer, fc in data.forecasts.items()},
     }
     total_cost = sum(report.dispatch_cost.values())

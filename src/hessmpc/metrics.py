@@ -11,12 +11,13 @@ accumulated dispatch cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AlignmentError
-from .timeseries import BLOCK, TimeSeries, resample
+from .timeseries import TimeSeries, resample
 
 
 @dataclass
@@ -144,12 +145,47 @@ def round_trip_efficiency(ledgers: dict[str, DeviceLedger]) -> float:
     return delivered / absorbed
 
 
-def _hour_of_day(ts: TimeSeries, lo: int, hi: int) -> np.ndarray:
-    """Whole hour of day of samples lo to hi of ``ts``, as indices."""
-    t = ts.start_epoch + ts.dt * np.arange(lo, hi)
-    t %= 86400.0
-    t //= 3600.0
-    return t.astype(np.intp)
+def _hour_key(start: float, dt: float, k: int) -> float:
+    """``day * 24 + hour`` of sample k of a grid, from the floor-mod formula
+    ``divmod(start + dt * k, 86400)`` and ``// 3600`` on Python floats (the
+    IEEE operations of numpy's ``%`` and ``//``). A time one rounding step
+    below midnight leaves the remainder 86400.0; it lies in hour 23."""
+    day, sec = divmod(start + dt * k, 86400.0)
+    return day * 24.0 + min(sec // 3600.0, 23.0)
+
+
+def _hour_runs(ts: TimeSeries):
+    """``(lo, hi, hour of day)`` of each run of samples of ``ts`` in one
+    hour, in order.
+
+    The key of :func:`_hour_key` never falls as k grows (for times below
+    2**53 s): each step of the formula is monotone within a day, and the day
+    grows. So a run ends at the first sample with another key, which is
+    guessed from the time left in the hour, checked at the guess and the
+    sample before it, and found by bisection when the guess misses.
+    """
+    start, dt, n = float(ts.start_epoch), float(ts.dt), len(ts)
+    lo = 0
+    while lo < n:
+        key = _hour_key(start, dt, lo)
+        ahead = ((key + 1.0) * 3600.0 - (start + dt * lo)) / dt
+        guess = lo + max(1, math.ceil(ahead)) if ahead < n - lo else n
+        # The run is [lo, b): samples lo to a share the key, b is past it.
+        a, b = lo, n
+        for k in (guess - 1, guess):
+            if a < k < b:
+                if _hour_key(start, dt, k) == key:
+                    a = k
+                else:
+                    b = k
+        while b - a > 1:
+            mid = (a + b) // 2
+            if _hour_key(start, dt, mid) == key:
+                a = mid
+            else:
+                b = mid
+        yield lo, b, int(key) % 24
+        lo = b
 
 
 def economic_benefit(
@@ -161,16 +197,17 @@ def economic_benefit(
     """Two-part-tariff benefit and its three components.
 
     Returns a dict with ``tou``, ``capacity``, ``dispatch_cost`` and their
-    combination ``total = tou + capacity - dispatch_cost``.
+    combination ``total = tou + capacity - dispatch_cost``. Sample k is
+    priced at the hour of day ``(start + dt * k) % 86400 // 3600``; a time
+    one rounding step below midnight counts in hour 23.
     """
     _check_aligned(original, smoothed)
-    prices = tariff.hourly_prices()
-    # (original - smoothed) * price of the sample's hour in one buffer, the
-    # hour index built per block; the sum runs over the whole buffer.
+    prices = tariff.hourly_prices().tolist()
+    # (original - smoothed) * price of the sample's hour in one buffer, one
+    # multiply per run of samples in one hour; the sum runs over the buffer.
     gain = original.values - smoothed.values
-    for lo in range(0, gain.size, BLOCK):
-        hi = min(lo + BLOCK, gain.size)
-        gain[lo:hi] *= prices[_hour_of_day(original, lo, hi)]
+    for lo, hi, hour in _hour_runs(original):
+        gain[lo:hi] *= prices[hour]
     tou = float(gain.sum() * (original.dt / 3600.0))
     capacity = tariff.capacity_rate * (
         float(original.values.max()) - float(smoothed.values.max())

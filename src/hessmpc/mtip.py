@@ -6,10 +6,11 @@ iff the child's energy trajectory, integrating the efficiency-corrected flow
 of r plus the known intra-step fluctuation profile, stays inside its safety
 envelope at every micro step. The admissible set is an interval whose edges
 are found by exact inversion of the piecewise-linear prefix flows, all read
-from one flow matrix per band (each prefix's flows are numpy's row sums of
-its leading block, which fixes their rounding); zero-mean fluctuations can
-push an edge past the zero-fluctuation value, which is the virtual-capacity
-effect that lets a nearly full (or empty) child still accept throughput.
+from one flow matrix per band (each prefix's flows are summed in the order
+numpy's row sums of its leading block use, which fixes their rounding);
+zero-mean fluctuations can push an edge past the zero-fluctuation value,
+which is the virtual-capacity effect that lets a nearly full (or empty)
+child still accept throughput.
 
 The band functions take plain arrays: ``xi`` is the fluctuation of the
 child-granularity forecast across the parent step about the parent-step
@@ -73,6 +74,44 @@ def _invert_prefix_flow(bs: list, gs: list, eta_c: float, eta_d: float, target: 
     return bs[k - 1] + (target - gs[k - 1]) / slope
 
 
+#: Longest micro forecast :func:`physical_bounds` takes: numpy sums a row of
+#: up to 128 values in the one block :func:`_prefix_row_sums` reproduces, and
+#: splits a longer row.
+MAX_STEPS = 128
+
+
+def _prefix_row_sums(flow: np.ndarray) -> np.ndarray:
+    """``out[i, j - 1] == flow[i, :j].sum()`` bit for bit, for every row i
+    and prefix length j up to ``MAX_STEPS``, in one sweep.
+
+    numpy sums a row of j float64 values pairwise (Higham, SIAM J. Sci.
+    Comput. 14, 1993), and up to 128 values that is one block: below 8 a
+    running sum from 0.0; from 8 on, eight accumulators each run over every
+    eighth value of the whole blocks of 8, meet in the tree
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, and the remaining
+    j % 8 values are added one by one. So every prefix's accumulators are
+    one running sum over a ``(rows, blocks, 8)`` view, and one running sum
+    per segment of 8 gives every prefix: segment 0 runs from 0.0 over the
+    first 7 values, segment b from the tree of b blocks over the values
+    8b to 8b + 6. The reduction adds its result to the identity 0.0, which
+    turns a -0.0 sum into 0.0.
+    """
+    rows, n = flow.shape
+    blocks = n // 8
+    # Column p holds prefix p's last value, or the tree of p / 8 blocks.
+    seg = np.zeros((rows, 8 * (blocks + 1)))
+    seg[:, 1 : n + 1] = flow
+    if blocks:
+        acc = np.cumsum(flow[:, : 8 * blocks].reshape(rows, blocks, 8), axis=1)
+        pairs = acc[..., 0::2] + acc[..., 1::2]
+        quads = pairs[..., 0::2] + pairs[..., 1::2]
+        np.add(quads[..., 0], quads[..., 1], out=seg[:, 8::8])
+    runs = seg.reshape(rows, blocks + 1, 8)
+    np.cumsum(runs, axis=2, out=runs)
+    seg += 0.0
+    return seg[:, 1 : n + 1]
+
+
 def physical_bounds(xi: np.ndarray, store: EssState, energy: float,
                     dt_h: float) -> tuple[float, float]:
     """Exact admissible baseline interval (r_lower_phy, r_upper_phy) in MW.
@@ -84,28 +123,39 @@ def physical_bounds(xi: np.ndarray, store: EssState, energy: float,
     checks.
 
     The breakpoints of prefix j are -xi[:j]. One flow matrix
-    ``flow[i, m] = psi(-xi[i] + xi[m])`` and one stable argsort of the
-    breakpoints serve every prefix: prefix j's knots are the entries below j
-    of that order, which is a stable sort of the prefix, and its flows are
-    numpy's row sums of the leading j x j block. Running or segmented sums
-    round in another order, so they would move the band's bits.
+    ``flow[i, m] = psi(-xi[i] + xi[m])`` serves every prefix: prefix j's
+    flows are the sums of the leading j x j block's rows, all taken in one
+    sweep by :func:`_prefix_row_sums` in the order numpy's ``sum(axis=1)``
+    of that block uses. The order is kept because it sets the band's bits:
+    the per-prefix reference the tests hold sums each block with numpy, and
+    a plain running sum rounds differently. Each prefix's knots are a
+    stable sort of its breakpoints, kept by inserting each new breakpoint
+    after its equals. A micro forecast longer than ``MAX_STEPS`` raises
+    ValueError.
     """
+    n = xi.size
+    if n > MAX_STEPS:
+        raise ValueError(f"physical_bounds takes at most {MAX_STEPS} micro steps, got {n}")
     eta_c, eta_d = store.eta_c, store.eta_d
     if not np.any(xi):
-        return flat_bounds(store, energy, dt_h, xi.size)
+        return flat_bounds(store, energy, dt_h, n)
     lo_env, hi_env = store.envelope
     k_floor = (energy - lo_env) / dt_h   # max total outflow, MW-steps
     k_ceil = (energy - hi_env) / dt_h    # min total outflow (negative)
     breaks = -xi
     flow = psi(breaks[:, None] + xi[None, :], eta_c, eta_d)
-    order = np.argsort(breaks, kind="stable").tolist()
-    breaks = breaks.tolist()
+    # sums[j][i]: row i's flow over the prefix of j + 1 steps.
+    sums = _prefix_row_sums(flow).T.tolist()
     r_hi = np.inf
     r_lo = -np.inf
-    for jj in range(1, xi.size + 1):
-        flow_at = flow[:jj, :jj].sum(axis=1).tolist()
-        knots = [i for i in order if i < jj]
-        bs = [breaks[i] for i in knots]
+    bs: list[float] = []
+    knots: list[int] = []
+    for j, b in enumerate(breaks.tolist()):
+        # The prefix of j + 1 steps adds breakpoint j after its equals.
+        at = bisect_right(bs, b)
+        bs.insert(at, b)
+        knots.insert(at, j)
+        flow_at = sums[j]
         gs = [flow_at[i] for i in knots]
         r_hi = min(r_hi, _invert_prefix_flow(bs, gs, eta_c, eta_d, k_floor))
         r_lo = max(r_lo, _invert_prefix_flow(bs, gs, eta_c, eta_d, k_ceil))

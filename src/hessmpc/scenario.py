@@ -397,11 +397,12 @@ def make_forecast(
     (persistent errors stress the layered dispatch hardest), demeaned and
     scaled so that mean(|error|) / mean(|actual|) equals 1 - accuracy
     exactly on this series. An all-zero actual series is degenerate and
-    returned unchanged.
+    returned unchanged. ``actuals`` may already be the block means at
+    ``granularity_s`` (see :func:`block_means`).
     """
     if not 0.0 < accuracy <= 1.0:
         raise ValueError("accuracy must lie in (0, 1]")
-    agg = resample(actuals, granularity_s)
+    agg = block_means(actuals, granularity_s)
     if accuracy == 1.0:
         return agg
     scale = float(np.abs(agg.values).mean())
@@ -417,9 +418,17 @@ def make_forecast(
     return TimeSeries(agg.start_epoch, agg.dt, agg.values + noise)
 
 
+def block_means(actuals: TimeSeries, step_s: float) -> TimeSeries:
+    """The actuals' means over blocks of ``step_s`` seconds
+    (:func:`~hessmpc.timeseries.resample`); a series already at that step is
+    returned as it is."""
+    return actuals if actuals.dt == step_s else resample(actuals, step_s)
+
+
 def realized_accuracy(actuals: TimeSeries, forecast: TimeSeries) -> float:
-    """1 - normalized MAE of a forecast against aggregated actuals."""
-    agg = resample(actuals, forecast.dt)
+    """1 - normalized MAE of a forecast against the actuals' block means at
+    its step; ``actuals`` may already be those means."""
+    agg = block_means(actuals, forecast.dt)
     scale = float(np.abs(agg.values).mean())
     if scale == 0.0:
         return float("nan")

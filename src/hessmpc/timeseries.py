@@ -87,7 +87,8 @@ def ingest_csv(path) -> TimeSeries:
 
     The contract is strict: UTF-8, LF endings, the exact header, uniform dt
     inferred from the first two rows, strictly monotone timestamps. A CR, a
-    blank row, a padded field, a ``nan`` or ``inf`` field or another
+    blank row, a padded field, a field with an underscore (which ``float``
+    would read as a digit separator), a ``nan`` or ``inf`` field or another
     malformed row raises :class:`ParseError` with the line number. A step
     off dt by more than 1e-6 * max(dt, 1) s (a decimal step such as 0.1 s
     does not subtract exactly) raises :class:`GapError` with the offending
@@ -110,6 +111,9 @@ def ingest_csv(path) -> TimeSeries:
                 raise ParseError(f"expected 2 fields, got {len(parts)}", line=lineno)
             if any(part != part.strip() for part in parts):
                 raise ParseError(f"padded field in {line!r}", line=lineno)
+            if "_" in line:
+                # float() reads "1_0" as 10.0; a field is a plain number.
+                raise ParseError(f"underscore in {line!r}", line=lineno)
             try:
                 epoch, power = float(parts[0]), float(parts[1])
             except ValueError as exc:

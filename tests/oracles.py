@@ -21,7 +21,12 @@ Nothing in the package calls them, and only they need scipy.
 * :func:`saturate`, the clip of one power request by a store, and
   :func:`close_residual`, the flywheel law run one :func:`saturate` call per
   sample, which :func:`hessmpc.devices.storage.saturate_block` must match
-  byte for byte.
+  byte for byte;
+* :func:`sample_hours` and :func:`tou_gain`, the time-of-use hour and
+  saving taken with one price gather per sample, which
+  :func:`hessmpc.metrics.economic_benefit` must match byte for byte;
+* :func:`rainflow_cycles`, the rainflow walk on numpy scalars, which
+  :func:`hessmpc.devices.battery.rainflow_cycles` must match byte for byte.
 """
 
 from __future__ import annotations
@@ -687,3 +692,65 @@ def close_residual(
         df_prev = (r - p) / k_pf
         out.append(p)
     return out, energy, df_prev
+
+
+# ----------------------------------------------------------------------
+# Per-sample tariff hours
+# ----------------------------------------------------------------------
+
+def sample_hours(ts) -> np.ndarray:
+    """Hour of day of every sample of ``ts``: ``(start + dt * k) % 86400 //
+    3600`` over the whole grid in numpy. A time one rounding step below
+    midnight gives 24 there; it lies in hour 23."""
+    t = ts.start_epoch + ts.dt * np.arange(len(ts))
+    t %= 86400.0
+    t //= 3600.0
+    return np.minimum(t.astype(np.intp), 23)
+
+
+def tou_gain(original, smoothed, tariff) -> float:
+    """The ``tou`` entry of economic_benefit, each sample priced by a gather
+    of its own hour's price."""
+    gain = (original.values - smoothed.values) * tariff.hourly_prices()[sample_hours(original)]
+    return float(gain.sum() * (original.dt / 3600.0))
+
+
+# ----------------------------------------------------------------------
+# Rainflow on numpy scalars
+# ----------------------------------------------------------------------
+
+def rainflow_cycles(values) -> list[tuple]:
+    """ASTM-style rainflow extraction indexing the float64 array itself:
+    ``(count, depth, mean, i_start, i_end)`` per cycle or half cycle."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.size < 2:
+        return []
+    idx = [0]
+    for i in range(1, x.size - 1):
+        if (x[i] - x[idx[-1]]) != 0.0 and (x[i] - x[idx[-1]]) * (x[i + 1] - x[i]) <= 0.0:
+            idx.append(i)
+    if x[x.size - 1] != x[idx[-1]]:
+        idx.append(x.size - 1)
+    elif len(idx) == 1:
+        return []
+    cycles = []
+    stack = []
+    for i in idx:
+        stack.append(i)
+        while len(stack) >= 3:
+            a, b, c = stack[-3], stack[-2], stack[-1]
+            range_ab = abs(x[b] - x[a])
+            if range_ab > abs(x[c] - x[b]):
+                break
+            if range_ab > 0.0:
+                cycles.append((0.5 if len(stack) == 3 else 1.0, range_ab,
+                               (x[a] + x[b]) / 2.0, a, b))
+            if len(stack) == 3:
+                stack.pop(-3)
+            else:
+                stack.pop(-2)
+                stack.pop(-2)
+    for a, b in zip(stack, stack[1:]):
+        if abs(x[b] - x[a]) > 0.0:
+            cycles.append((0.5, abs(x[b] - x[a]), (x[a] + x[b]) / 2.0, a, b))
+    return cycles

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from hessmpc.devices import (
     BatteryDegParams, battery_damage, battery_soh, bess_cycle_cost,
     rainflow_cycles, stress_factors,
@@ -69,6 +72,42 @@ def test_rainflow_nested_cycle():
     assert len(inner) == 1
     assert inner[0][1] == pytest.approx(0.1)
     assert depths[0] == pytest.approx(0.1)
+
+
+def _cycle_bytes(cycles):
+    return [(count, np.float64(depth).tobytes(), np.float64(mean).tobytes(), a, b)
+            for count, depth, mean, a, b in cycles]
+
+
+@st.composite
+def _soc_paths(draw):
+    """SOC paths with plateaus, equal extrema and both signed zeros: each
+    value repeats a few times, from a small pool or anywhere in [-1, 1]."""
+    pool = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)) + [0.0, -0.0]
+    value = st.one_of(st.sampled_from(pool), st.floats(-1.0, 1.0))
+    runs = draw(st.lists(st.tuples(value, st.integers(1, 3)), max_size=60))
+    return np.array([v for v, k in runs for _ in range(k)], dtype=np.float64)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_soc_paths())
+def test_rainflow_matches_numpy_scalar_walk_bit_for_bit(soc):
+    assert _cycle_bytes(rainflow_cycles(soc)) == _cycle_bytes(oracles.rainflow_cycles(soc))
+    if soc.size < 2:
+        return
+    # The damage summed over the returned floats equals the sum over the
+    # numpy scalars the walk used to return.
+    temp = np.linspace(20.0, 40.0, soc.size)
+    s_T, s_t, s_tau, _ = stress_factors(float(temp.mean()), (soc.size - 1) * 60.0,
+                                        float(soc.mean()), 1.0, P)
+    want = s_t * s_tau * s_T
+    for count, depth, mean, i0, i1 in oracles.rainflow_cycles(soc):
+        lo, hi = min(i0, i1), max(i0, i1)
+        s_T_c, _, s_tau_c, s_nu_c = stress_factors(float(temp[lo : hi + 1].mean()), 0.0,
+                                                    mean, depth, P)
+        want += count * s_tau_c * s_nu_c * s_T_c
+    got = battery_damage(TimeSeries(0.0, 60.0, soc), TimeSeries(0.0, 60.0, temp), P)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_damage_constant_soc_is_calendar_only():

@@ -14,8 +14,10 @@ from hessmpc import EngineConfig, run
 from hessmpc.baselines import run_filter_decomposition
 from hessmpc.config import from_dict
 from hessmpc.engine import _Layer, prepare_scenario, write_report
-from hessmpc.mpc import periodic_plan
+from hessmpc.mpc import LAYERS, periodic_plan
 from hessmpc.errors import ConfigError
+from hessmpc.scenario import ARCHETYPES
+from hessmpc.timeseries import resample
 from oracles import dense_problem, read_solve, write_dense
 
 
@@ -302,18 +304,41 @@ def test_controllers_share_one_report_schema():
     assert schemas[0][2] == schemas[0][3] == ["L1", "L2", "L3", "L4"]
 
 
+@pytest.mark.parametrize("archetype", ARCHETYPES)
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), days=st.sampled_from([1.0 / 24.0, 0.25, 1.0]),
+       n1=st.integers(1, 3))
+def test_scenario_means_are_the_block_means_of_the_actuals(archetype, seed, days, n1):
+    # Each layer's means are resample's block means of the padded actuals,
+    # bit for bit, and their first rows are the run's own step means, which
+    # the forecast de-bias reads.
+    data = prepare_scenario(from_dict({
+        "n1": n1, "scenario": {"duration_days": days, "seed": seed, "archetype": archetype}}))
+    n_sec = data.run_seconds
+    for row in LAYERS:
+        means = data.means[row.layer_id]
+        want = resample(data.actuals, float(row.step_s))
+        assert (means.start_epoch, means.dt) == (want.start_epoch, want.dt)
+        assert means.values.tobytes() == want.values.tobytes()
+        n = n_sec // row.step_s
+        run_means = data.actuals.values[:n_sec].reshape(n, row.step_s).mean(axis=1)
+        assert means.values[:n].tobytes() == run_means.tobytes()
+
+
 def test_runs_never_write_into_the_scenario(tmp_path):
     # A report's original net load is a view of the scenario's actuals, and
     # one prepared scenario serves every controller of a comparison.
     data = prepare_scenario(_config(days=1.0 / 24.0))
     before = [data.actuals.values.tobytes()] + [
-        data.forecasts[layer].values.tobytes() for layer in ("L1", "L2", "L3")]
+        getattr(data, part)[layer].values.tobytes()
+        for part in ("forecasts", "means") for layer in ("L1", "L2", "L3")]
     for controller in ("proposed", "periodic_soc", "filter"):
         rep = run(_config(days=1.0 / 24.0, controller=controller), data)
         write_report(rep, str(tmp_path / controller))
         assert np.shares_memory(rep.original_netload.values, data.actuals.values)
         after = [data.actuals.values.tobytes()] + [
-            data.forecasts[layer].values.tobytes() for layer in ("L1", "L2", "L3")]
+            getattr(data, part)[layer].values.tobytes()
+            for part in ("forecasts", "means") for layer in ("L1", "L2", "L3")]
         assert after == before, controller
 
 

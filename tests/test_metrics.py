@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hessmpc.metrics import (
-    DeviceLedger, TariffConfig, economic_benefit, minute_fluctuation_reduction,
+    DeviceLedger, TariffConfig, _hour_runs, economic_benefit, minute_fluctuation_reduction,
     rms_smoothing_rate, round_trip_efficiency, smoothing_rate,
 )
 from hessmpc.timeseries import TimeSeries
+from oracles import sample_hours, tou_gain
 
 
 def _ts(values, dt=1.0):
@@ -148,3 +151,55 @@ def test_benefit_decomposition_exact():
     out = economic_benefit(orig, smoothed, 123.0, TariffConfig())
     assert out["total"] == pytest.approx(
         out["tou"] + out["capacity"] - out["dispatch_cost"])
+
+
+def _run_hours(ts):
+    """The hour of every sample, expanded from the hour runs."""
+    hours = np.full(len(ts), -1, dtype=np.intp)
+    for lo, hi, hour in _hour_runs(ts):
+        assert lo < hi and (hours[lo:hi] == -1).all()
+        hours[lo:hi] = hour
+    return hours
+
+
+@st.composite
+def _tou_grids(draw):
+    """Grids of whole and fractional steps, starts on and off the hour,
+    negative ones and starts a rounding step off midnight, runs from one
+    sample to a few days, with partial first and last hours."""
+    dt = draw(st.one_of(
+        st.sampled_from([1.0, 0.1, 0.25, 7.5, 60.0, 900.0, 3600.0, 5000.0, 86400.0]),
+        st.floats(0.05, 5000.0)))
+    start = draw(st.one_of(
+        st.sampled_from([0.0, -1e-13, 1e-13, -86400.0, 86400.0 - 1e-11, -3600.5, 1.7e9]),
+        st.integers(-3 * 86400, 3 * 86400).map(float),
+        st.floats(-1e6, 1e6)))
+    n = draw(st.integers(1, min(20000, int(3 * 86400 / dt) + 2)))
+    return start, dt, n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tou_grids(), st.integers(0, 2**32 - 1))
+# Times near 2**52 s round to whole seconds, coarser than dt, so the guessed
+# end of an hour misses and the bisection finds it.
+@example((2.0**52, 0.1, 20000), 0)
+@example((-(2.0**52) + 1000.0, 0.37, 20000), 1)
+def test_tou_matches_per_sample_gather_bit_for_bit(grid, seed):
+    start, dt, n = grid
+    rng = np.random.default_rng(seed)
+    orig = TimeSeries(start, dt, rng.normal(0.0, 50.0, n))
+    smooth = TimeSeries(start, dt, rng.normal(0.0, 5.0, n))
+    assert _run_hours(orig).tobytes() == sample_hours(orig).tobytes()
+    got = economic_benefit(orig, smooth, 0.0, TariffConfig())["tou"]
+    want = tou_gain(orig, smooth, TariffConfig())
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_tou_sample_a_rounding_step_below_midnight_is_in_hour_23():
+    # (-1e-13) % 86400 rounds to 86400.0, whose floor hour is 24; the
+    # sample lies in the last hour of the day before.
+    orig = TimeSeries(-1e-13, 1.0, np.ones(3))
+    assert list(_hour_runs(orig)) == [(0, 1, 23), (1, 3, 0)]
+    tariff = TariffConfig()
+    got = economic_benefit(orig, TimeSeries(-1e-13, 1.0, np.zeros(3)), 0.0, tariff)["tou"]
+    assert got == (300.0 + 250.0 + 250.0) * (1.0 / 3600.0)

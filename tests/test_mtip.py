@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hessmpc.devices import EssState
 from hessmpc.mtip import (
-    MtipBounds, adaptive_bounds, blend_gamma, flat_bounds, marginal_cost, physical_bounds,
-    psi,
+    MAX_STEPS, MtipBounds, _prefix_row_sums, adaptive_bounds, blend_gamma, flat_bounds,
+    marginal_cost, physical_bounds, psi,
 )
 from oracles import brute_force_band_oracle, fluctuation_potentials, paper_form_bounds
 
@@ -219,8 +219,10 @@ def _reference_physical_bounds(xi, store, energy, dt_h):
 def _bit_cases(draw):
     """Band arguments with repeated and signed-zero fluctuation entries,
     the energy at either envelope edge or inside, and any efficiencies in
-    (0, 1]; n covers the L1 (4) and L2 (15) band lengths."""
-    n = draw(st.one_of(st.sampled_from([4, 15]), st.integers(1, 20)))
+    (0, 1]; n covers the L1 (4) and L2 (15) band lengths, every length up to
+    60 (L3's band, over the seconds of a minute, is the layer table's
+    longest) and the limit of 128."""
+    n = draw(st.one_of(st.sampled_from([4, 15, 60, MAX_STEPS]), st.integers(1, 60)))
     pool = draw(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=3))
     entry = st.one_of(st.sampled_from(pool + [0.0, -0.0]), st.floats(-30.0, 30.0))
     xi = draw(st.lists(entry, min_size=n, max_size=n))
@@ -242,6 +244,27 @@ def test_physical_bounds_match_per_prefix_reference_bit_for_bit(args):
     got = np.array(physical_bounds(*args))
     want = np.array(_reference_physical_bounds(*args))
     assert got.tobytes() == want.tobytes(), (got, want)
+
+
+@pytest.mark.parametrize("xi", [np.linspace(-1.0, 1.0, MAX_STEPS + 1),
+                                np.zeros(MAX_STEPS + 1)])
+def test_physical_bounds_past_the_limit_raises(xi):
+    with pytest.raises(ValueError, match=f"at most {MAX_STEPS} micro steps"):
+        physical_bounds(*_band(xi))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, MAX_STEPS), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_prefix_row_sums_match_numpy_row_sums_bit_for_bit(n, rows, seed):
+    # Mixed magnitudes make every summation order round differently;
+    # signed zeros check the sum of an all -0.0 prefix.
+    rng = np.random.default_rng(seed)
+    flow = rng.normal(0.0, 1.0, (rows, n)) * 10.0 ** rng.integers(-8, 8, (rows, n))
+    flow[rng.random((rows, n)) < 0.2] = -0.0
+    flow[0, : rng.integers(0, n + 1)] = -0.0
+    sums = _prefix_row_sums(flow)
+    for j in range(1, n + 1):
+        assert sums[:, j - 1].tobytes() == flow[:, :j].sum(axis=1).tobytes(), j
 
 
 def test_marginal_cost_aggregation():

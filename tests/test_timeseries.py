@@ -221,6 +221,17 @@ def test_csv_padded_field_reports_line(tmp_path, row):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("rows, line", [("0,1_0\n1,2.0\n", 2), ("0,1.0\n1_0,2.0\n", 3),
+                                        ("0,1.0\n1,2.0\n2,1e1_0\n", 4)])
+def test_csv_underscore_field_reports_line(tmp_path, rows, line):
+    # float() takes "1_0" as 10.0; a field is a plain number.
+    path = tmp_path / "underscore.csv"
+    path.write_text("epoch_s,power_mw\n" + rows)
+    with pytest.raises(ParseError, match="underscore") as exc:
+        ingest_csv(path)
+    assert exc.value.line == line
+
+
 def test_csv_decimal_step_within_tolerance(tmp_path):
     # 0.1 s steps do not subtract exactly; the 1e-6 * max(dt, 1) s
     # tolerance accepts them, and sample k lies at start + k * dt.
