@@ -152,15 +152,18 @@ def _lockstep_pass(xt, yt, starts, phi, tmp, confirm: bool) -> bool:
     With ``confirm``, ``yt`` holds the previous pass, and the pass stops at
     the first row that equals that pass's row bit for bit: every later row
     and end value would repeat too, so the rest of ``yt`` is already this
-    pass's result. Returns whether it stopped there.
+    pass's result. Returns whether it stopped there. The first pass
+    computes straight into each row of ``yt``, a confirm pass into ``tmp``.
     """
     s = starts
     for x_row, y_row in zip(xt, yt):
-        np.multiply(s, phi, out=tmp)
-        np.add(x_row, tmp, out=tmp)
-        if confirm and tmp.tobytes() == y_row.tobytes():
-            return True
-        y_row[...] = tmp
+        out = tmp if confirm else y_row
+        np.multiply(s, phi, out=out)
+        np.add(x_row, out, out=out)
+        if confirm:
+            if tmp.tobytes() == y_row.tobytes():
+                return True
+            y_row[...] = tmp
         s = y_row
     return False
 
@@ -248,14 +251,25 @@ def ndtr(a: float) -> float:
 
 
 def _interp_blocks(coarse: np.ndarray, step_s: float, n_seconds: int):
-    """``coarse``, one value per ``step_s`` from t = 0, linearly interpolated
-    at every second, as ``(lo, hi, values)`` blocks of ``BLOCK`` seconds.
-    np.interp works point by point, so the blocks give the bits of one call
-    on the whole grid."""
-    t_coarse = np.arange(coarse.size) * step_s
-    for lo in range(0, n_seconds, BLOCK):
-        hi = min(lo + BLOCK, n_seconds)
-        yield lo, hi, np.interp(np.arange(lo, hi, dtype=np.float64), t_coarse, coarse)
+    """``coarse``, one value per ``step_s`` (whole seconds) from t = 0 and
+    past the last second, interpolated at every second as ``(lo, hi,
+    values)`` blocks of at most ``BLOCK`` seconds: ``values[i, r]``, one row
+    per step, is second ``lo + i * step_s + r``, up to ``hi``; the blocks
+    share one buffer. Its bits are np.interp's, by np.interp's own
+    arithmetic: ``slope[j] * r + coarse[j]`` for r >= 1, with its precomputed
+    ``slope = (coarse[j+1] - coarse[j]) / step_s`` and ``t - t_j = r`` exact;
+    ``coarse[j]`` itself at a knot (``slope * 0 + coarse`` loses a -0.0)."""
+    step, steps = int(step_s), -(-n_seconds // int(step_s))
+    slope = (coarse[1:] - coarse[:-1]) / step_s
+    r = np.arange(step, dtype=np.float64)
+    rows = max(BLOCK // step, 1)
+    buf = np.empty((rows, step))
+    for j in range(0, steps, rows):
+        knots = coarse[j : min(j + rows, steps), None]
+        vals = np.multiply(slope[j : j + len(knots), None], r, out=buf[: len(knots)])
+        vals += knots
+        vals[:, :1] = knots
+        yield j * step, min((j + rows) * step, n_seconds), vals
 
 
 # The component generators keep their one-second arrays few: each draws its
@@ -276,7 +290,7 @@ def _wind_power(rng: np.random.Generator, n_seconds: int, capacity: float) -> np
     v *= 0.06
     v += 1.0
     for lo, hi, speed in _interp_blocks(speeds, 3600.0, n_seconds):
-        v[lo:hi] *= speed
+        v[lo:hi] *= speed.reshape(-1)[: hi - lo]
     np.clip(v, 0.0, None, out=v)
     v_in, v_rated, v_out = 3.0, 12.0, 25.0
     cut_out = v > v_out
@@ -299,7 +313,7 @@ def _pv_power(rng: np.random.Generator, n_seconds: int, capacity: float) -> np.n
     sky *= 0.04
     sky += 1.0
     for lo, hi, trans in _interp_blocks(transmission, 600.0, n_seconds):
-        sky[lo:hi] *= trans
+        sky[lo:hi] *= trans.reshape(-1)[: hi - lo]
     np.clip(sky, 0.0, 1.0, out=sky)
     # The envelope repeats daily: t % 86400 is exact, so one day tiles it.
     day_frac = np.arange(min(n_seconds, 86400), dtype=np.float64) / 86400.0
@@ -330,8 +344,8 @@ def _load_power(rng: np.random.Generator, n_seconds: int, peak: float) -> np.nda
     for lo, hi, slow in _interp_blocks(z, 3600.0, n_seconds):
         slow *= 0.05
         slow += 1.0
-        slow *= hourly[np.arange(lo, hi) // 3600]
-        fast[lo:hi] *= slow
+        slow *= hourly[lo // 3600 : lo // 3600 + len(slow), None]
+        fast[lo:hi] *= slow.reshape(-1)[: hi - lo]
     return fast
 
 
@@ -372,19 +386,26 @@ def synthesize(config: ScenarioConfig) -> TimeSeries:
 
 def window_mean(x: np.ndarray, before: int, after: int) -> np.ndarray:
     """Mean of ``x[k - before : k + after + 1]`` at each k, the window cut
-    to the series; O(n) via prefix sums, the window's index arithmetic in
-    blocks. ``window_mean(x, w - 1, 0)`` is the trailing mean over w
-    samples, ``window_mean(x, h, h)`` the centered one over 2h + 1."""
-    n = x.size
+    to the series; O(n) via prefix sums c. Where the window is whole, k in
+    ``[before, n - after)``, the means are one subtract and one divide of two
+    slices of c; only the cut edges take the index arithmetic, in blocks.
+    ``window_mean(x, w - 1, 0)`` is the trailing mean over w samples,
+    ``window_mean(x, h, h)`` the centered one over 2h + 1."""
+    n, w = x.size, before + after + 1
     c = np.empty(n + 1)
     c[0] = 0.0
     np.cumsum(x, out=c[1:])
     out = np.empty(n)
-    for start in range(0, n, BLOCK):
-        k = np.arange(start, min(start + BLOCK, n))
-        left = np.clip(k - before, 0, n)
-        right = np.clip(k + after + 1, 0, n)
-        out[start : start + k.size] = (c[right] - c[left]) / (right - left)
+    lo = min(before, n)
+    hi = max(n - after, lo)
+    np.subtract(c[w : w + hi - lo], c[: hi - lo], out=out[lo:hi])
+    out[lo:hi] /= float(w)
+    for start, stop in ((0, lo), (hi, n)):
+        for b in range(start, stop, BLOCK):
+            k = np.arange(b, min(b + BLOCK, stop))
+            left = np.clip(k - before, 0, n)
+            right = np.clip(k + after + 1, 0, n)
+            out[b : b + k.size] = (c[right] - c[left]) / (right - left)
     return out
 
 

@@ -181,7 +181,8 @@ def write_csv(files: dict) -> None:
             # timing). The one exception, -0.0 ("0" against "-0"), cannot
             # occur: with dt > 0, start + dt * k rounds an exact zero to +0.0.
             if np.all(np.abs(e) < 2.0**53) and np.array_equal(e, np.trunc(e)):
-                prefixes = list(map("{},".format, e.astype(np.int64).tolist()))
+                ints = e.astype(np.int64).tolist()
+                prefixes = ("%d,\n" * len(ints) % tuple(ints)).split("\n")[:-1]
             else:
                 prefixes = list(map("{:.0f},".format, e.tolist()))
             for fh, ts in zip(handles, series):

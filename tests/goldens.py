@@ -258,17 +258,20 @@ SCENARIO_FORECASTS = {"L1": (3600.0, 0.9), "L2": (900.0, 0.85), "L3": (60.0, 0.9
 def scenario_cases():
     """Seeded scenario configs whose actuals and forecasts are pinned byte
     for byte: every archetype, two seeds, and 0.3, 1 and 2.5 days, so that
-    runs end inside an hour (0.3 d) and inside a day (0.3 d, 2.5 d).
+    runs end inside an hour (0.3 d) and inside a day (0.3 d, 2.5 d); plus
+    the padded lengths the benchmark synthesizes, a 2-day balanced and a
+    0.25-day oversupply run with the 240 h forecast pad (seed 8).
 
     Yields (name, ScenarioConfig).
     """
     from hessmpc.scenario import ARCHETYPES, ScenarioConfig
 
-    for archetype in ARCHETYPES:
-        for seed in (1, 104729):
-            for days in (0.3, 1.0, 2.5):
-                yield (f"{archetype}-s{seed}-{days}d",
-                       ScenarioConfig(seed=seed, duration_days=days, archetype=archetype))
+    cases = [(archetype, seed, days) for archetype in ARCHETYPES
+             for seed in (1, 104729) for days in (0.3, 1.0, 2.5)]
+    cases += [("balanced", 8, 12.0), ("oversupply", 8, 10.25)]
+    for archetype, seed, days in cases:
+        yield (f"{archetype}-s{seed}-{days}d",
+               ScenarioConfig(seed=seed, duration_days=days, archetype=archetype))
 
 
 def compute_scenario_digests() -> dict:

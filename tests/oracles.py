@@ -26,7 +26,10 @@ Nothing in the package calls them, and only they need scipy.
   saving taken with one price gather per sample, which
   :func:`hessmpc.metrics.economic_benefit` must match byte for byte;
 * :func:`rainflow_cycles`, the rainflow walk on numpy scalars, which
-  :func:`hessmpc.devices.battery.rainflow_cycles` must match byte for byte.
+  :func:`hessmpc.devices.battery.rainflow_cycles` must match byte for byte;
+* :func:`window_mean`, the windowed mean with the clipped index gather at
+  every sample, which :func:`hessmpc.scenario.window_mean` must match byte
+  for byte.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from hessmpc.qp import (
     INFEASIBLE, MAX_ITER, OPTIMAL, QpSolution, StepStructure,
     _charge_discharge_steps, charge_discharge_form,
 )
+from hessmpc.timeseries import BLOCK
 from hessmpc.vic import DT_H, VicParams
 
 _DROP_TOL = 1e-12
@@ -754,3 +758,25 @@ def rainflow_cycles(values) -> list[tuple]:
         if abs(x[b] - x[a]) > 0.0:
             cycles.append((0.5, abs(x[b] - x[a]), (x[a] + x[b]) / 2.0, a, b))
     return cycles
+
+
+# ----------------------------------------------------------------------
+# Windowed means by index gather
+# ----------------------------------------------------------------------
+
+def window_mean(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Mean of ``x[k - before : k + after + 1]`` at each k, the window cut
+    to the series; O(n) via prefix sums, the window's index arithmetic in
+    blocks. ``window_mean(x, w - 1, 0)`` is the trailing mean over w
+    samples, ``window_mean(x, h, h)`` the centered one over 2h + 1."""
+    n = x.size
+    c = np.empty(n + 1)
+    c[0] = 0.0
+    np.cumsum(x, out=c[1:])
+    out = np.empty(n)
+    for start in range(0, n, BLOCK):
+        k = np.arange(start, min(start + BLOCK, n))
+        left = np.clip(k - before, 0, n)
+        right = np.clip(k + after + 1, 0, n)
+        out[start : start + k.size] = (c[right] - c[left]) / (right - left)
+    return out

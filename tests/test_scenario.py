@@ -9,9 +9,10 @@ from scipy.signal import lfilter
 from scipy.special import ndtr as scipy_ndtr
 
 import goldens
+import oracles
 from hessmpc.scenario import (
-    _DRAW_CHUNKS, _LOCKSTEP_MIN, ARCHETYPES, ScenarioConfig, _ar1, _recurrence, make_forecast,
-    ndtr, realized_accuracy, synthesize, window_mean,
+    _DRAW_CHUNKS, _LOCKSTEP_MIN, ARCHETYPES, ScenarioConfig, _ar1, _interp_blocks, _recurrence,
+    make_forecast, ndtr, realized_accuracy, synthesize, window_mean,
 )
 from hessmpc.timeseries import BLOCK, resample
 
@@ -304,3 +305,70 @@ def test_window_mean_matches_the_formulas_it_replaced(n, window):
     half = min(window, n) // 2
     centered = window_mean(x, half, half)
     assert centered.tobytes() == _centered_mean_reference(x, window).tobytes()
+
+
+#: Knot values at the edges of the interpolation's arithmetic: signed zeros
+#: (a knot second must keep -0.0), subnormals, and magnitudes whose
+#: differences and products stay finite or overflow.
+_KNOTS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+          1e300, -1e300, 1.0, -1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    step=st.sampled_from([1, 60, 600, 3600]),
+    # Whole steps and the seconds of a partial last one (0 leaves the last
+    # step whole); 0 whole steps is a series under one step.
+    whole=st.one_of(st.integers(0, 3), st.integers(0, 200), st.just(BLOCK + 1)),
+    part=st.one_of(st.just(0), st.just(1), st.integers(0, 3599)),
+    extra=st.integers(1, 3),
+    knots=st.lists(st.one_of(st.sampled_from(_KNOTS), st.floats(allow_nan=False,
+                                                                allow_infinity=False),
+                             st.floats(-100.0, 100.0)), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interp_blocks_match_np_interp_bit_for_bit(step, whole, part, extra, knots, seed):
+    # The synthesizer's per-second interpolation is np.interp's own formula
+    # over whole steps; every second must carry np.interp's bits.
+    whole = min(whole, 300_000 // step)
+    n = whole * step + part % step
+    if n == 0:
+        n = 1
+    size = -(-n // step) + extra       # the knots reach past the last second
+    rng = np.random.default_rng(seed)
+    coarse = rng.choice(np.array(knots, dtype=np.float64), size)
+    coarse[: len(knots)] = knots[:size]
+    want = np.interp(np.arange(n, dtype=np.float64), np.arange(size) * float(step), coarse)
+    got = np.empty(n)
+    end = 0
+    # Knots near the float range overflow the slope (inf, and inf * 0 at the
+    # knot seconds, which take the knot itself), as in np.interp's C loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, vals in _interp_blocks(coarse, float(step), n):
+            # One row per whole step; only the last row may run past n.
+            assert lo == end and lo % step == 0 and vals.shape[1] == step
+            assert hi - lo <= vals.size <= BLOCK and vals.size - (hi - lo) < step
+            got[lo:hi] = vals.reshape(-1)[: hi - lo]
+            end = hi
+    assert end == n
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.one_of(st.sampled_from([1, 2, 3, 7]), st.integers(1, 400),
+                st.sampled_from([BLOCK - 1, BLOCK, 2 * BLOCK + 5])),
+    # Window halves of 0, inside the series, at its length and wider.
+    before=st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 5 * BLOCK)),
+    after=st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 5 * BLOCK)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_mean_matches_the_gather_form_bit_for_bit(n, before, after, seed):
+    # Whole windows come from two slices of the prefix sums, the cut edges
+    # from the index gather; both must give the gather form's bits.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 50.0 + 20.0
+    x[rng.random(n) < 0.2] = -0.0
+    for b, a in ((before, after), (after, before), (min(before, n), n), (n, 0), (n + 1, n + 1)):
+        got = window_mean(x, b, a)
+        assert got.tobytes() == oracles.window_mean(x, b, a).tobytes(), (b, a)

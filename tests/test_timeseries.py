@@ -126,6 +126,18 @@ def test_write_csv_matches_per_row_writer(tmp_path_factory, start, dt, table, bl
                 assert back.dt == (dt if len(rows) > 1 else 1.0)
 
 
+@pytest.mark.parametrize("start", [-100_003.0, -(2.0**31) - 9, 2.0**31 - 5, 2.0**40 + 1.0])
+@pytest.mark.parametrize("dt", [1.0, 60.0])
+def test_write_csv_integral_epochs_match_per_row_writer(tmp_path, start, dt):
+    # Whole-second epochs take the "%d" prefix branch: negative epochs,
+    # epochs past 32 bits and a short last block (17 rows in blocks of 7).
+    ts = TimeSeries(start, dt, np.linspace(-3.0, 4.0, 17))
+    with mock.patch.object(timeseries, "CSV_BLOCK_ROWS", 7):
+        write_csv({tmp_path / "bulk.csv": ts})
+    _write_csv_per_row(tmp_path / "rows.csv", ts)
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 @pytest.mark.parametrize("other", [
     TimeSeries(1.0, 1.0, np.ones(4)), TimeSeries(0.0, 60.0, np.ones(4)),
     TimeSeries(0.0, 1.0, np.ones(5)),
